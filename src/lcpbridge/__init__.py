@@ -41,9 +41,10 @@ from .pipeline import (
     ExecutionResult,
     MigrationInputs,
     execute_from_pivot,
+    execute_import,
     execute_migration,
 )
-from .planner import AdapterRegistry, MigrationPlan, plan_migration
+from .planner import MigrationPlan, plan_migration
 from .plantuml import emit_plantuml, parse_plantuml
 from .relational import RelationalSchemaPlan, emit_sql, plan_relational
 from .tabular import TabularSource, infer_model, load_tabular

@@ -6,11 +6,11 @@ a code change; ``--capabilities <file>`` swaps in a different registry.
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from . import _toml
 from .errors import ConfigError, UnknownPlatformError
 
 LEVELS = ("none", "partial", "full")
@@ -71,8 +71,9 @@ def _check_level(value, where: str) -> str:
 def load_capabilities(path: str | Path) -> CapabilityMatrix:
     """Parse a capability file; validates levels and format tokens."""
     try:
-        raw = _toml.load(path)
-    except (_toml.TomlError, OSError) as exc:
+        with open(path, "rb") as handle:
+            raw = tomllib.load(handle)
+    except (tomllib.TOMLDecodeError, OSError) as exc:
         raise ConfigError(f"cannot load capabilities from {path}: {exc}") from exc
 
     records = {}

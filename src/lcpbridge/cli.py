@@ -11,22 +11,23 @@ import argparse
 import json
 import os
 import sys
+import tomllib
 from pathlib import Path
 
 from .capabilities import DIRECTIONS, CapabilityMatrix, default_matrix, load_capabilities
-from .dsl import load_pivot_file
 from .errors import ConfigError, LcpBridgeError
 from .llm import API_KEY_ENV, HttpVisionClient, ReplayVisionClient
 from .model import validate_model
 from .pipeline import (
+    EXPORTERS,
+    IMPORTERS,
     ExecutionOptions,
     MigrationInputs,
+    execute_from_pivot,
+    execute_import,
     execute_migration,
-    run_exporter,
-    run_importer,
 )
-from .planner import EXPORTERS, IMPORTERS, plan_migration
-from . import _toml
+from .planner import plan_migration
 
 CONFIG_FILE = "lcpbridge.toml"
 
@@ -39,8 +40,9 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"config file {candidate} not found")
         return {}
     try:
-        return _toml.load(candidate)
-    except _toml.TomlError as exc:
+        with open(candidate, "rb") as handle:
+            return tomllib.load(handle)
+    except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"cannot parse {candidate}: {exc}") from exc
 
 
@@ -192,38 +194,25 @@ def _cmd_migrate(args, config: dict) -> int:
 
 
 def _cmd_import(args, config: dict) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = MigrationInputs(
         files=[Path(p) for p in args.input],
         images=[Path(p) for p in args.image],
         llm_client=_llm_client(args, config),
     )
-    model, loss, merge_report = run_importer(args.adapter, inputs, args.platform, out_dir)
-    from .dsl import save_pivot_file
-
-    pivot_path = out_dir / "model.bml"
-    save_pivot_file(model, pivot_path)
-    (out_dir / "loss-report.json").write_text(loss.to_json(), encoding="utf-8")
-    if merge_report is not None:
-        (out_dir / "merge-report.json").write_text(
-            json.dumps(merge_report.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    print(pivot_path)
-    print(loss.summary(), file=sys.stderr)
+    result = execute_import([args.adapter], inputs, args.platform, args.out,
+                            matrix=_matrix_from(args))
+    print(result.pivot_path)
+    print(result.loss.summary(), file=sys.stderr)
     return 0
 
 
 def _cmd_export(args) -> int:
-    model = load_pivot_file(args.model)
     options = ExecutionOptions(dialect=args.dialect,
                                include_sample_row=not args.no_sample_row)
-    outputs, loss = run_exporter(args.adapter, model, Path(args.out), options)
-    loss_path = Path(args.out) / "loss-report.json"
-    loss_path.write_text(loss.to_json(), encoding="utf-8")
-    for path in outputs + [loss_path]:
+    result = execute_from_pivot(args.model, args.adapter, args.out, options)
+    for path in result.outputs:
         print(path)
-    print(loss.summary(), file=sys.stderr)
+    print(result.loss.summary(), file=sys.stderr)
     return 0
 
 

@@ -43,9 +43,6 @@ from .model import (
     require_valid,
 )
 
-_PUNCT = ("..", "{", "}", "[", "]", ":", ",", "*")
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str  # IDENT | INT | PUNCT | EOF

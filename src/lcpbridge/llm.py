@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .capabilities import default_matrix
 from .errors import (
     AuthenticationError,
     MissingFixtureError,
@@ -33,6 +34,7 @@ from .model import (
     DomainModel,
     Generalization,
     Property,
+    association_key,
     enum_type,
     require_valid,
 )
@@ -46,14 +48,17 @@ _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 @dataclass(frozen=True)
 class PromptContext:
     platform_id: str
+    display_name: str
     syntax_description: str
     extra_instructions: str = ""
 
 
 def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
-    """Build the platform context from the shipped syntax-primer assets."""
-    from .capabilities import default_matrix
+    """Build the platform context from the shipped syntax-primer assets.
 
+    ``registry`` is the capability matrix that names the platform (default:
+    the shipped one).
+    """
     matrix = registry if registry is not None else default_matrix()
     if platform_id not in matrix.platform_ids():
         raise UnknownPlatformError(f"unknown platform {platform_id!r}")
@@ -62,7 +67,7 @@ def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
         asset = _PROMPT_DIR / "default.txt"
     text = asset.read_text(encoding="utf-8")
     display = matrix.display_name(platform_id)
-    return PromptContext(platform_id=platform_id,
+    return PromptContext(platform_id=platform_id, display_name=display,
                          syntax_description=text.replace("{platform}", display))
 
 
@@ -84,14 +89,10 @@ class VisionRequest:
 
 def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> str:
     """Assemble the full instruction text sent alongside the screenshot(s)."""
-    from .capabilities import default_matrix
-
-    display = default_matrix().display_name(context.platform_id) \
-        if context.platform_id in default_matrix().platform_ids() else context.platform_id
     sections = [
-        f"Turn the attached screenshot of a {display} data model into the "
+        f"Turn the attached screenshot of a {context.display_name} data model into the "
         "corresponding class diagram in PlantUML notation.",
-        f"How {display} draws data models:\n{context.syntax_description.strip()}",
+        f"How {context.display_name} draws data models:\n{context.syntax_description.strip()}",
     ]
     if partial is not None:
         require_valid(partial, "partial model for prompt")
@@ -265,16 +266,6 @@ class MergeReport:
         }
 
 
-def _assoc_fingerprint(assoc: Association) -> tuple:
-    ends = sorted(
-        (end.class_name,
-         end.multiplicity.lower,
-         -1 if end.multiplicity.upper is None else end.multiplicity.upper)
-        for end in assoc.ends
-    )
-    return (assoc.name, tuple(ends))
-
-
 def _assoc_pair(assoc: Association) -> frozenset:
     return frozenset((assoc.end1.class_name.lower(), assoc.end2.class_name.lower()))
 
@@ -393,7 +384,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
         report.added_generalizations.append(f"{specific}->{general}")
 
     associations = list(partial.associations)
-    fingerprints = {_assoc_fingerprint(a) for a in associations}
+    fingerprints = {association_key(a) for a in associations}
     partial_pairs = {_assoc_pair(a): a for a in partial.associations}
     for assoc in inferred.associations:
         exact1 = class_exact.get(assoc.end1.class_name.lower())
@@ -409,7 +400,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                                 multiplicity=assoc.end2.multiplicity,
                                 navigable=assoc.end2.navigable),
         )
-        if _assoc_fingerprint(normalized) in fingerprints:
+        if association_key(normalized) in fingerprints:
             continue
         clashing = partial_pairs.get(_assoc_pair(normalized))
         if clashing is not None:
@@ -419,7 +410,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                 inferred_value=_describe_assoc(normalized)))
             continue
         associations.append(normalized)
-        fingerprints.add(_assoc_fingerprint(normalized))
+        fingerprints.add(association_key(normalized))
         report.added_associations.append(normalized.name)
 
     merged = DomainModel(

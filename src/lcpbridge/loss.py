@@ -79,15 +79,6 @@ class LossReport:
         payload = {"items": [i.as_dict() for i in self.items]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "LossReport":
-        payload = json.loads(text)
-        report = cls()
-        for raw in payload.get("items", []):
-            report.add(raw["element_kind"], raw["element_name"], raw["reason"],
-                       raw.get("severity", "warning"), raw.get("detail", ""))
-        return report
-
     def summary(self) -> str:
         """One human line per entry, for the CLI's error stream."""
         if not self.items:

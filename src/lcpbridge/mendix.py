@@ -90,10 +90,30 @@ class MendixExport:
     warnings: tuple[str, ...] = ()
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping or mapping[key] in (None, ""):
+def _require(mapping: dict, key: str, where: str) -> str:
+    if mapping.get(key) in (None, ""):
         raise MendixImportError(f"missing mandatory field {key!r} in {where}")
-    return mapping[key]
+    return _optional(mapping, key, where)
+
+
+def _optional(mapping: dict, key: str, where: str, default: str | None = None) -> str | None:
+    """The string at ``key``; ``default`` when the key is absent or null."""
+    value = mapping.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise MendixImportError(f"field {key!r} in {where} must be a string")
+    return value
+
+
+def _list_of(mapping: dict, key: str, item_type: type, where: str) -> list:
+    items = mapping.get(key)
+    if items is None:
+        return []
+    if not isinstance(items, list) or not all(isinstance(i, item_type) for i in items):
+        noun = "objects" if item_type is dict else "strings"
+        raise MendixImportError(f"field {key!r} in {where} must be a list of {noun}")
+    return items
 
 
 def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
@@ -108,7 +128,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
             raise MendixImportError(f"malformed JSON: {exc}") from exc
     else:
         payload = document
-    if not isinstance(payload, dict) or "domainModel" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("domainModel"), dict):
         raise MendixImportError("document has no top-level 'domainModel' object")
     dm = payload["domainModel"]
 
@@ -122,37 +142,41 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     note_unknown(dm, {"name", "entities", "associations", "enumerations"}, "domainModel")
 
     entities = []
-    for raw in dm.get("entities", []):
+    for raw in _list_of(dm, "entities", dict, "domainModel"):
         name = _require(raw, "name", "entity")
         note_unknown(raw, {"name", "attributes", "generalization"}, f"entity {name}")
         attributes = []
-        for attr in raw.get("attributes", []):
+        for attr in _list_of(raw, "attributes", dict, f"entity {name}"):
             attr_name = _require(attr, "name", f"attribute of {name}")
-            attr_type = _require(attr, "type", f"attribute {name}.{attr_name}")
-            note_unknown(attr, {"name", "type", "enum_ref"}, f"attribute {name}.{attr_name}")
-            attributes.append(MendixAttribute(attr_name, attr_type, attr.get("enum_ref")))
-        entities.append(MendixEntity(name, tuple(attributes), raw.get("generalization")))
+            where = f"attribute {name}.{attr_name}"
+            attr_type = _require(attr, "type", where)
+            note_unknown(attr, {"name", "type", "enum_ref"}, where)
+            attributes.append(MendixAttribute(attr_name, attr_type,
+                                              _optional(attr, "enum_ref", where)))
+        entities.append(MendixEntity(name, tuple(attributes),
+                                     _optional(raw, "generalization", f"entity {name}")))
 
     associations = []
-    for raw in dm.get("associations", []):
+    for raw in _list_of(dm, "associations", dict, "domainModel"):
         name = _require(raw, "name", "association")
         note_unknown(raw, {"name", "parent", "child", "type", "owner"}, f"association {name}")
         associations.append(MendixAssociation(
             name=name,
             parent=_require(raw, "parent", f"association {name}"),
             child=_require(raw, "child", f"association {name}"),
-            type=raw.get("type", "Reference"),
-            owner=raw.get("owner", "Default"),
+            type=_optional(raw, "type", f"association {name}", "Reference"),
+            owner=_optional(raw, "owner", f"association {name}", "Default"),
         ))
 
     enumerations = []
-    for raw in dm.get("enumerations", []):
+    for raw in _list_of(dm, "enumerations", dict, "domainModel"):
         name = _require(raw, "name", "enumeration")
         note_unknown(raw, {"name", "values"}, f"enumeration {name}")
-        enumerations.append(MendixEnumeration(name, tuple(raw.get("values", []))))
+        values = _list_of(raw, "values", str, f"enumeration {name}")
+        enumerations.append(MendixEnumeration(name, tuple(values)))
 
     export = MendixExport(
-        name=dm.get("name", "DomainModel"),
+        name=_optional(dm, "name", "domainModel", "DomainModel"),
         entities=tuple(entities),
         associations=tuple(associations),
         enumerations=tuple(enumerations),

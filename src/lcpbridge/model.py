@@ -124,6 +124,17 @@ class Association:
     def ends(self) -> tuple[AssociationEnd, AssociationEnd]:
         return (self.end1, self.end2)
 
+    @property
+    def kind(self) -> str:
+        """``many-to-many``, ``many-to-one`` or ``one-to-one``, from the ends' upper bounds."""
+        many1 = self.end1.multiplicity.is_many
+        many2 = self.end2.multiplicity.is_many
+        if many1 and many2:
+            return "many-to-many"
+        if many1 or many2:
+            return "many-to-one"
+        return "one-to-one"
+
 
 @dataclass(frozen=True)
 class Generalization:
@@ -155,12 +166,6 @@ class DomainModel:
         for enum in self.enumerations:
             if enum.name == name:
                 return enum
-        return None
-
-    def parent_of(self, class_name: str) -> str | None:
-        for gen in self.generalizations:
-            if gen.specific == class_name:
-                return gen.general
         return None
 
 
@@ -352,7 +357,8 @@ def _end_key(end: AssociationEnd) -> tuple:
     return (end.class_name, end.multiplicity.lower, upper)
 
 
-def _assoc_key(assoc: Association) -> tuple:
+def association_key(assoc: Association) -> tuple:
+    """Name and ends (class and bounds), the identity ``model_equal`` compares."""
     ends = sorted([_end_key(assoc.end1), _end_key(assoc.end2)])
     return (assoc.name, tuple(ends))
 
@@ -366,7 +372,8 @@ def model_equal(a: DomainModel, b: DomainModel) -> bool:
     """Equality up to collection ordering; the model's own name is ignored."""
     if sorted(map(_class_key, a.classes)) != sorted(map(_class_key, b.classes)):
         return False
-    if sorted(map(_assoc_key, a.associations)) != sorted(map(_assoc_key, b.associations)):
+    if sorted(map(association_key, a.associations)) != \
+            sorted(map(association_key, b.associations)):
         return False
     gens_a = sorted((g.general, g.specific) for g in a.generalizations)
     gens_b = sorted((g.general, g.specific) for g in b.generalizations)
@@ -382,5 +389,5 @@ __all__ = [
     "TypeRef", "primitive_type", "enum_type", "Property", "Class", "Multiplicity",
     "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
     "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",
-    "model_equal", "is_identifier", "sanitize_identifier",
+    "model_equal", "association_key", "is_identifier", "sanitize_identifier",
 ]

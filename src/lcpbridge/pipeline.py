@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .dsl import load_pivot_file, save_pivot_file
 from .errors import LcpBridgeError, MissingInputError
@@ -27,11 +29,14 @@ from .llm import (
 from .loss import LossReport
 from .mendix import load_mendix_export, mendix_to_pivot
 from .model import DomainModel, require_valid
-from .planner import EXPORTERS, MigrationPlan
 from .plantuml import emit_plantuml, parse_plantuml
 from .relational import emit_sql, plan_relational
 from .tabular import infer_model, load_tabular
 from .workbook import plan_workbook, emit_workbook
+
+if TYPE_CHECKING:
+    from .capabilities import CapabilityMatrix
+    from .planner import MigrationPlan
 
 REPROMPT_LIMIT = 2  # re-asks after a malformed completion, then manual repair
 
@@ -77,69 +82,145 @@ def _load_image(path: Path) -> ImagePayload:
     return ImagePayload(data=path.read_bytes(), media_type=media_type)
 
 
+# ---------------------------------------------------------------------------
+# The adapter table: one row per import adapter and generator, read by the
+# planner and the CLI. ``accepts``/``produces`` are capability-registry format
+# tokens plus PIVOT (the in-memory pivot model) and IMG (a screenshot). Each
+# ``run`` is a module-level function that reaches the layers through this
+# module's globals (load_mendix_export, emit_sql, ...), so a caller can swap
+# those names at run time and see every call.
+
+
+@dataclass(frozen=True)
+class Adapter:
+    """One import adapter (produces PIVOT) or generator (accepts PIVOT)."""
+
+    id: str
+    accepts: tuple[str, ...]
+    produces: tuple[str, ...]
+    run: Callable
+
+
+def _import_mendix(inputs: MigrationInputs, **_):
+    files = _files_with_suffix(inputs, (".json",), "mendix-json")
+    model, loss = mendix_to_pivot(load_mendix_export(files[0]))
+    return model, loss, None
+
+
+def _import_tabular(inputs: MigrationInputs, **_):
+    files = _files_with_suffix(inputs, (".csv", ".xlsx"), "tabular")
+    model, loss = infer_model(load_tabular(files), name="Imported")
+    return model, loss, None
+
+
+def _import_plantuml(inputs: MigrationInputs, **_):
+    files = _files_with_suffix(inputs, (".puml", ".plantuml", ".txt"), "plantuml")
+    result = parse_plantuml(files[0].read_text(encoding="utf-8"))
+    return result.model, result.loss, None
+
+
+def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Path,
+                  partial: DomainModel | None, matrix: CapabilityMatrix | None):
+    if not inputs.images:
+        raise MissingInputError("step 'image-llm' needs at least one screenshot")
+    if inputs.llm_client is None:
+        raise MissingInputError("step 'image-llm' needs a configured vision-model client")
+    images = tuple(_load_image(p) for p in inputs.images)
+    context = load_prompt_context(source_platform, matrix)
+    loss = LossReport()
+
+    attempt_error: Exception | None = None
+    completion = ""
+    for attempt in range(1 + REPROMPT_LIMIT):
+        prompt = build_prompt(context, partial)
+        if attempt_error is not None:
+            prompt += ("\nThe previous answer could not be parsed as PlantUML: "
+                       f"{attempt_error}\nPlease answer again with one corrected "
+                       "@startuml block.\n")
+        request = VisionRequest(prompt_text=prompt, images=images)
+        completion = invoke_vision_model(request, inputs.llm_client)
+        try:
+            result = extract_model(completion)
+        except LcpBridgeError as exc:
+            attempt_error = exc
+            continue
+        loss.extend(result.loss)
+        for warning in result.warnings:
+            loss.add("model", source_platform, "LLM_INFERRED", "info", warning)
+        inferred = result.model
+        if partial is not None:
+            merged, merge_report = merge_models(partial, inferred)
+            return merged, loss, merge_report
+        return inferred, loss, None
+
+    # all attempts failed: keep the raw completion for manual repair
+    out_dir.mkdir(parents=True, exist_ok=True)
+    raw_path = out_dir / "llm-completion.txt"
+    raw_path.write_text(completion, encoding="utf-8")
+    raise LcpBridgeError(
+        f"step 'image-llm' failed after {REPROMPT_LIMIT} re-prompts: {attempt_error}; "
+        f"raw completion saved to {raw_path} for manual repair")
+
+
+def _export_sql(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    plan, loss = plan_relational(model)
+    path = out_dir / "model.sql"
+    path.write_text(emit_sql(plan, dialect=options.dialect), encoding="utf-8")
+    return [path], loss
+
+
+def _export_workbook(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
+    return list(emit_workbook(manifest, out_dir / "model.xlsx")), loss
+
+
+def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
+    loss.add("model", model.name, "DROPPED", "warning",
+             "CSV fallback cannot carry dropdown validations between tables")
+    paths = []
+    for sheet in manifest.sheets:
+        path = out_dir / f"{sheet.name}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([c.header for c in sheet.columns])
+            if sheet.sample_row is not None and sheet.columns:
+                writer.writerow(sheet.sample_row)
+        paths.append(path)
+    return paths, loss
+
+
+def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    path = out_dir / "model.puml"
+    path.write_text(emit_plantuml(model), encoding="utf-8")
+    return [path], LossReport()
+
+
+IMPORTERS = {a.id: a for a in (
+    Adapter("mendix-json", ("JSON",), ("PIVOT",), _import_mendix),
+    Adapter("plantuml", ("PUML",), ("PIVOT",), _import_plantuml),
+    Adapter("tabular", ("CSV", "XLSX"), ("PIVOT",), _import_tabular),
+    Adapter("image-llm", ("IMG",), ("PIVOT",), _import_image),
+)}
+EXPORTERS = {a.id: a for a in (
+    Adapter("apex-sql", ("PIVOT",), ("SQL",), _export_sql),
+    Adapter("workbook", ("PIVOT",), ("XLSX",), _export_workbook),
+    Adapter("csv", ("PIVOT",), ("CSV",), _export_csv),
+    Adapter("plantuml", ("PIVOT",), ("PUML",), _export_plantuml),
+)}
+
+
 def run_importer(adapter_id: str, inputs: MigrationInputs, source_platform: str,
                  out_dir: Path, partial: DomainModel | None = None,
+                 matrix: CapabilityMatrix | None = None,
                  ) -> tuple[DomainModel, LossReport, MergeReport | None]:
-    """Run one import adapter to a pivot model."""
-    if adapter_id == "mendix-json":
-        files = _files_with_suffix(inputs, (".json",), adapter_id)
-        export = load_mendix_export(files[0])
-        model, loss = mendix_to_pivot(export)
-        return model, loss, None
-
-    if adapter_id == "tabular":
-        files = _files_with_suffix(inputs, (".csv", ".xlsx"), adapter_id)
-        source = load_tabular(files)
-        model, loss = infer_model(source, name="Imported")
-        return model, loss, None
-
-    if adapter_id == "plantuml":
-        files = _files_with_suffix(inputs, (".puml", ".plantuml", ".txt"), adapter_id)
-        result = parse_plantuml(files[0].read_text(encoding="utf-8"))
-        return result.model, result.loss, None
-
-    if adapter_id == "image-llm":
-        if not inputs.images:
-            raise MissingInputError("step 'image-llm' needs at least one screenshot")
-        if inputs.llm_client is None:
-            raise MissingInputError("step 'image-llm' needs a configured vision-model client")
-        images = tuple(_load_image(p) for p in inputs.images)
-        context = load_prompt_context(source_platform)
-        loss = LossReport()
-
-        attempt_error: Exception | None = None
-        completion = ""
-        for attempt in range(1 + REPROMPT_LIMIT):
-            prompt = build_prompt(context, partial)
-            if attempt_error is not None:
-                prompt += ("\nThe previous answer could not be parsed as PlantUML: "
-                           f"{attempt_error}\nPlease answer again with one corrected "
-                           "@startuml block.\n")
-            request = VisionRequest(prompt_text=prompt, images=images)
-            completion = invoke_vision_model(request, inputs.llm_client)
-            try:
-                result = extract_model(completion)
-            except LcpBridgeError as exc:
-                attempt_error = exc
-                continue
-            loss.extend(result.loss)
-            for warning in result.warnings:
-                loss.add("model", source_platform, "LLM_INFERRED", "info", warning)
-            inferred = result.model
-            if partial is not None:
-                merged, merge_report = merge_models(partial, inferred)
-                return merged, loss, merge_report
-            return inferred, loss, None
-
-        # all attempts failed: keep the raw completion for manual repair
-        out_dir.mkdir(parents=True, exist_ok=True)
-        raw_path = out_dir / "llm-completion.txt"
-        raw_path.write_text(completion, encoding="utf-8")
-        raise LcpBridgeError(
-            f"step 'image-llm' failed after {REPROMPT_LIMIT} re-prompts: {attempt_error}; "
-            f"raw completion saved to {raw_path} for manual repair")
-
-    raise LcpBridgeError(f"unknown import adapter {adapter_id!r}")
+    """Run one import adapter to a pivot model; ``matrix`` names the source
+    platform in the image-llm prompt (default: the shipped registry)."""
+    adapter = IMPORTERS.get(adapter_id)
+    if adapter is None:
+        raise LcpBridgeError(f"unknown import adapter {adapter_id!r}")
+    return adapter.run(inputs, source_platform=source_platform, out_dir=out_dir,
+                       partial=partial, matrix=matrix)
 
 
 def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
@@ -147,40 +228,61 @@ def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
     """Run one generator from the pivot model; returns written files."""
     out_dir.mkdir(parents=True, exist_ok=True)
     require_valid(model, "model for export")
+    adapter = EXPORTERS.get(adapter_id)
+    if adapter is None:
+        raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
+    return adapter.run(model, out_dir, options)
 
-    if adapter_id == "apex-sql":
-        plan, loss = plan_relational(model)
-        script = emit_sql(plan, dialect=options.dialect)
-        path = out_dir / "model.sql"
-        path.write_text(script, encoding="utf-8")
-        return [path], loss
 
-    if adapter_id == "workbook":
-        manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
-        book_path, manifest_path = emit_workbook(manifest, out_dir / "model.xlsx")
-        return [book_path, manifest_path], loss
+def _import_leg(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
+                out_dir: Path, matrix: CapabilityMatrix | None,
+                ) -> tuple[DomainModel, Path, LossReport, MergeReport | None]:
+    """Run an importer chain, each step refining the previous step's model,
+    and persist the result as model.bml."""
+    loss = LossReport()
+    model: DomainModel | None = None
+    merge_report: MergeReport | None = None
+    for adapter_id in importer_ids:
+        try:
+            model, step_loss, step_merge = run_importer(
+                adapter_id, inputs, source_platform, out_dir, partial=model, matrix=matrix)
+        except LcpBridgeError as exc:
+            exc.details["step"] = adapter_id
+            raise
+        loss.extend(step_loss)
+        if step_merge is not None:
+            merge_report = step_merge
+    if model is None:
+        raise MissingInputError("plan has no import step; nothing to migrate")
+    pivot_path = out_dir / "model.bml"
+    save_pivot_file(model, pivot_path)
+    return model, pivot_path, loss, merge_report
 
-    if adapter_id == "csv":
-        manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
-        loss.add("model", model.name, "DROPPED", "warning",
-                 "CSV fallback cannot carry dropdown validations between tables")
-        paths = []
-        for sheet in manifest.sheets:
-            path = out_dir / f"{sheet.name}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow([c.header for c in sheet.columns])
-                if sheet.sample_row is not None and sheet.columns:
-                    writer.writerow(sheet.sample_row)
-            paths.append(path)
-        return paths, loss
 
-    if adapter_id == "plantuml":
-        path = out_dir / "model.puml"
-        path.write_text(emit_plantuml(model), encoding="utf-8")
-        return [path], LossReport()
+def _write_reports(out_dir: Path, loss: LossReport,
+                   merge_report: MergeReport | None) -> list[Path]:
+    """Write loss-report.json, and merge-report.json when a merge ran."""
+    loss_path = out_dir / "loss-report.json"
+    loss_path.write_text(loss.to_json(), encoding="utf-8")
+    if merge_report is None:
+        return [loss_path]
+    merge_path = out_dir / "merge-report.json"
+    merge_path.write_text(json.dumps(merge_report.as_dict(), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    return [loss_path, merge_path]
 
-    raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
+
+def execute_import(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
+                   out_dir: str | Path, matrix: CapabilityMatrix | None = None,
+                   ) -> ExecutionResult:
+    """Run only the import leg: the importer chain, model.bml and the reports."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model, pivot_path, loss, merge_report = _import_leg(
+        importer_ids, inputs, source_platform, out_dir, matrix)
+    outputs = [pivot_path] + _write_reports(out_dir, loss, merge_report)
+    return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
+                           loss=loss, merge_report=merge_report)
 
 
 def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str | Path,
@@ -192,27 +294,9 @@ def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str
 
     if not plan.chain or plan.chain[-1] not in EXPORTERS:
         raise MissingInputError(f"plan chain {plan.chain!r} does not end in a generator")
-    importer_ids = list(plan.chain[:-1])
     exporter_id = plan.chain[-1]
-
-    actual_loss = LossReport()
-    model: DomainModel | None = None
-    merge_report: MergeReport | None = None
-    for adapter_id in importer_ids:
-        try:
-            model, step_loss, step_merge = run_importer(
-                adapter_id, inputs, plan.source, out_dir, partial=model)
-        except LcpBridgeError as exc:
-            exc.details["step"] = adapter_id
-            raise
-        actual_loss.extend(step_loss)
-        if step_merge is not None:
-            merge_report = step_merge
-    if model is None:
-        raise MissingInputError("plan has no import step; nothing to migrate")
-
-    pivot_path = out_dir / "model.bml"
-    save_pivot_file(model, pivot_path)
+    model, pivot_path, actual_loss, merge_report = _import_leg(
+        plan.chain[:-1], inputs, plan.source, out_dir, plan.matrix)
 
     if options.review_hook is not None:
         options.review_hook(pivot_path)
@@ -222,17 +306,7 @@ def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str
     actual_loss.extend(export_loss)
 
     final_loss = plan.expected_losses.union(actual_loss)
-    loss_path = out_dir / "loss-report.json"
-    loss_path.write_text(final_loss.to_json(), encoding="utf-8")
-    outputs = [pivot_path] + outputs + [loss_path]
-
-    if merge_report is not None:
-        merge_path = out_dir / "merge-report.json"
-        merge_path.write_text(
-            json.dumps(merge_report.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        outputs.append(merge_path)
-
+    outputs = [pivot_path] + outputs + _write_reports(out_dir, final_loss, merge_report)
     return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
                            loss=final_loss, merge_report=merge_report)
 
@@ -244,7 +318,5 @@ def execute_from_pivot(pivot_path: str | Path, exporter_id: str, out_dir: str | 
     out_dir = Path(out_dir)
     model = load_pivot_file(pivot_path)
     outputs, loss = run_exporter(exporter_id, model, out_dir, options)
-    loss_path = out_dir / "loss-report.json"
-    loss_path.write_text(loss.to_json(), encoding="utf-8")
     return ExecutionResult(model=model, pivot_path=Path(pivot_path),
-                           outputs=outputs + [loss_path], loss=loss)
+                           outputs=outputs + _write_reports(out_dir, loss, None), loss=loss)

@@ -1,10 +1,11 @@
 """Migration-path planning over the capability registry.
 
 For each end of a source/target pair the planner picks the formal method
-(the platform's parseable model export or import, handled by a registered
-adapter) or the alternative method (screenshot through a vision model on
-the way out, structured workbook on the way in), then predicts the
-information loss the chosen combination will incur.
+(the platform's parseable model export or import, handled by an adapter in
+``pipeline.IMPORTERS`` or ``pipeline.EXPORTERS``) or the alternative method
+(screenshot through a vision model on the way out, structured workbook on
+the way in), then predicts the information loss the chosen combination will
+incur.
 """
 
 from __future__ import annotations
@@ -14,46 +15,11 @@ from dataclasses import dataclass, field
 from .capabilities import CapabilityMatrix, default_matrix
 from .errors import NoViablePathError
 from .loss import LossReport
-
-# Adapter ids with the format tokens they accept/produce. "PIVOT" is the
-# in-memory pivot model, "IMG" a screenshot. Importers end at the pivot,
-# exporters start from it.
-IMPORTERS = {
-    "mendix-json": {"accepts": ("JSON",), "produces": "PIVOT"},
-    "plantuml": {"accepts": ("PUML",), "produces": "PIVOT"},
-    "tabular": {"accepts": ("CSV", "XLSX"), "produces": "PIVOT"},
-    "image-llm": {"accepts": ("IMG",), "produces": "PIVOT"},
-}
-EXPORTERS = {
-    "apex-sql": {"accepts": "PIVOT", "produces": ("SQL",)},
-    "workbook": {"accepts": "PIVOT", "produces": ("XLSX",)},
-    "csv": {"accepts": "PIVOT", "produces": ("CSV",)},
-    "plantuml": {"accepts": "PIVOT", "produces": ("PUML",)},
-}
+from .pipeline import EXPORTERS, IMPORTERS
 
 # Formal import happens only through real model formats, not data-file
 # inference; these are the tokens with a faithful generator behind them.
 FORMAL_IMPORT_FORMATS = ("SQL", "XML")
-
-
-@dataclass
-class AdapterRegistry:
-    importers: dict = field(default_factory=lambda: dict(IMPORTERS))
-    exporters: dict = field(default_factory=lambda: dict(EXPORTERS))
-
-    def importer_for(self, format_token: str) -> str | None:
-        for adapter_id, spec in self.importers.items():
-            if adapter_id == "image-llm":
-                continue  # alternative method, never a formal pick
-            if format_token in spec["accepts"]:
-                return adapter_id
-        return None
-
-    def exporter_for(self, format_token: str) -> str | None:
-        for adapter_id, spec in self.exporters.items():
-            if format_token in spec["produces"]:
-                return adapter_id
-        return None
 
 
 @dataclass
@@ -64,6 +30,7 @@ class MigrationPlan:
     import_method: str
     chain: tuple[str, ...]
     expected_losses: LossReport
+    matrix: CapabilityMatrix = field(repr=False)  # the registry the plan was made from
 
     def as_dict(self) -> dict:
         return {
@@ -77,8 +44,7 @@ class MigrationPlan:
 
 
 def plan_migration(source: str, target: str,
-                   matrix: CapabilityMatrix | None = None,
-                   registry: AdapterRegistry | None = None) -> MigrationPlan:
+                   matrix: CapabilityMatrix | None = None) -> MigrationPlan:
     """Choose methods and the adapter chain for a platform pair.
 
     Export: formal only when the source exports a complete data model in a
@@ -89,18 +55,14 @@ def plan_migration(source: str, target: str,
     back to the structured workbook.
     """
     matrix = matrix or default_matrix()
-    registry = registry or AdapterRegistry()
     source_cap = matrix.get(source, "export")
     target_cap = matrix.get(target, "import")
     losses = LossReport()
     chain: list[str] = []
 
     # --- export leg -------------------------------------------------------
-    formal_importer = None
-    for token in source_cap.formats:
-        formal_importer = registry.importer_for(token)
-        if formal_importer is not None:
-            break
+    formal_importer = next((a.id for token in source_cap.formats
+                            for a in IMPORTERS.values() if token in a.accepts), None)
 
     if source_cap.data == "full" and formal_importer is not None:
         export_method = "formal"
@@ -112,7 +74,7 @@ def plan_migration(source: str, target: str,
     else:
         export_method = "alternative"
         if source_cap.data == "partial" and any(
-                registry.importer_for(t) == "tabular" for t in source_cap.formats):
+                t in IMPORTERS["tabular"].accepts for t in source_cap.formats):
             chain.append("tabular")
             losses.add("model", source, "ASSOCIATIONS_UNKNOWN", "warning",
                        "partial export lacks relationships; recovered from the image")
@@ -129,12 +91,9 @@ def plan_migration(source: str, target: str,
         raise NoViablePathError(
             f"platform {target!r} offers no data-model import at all")
 
-    formal_exporter = None
-    for token in target_cap.formats:
-        if token in FORMAL_IMPORT_FORMATS:
-            formal_exporter = registry.exporter_for(token)
-            if formal_exporter is not None:
-                break
+    formal_exporter = next((a.id for token in target_cap.formats
+                            if token in FORMAL_IMPORT_FORMATS
+                            for a in EXPORTERS.values() if token in a.produces), None)
 
     if target_cap.data == "full" and formal_exporter is not None:
         import_method = "formal"
@@ -155,4 +114,4 @@ def plan_migration(source: str, target: str,
 
     return MigrationPlan(source=source, target=target,
                          export_method=export_method, import_method=import_method,
-                         chain=tuple(chain), expected_losses=losses)
+                         chain=tuple(chain), expected_losses=losses, matrix=matrix)

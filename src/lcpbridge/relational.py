@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import Association, DomainModel, require_valid
+from .model import DomainModel, require_valid
 
 MAX_NAME = 30  # classic Oracle identifier limit
 
@@ -64,7 +64,6 @@ class ColumnPlan:
     sql_type: str
     nullable: bool = True
     unique: bool = False
-    default: str | None = None
     check: str | None = None  # column-scoped membership/range predicate
 
 
@@ -82,7 +81,6 @@ class TablePlan:
     columns: list[ColumnPlan] = field(default_factory=list)
     primary_key: list[str] = field(default_factory=lambda: ["ID"])
     foreign_keys: list[ForeignKeyPlan] = field(default_factory=list)
-    checks: list[str] = field(default_factory=list)
     identity_pk: bool = True  # surrogate key filled by the database
 
     def column_names(self) -> set[str]:
@@ -121,16 +119,6 @@ class RelationalSchemaPlan:
                     problems.append(f"FK {table.name}.{fk.column} references absent "
                                     f"column {fk.ref_table}.{fk.ref_column}")
         return problems
-
-
-def _classify(assoc: Association) -> str:
-    many1 = assoc.end1.multiplicity.is_many
-    many2 = assoc.end2.multiplicity.is_many
-    if many1 and many2:
-        return "many-to-many"
-    if many1 or many2:
-        return "many-to-one"
-    return "one-to-one"
 
 
 def _quoted_literal(value: str) -> str:
@@ -213,7 +201,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
 
     junctions: list[TablePlan] = []
     for assoc in model.associations:
-        kind = _classify(assoc)
+        kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
         if kind == "many-to-many":
             base = f"{sql_name(end1.class_name)}_{sql_name(end2.class_name)}"
@@ -300,8 +288,6 @@ def _emit_table(table: TablePlan, dialect: str, inline_fks: bool) -> str:
                 comment = "populate from a sequence or the application"
         elif not col.nullable:
             parts.append("NOT NULL")
-        if col.default is not None:
-            parts.append(f"DEFAULT {col.default}")
         body.append((" ".join(parts), comment))
     if table.primary_key:
         cols = ", ".join(f'"{c}"' for c in table.primary_key)
@@ -315,9 +301,6 @@ def _emit_table(table: TablePlan, dialect: str, inline_fks: bool) -> str:
         if col.check:
             body.append((f'  CONSTRAINT "{_constraint_name("CK", table.name, col.name)}" '
                          f"CHECK ({col.check})", ""))
-    for i, check in enumerate(table.checks, start=1):
-        body.append((f'  CONSTRAINT "{_constraint_name("CK", table.name, str(i))}" '
-                     f"CHECK ({check})", ""))
     if inline_fks:
         for fk in table.foreign_keys:
             name = _constraint_name("FK", table.name, fk.column)
@@ -385,16 +368,10 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
 
 def expected_fk_count(model: DomainModel) -> int:
     """many-to-one + one-to-one + 2 x many-to-many + generalizations."""
-    count = len(model.generalizations)
-    for assoc in model.associations:
-        kind = _classify(assoc)
-        if kind == "many-to-many":
-            count += 2
-        else:
-            count += 1
-    return count
+    return len(model.generalizations) + sum(
+        2 if a.kind == "many-to-many" else 1 for a in model.associations)
 
 
 def expected_table_count(model: DomainModel) -> int:
     return len(model.classes) + sum(
-        1 for a in model.associations if _classify(a) == "many-to-many")
+        1 for a in model.associations if a.kind == "many-to-many")

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import xlsx
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import Association, DomainModel, Property, require_valid
+from .model import DomainModel, Property, require_valid
 
 SHEET_NAME_MAX = 31  # hard container limit
 
@@ -145,16 +145,6 @@ def _sheet_name(raw: str, taken: dict[str, str]) -> str:
     return name
 
 
-def _classify(assoc: Association) -> str:
-    many1 = assoc.end1.multiplicity.is_many
-    many2 = assoc.end2.multiplicity.is_many
-    if many1 and many2:
-        return "many-to-many"
-    if many1 or many2:
-        return "many-to-one"
-    return "one-to-one"
-
-
 def plan_workbook(model: DomainModel, include_sample_row: bool = True
                   ) -> tuple[WorkbookManifest, LossReport]:
     """Lay out sheets, columns, validations and the sample row for a model."""
@@ -232,7 +222,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             dropdown_samples.append((host_sheet, sheet_of_class[target_class]))
 
     for assoc in model.associations:
-        kind = _classify(assoc)
+        kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
         if kind == "many-to-many":
             base = f"{sheet_of_class[end1.class_name]}_{sheet_of_class[end2.class_name]}".upper()
@@ -331,8 +321,4 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
 
 def expected_dropdown_count(model: DomainModel) -> int:
     """Sheet-sourced dropdowns: one per single-column association, two per bridge."""
-    count = 0
-    for assoc in model.associations:
-        kind = _classify(assoc)
-        count += 2 if kind == "many-to-many" else 1
-    return count
+    return sum(2 if a.kind == "many-to-many" else 1 for a in model.associations)

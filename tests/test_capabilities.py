@@ -117,3 +117,14 @@ data = "none"
 """, encoding="utf-8")
     with pytest.raises(ConfigError):
         load_capabilities(path)
+
+
+def test_toml_syntax_error_rejected(tmp_path):
+    path = tmp_path / "caps.toml"
+    path.write_text("""
+[x
+[x.export]
+data = "full"
+""", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_capabilities(path)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lcpbridge.cli import main
 from lcpbridge.errors import MendixImportError
 from lcpbridge.mendix import (
     CARDINALITY_TABLE,
@@ -51,6 +52,26 @@ def test_entity_without_name():
 def test_malformed_json():
     with pytest.raises(MendixImportError):
         parse_mendix_export("{not json")
+
+
+# valid JSON of the wrong shape
+MALFORMED_SHAPES = [
+    {"domainModel": []},
+    {"domainModel": {"name": "M", "entities": [{"name": "A", "attributes": [5]}]}},
+    {"domainModel": {"name": "M", "enumerations": [{"name": "E", "values": 5}]}},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SHAPES)
+def test_malformed_shape_is_import_error(doc, tmp_path, capsys):
+    with pytest.raises(MendixImportError):
+        parse_mendix_export(json.dumps(doc))
+    source = tmp_path / "export.json"
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["import", "mendix-json", "--input", str(source),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "MENDIX_IMPORT_ERROR" in capsys.readouterr().err
 
 
 def test_unknown_fields_warn_but_parse(mendix_library_path):

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from lcpbridge.capabilities import load_capabilities
 from lcpbridge.dsl import load_pivot_file
 from lcpbridge.errors import LcpBridgeError, MissingInputError
 from lcpbridge.llm import ReplayVisionClient
@@ -172,6 +173,57 @@ class TestScenarioPowerAppsToApex:
             execute_migration(plan, inputs, out_dir)
         assert "manual repair" in str(err.value)
         assert (out_dir / "llm-completion.txt").read_text() == bad
+
+
+class TestCustomRegistry:
+    def test_custom_platform_migrates_through_image_llm(self, tmp_path, csv_paths,
+                                                       screenshot_path):
+        from lcpbridge.llm import (
+            ImagePayload,
+            VisionRequest,
+            build_prompt,
+            load_prompt_context,
+        )
+        from lcpbridge.tabular import infer_model, load_tabular
+
+        from conftest import DATA_DIR, PLACEHOLDER_PNG
+
+        caps = tmp_path / "caps.toml"
+        caps.write_text("""
+[acme]
+display = "Acme Builder"
+[acme.export]
+data = "partial"
+formats = ["CSV"]
+[acme.import]
+data = "none"
+[mendix]
+display = "Mendix"
+[mendix.export]
+data = "full"
+formats = ["JSON"]
+[mendix.import]
+data = "partial"
+formats = ["XLSX"]
+""", encoding="utf-8")
+        matrix = load_capabilities(caps)
+        plan = plan_migration("acme", "mendix", matrix=matrix)
+        assert plan.chain == ("tabular", "image-llm", "workbook")
+
+        # the prompt names the platform as the custom registry displays it
+        partial, _ = infer_model(load_tabular(csv_paths), name="Imported")
+        prompt = build_prompt(load_prompt_context("acme", matrix), partial)
+        assert "Acme Builder" in prompt
+        client = ReplayVisionClient(tmp_path / "store")
+        client.store(VisionRequest(prompt_text=prompt, images=(ImagePayload(PLACEHOLDER_PNG),)),
+                     (DATA_DIR / "replay_completion.txt").read_text(encoding="utf-8"))
+
+        inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
+                                 llm_client=client)
+        result = execute_migration(plan, inputs, tmp_path / "out")
+        assert sorted(result.merge_report.added_associations) == \
+            ["Book_Author", "Book_Library"]
+        assert (tmp_path / "out" / "model.xlsx").exists()
 
 
 class TestDeterminism:

@@ -6,7 +6,8 @@ import pytest
 
 from lcpbridge.capabilities import default_matrix, load_capabilities
 from lcpbridge.errors import NoViablePathError, UnknownPlatformError
-from lcpbridge.planner import AdapterRegistry, plan_migration
+from lcpbridge.pipeline import IMPORTERS
+from lcpbridge.planner import plan_migration
 
 
 def test_mendix_to_powerapps():
@@ -66,7 +67,7 @@ def test_total_over_all_known_pairs():
         assert plan.import_method in ("formal", "alternative")
         # chains always end in a generator and start with at least one importer
         assert plan.chain[-1] in ("apex-sql", "workbook")
-        assert all(step in AdapterRegistry().importers for step in plan.chain[:-1])
+        assert all(step in IMPORTERS for step in plan.chain[:-1])
 
 
 def test_planning_is_deterministic():

@@ -1,0 +1,41 @@
+"""The benchmark's per-layer spans rely on how pipeline.py reaches each layer.
+
+``perfbench/spans.py`` swaps the layer functions named in ``LAYER_CALLS`` on
+``lcpbridge.pipeline`` at run time. That only works while the pipeline looks
+those names up in its module globals on every call; an adapter table that
+captured the function objects would leave the traced run reporting zeros.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from lcpbridge import pipeline
+from lcpbridge.pipeline import MigrationInputs, execute_migration
+from lcpbridge.planner import plan_migration
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("spans")
+
+
+def test_every_traced_name_is_a_pipeline_function(spans):
+    for name in spans.LAYER_CALLS:
+        assert callable(getattr(pipeline, name, None)), name
+
+
+def test_execute_migration_calls_the_swapped_names(monkeypatch, tmp_path, csv_paths):
+    calls = []
+    for name in ("plan_relational", "load_tabular"):
+        def spy(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, spy)
+
+    plan = plan_migration("outsystems", "apex")
+    assert plan.chain == ("tabular", "apex-sql")
+    execute_migration(plan, MigrationInputs(files=list(csv_paths)), tmp_path)
+    assert calls == ["load_tabular", "plan_relational"]
