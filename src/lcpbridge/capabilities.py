@@ -73,7 +73,7 @@ def load_capabilities(path: str | Path) -> CapabilityMatrix:
     try:
         with open(path, "rb") as handle:
             raw = tomllib.load(handle)
-    except (tomllib.TOMLDecodeError, OSError) as exc:
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError) as exc:
         raise ConfigError(f"cannot load capabilities from {path}: {exc}") from exc
 
     records = {}

@@ -42,8 +42,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(candidate, "rb") as handle:
             return tomllib.load(handle)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigError(f"cannot parse {candidate}: {exc}") from exc
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(f"cannot load {candidate}: {exc}") from exc
 
 
 def _matrix_from(args) -> CapabilityMatrix:
@@ -217,12 +217,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .dsl import parse_pivot_text
+    from .dsl import load_pivot_file
     from .errors import InvalidModelError
 
-    text = Path(args.model).read_text(encoding="utf-8")
     try:
-        model = parse_pivot_text(text)
+        model = load_pivot_file(args.model)
     except InvalidModelError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -26,8 +26,9 @@ other up to declaration ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import DslSyntaxError
+from .errors import DslSyntaxError, MissingInputError
 from .model import (
     PRIMITIVES,
     Association,
@@ -304,8 +305,18 @@ def print_pivot_text(model: DomainModel) -> str:
 
 
 def load_pivot_file(path) -> DomainModel:
-    with open(path, encoding="utf-8") as handle:
-        return parse_pivot_text(handle.read())
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise DslSyntaxError(f"{path} is not UTF-8 text", line, column) from exc
+    # newlines as text mode reads them: \r\n and a lone \r become \n
+    return parse_pivot_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def save_pivot_file(model: DomainModel, path) -> None:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MendixImportError
+from .errors import MendixImportError, MissingInputError
 from .loss import LossReport
 from .model import (
     Association,
@@ -187,7 +187,13 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
 
 
 def load_mendix_export(path: str | Path) -> MendixExport:
-    return parse_mendix_export(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MendixImportError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_mendix_export(text)
 
 
 def _check_references(export: MendixExport) -> None:

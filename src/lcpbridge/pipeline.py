@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dsl import load_pivot_file, save_pivot_file
-from .errors import LcpBridgeError, MissingInputError
+from .errors import LcpBridgeError, MissingInputError, PlantUmlError
 from .llm import (
     ImagePayload,
     MergeReport,
@@ -79,7 +79,11 @@ def _load_image(path: Path) -> ImagePayload:
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
     if media_type is None:
         raise MissingInputError(f"unsupported image type {path.suffix!r} for {path}")
-    return ImagePayload(data=path.read_bytes(), media_type=media_type)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return ImagePayload(data=data, media_type=media_type)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,13 @@ def _import_tabular(inputs: MigrationInputs, **_):
 
 def _import_plantuml(inputs: MigrationInputs, **_):
     files = _files_with_suffix(inputs, (".puml", ".plantuml", ".txt"), "plantuml")
-    result = parse_plantuml(files[0].read_text(encoding="utf-8"))
+    try:
+        text = files[0].read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {files[0]}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PlantUmlError(f"{files[0]} is not UTF-8 text: {exc}") from exc
+    result = parse_plantuml(text)
     return result.model, result.loss, None
 
 

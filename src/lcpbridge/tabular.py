@@ -12,6 +12,7 @@ import csv
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
 from pathlib import Path
 
 from . import xlsx
@@ -26,7 +27,7 @@ from .model import (
     sanitize_identifier,
 )
 
-SAMPLE_LIMIT = 1000  # rows read per table before sampling stops
+SAMPLE_LIMIT = 1000  # data rows read per table; the rest of the file is not read
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
@@ -64,6 +65,8 @@ def _check_headers(headers: list[str], where: str) -> None:
 
 
 def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
+    """The header row and the data rows after it; the readers stop at
+    SAMPLE_LIMIT data rows."""
     if not rows or not any(cell.strip() for cell in rows[0]):
         raise TabularError(f"{where} has no header row")
     headers = [h.strip() for h in rows[0]]
@@ -72,7 +75,7 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
     for idx, header in enumerate(headers):
         values = tuple(
             row[idx] if idx < len(row) else ""
-            for row in rows[1:SAMPLE_LIMIT + 1]
+            for row in rows[1:]
         )
         columns.append(TableColumn(header=header, values=values))
     return Table(name=name, columns=tuple(columns))
@@ -81,8 +84,8 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
 def _load_csv(path: Path) -> Table:
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
+            rows = list(islice(csv.reader(handle), SAMPLE_LIMIT + 1))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TabularError(f"cannot read {path}: {exc}") from exc
     return _table_from_rows(path.stem, rows, str(path))
 
@@ -107,7 +110,7 @@ def load_tabular(paths) -> TabularSource:
             add(_load_csv(path))
         elif suffix == ".xlsx":
             try:
-                sheets = xlsx.read_workbook(path)
+                sheets = xlsx.read_workbook(path, max_rows=SAMPLE_LIMIT + 1)
             except Exception as exc:
                 raise TabularError(f"cannot read workbook {path}: {exc}") from exc
             for sheet in sheets:

@@ -14,7 +14,6 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import escape
 
 NS_MAIN = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
 NS_REL = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
@@ -30,6 +29,18 @@ _BUILTIN_FORMATS = {"General": 0, "0": 1, "0.00": 2}
 
 _CELL_REF_RE = re.compile(r"([A-Z]+)(\d+)")
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+
+
+def escape(text: str, entities: dict[str, str] | None = None) -> str:
+    """Escape ``&`` (first), ``>`` and ``<``, then each of ``entities``.
+
+    Local, so that ``xml.sax.saxutils`` and the ``urllib`` it imports stay
+    out of ``import lcpbridge``.
+    """
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    for char, entity in (entities or {}).items():
+        text = text.replace(char, entity)
+    return text
 
 
 def column_letter(index: int) -> str:
@@ -230,6 +241,17 @@ def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
 # ---------------------------------------------------------------------------
 # Reading
 
+MAX_ROWS = 1_048_576  # sheet limits set by OOXML: rows per sheet ...
+MAX_COLUMNS = 16_384  # ... and columns per row (A to XFD)
+
+_ROW = f"{{{NS_MAIN}}}row"
+_CELL = f"{{{NS_MAIN}}}c"
+_VALUE = f"{{{NS_MAIN}}}v"
+_TEXT = f"{{{NS_MAIN}}}t"
+_SHARED_ITEM = f"{{{NS_MAIN}}}si"
+_VALIDATION = f"{{{NS_MAIN}}}dataValidation"
+_SHARED_PART = "xl/sharedStrings.xml"
+
 
 @dataclass
 class SheetContent:
@@ -238,17 +260,19 @@ class SheetContent:
     validations: list[dict]
 
 
-def _cell_text(cell: ET.Element, shared: list[str]) -> str:
+def _cell_text(cell: ET.Element) -> str | int:
+    """The cell's display string, or its shared-string index for ``t="s"``."""
     kind = cell.get("t", "n")
     if kind == "inlineStr":
         node = cell.find(f"{{{NS_MAIN}}}is")
-        return "".join(t.text or "" for t in node.iter(f"{{{NS_MAIN}}}t")) if node is not None else ""
-    value = cell.findtext(f"{{{NS_MAIN}}}v", default="")
+        return "".join(t.text or "" for t in node.iter(_TEXT)) if node is not None else ""
+    value = cell.findtext(_VALUE, default="")
     if kind == "s":
         try:
-            return shared[int(value)]
-        except (ValueError, IndexError):
+            index = int(value)
+        except ValueError:
             return ""
+        return index if index >= 0 else ""
     if kind == "b":
         return "TRUE" if value.strip() == "1" else "FALSE"
     if kind == "str":
@@ -264,8 +288,76 @@ def _cell_text(cell: ET.Element, shared: list[str]) -> str:
     return value
 
 
-def read_workbook(path: str | Path) -> list[SheetContent]:
-    """Read sheet names, cell grid (as display strings) and list validations."""
+def _read_sheet(part, max_rows: int | None, wanted: set[int]):
+    """Stream one sheet part into a cell grid and its list validations.
+
+    Reading stops at the first row numbered past ``max_rows``; the grid is
+    then what a full read would give, cut to ``max_rows`` rows, and the
+    validations, which follow the rows, are not reached. Shared-string cells
+    hold their index, which is also added to ``wanted``.
+    """
+    grid: list[list] = []
+    validations = []
+    for _, elem in ET.iterparse(part):
+        if elem.tag == _ROW:
+            row_index = int(elem.get("r", len(grid) + 1))
+            if not 1 <= row_index <= MAX_ROWS:
+                raise ValueError(f"row number {row_index} is outside 1..{MAX_ROWS}")
+            if max_rows is not None and row_index > max_rows:
+                grid.extend([] for _ in range(max_rows - len(grid)))
+                break
+            while len(grid) < row_index:
+                grid.append([])
+            cells = grid[row_index - 1]
+            for cell in elem.iter(_CELL):
+                ref = cell.get("r", "")
+                match = _CELL_REF_RE.match(ref)
+                col = _column_index(match.group(1)) if match else len(cells) + 1
+                if col > MAX_COLUMNS:
+                    raise ValueError(f"cell {ref!r} in row {row_index} is past column XFD")
+                while len(cells) < col:
+                    cells.append("")
+                text = cells[col - 1] = _cell_text(cell)
+                if isinstance(text, int):
+                    wanted.add(text)
+            elem.clear()
+        elif elem.tag == _VALIDATION:
+            validations.append({
+                "type": elem.get("type", ""),
+                "sqref": elem.get("sqref", ""),
+                "formula": elem.findtext(f"{{{NS_MAIN}}}formula1", default=""),
+            })
+    return grid, validations
+
+
+def _shared_strings(zf: zipfile.ZipFile, wanted: set[int]) -> dict[int, str]:
+    """The shared strings at the ``wanted`` indices, streamed up to the last one."""
+    found: dict[int, str] = {}
+    if not wanted or _SHARED_PART not in zf.namelist():
+        return found
+    last = max(wanted)
+    with zf.open(_SHARED_PART) as part:
+        events = ET.iterparse(part, events=("start", "end"))
+        _, root = next(events)
+        index = 0
+        for event, elem in events:
+            if event == "end" and elem.tag == _SHARED_ITEM:
+                if index in wanted:
+                    found[index] = "".join(t.text or "" for t in elem.iter(_TEXT))
+                if index == last:
+                    break
+                index += 1
+                root.clear()  # drop the items read so far: memory stays flat
+    return found
+
+
+def read_workbook(path: str | Path, max_rows: int | None = None) -> list[SheetContent]:
+    """Read sheet names, cell grid (as display strings) and list validations.
+
+    With ``max_rows`` set, each sheet is read only up to that row number,
+    which relies on rows coming in ascending order, as OOXML requires, and
+    list validations are kept only for sheets read to their end.
+    """
     with zipfile.ZipFile(path) as zf:
         workbook = ET.fromstring(zf.read("xl/workbook.xml"))
         rels = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))
@@ -278,36 +370,19 @@ def read_workbook(path: str | Path) -> list[SheetContent]:
                 target = "xl/" + target
             targets[rel.get("Id")] = target
 
-        shared: list[str] = []
-        if "xl/sharedStrings.xml" in zf.namelist():
-            sst = ET.fromstring(zf.read("xl/sharedStrings.xml"))
-            for si in sst.iter(f"{{{NS_MAIN}}}si"):
-                shared.append("".join(t.text or "" for t in si.iter(f"{{{NS_MAIN}}}t")))
-
+        wanted: set[int] = set()
         sheets = []
         for sheet in workbook.iter(f"{{{NS_MAIN}}}sheet"):
             rid = sheet.get(f"{{{NS_REL}}}id")
-            data = ET.fromstring(zf.read(targets[rid]))
-            grid: list[list[str]] = []
-            for row in data.iter(f"{{{NS_MAIN}}}row"):
-                row_index = int(row.get("r", len(grid) + 1))
-                while len(grid) < row_index:
-                    grid.append([])
-                cells = grid[row_index - 1]
-                for cell in row.iter(f"{{{NS_MAIN}}}c"):
-                    ref = cell.get("r", "")
-                    match = _CELL_REF_RE.match(ref)
-                    col = _column_index(match.group(1)) if match else len(cells) + 1
-                    while len(cells) < col:
-                        cells.append("")
-                    cells[col - 1] = _cell_text(cell, shared)
-            validations = []
-            for dv in data.iter(f"{{{NS_MAIN}}}dataValidation"):
-                validations.append({
-                    "type": dv.get("type", ""),
-                    "sqref": dv.get("sqref", ""),
-                    "formula": dv.findtext(f"{{{NS_MAIN}}}formula1", default=""),
-                })
+            with zf.open(targets[rid]) as part:
+                grid, validations = _read_sheet(part, max_rows, wanted)
             sheets.append(SheetContent(name=sheet.get("name", ""), rows=grid,
                                        validations=validations))
+        shared = _shared_strings(zf, wanted)
+    if wanted:
+        for sheet in sheets:
+            for cells in sheet.rows:
+                for col, text in enumerate(cells):
+                    if isinstance(text, int):
+                        cells[col] = shared.get(text, "")
     return sheets

@@ -131,6 +131,49 @@ def test_missing_input_is_domain_error(tmp_path, capsys):
     assert "MISSING_INPUT" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "validate --model {tmp}/missing.bml",
+    "validate --model {tmp}",
+    "export apex-sql --model {tmp}/missing.bml --out {tmp}/out",
+    "migrate --from mendix --to powerapps --input {tmp}/missing.json --out {tmp}/out",
+    "import plantuml --input {tmp}/missing.puml --out {tmp}/out",
+    "import image-llm --image {tmp}/missing.png --llm-mode replay --replay-dir {tmp} "
+    "--out {tmp}/out",
+], ids=["validate", "validate-directory", "export", "migrate-mendix", "import-plantuml",
+        "import-image"])
+def test_unreadable_input_file_is_missing_input(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 1
+    assert "error [MISSING_INPUT]: cannot read" in err
+
+
+@pytest.mark.parametrize("name, argv, error", [
+    ("m.bml", "validate --model {file}", "SYNTAX_ERROR"),
+    ("m.bml", "export apex-sql --model {file} --out {tmp}/out", "SYNTAX_ERROR"),
+    ("m.json", "migrate --from mendix --to powerapps --input {file} --out {tmp}/out",
+     "MENDIX_IMPORT_ERROR"),
+    ("Book.csv", "migrate --from outsystems --to apex --input {file} --out {tmp}/out",
+     "TABULAR_ERROR"),
+    ("m.puml", "import plantuml --input {file} --out {tmp}/out", "PLANTUML_ERROR"),
+    ("caps.toml", "capabilities --platform mendix --capabilities {file}", "CONFIG_ERROR"),
+    ("lcpbridge.toml", "plan --from mendix --to apex --config {file}", "CONFIG_ERROR"),
+], ids=["validate", "export", "migrate-mendix", "migrate-csv", "import-plantuml",
+        "capabilities", "config"])
+def test_non_utf8_input_file_is_coded_error(tmp_path, capsys, name, argv, error):
+    path = tmp_path / name
+    path.write_bytes(b"model M\nclass \xff {}\n")
+    code, _, err = run_cli(capsys, *argv.format(file=path, tmp=tmp_path).split())
+    assert code == 1
+    assert f"error [{error}]" in err
+
+
+def test_non_utf8_model_error_names_line_and_column(tmp_path, capsys):
+    path = tmp_path / "m.bml"
+    path.write_bytes(b"model M\nclass \xff {}\n")
+    _, _, err = run_cli(capsys, "validate", "--model", str(path))
+    assert "not UTF-8 text (line 2, column 7)" in err
+
+
 def test_no_sample_row_flag(tmp_path, capsys, mendix_library_path):
     work = tmp_path / "work"
     run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),

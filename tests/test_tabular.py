@@ -1,6 +1,10 @@
 """CSV/workbook loading and type inference."""
 
+import csv
 import random
+import tracemalloc
+import zipfile
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from lcpbridge.errors import TabularError
 from lcpbridge.model import validate_model
 from lcpbridge.tabular import (
+    SAMPLE_LIMIT,
     Table,
     TableColumn,
     TabularSource,
@@ -16,6 +21,7 @@ from lcpbridge.tabular import (
     infer_model,
     load_tabular,
 )
+from lcpbridge.xlsx import read_workbook
 
 
 def _source(**tables) -> TabularSource:
@@ -117,6 +123,165 @@ class TestLoad:
         (tmp_path / "Big.csv").write_text("n\n" + rows + "\n", encoding="utf-8")
         table = load_tabular([tmp_path / "Big.csv"]).tables[0]
         assert len(table.columns[0].values) == 1000
+
+    def test_non_utf8_csv_is_tabular_error(self, tmp_path):
+        path = tmp_path / "Bad.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        with pytest.raises(TabularError) as err:
+            load_tabular([path])
+        assert "Bad.csv" in str(err.value)
+
+
+# Workbooks built with zipfile alone, in the shared-strings layout that
+# spreadsheet apps save: blank cells are omitted, text sits in xl/sharedStrings.xml.
+_NS = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
+_REL = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
+_PKG = "http://schemas.openxmlformats.org/package/2006/relationships"
+
+
+def _letters(col: int) -> str:
+    letters = ""
+    while col:
+        col, rem = divmod(col - 1, 26)
+        letters = chr(65 + rem) + letters
+    return letters
+
+
+def _write_xlsx(path, sheet_data: str, strings=()) -> None:
+    sst = "".join(f"<si><t>{escape(s)}</t></si>" for s in strings)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("xl/workbook.xml", f'<workbook xmlns="{_NS}" xmlns:r="{_REL}"><sheets>'
+                    '<sheet name="Data" sheetId="1" r:id="rId1"/></sheets></workbook>')
+        zf.writestr("xl/_rels/workbook.xml.rels", f'<Relationships xmlns="{_PKG}">'
+                    f'<Relationship Id="rId1" Type="{_REL}/worksheet" '
+                    'Target="worksheets/sheet1.xml"/></Relationships>')
+        zf.writestr("xl/worksheets/sheet1.xml",
+                    f'<worksheet xmlns="{_NS}"><sheetData>{sheet_data}</sheetData></worksheet>')
+        zf.writestr("xl/sharedStrings.xml", f'<sst xmlns="{_NS}">{sst}</sst>')
+
+
+def _write_grid_xlsx(path, grid: dict[int, list[str]], rng=None, tail: str = "") -> None:
+    """Row number -> texts; the strings table is in first-use order unless
+    ``rng`` shuffles it; ``tail`` is raw XML appended after the last row."""
+    strings = list(dict.fromkeys(v for _, row in sorted(grid.items()) for v in row if v))
+    if rng is not None:
+        rng.shuffle(strings)
+    index = {s: i for i, s in enumerate(strings)}
+    rows = []
+    for r, row in sorted(grid.items()):
+        cells = "".join(f'<c r="{_letters(c)}{r}" t="s"><v>{index[v]}</v></c>'
+                        for c, v in enumerate(row, start=1) if v)
+        rows.append(f'<row r="{r}">{cells}</row>')
+    _write_xlsx(path, "".join(rows) + tail, strings)
+
+
+def _grid(rows: int, rng: random.Random, blank_share: float = 0.0) -> dict[int, list[str]]:
+    """A header and ``rows`` data rows of five columns, every text distinct."""
+    grid = {1: ["id", "name", "count", "note", "when"]}
+    for r in range(2, rows + 2):
+        grid[r] = [
+            "" if rng.random() < blank_share else value
+            for value in (f"r{r}", f"name {r} & co", str(rng.randint(0, 9999)),
+                          f"note <{r}>", f"2024-01-{1 + r % 28:02d}")
+        ]
+    return grid
+
+
+def _expected_table(name: str, rows: list[list[str]]) -> Table:
+    """What loading ``rows`` (a full read of the file) must give: the header,
+    then the first SAMPLE_LIMIT data rows, short rows padded with blanks."""
+    header, data = rows[0], rows[1:SAMPLE_LIMIT + 1]
+    return Table(name=name, columns=tuple(
+        TableColumn(header=h, values=tuple(row[i] if i < len(row) else "" for row in data))
+        for i, h in enumerate(header)))
+
+
+def _load_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        load_tabular([path])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedRead:
+    """Loading reads the header and SAMPLE_LIMIT data rows, and no further."""
+
+    def test_csv_same_table_as_full_read(self, tmp_path):
+        rng = random.Random(3)
+        path = tmp_path / "Orders.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "note", "amount"])
+            for i in range(5000):
+                note = rng.choice(["plain", "a, b", 'say "hi"', "two\nlines", ""])
+                writer.writerow([i, note, rng.randint(0, 999)][:rng.choice((2, 3))])
+        with open(path, newline="", encoding="utf-8") as handle:
+            full = list(csv.reader(handle))
+        assert len(full) == 5001
+        assert load_tabular([path]).tables == (_expected_table("Orders", full),)
+
+    def test_xlsx_same_table_as_full_read(self, tmp_path):
+        rng = random.Random(4)
+        grid = _grid(5000, rng, blank_share=0.15)
+        del grid[400]  # a row gap: row 400 has no <row> element
+        path = tmp_path / "export.xlsx"
+        _write_grid_xlsx(path, grid, rng=rng)
+        full = [grid.get(r, []) for r in range(1, max(grid) + 1)]
+        assert load_tabular([path]).tables == (_expected_table("Data", full),)
+
+    def test_defect_past_the_cap_is_not_read(self, tmp_path):
+        csv_path = tmp_path / "Late.csv"
+        csv_path.write_bytes(b"n\n" + b"1234567890\n" * 5000 + b"\xff\n")
+        xlsx_path = tmp_path / "late.xlsx"
+        _write_grid_xlsx(xlsx_path, _grid(2000, random.Random(5)), tail="<row r=")
+        assert len(load_tabular([csv_path]).tables[0].columns[0].values) == SAMPLE_LIMIT
+        assert len(load_tabular([xlsx_path]).tables[0].columns[0].values) == SAMPLE_LIMIT
+
+    @pytest.mark.parametrize("kind", ["csv", "xlsx"])
+    def test_load_memory_does_not_grow_with_rows(self, tmp_path, kind):
+        def write(rows: int):
+            path = tmp_path / f"T{rows}.{kind}"
+            grid = _grid(rows, random.Random(rows))
+            if kind == "xlsx":
+                _write_grid_xlsx(path, grid)
+            else:
+                with open(path, "w", newline="", encoding="utf-8") as handle:
+                    csv.writer(handle).writerows(row for _, row in sorted(grid.items()))
+            return path
+
+        load_tabular([write(50)])  # warm up imports and caches outside the measurement
+        small, large = _load_peak(write(2_000)), _load_peak(write(40_000))
+        assert large <= 1.5 * small, (small, large)
+
+
+class TestSheetBounds:
+    """Coordinates past the OOXML sheet limits are rejected, not padded to."""
+
+    @pytest.mark.parametrize("sheet_data", [
+        '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="ZZZZZZZZ1" t="s"><v>0</v></c></row>',
+        '<row r="1"><c r="XFE1" t="s"><v>0</v></c></row>',
+        '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
+        '<row r="1048577"><c r="A1048577" t="s"><v>0</v></c></row>',
+        '<row r="0"><c r="A1" t="s"><v>0</v></c></row>',
+    ], ids=["column-ZZZZZZZZ", "column-XFE", "row-1048577", "row-0"])
+    def test_out_of_range_is_tabular_error(self, tmp_path, sheet_data):
+        path = tmp_path / "far.xlsx"
+        _write_xlsx(path, sheet_data, ["h"])
+        with pytest.raises(TabularError, match=r"past column XFD|outside 1\.\.1048576"):
+            load_tabular([path])
+
+    def test_last_row_and_column_accepted(self, tmp_path):
+        path = tmp_path / "edge.xlsx"
+        _write_xlsx(path, '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
+                          '<row r="1048576"><c r="XFD1048576" t="s"><v>1</v></c></row>',
+                    ["h", "far"])
+        sheet = read_workbook(path, max_rows=3)[0]
+        assert sheet.rows == [["h"], [], []]
+        _write_xlsx(path, '<row r="1"><c r="XFD1" t="s"><v>0</v></c></row>', ["h"])
+        row = read_workbook(path)[0].rows[0]
+        assert len(row) == 16_384 and row[-1] == "h"
 
 
 class TestInference:

@@ -1,12 +1,17 @@
 """Round-trip checks for the minimal OOXML container layer."""
 
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
+import lcpbridge
 from lcpbridge.xlsx import (
     CellValue,
     ListValidation,
     SheetData,
     column_letter,
+    escape,
     read_workbook,
     write_workbook,
 )
@@ -85,3 +90,18 @@ def test_number_cells_read_without_trailing_zero(tmp_path):
          CellValue("1.5", kind="number", number_format="0.00")]])])
     back = read_workbook(path)
     assert back[0].rows[0] == ["1", "1.5"]
+
+
+def test_escape_replaces_ampersand_first():
+    assert escape("a < b & c > d") == "a &lt; b &amp; c &gt; d"
+    assert escape("&lt;") == "&amp;lt;"
+    assert escape('say "x" & go', {'"': "&quot;"}) == "say &quot;x&quot; &amp; go"
+
+
+def test_import_leaves_network_and_sax_modules_out():
+    src = str(Path(lcpbridge.__file__).parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lcpbridge; "
+             "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
