@@ -25,8 +25,9 @@ other up to declaration ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DslSyntaxError, MissingInputError
 from .model import (
@@ -44,75 +45,55 @@ from .model import (
     require_valid,
 )
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | INT | PUNCT | EOF
+class _Token(NamedTuple):
+    kind: str  # IDENT | INT | PUNCT | EOF, or BAD before the tokenizer rejects it
     text: str
-    line: int
-    column: int
+    offset: int  # into the source; line and column are worked out on error
+
+
+# Blanks and comments match no named group and are dropped. \d is exactly
+# the digits int() accepts, and \w is str.isalnum() or "_".
+_TOKEN_RE = re.compile(r"""
+    (?P<PUNCT>\.\.|[{}\[\]:,*])
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<INT>\d+)
+  | [ \t\r\n]+ | \#[^\n]*
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _syntax_error(source: str, message: str, offset: int,
+                  expected: tuple[str, ...] = ()) -> DslSyntaxError:
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    return DslSyntaxError(message, line, column, expected)
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("..", i):
-            tokens.append(_Token("PUNCT", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}[]:,*":
-            tokens.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            tokens.append(_Token("INT", text, line, col))
-            col += len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(_Token("IDENT", text, line, col))
-            col += len(text)
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    tokens = [_Token(kind, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup)]
+    for tok in tokens:
+        if tok.kind == "BAD":
+            raise _syntax_error(source, f"unexpected character {tok.text!r}", tok.offset)
+    # a comment on the last line is skipped without moving the end of input,
+    # so a truncated file is reported where its code stops
+    last_line = source.rfind("\n") + 1
+    comment = source.find("#", last_line)
+    eof = _Token("EOF", "", len(source) if comment < 0 else comment)
+    tokens += [eof, eof]  # so that peek(1) never indexes past the end
     return tokens
 
 
 class _Parser:
     """Recursive descent over the token stream; keywords are contextual."""
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -123,7 +104,7 @@ class _Parser:
     def fail(self, expected: tuple[str, ...]):
         tok = self.peek()
         got = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        raise DslSyntaxError(f"unexpected {got}", tok.line, tok.column, expected)
+        raise _syntax_error(self.source, f"unexpected {got}", tok.offset, expected)
 
     def expect_word(self, word: str) -> _Token:
         tok = self.peek()
@@ -259,8 +240,7 @@ def parse_pivot_text(source: str) -> DomainModel:
     Raises DslSyntaxError with line/column on grammar problems and
     InvalidModelError when the parsed model breaks a metamodel invariant.
     """
-    parser = _Parser(_tokenize(source))
-    model = parser.model()
+    model = _Parser(source).model()
     return require_valid(model, "parsed pivot text")
 
 

@@ -95,6 +95,12 @@ class MissingInputError(LcpBridgeError):
     code = "MISSING_INPUT"
 
 
+class OutputError(LcpBridgeError):
+    """The output directory cannot be created."""
+
+    code = "OUTPUT_ERROR"
+
+
 class NameCollisionError(LcpBridgeError):
     """Two distinct source names map to the same generated identifier."""
 

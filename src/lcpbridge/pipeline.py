@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dsl import load_pivot_file, save_pivot_file
-from .errors import LcpBridgeError, MissingInputError, PlantUmlError
+from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError
 from .llm import (
     ImagePayload,
     MergeReport,
@@ -64,6 +64,14 @@ class ExecutionResult:
     outputs: list[Path]
     loss: LossReport
     merge_report: MergeReport | None = None
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise OutputError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _files_with_suffix(inputs: MigrationInputs, suffixes: tuple[str, ...],
@@ -164,7 +172,7 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
         return inferred, loss, None
 
     # all attempts failed: keep the raw completion for manual repair
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     raw_path = out_dir / "llm-completion.txt"
     raw_path.write_text(completion, encoding="utf-8")
     raise LcpBridgeError(
@@ -236,7 +244,7 @@ def run_importer(adapter_id: str, inputs: MigrationInputs, source_platform: str,
 def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
                  options: ExecutionOptions) -> tuple[list[Path], LossReport]:
     """Run one generator from the pivot model; returns written files."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     require_valid(model, "model for export")
     adapter = EXPORTERS.get(adapter_id)
     if adapter is None:
@@ -287,7 +295,7 @@ def execute_import(importer_ids: Sequence[str], inputs: MigrationInputs, source_
                    ) -> ExecutionResult:
     """Run only the import leg: the importer chain, model.bml and the reports."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     model, pivot_path, loss, merge_report = _import_leg(
         importer_ids, inputs, source_platform, out_dir, matrix)
     outputs = [pivot_path] + _write_reports(out_dir, loss, merge_report)
@@ -300,7 +308,7 @@ def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str
     """Run the plan's chain end to end, persisting every artifact in out_dir."""
     options = options or ExecutionOptions()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
 
     if not plan.chain or plan.chain[-1] not in EXPORTERS:
         raise MissingInputError(f"plan chain {plan.chain!r} does not end in a generator")

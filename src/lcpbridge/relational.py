@@ -11,6 +11,7 @@ verification; ``oracle`` is what ships.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .errors import NameCollisionError
@@ -42,16 +43,17 @@ _ANSI_TYPES = {
 DIALECTS = ("oracle", "ansi")
 
 
+_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+
+
 def sql_name(name: str) -> str:
-    """Upper snake case, truncated to 30 chars with a stable hash suffix."""
-    flat = []
-    prev_lower = False
-    for ch in name:
-        if ch.isupper() and prev_lower:
-            flat.append("_")
-        flat.append(ch.upper())
-        prev_lower = ch.islower() or ch.isdigit()
-    result = "".join(flat).replace("__", "_")
+    """Upper snake case, truncated to 30 chars with a stable hash suffix.
+
+    ``name`` is a pivot identifier, which ``validate_model`` keeps ASCII, or
+    a name built from such identifiers; the boundary rule (``_`` before a
+    capital that follows a lowercase letter or digit) is an ASCII rule.
+    """
+    result = _CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_")
     if len(result) > MAX_NAME:
         digest = hashlib.sha1(result.encode("utf-8")).hexdigest()[:6].upper()
         result = result[:MAX_NAME - 6] + digest
@@ -109,13 +111,15 @@ class RelationalSchemaPlan:
             for col in table.columns:
                 if len(col.name) > MAX_NAME:
                     problems.append(f"column name too long: {table.name}.{col.name}")
+        # the first table of a name wins, as in table_named
+        columns_of = {t.name: t.column_names() for t in reversed(self.tables)}
         for table in self.tables:
             for fk in table.foreign_keys:
-                target = self.table_named(fk.ref_table)
-                if target is None:
+                target_columns = columns_of.get(fk.ref_table)
+                if target_columns is None:
                     problems.append(f"FK {table.name}.{fk.column} references absent "
                                     f"table {fk.ref_table}")
-                elif fk.ref_column not in target.column_names():
+                elif fk.ref_column not in target_columns:
                     problems.append(f"FK {table.name}.{fk.column} references absent "
                                     f"column {fk.ref_table}.{fk.ref_column}")
         return problems
@@ -192,8 +196,9 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         # PERSON_ID); otherwise the referenced class names it
         candidates = [sql_name(role) + "_ID", sql_name(ref_class) + "_ID"] \
             if prefer_role else [sql_name(ref_class) + "_ID", sql_name(role) + "_ID"]
+        taken = table.column_names()
         for candidate in candidates:
-            if candidate not in table.column_names():
+            if candidate not in taken:
                 return candidate
         raise NameCollisionError(
             f"cannot place FK column in {table.name}: both candidates taken",
@@ -335,8 +340,8 @@ def _table_order(plan: RelationalSchemaPlan) -> list[TablePlan]:
             d += 1
         return d
 
-    ordered = sorted(class_tables, key=lambda t: (depth(t), plan.tables.index(t)))
-    return ordered + junction_tables
+    # sorted() is stable, so tables of equal depth keep their plan order
+    return sorted(class_tables, key=depth) + junction_tables
 
 
 def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
@@ -355,9 +360,10 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     if not plan.tables:
         return ""
     inline = dialect == "ansi"
-    statements = [_emit_table(t, dialect, inline) for t in _table_order(plan)]
+    ordered = _table_order(plan)
+    statements = [_emit_table(t, dialect, inline) for t in ordered]
     if not inline:
-        for table in _table_order(plan):
+        for table in ordered:
             for fk in table.foreign_keys:
                 name = _constraint_name("FK", table.name, fk.column)
                 statements.append(

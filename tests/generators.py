@@ -207,3 +207,25 @@ def random_merge_pair(rng: random.Random) -> tuple[DomainModel, DomainModel]:
                            enumerations=full.enumerations)
     assert validate_model(inferred).ok
     return partial, inferred
+
+
+def scaling_model(n: int) -> DomainModel:
+    """The size ladder of the scaling tests: ``n`` classes of 6 properties,
+    2n associations between random classes and n/10 generalizations."""
+    rng = random.Random(n)
+    names = [f"Entity{i}" for i in range(n)]
+    classes = tuple(
+        Class(name, tuple(Property(f"field{j}Value",
+                                   primitive_type(PRIMITIVE_MENU[(i + j) % len(PRIMITIVE_MENU)]))
+                          for j in range(6)))
+        for i, name in enumerate(names))
+    associations = tuple(
+        Association(f"Link{k}",
+                    AssociationEnd(f"src{k}", rng.choice(names), rng.choice(MULTIPLICITY_MENU)),
+                    AssociationEnd(f"dst{k}", rng.choice(names), rng.choice(MULTIPLICITY_MENU),
+                                   navigable=True))
+        for k in range(2 * n))
+    generalizations = tuple(Generalization(general=names[k], specific=names[k + 1])
+                            for k in range(0, n - 1, 10))
+    return DomainModel("Scaling", classes=classes, associations=associations,
+                       generalizations=generalizations)

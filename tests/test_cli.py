@@ -174,6 +174,25 @@ def test_non_utf8_model_error_names_line_and_column(tmp_path, capsys):
     assert "not UTF-8 text (line 2, column 7)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "migrate --from mendix --to powerapps --input {mendix} --out {out}",
+    "import mendix-json --input {mendix} --out {out}",
+    "export apex-sql --model {tmp}/work/model.bml --out {out}",
+    "migrate --from mendix --to powerapps --input {mendix} --out {out}/sub",
+], ids=["migrate", "import", "export", "migrate-below-file"])
+def test_out_path_that_is_a_file_is_output_error(tmp_path, capsys, mendix_library_path,
+                                                 argv):
+    run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),
+            "--out", str(tmp_path / "work"))
+    out = tmp_path / "afile"
+    out.write_text("")
+    code, _, err = run_cli(capsys, *argv.format(
+        mendix=mendix_library_path, tmp=tmp_path, out=out).split())
+    assert code == 1
+    assert f"error [OUTPUT_ERROR]: cannot create output directory {out}" in err
+    assert out.read_text() == ""
+
+
 def test_no_sample_row_flag(tmp_path, capsys, mendix_library_path):
     work = tmp_path / "work"
     run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),

@@ -112,6 +112,70 @@ class TestParse:
         assert not end1.navigable and end2.navigable
 
 
+# (id, source, line, column, message, expected) of the DslSyntaxError each
+# malformed input raises; the CLI prints these positions, so they must not move
+ERROR_POSITIONS = [
+    ('missing-class-name', 'model M\nclass {',
+     2, 7, "unexpected '{'", ('class name',)),
+    ('tabs', 'model M\n\tclass\tA\t{\n\t\tx\t:\t}\n',
+     3, 7, "unexpected '}'", ('type name',)),
+    ('carriage-returns', 'model M\r\nclass A {\r\n  x: str\r\n  y str\r\n}\r\n',
+     4, 5, "unexpected 'str'", ("':'",)),
+    ('lone-carriage-return', 'model M\rclass {',
+     1, 15, "unexpected '{'", ('class name',)),
+    ('comment-before-error', '# header\nmodel M # trailing\nclass A { # open\n  x: # no type\n}\n',
+     5, 1, "unexpected '}'", ('type name',)),
+    ('eof-trailing-newline', 'model M\nclass A {\n',
+     3, 1, 'unexpected end of input', ('property name',)),
+    ('eof-no-trailing-newline', 'model M\nclass A {',
+     2, 10, 'unexpected end of input', ('property name',)),
+    ('eof-after-comment', 'model M\nclass A { # open',
+     2, 11, 'unexpected end of input', ('property name',)),
+    ('empty-input', '',
+     1, 1, 'unexpected end of input', ("'model'",)),
+    ('bad-character', 'model M\nclass A {\n  x: str;\n}\n',
+     3, 9, "unexpected character ';'", ()),
+    ('single-dot', 'model M\nclass A {}\nassociation R {\n a: A [0.1]\n b: A [0..1]\n}\n',
+     4, 9, "unexpected character '.'", ()),
+    ('bad-token-after-range', 'model M\nclass A {}\nassociation R {\n a: A [0..x]\n b: A [0..1]\n}\n',
+     4, 11, "unexpected 'x'", ('integer',)),
+    ('bad-character-after-grammar-error', 'model M\nclass {\n}\n@',
+     4, 1, "unexpected character '@'", ()),
+    ('no-break-space', 'model M\nclass A\xa0{}\n',
+     2, 8, "unexpected character '\\xa0'", ()),
+    ('trailing-comma-in-enum', 'model M\nenum E { A, }\n',
+     2, 13, "unexpected '}'", ('literal',)),
+    ('missing-model-keyword', 'class Book {}',
+     1, 1, "unexpected 'class'", ("'model'",)),
+]
+
+
+@pytest.mark.parametrize("source, line, column, message, expected",
+                         [case[1:] for case in ERROR_POSITIONS],
+                         ids=[case[0] for case in ERROR_POSITIONS])
+def test_error_position_is_stable(source, line, column, message, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_pivot_text(source)
+    assert (err.value.line, err.value.column, err.value.args[0], err.value.expected) == \
+        (line, column, message, expected)
+
+
+def test_non_ascii_digit_is_not_an_integer():
+    # "²" passes str.isdigit() but int() rejects it; it scans as a name
+    with pytest.raises(DslSyntaxError) as err:
+        parse_pivot_text("model M\nclass A {}\nassociation R {\n a: A [²..1]\n"
+                         " b: A [0..1]\n}\n")
+    assert (err.value.code, err.value.line, err.value.column) == ("SYNTAX_ERROR", 4, 8)
+    assert err.value.expected == ("integer",)
+
+
+def test_non_ascii_name_is_invalid_model():
+    with pytest.raises(InvalidModelError) as err:
+        parse_pivot_text("model M\nclass Bé {}\n")
+    assert err.value.code == "INVALID_MODEL"
+    assert any(v.rule == "BAD_IDENTIFIER" for v in err.value.violations)
+
+
 class TestPrint:
     def test_empty_model(self):
         model = parse_pivot_text("model M")

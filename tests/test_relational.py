@@ -3,7 +3,11 @@
 import random
 import sqlite3
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcpbridge.errors import NameCollisionError
 from lcpbridge.model import (
@@ -19,6 +23,7 @@ from lcpbridge.model import (
     primitive_type,
 )
 from lcpbridge.relational import (
+    MAX_NAME,
     RelationalSchemaPlan,
     emit_sql,
     expected_fk_count,
@@ -162,6 +167,41 @@ class TestNames:
         assert first == sql_name(long_name)
         other = sql_name(long_name + "More")
         assert first != other  # hash suffix keeps them apart
+
+
+def reference_sql_name(name: str) -> str:
+    """sql_name as a character loop: the reference for the regex version."""
+    flat = []
+    prev_lower = False
+    for ch in name:
+        if ch.isupper() and prev_lower:
+            flat.append("_")
+        flat.append(ch.upper())
+        prev_lower = ch.islower() or ch.isdigit()
+    result = "".join(flat).replace("__", "_")
+    if len(result) > MAX_NAME:
+        digest = hashlib.sha1(result.encode("utf-8")).hexdigest()[:6].upper()
+        result = result[:MAX_NAME - 6] + digest
+    return result
+
+
+# pivot identifiers: an ASCII letter, then letters, digits and underscores,
+# drawn so that runs of capitals, "__" and names past 30 characters occur
+PIVOT_IDENTIFIERS = st.builds(
+    lambda head, parts: head + "".join(parts),
+    st.sampled_from("aAzZqQ"),
+    st.lists(st.sampled_from(["a", "b", "Z", "XY", "ABC", "0", "9", "_", "__", "id", "Id"]),
+             max_size=25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PIVOT_IDENTIFIERS)
+@example("HTTPServer")
+@example("field0Value")
+@example("a__B")
+@example("AVeryLongClassNameThatKeepsGoingAndGoing")
+def test_sql_name_matches_reference(name):
+    assert sql_name(name) == reference_sql_name(name)
 
 
 class TestEmit:

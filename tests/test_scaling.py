@@ -1,0 +1,47 @@
+"""Cost of the formal path's layers as the model grows eightfold.
+
+Linear work grows about 8x from 500 to 4,000 classes and quadratic work
+64x; the bound of 24x leaves room for timing noise and cache effects while
+still catching a quadratic step.
+"""
+
+import time
+
+import pytest
+
+from lcpbridge.dsl import parse_pivot_text, print_pivot_text
+from lcpbridge.relational import emit_sql, plan_relational
+
+from generators import scaling_model
+
+SMALL, LARGE = 500, 4000
+MAX_GROWTH = 24
+
+
+def growth(layer, small, large) -> float:
+    """Ratio of the best of three process times, large over small.
+
+    The sizes alternate, so a change in machine speed during the test
+    affects both sides alike.
+    """
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for k, arg in enumerate((small, large)):
+            start = time.process_time()
+            layer(arg)
+            best[k] = min(best[k], time.process_time() - start)
+    return best[1] / best[0]
+
+
+def plan_and_emit(model):
+    plan, _ = plan_relational(model)
+    return emit_sql(plan)
+
+
+@pytest.mark.parametrize("layer, prepare", [
+    (plan_and_emit, lambda model: model),
+    (parse_pivot_text, print_pivot_text),
+], ids=["plan_relational+emit_sql", "parse_pivot_text"])
+def test_layer_grows_at_most_linearly(layer, prepare):
+    ratio = growth(layer, prepare(scaling_model(SMALL)), prepare(scaling_model(LARGE)))
+    assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
