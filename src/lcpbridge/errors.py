@@ -96,7 +96,7 @@ class MissingInputError(LcpBridgeError):
 
 
 class OutputError(LcpBridgeError):
-    """The output directory cannot be created."""
+    """The output directory or an artifact in it cannot be written."""
 
     code = "OUTPUT_ERROR"
 

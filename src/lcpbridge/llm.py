@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,7 +96,6 @@ def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> 
         f"How {context.display_name} draws data models:\n{context.syntax_description.strip()}",
     ]
     if partial is not None:
-        require_valid(partial, "partial model for prompt")
         sections.append(
             "A partial model extracted from the platform's own export is given "
             "below in PlantUML. Treat it as ground truth: keep every class, "
@@ -164,7 +164,9 @@ class HttpVisionClient(VisionModelClient):
         if not self.api_key:
             raise NoCredentialsError(
                 f"no API key configured (set {API_KEY_ENV} or the config file)")
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         content: list[dict] = [{"type": "text", "text": request.prompt_text}]
         for image in request.images:
@@ -175,22 +177,27 @@ class HttpVisionClient(VisionModelClient):
             })
         payload = {"model": self.model,
                    "messages": [{"role": "user", "content": content}]}
+        http_request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
+            headers={"Authorization": f"Bearer {self.api_key}",
+                     "Content-Type": "application/json"})
         try:
-            response = requests.post(
-                self.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
+                body = response.read()
+        except urllib.error.HTTPError as exc:
+            if exc.code in (401, 403):
+                raise AuthenticationError(
+                    f"provider rejected credentials (HTTP {exc.code})") from exc
+            text = exc.read().decode("utf-8", errors="replace")
+            raise TransportError(f"provider error HTTP {exc.code}: {text[:200]}") from exc
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # URLError, a timeout, a dropped connection, a malformed URL
             raise TransportError(f"vision endpoint unreachable: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthenticationError(f"provider rejected credentials (HTTP {response.status_code})")
-        if response.status_code >= 400:
-            raise TransportError(f"provider error HTTP {response.status_code}: {response.text[:200]}")
         try:
-            completion = response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            completion = json.loads(body)["choices"][0]["message"]["content"]
+            if not isinstance(completion, str):
+                raise TypeError(f"content is {type(completion).__name__}, not text")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"unexpected provider response shape: {exc}") from exc
         if self.record_dir is not None:
             ReplayVisionClient(self.record_dir).store(request, completion)
@@ -276,10 +283,9 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
     Everything in the partial model survives unchanged. The inferred model
     contributes classes, properties, enumerations, generalizations and
     associations that the partial lacks; wherever the two disagree the
-    partial value stands and the disagreement is recorded.
+    partial value stands and the disagreement is recorded. Both inputs come
+    from validating importers; only the merged result is checked here.
     """
-    require_valid(partial, "partial model")
-    require_valid(inferred, "inferred model")
     report = MergeReport()
 
     partial_class_names = {c.name.lower() for c in partial.classes}
@@ -287,6 +293,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
 
     enums = list(partial.enumerations)
     enum_exact = {e.name.lower(): e.name for e in enums}
+    enum_named = {e.name: e for e in enums}
     for enum in inferred.enumerations:
         low = enum.name.lower()
         known = enum_exact.get(low)
@@ -299,9 +306,10 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                 continue
             enums.append(enum)
             enum_exact[low] = enum.name
+            enum_named[enum.name] = enum
             report.added_enumerations.append(enum.name)
         else:
-            mine = next(e for e in enums if e.name == known)
+            mine = enum_named[known]
             if frozenset(mine.literals) != frozenset(enum.literals):
                 report.conflicts.append(MergeConflict(
                     element=f"enum {known}",
@@ -318,9 +326,9 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
 
     classes: list[Class] = []
     class_exact = {c.name.lower(): c.name for c in partial.classes}
+    inferred_twins = {c.name.lower(): c for c in inferred.classes}
     for cls in partial.classes:
-        inferred_twin = next(
-            (c for c in inferred.classes if c.name.lower() == cls.name.lower()), None)
+        inferred_twin = inferred_twins.get(cls.name.lower())
         if inferred_twin is None:
             classes.append(cls)
             continue

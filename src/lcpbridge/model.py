@@ -3,10 +3,16 @@
 All model types are immutable plain data. Construction never raises;
 ``validate_model`` is the single well-formedness gate and reports violations
 as data. Platform adapters build these types and generators consume them.
+It runs where a model is built from outside input, and nowhere downstream:
+``parse_pivot_text``, ``print_pivot_text`` (the hand-edited ``.bml``),
+``parse_plantuml`` (a bad vision-model answer is re-prompted),
+``mendix_to_pivot``, ``infer_model``, the ``merge_models`` result, and
+``pipeline.run_exporter`` for API callers. Planners and emitters trust it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -41,6 +47,14 @@ def sanitize_identifier(name: str, fallback: str = "Unnamed") -> str:
     if cleaned.lower() in RESERVED_WORDS:
         cleaned += "_"
     return cleaned
+
+
+def fit_name(name: str, limit: int) -> str:
+    """``name`` if it fits ``limit`` characters, else its first ``limit - 6``
+    characters and 6 hex digits of its sha1 (long names stay distinct)."""
+    if len(name) <= limit:
+        return name
+    return name[:limit - 6] + hashlib.sha1(name.encode("utf-8")).hexdigest()[:6].upper()
 
 
 @dataclass(frozen=True)
@@ -389,5 +403,5 @@ __all__ = [
     "TypeRef", "primitive_type", "enum_type", "Property", "Class", "Multiplicity",
     "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
     "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",
-    "model_equal", "association_key", "is_identifier", "sanitize_identifier",
+    "model_equal", "association_key", "is_identifier", "sanitize_identifier", "fit_name",
 ]

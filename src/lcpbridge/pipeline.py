@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -66,11 +67,19 @@ class ExecutionResult:
     merge_report: MergeReport | None = None
 
 
-def _make_out_dir(out_dir: Path) -> None:
+@contextmanager
+def _writing_to(out_dir: Path) -> Iterator[None]:
+    """Create ``out_dir`` and run the writes into it: any OSError (a file or
+    directory in the way, no permission, a full disk) is OUTPUT_ERROR."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file of that name, or no permission
+    except OSError as exc:
         raise OutputError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or out_dir}: "
                           f"{exc.strerror or exc}") from exc
 
 
@@ -172,9 +181,9 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
         return inferred, loss, None
 
     # all attempts failed: keep the raw completion for manual repair
-    _make_out_dir(out_dir)
     raw_path = out_dir / "llm-completion.txt"
-    raw_path.write_text(completion, encoding="utf-8")
+    with _writing_to(out_dir):
+        raw_path.write_text(completion, encoding="utf-8")
     raise LcpBridgeError(
         f"step 'image-llm' failed after {REPROMPT_LIMIT} re-prompts: {attempt_error}; "
         f"raw completion saved to {raw_path} for manual repair")
@@ -243,20 +252,20 @@ def run_importer(adapter_id: str, inputs: MigrationInputs, source_platform: str,
 
 def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
                  options: ExecutionOptions) -> tuple[list[Path], LossReport]:
-    """Run one generator from the pivot model; returns written files."""
-    _make_out_dir(out_dir)
-    require_valid(model, "model for export")
-    adapter = EXPORTERS.get(adapter_id)
-    if adapter is None:
-        raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
-    return adapter.run(model, out_dir, options)
+    """Run one generator from the pivot model, checked here for API callers;
+    returns written files."""
+    with _writing_to(out_dir):
+        require_valid(model, "model for export")
+        adapter = EXPORTERS.get(adapter_id)
+        if adapter is None:
+            raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
+        return adapter.run(model, out_dir, options)
 
 
 def _import_leg(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
                 out_dir: Path, matrix: CapabilityMatrix | None,
-                ) -> tuple[DomainModel, Path, LossReport, MergeReport | None]:
-    """Run an importer chain, each step refining the previous step's model,
-    and persist the result as model.bml."""
+                ) -> tuple[DomainModel, LossReport, MergeReport | None]:
+    """Run an importer chain, each step refining the previous step's model."""
     loss = LossReport()
     model: DomainModel | None = None
     merge_report: MergeReport | None = None
@@ -272,9 +281,7 @@ def _import_leg(importer_ids: Sequence[str], inputs: MigrationInputs, source_pla
             merge_report = step_merge
     if model is None:
         raise MissingInputError("plan has no import step; nothing to migrate")
-    pivot_path = out_dir / "model.bml"
-    save_pivot_file(model, pivot_path)
-    return model, pivot_path, loss, merge_report
+    return model, loss, merge_report
 
 
 def _write_reports(out_dir: Path, loss: LossReport,
@@ -295,10 +302,12 @@ def execute_import(importer_ids: Sequence[str], inputs: MigrationInputs, source_
                    ) -> ExecutionResult:
     """Run only the import leg: the importer chain, model.bml and the reports."""
     out_dir = Path(out_dir)
-    _make_out_dir(out_dir)
-    model, pivot_path, loss, merge_report = _import_leg(
+    model, loss, merge_report = _import_leg(
         importer_ids, inputs, source_platform, out_dir, matrix)
-    outputs = [pivot_path] + _write_reports(out_dir, loss, merge_report)
+    pivot_path = out_dir / "model.bml"
+    with _writing_to(out_dir):
+        save_pivot_file(model, pivot_path)
+        outputs = [pivot_path] + _write_reports(out_dir, loss, merge_report)
     return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
                            loss=loss, merge_report=merge_report)
 
@@ -308,23 +317,25 @@ def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str
     """Run the plan's chain end to end, persisting every artifact in out_dir."""
     options = options or ExecutionOptions()
     out_dir = Path(out_dir)
-    _make_out_dir(out_dir)
 
     if not plan.chain or plan.chain[-1] not in EXPORTERS:
         raise MissingInputError(f"plan chain {plan.chain!r} does not end in a generator")
     exporter_id = plan.chain[-1]
-    model, pivot_path, actual_loss, merge_report = _import_leg(
+    model, actual_loss, merge_report = _import_leg(
         plan.chain[:-1], inputs, plan.source, out_dir, plan.matrix)
 
-    if options.review_hook is not None:
-        options.review_hook(pivot_path)
-        model = load_pivot_file(pivot_path)  # re-validate after human edits
+    pivot_path = out_dir / "model.bml"
+    with _writing_to(out_dir):
+        save_pivot_file(model, pivot_path)
+        if options.review_hook is not None:
+            options.review_hook(pivot_path)
+            model = load_pivot_file(pivot_path)  # re-validate after human edits
 
-    outputs, export_loss = run_exporter(exporter_id, model, out_dir, options)
-    actual_loss.extend(export_loss)
+        outputs, export_loss = run_exporter(exporter_id, model, out_dir, options)
+        actual_loss.extend(export_loss)
 
-    final_loss = plan.expected_losses.union(actual_loss)
-    outputs = [pivot_path] + outputs + _write_reports(out_dir, final_loss, merge_report)
+        final_loss = plan.expected_losses.union(actual_loss)
+        outputs = [pivot_path] + outputs + _write_reports(out_dir, final_loss, merge_report)
     return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
                            loss=final_loss, merge_report=merge_report)
 
@@ -335,6 +346,8 @@ def execute_from_pivot(pivot_path: str | Path, exporter_id: str, out_dir: str | 
     options = options or ExecutionOptions()
     out_dir = Path(out_dir)
     model = load_pivot_file(pivot_path)
-    outputs, loss = run_exporter(exporter_id, model, out_dir, options)
-    return ExecutionResult(model=model, pivot_path=Path(pivot_path),
-                           outputs=outputs + _write_reports(out_dir, loss, None), loss=loss)
+    with _writing_to(out_dir):
+        outputs, loss = run_exporter(exporter_id, model, out_dir, options)
+        outputs += _write_reports(out_dir, loss, None)
+    return ExecutionResult(model=model, pivot_path=Path(pivot_path), outputs=outputs,
+                           loss=loss)

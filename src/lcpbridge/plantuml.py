@@ -347,7 +347,6 @@ def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
 
 def emit_plantuml(model: DomainModel) -> str:
     """Render a valid model as PlantUML; parse_plantuml maps it back."""
-    require_valid(model, "model to emit")
     lines = [START_MARKER]
     for enum in model.enumerations:
         lines.append(f"enum {enum.name} {{")

@@ -10,13 +10,12 @@ verification; ``oracle`` is what ships.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import DomainModel, require_valid
+from .model import DomainModel, fit_name
 
 MAX_NAME = 30  # classic Oracle identifier limit
 
@@ -53,11 +52,7 @@ def sql_name(name: str) -> str:
     a name built from such identifiers; the boundary rule (``_`` before a
     capital that follows a lowercase letter or digit) is an ASCII rule.
     """
-    result = _CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_")
-    if len(result) > MAX_NAME:
-        digest = hashlib.sha1(result.encode("utf-8")).hexdigest()[:6].upper()
-        result = result[:MAX_NAME - 6] + digest
-    return result
+    return fit_name(_CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_"), MAX_NAME)
 
 
 @dataclass(frozen=True)
@@ -102,15 +97,10 @@ class RelationalSchemaPlan:
     def validate(self) -> list[str]:
         problems = []
         names = set()
-        for table in self.tables:
-            if len(table.name) > MAX_NAME:
-                problems.append(f"table name too long: {table.name}")
+        for table in self.tables:  # names fit MAX_NAME by sql_name/fit_name
             if table.name in names:
                 problems.append(f"duplicate table name: {table.name}")
             names.add(table.name)
-            for col in table.columns:
-                if len(col.name) > MAX_NAME:
-                    problems.append(f"column name too long: {table.name}.{col.name}")
         # the first table of a name wins, as in table_named
         columns_of = {t.name: t.column_names() for t in reversed(self.tables)}
         for table in self.tables:
@@ -130,8 +120,7 @@ def _quoted_literal(value: str) -> str:
 
 
 def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossReport]:
-    """Derive the table layout for a valid pivot model."""
-    require_valid(model, "model for relational planning")
+    """Derive the table layout for a valid pivot model; the caller validates it."""
     loss = LossReport()
     plan = RelationalSchemaPlan()
 
@@ -190,12 +179,15 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         loss.add("generalization", f"{gen.specific}->{gen.general}", "GENERALIZATION_FLATTENED",
                  "info", "class-table inheritance: child key doubles as FK to parent")
 
+    def key_column(name: str) -> str:  # FK column after a class or role
+        return fit_name(sql_name(name) + "_ID", MAX_NAME)
+
     def fk_column_name(table: TablePlan, ref_class: str, role: str,
                        prefer_role: bool = False) -> str:
         # self-associations name the column after the role (MANAGER_ID, not
         # PERSON_ID); otherwise the referenced class names it
-        candidates = [sql_name(role) + "_ID", sql_name(ref_class) + "_ID"] \
-            if prefer_role else [sql_name(ref_class) + "_ID", sql_name(role) + "_ID"]
+        candidates = [key_column(role), key_column(ref_class)] \
+            if prefer_role else [key_column(ref_class), key_column(role)]
         taken = table.column_names()
         for candidate in candidates:
             if candidate not in taken:
@@ -219,7 +211,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
                 source = end.role if same_class else end.class_name
-                col = sql_name(source) + "_ID"
+                col = key_column(source)
                 junction.columns.append(ColumnPlan(name=col, sql_type="NUMBER(10)",
                                                    nullable=False))
                 junction.primary_key.append(col)
@@ -350,13 +342,11 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     oracle: CREATE TABLEs followed by ALTER TABLE ... ADD CONSTRAINT for
     every foreign key (safe for cycles). ansi: foreign keys are inlined in
     the CREATE statements because the embedded verification engine does not
-    support adding constraints afterwards.
+    support adding constraints afterwards. The plan is trusted as built:
+    ``plan_relational`` checks it once.
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    problems = plan.validate()
-    if problems:
-        raise NameCollisionError("; ".join(problems), "-", "-")
     if not plan.tables:
         return ""
     inline = dialect == "ansi"

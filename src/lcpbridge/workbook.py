@@ -9,7 +9,6 @@ generated and is what tests verify; the xlsx container realizes it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 from . import xlsx
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import DomainModel, Property, require_valid
+from .model import DomainModel, Property, fit_name
 
 SHEET_NAME_MAX = 31  # hard container limit
 
@@ -135,10 +134,7 @@ class WorkbookManifest:
 
 
 def _sheet_name(raw: str, taken: dict[str, str]) -> str:
-    name = raw
-    if len(name) > SHEET_NAME_MAX:
-        digest = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:6].upper()
-        name = name[:SHEET_NAME_MAX - 6] + digest
+    name = fit_name(raw, SHEET_NAME_MAX)
     if name in taken:
         raise NameCollisionError(f"sheet name {name!r} generated twice", taken[name], raw)
     taken[name] = raw
@@ -147,8 +143,8 @@ def _sheet_name(raw: str, taken: dict[str, str]) -> str:
 
 def plan_workbook(model: DomainModel, include_sample_row: bool = True
                   ) -> tuple[WorkbookManifest, LossReport]:
-    """Lay out sheets, columns, validations and the sample row for a model."""
-    require_valid(model, "model for workbook planning")
+    """Lay out sheets, columns, validations and the sample row for a valid
+    model; the caller validates it."""
     loss = LossReport()
     manifest = WorkbookManifest(workbook_name=model.name)
     enum_literals = {e.name: e.literals for e in model.enumerations}
@@ -172,14 +168,15 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                 props[prop.name.lower()] = prop
         return list(props.values())
 
-    sheet_of_class: dict[str, str] = {}
+    sheet_of_class: dict[str, ManifestSheet] = {}
+    headers_of: dict[str, set[str]] = {}  # class -> lower-cased headers of its sheet
     for cls in model.classes:
         sheet_name = _sheet_name(cls.name, taken)
         if sheet_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"sheet {sheet_name}")
-        sheet_of_class[cls.name] = sheet_name
         sheet = ManifestSheet(name=sheet_name, kind="class",
                               sample_row=[] if include_sample_row else None)
+        sheet_of_class[cls.name] = sheet
         for prop in effective_properties(cls.name):
             if prop.type.kind == "enumeration":
                 literals = enum_literals.get(prop.type.enum_name, ())
@@ -197,16 +194,17 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             if include_sample_row:
                 sheet.sample_row.append(sample)
         manifest.sheets.append(sheet)
+        headers_of[cls.name] = {c.header.lower() for c in sheet.columns}
         if cls.name in parents:
             loss.add("class", cls.name, "GENERALIZATION_FLATTENED", "warning",
                      f"columns of {parents[cls.name]} repeated on sheet {sheet_name}")
 
     bridge_sheets: list[ManifestSheet] = []
-    dropdown_samples: list[tuple[ManifestSheet, str]] = []
+    dropdown_samples: list[tuple[ManifestSheet, ManifestSheet]] = []  # (host, source)
 
     def add_dropdown(host_class: str, target_class: str, header: str):
-        host_sheet = manifest.sheet_named(sheet_of_class[host_class])
-        taken_headers = {c.header.lower() for c in host_sheet.columns}
+        host_sheet, target_sheet = sheet_of_class[host_class], sheet_of_class[target_class]
+        taken_headers = headers_of[host_class]
         unique = header
         counter = 2
         while unique.lower() in taken_headers:
@@ -215,17 +213,19 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         if unique != header:
             loss.add("association", header, "RENAMED", "info",
                      f"dropdown column stored as {unique!r} on sheet {host_sheet.name}")
+        taken_headers.add(unique.lower())
         host_sheet.columns.append(ManifestColumn(
             header=unique, cell_format="General",
-            validation=SheetDropdown(sheet_of_class[target_class])))
+            validation=SheetDropdown(target_sheet.name)))
         if include_sample_row:
-            dropdown_samples.append((host_sheet, sheet_of_class[target_class]))
+            dropdown_samples.append((host_sheet, target_sheet))
 
     for assoc in model.associations:
         kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
         if kind == "many-to-many":
-            base = f"{sheet_of_class[end1.class_name]}_{sheet_of_class[end2.class_name]}".upper()
+            base = f"{sheet_of_class[end1.class_name].name}_" \
+                   f"{sheet_of_class[end2.class_name].name}".upper()
             if base in taken:
                 base = f"{base}_{assoc.name}".upper()
             name = _sheet_name(base, taken)
@@ -234,11 +234,12 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
                 header = end.role if same_class else end.class_name.lower()
+                source = sheet_of_class[end.class_name]
                 bridge.columns.append(ManifestColumn(
                     header=header, cell_format="General",
-                    validation=SheetDropdown(sheet_of_class[end.class_name])))
+                    validation=SheetDropdown(source.name)))
                 if include_sample_row:
-                    dropdown_samples.append((bridge, sheet_of_class[end.class_name]))
+                    dropdown_samples.append((bridge, source))
             bridge_sheets.append(bridge)
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
                      f"survives only as bridge sheet {name}; the platform must "
@@ -248,7 +249,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             add_dropdown(many_end.class_name, one_end.class_name, one_end.role)
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
                      f"survives only as dropdown column {one_end.role!r} on sheet "
-                     f"{sheet_of_class[many_end.class_name]}")
+                     f"{sheet_of_class[many_end.class_name].name}")
         else:  # one-to-one, hosted on the alphabetically-first class
             first, second = sorted((end1, end2), key=lambda e: (e.class_name, e.role))
             add_dropdown(first.class_name, second.class_name, second.role)
@@ -256,13 +257,12 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                      "encoded like many-to-one; uniqueness of the link is not conveyed")
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
                      f"survives only as dropdown column {second.role!r} on sheet "
-                     f"{sheet_of_class[first.class_name]}")
+                     f"{sheet_of_class[first.class_name].name}")
 
     manifest.sheets.extend(bridge_sheets)
 
     # dropdown samples point at the referenced sheet's first sample value
-    for host_sheet, source_name in dropdown_samples:
-        source = manifest.sheet_named(source_name)
+    for host_sheet, source in dropdown_samples:
         value = source.sample_row[0] if source.sample_row else ""
         host_sheet.sample_row.append(value)
 
@@ -277,11 +277,9 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
 
     A zero-sheet manifest still produces a workbook with one blank sheet
     (the container format requires at least one), while the manifest JSON
-    keeps the true zero-sheet description.
+    keeps the true zero-sheet description. The manifest is trusted as built:
+    ``plan_workbook`` checks it once.
     """
-    problems = manifest.validate()
-    if problems:
-        raise NameCollisionError("; ".join(problems), "-", "-")
     path = Path(path)
 
     sheets: list[xlsx.SheetData] = []

@@ -174,23 +174,42 @@ def test_non_utf8_model_error_names_line_and_column(tmp_path, capsys):
     assert "not UTF-8 text (line 2, column 7)" in err
 
 
-@pytest.mark.parametrize("argv", [
-    "migrate --from mendix --to powerapps --input {mendix} --out {out}",
-    "import mendix-json --input {mendix} --out {out}",
-    "export apex-sql --model {tmp}/work/model.bml --out {out}",
-    "migrate --from mendix --to powerapps --input {mendix} --out {out}/sub",
-], ids=["migrate", "import", "export", "migrate-below-file"])
+@pytest.mark.parametrize("argv, blocker", [
+    ("migrate --from mendix --to powerapps --input {mendix} --out {out}", None),
+    ("import mendix-json --input {mendix} --out {out}", None),
+    ("export apex-sql --model {tmp}/work/model.bml --out {out}", None),
+    ("migrate --from mendix --to powerapps --input {mendix} --out {out}/sub", None),
+    ("migrate --from mendix --to powerapps --input {mendix} --out {out}", "model.bml"),
+    ("migrate --from mendix --to powerapps --input {mendix} --out {out}", "model.xlsx"),
+    ("migrate --from mendix --to apex --input {mendix} --out {out}", "model.sql"),
+    ("migrate --from mendix --to apex --input {mendix} --out {out}", "loss-report.json"),
+    ("import mendix-json --input {mendix} --out {out}", "model.bml"),
+    ("export apex-sql --model {tmp}/work/model.bml --out {out}", "model.sql"),
+    ("export workbook --model {tmp}/work/model.bml --out {out}", "loss-report.json"),
+], ids=["migrate", "import", "export", "migrate-below-file", "migrate-bml-is-dir",
+        "migrate-xlsx-is-dir", "migrate-sql-is-dir", "migrate-loss-report-is-dir",
+        "import-bml-is-dir", "export-sql-is-dir", "export-loss-report-is-dir"])
 def test_out_path_that_is_a_file_is_output_error(tmp_path, capsys, mendix_library_path,
-                                                 argv):
+                                                 argv, blocker):
+    """--out is a file, or an artifact path inside it is a directory."""
     run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),
             "--out", str(tmp_path / "work"))
-    out = tmp_path / "afile"
-    out.write_text("")
+    if blocker is None:
+        out = tmp_path / "afile"
+        out.write_text("")
+        expected = f"error [OUTPUT_ERROR]: cannot create output directory {out}"
+    else:
+        out = tmp_path / "out"
+        (out / blocker).mkdir(parents=True)
+        expected = f"error [OUTPUT_ERROR]: cannot write {out / blocker}: Is a directory"
     code, _, err = run_cli(capsys, *argv.format(
         mendix=mendix_library_path, tmp=tmp_path, out=out).split())
     assert code == 1
-    assert f"error [OUTPUT_ERROR]: cannot create output directory {out}" in err
-    assert out.read_text() == ""
+    assert expected in err
+    if blocker is None:
+        assert out.read_text() == ""
+    else:
+        assert not any((out / blocker).iterdir())
 
 
 def test_no_sample_row_flag(tmp_path, capsys, mendix_library_path):

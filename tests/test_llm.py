@@ -1,5 +1,7 @@
 """Prompt building, replay client, block extraction, and the merge laws."""
 
+import contextlib
+import json
 import random
 
 import pytest
@@ -134,6 +136,74 @@ class TestClients:
                 client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
         finally:
             server.shutdown()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def stub_server(status, body, seen=None):
+        """Serve one fixed answer on 127.0.0.1; yield the endpoint URL."""
+        import http.server
+        import threading
+
+        class Answer(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                if seen is not None:
+                    seen.append((self.headers.get("Authorization"), payload))
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Answer)
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_live_answer_is_returned_and_recorded(self, tmp_path):
+        body = json.dumps({"choices": [{"message": {"content": "@startuml\n@enduml"}}]})
+        seen = []
+        request = VisionRequest(prompt_text="x", images=(IMAGE,))
+        with self.stub_server(200, body.encode(), seen) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5,
+                                      record_dir=tmp_path / "rec")
+            assert client.complete(request) == "@startuml\n@enduml"
+        authorization, payload = seen[0]
+        assert authorization == "Bearer k"
+        assert payload["model"] == "m"
+        assert payload["messages"][0]["content"][0] == {"type": "text", "text": "x"}
+        assert ReplayVisionClient(tmp_path / "rec").complete(request) == "@startuml\n@enduml"
+
+    def test_server_error_is_transport_failure_with_body(self):
+        from lcpbridge.errors import TransportError
+
+        with self.stub_server(500, b"overloaded" + b"!" * 300) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
+            with pytest.raises(TransportError) as err:
+                client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
+        assert str(err.value).endswith("provider error HTTP 500: overloaded" + "!" * 190)
+        assert err.value.code == "TRANSPORT_FAILURE"
+
+    @pytest.mark.parametrize("body", [
+        b"not json",
+        b'{"choices": []}',
+        b'{"choices": [{"message": {}}]}',
+        b'[1, 2]',
+        b'{"choices": [{"message": {"content": 5}}]}',
+    ], ids=["not-json", "no-choices", "no-content", "list", "content-not-text"])
+    def test_malformed_body_is_transport_failure(self, body):
+        from lcpbridge.errors import TransportError
+
+        with self.stub_server(200, body) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
+            with pytest.raises(TransportError, match="unexpected provider response shape"):
+                client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
 
     def test_request_needs_an_image(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from lcpbridge.capabilities import load_capabilities
 from lcpbridge.dsl import load_pivot_file
 from lcpbridge.errors import LcpBridgeError, MissingInputError
-from lcpbridge.llm import ReplayVisionClient
+from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
 from lcpbridge.pipeline import (
     ExecutionOptions,
@@ -297,3 +297,73 @@ class TestCsvFallbackExporter:
         names = {p.name for p in paths}
         assert names == {"Library.csv", "Book.csv", "Author.csv", "BOOK_AUTHOR.csv"}
         assert loss.with_reason("DROPPED")  # validations not expressible in CSV
+
+
+class TestValidateOnce:
+    """A model is validated where it is built from outside input and trusted
+    downstream: each boundary gate runs once per migration."""
+
+    GOOD = ('@startuml\nBook "0..*" -- "0..1" Library : Book_Library\n'
+            'Book "0..*" -- "0..*" Author : Book_Author\n@enduml')
+    BAD = '@startuml\nBook "x..y" -- "1" Library\n@enduml'
+
+    class Scripted(VisionModelClient):
+        def __init__(self, answers):
+            self.answers = list(answers)
+
+        def complete(self, request):
+            return self.answers.pop(0)
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        import lcpbridge.model
+
+        calls = []
+        real = lcpbridge.model.validate_model
+
+        def counting(model):
+            calls.append(model.name)
+            return real(model)
+
+        monkeypatch.setattr(lcpbridge.model, "validate_model", counting)
+        return calls
+
+    @pytest.mark.parametrize("path, expected", [
+        ("mendix-apex-review", 4),  # Mendix mapping, .bml print, .bml re-load, export
+        ("outsystems-csv-apex", 3),  # inference, .bml print, export
+        ("powerapps-screenshot-outsystems", 5),  # inference, PlantUML, merge, print, export
+        ("powerapps-malformed-first-answer", 5),  # a re-prompt adds no check
+    ])
+    def test_validations_per_migration(self, tmp_path, mendix_library_path, csv_paths,
+                                       screenshot_path, validations, path, expected):
+        options = ExecutionOptions()
+        if path == "mendix-apex-review":
+            plan = plan_migration("mendix", "apex")
+            inputs = MigrationInputs(files=[mendix_library_path])
+            options = ExecutionOptions(review_hook=lambda pivot_path: None)
+        elif path == "outsystems-csv-apex":
+            plan = plan_migration("outsystems", "apex")
+            inputs = MigrationInputs(files=list(csv_paths))
+        else:
+            answers = [self.GOOD] if path == "powerapps-screenshot-outsystems" \
+                else [self.BAD, self.GOOD]
+            plan = plan_migration("powerapps", "outsystems")
+            inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
+                                     llm_client=self.Scripted(answers))
+        execute_migration(plan, inputs, tmp_path, options)
+        assert len(validations) == expected, validations
+
+    def test_consumers_trust_their_model(self, library_model, validations):
+        from lcpbridge.llm import build_prompt, load_prompt_context
+        from lcpbridge.plantuml import emit_plantuml
+        from lcpbridge.relational import emit_sql, plan_relational
+        from lcpbridge.workbook import plan_workbook
+
+        context = load_prompt_context("powerapps")
+        validations.clear()
+        plan, _ = plan_relational(library_model)
+        emit_sql(plan)
+        plan_workbook(library_model)
+        emit_plantuml(library_model)
+        build_prompt(context, library_model)
+        assert validations == []

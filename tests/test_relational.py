@@ -279,3 +279,46 @@ class TestEngineOracle:
             conn.execute('INSERT INTO "BOOK" ("ID", "STATUS") VALUES (2, \'NOT_A_STATUS\')')
         with pytest.raises(sqlite3.IntegrityError):
             conn.execute('INSERT INTO "BOOK" ("ID", "LIBRARY_ID") VALUES (3, 99)')
+
+
+def _long(stem: str) -> str:
+    """A 40-character identifier; FK columns built from it pass 30 characters."""
+    return (stem + "WithAVeryLongName" * 3)[:40]
+
+
+class TestLongNames:
+    @pytest.mark.parametrize("m1, m2, self_assoc", [
+        (Multiplicity(0, None), Multiplicity(0, 1), False),
+        (Multiplicity(0, 1), Multiplicity(1, 1), False),
+        (Multiplicity(0, None), Multiplicity(1, None), False),
+        (Multiplicity(0, None), Multiplicity(0, 1), True),
+        (Multiplicity(0, None), Multiplicity(0, None), True),
+    ], ids=["many-to-one", "one-to-one", "many-to-many", "self-many-to-one",
+            "self-many-to-many"])
+    def test_fk_columns_fit_and_ddl_runs(self, m1, m2, self_assoc):
+        first, second = _long("Order"), _long("Customer")
+        if self_assoc:
+            second = first
+        classes = (Class(first),) if self_assoc else (Class(first), Class(second))
+        model = DomainModel("M", classes=classes, associations=(
+            _m(first, second, m1, m2, name=_long("Link"),
+               r1=_long("placedOrders"), r2=_long("buyer")),))
+        plan, _ = plan_relational(model)
+        assert plan.validate() == []
+        for table in plan.tables:
+            assert all(len(c.name) <= MAX_NAME for c in table.columns)
+        conn = run_script(emit_sql(plan, dialect="ansi"))
+        assert len(introspect_tables(conn)) == expected_table_count(model)
+        assert introspect_fk_count(conn) == expected_fk_count(model)
+        conn.close()
+
+    def test_two_long_references_stay_distinct(self):
+        host, a, b = _long("Order"), _long("CustomerA"), _long("CustomerB")
+        model = DomainModel("M", classes=(Class(host), Class(a), Class(b)), associations=(
+            _m(host, a, Multiplicity(0, None), Multiplicity(0, 1), name="L1"),
+            _m(host, b, Multiplicity(0, None), Multiplicity(0, 1), name="L2")))
+        plan, _ = plan_relational(model)
+        fk_columns = [fk.column for fk in plan.tables[0].foreign_keys]
+        assert len(set(fk_columns)) == 2
+        conn = run_script(emit_sql(plan, dialect="ansi"))
+        assert introspect_fk_count(conn) == expected_fk_count(model)

@@ -10,7 +10,10 @@ import time
 import pytest
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
+from lcpbridge.llm import merge_models
+from lcpbridge.model import Class, DomainModel
 from lcpbridge.relational import emit_sql, plan_relational
+from lcpbridge.workbook import plan_workbook
 
 from generators import scaling_model
 
@@ -38,10 +41,20 @@ def plan_and_emit(model):
     return emit_sql(plan)
 
 
+def half_known(model):
+    """(partial, inferred) for merge_models: the partial holds every class
+    with half of its properties, and nothing else."""
+    partial = DomainModel(model.name, classes=tuple(
+        Class(c.name, c.properties[:len(c.properties) // 2]) for c in model.classes))
+    return partial, model
+
+
 @pytest.mark.parametrize("layer, prepare", [
     (plan_and_emit, lambda model: model),
     (parse_pivot_text, print_pivot_text),
-], ids=["plan_relational+emit_sql", "parse_pivot_text"])
+    (plan_workbook, lambda model: model),
+    (lambda pair: merge_models(*pair), half_known),
+], ids=["plan_relational+emit_sql", "parse_pivot_text", "plan_workbook", "merge_models"])
 def test_layer_grows_at_most_linearly(layer, prepare):
     ratio = growth(layer, prepare(scaling_model(SMALL)), prepare(scaling_model(LARGE)))
     assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
