@@ -88,21 +88,18 @@ class TablePlan:
 class RelationalSchemaPlan:
     tables: list[TablePlan] = field(default_factory=list)
 
-    def table_named(self, name: str) -> TablePlan | None:
-        for table in self.tables:
-            if table.name == name:
-                return table
-        return None
-
     def validate(self) -> list[str]:
         problems = []
-        names = set()
+        columns_of: dict[str, set[str]] = {}  # the first table of a name wins
         for table in self.tables:  # names fit MAX_NAME by sql_name/fit_name
-            if table.name in names:
+            if table.name in columns_of:
                 problems.append(f"duplicate table name: {table.name}")
-            names.add(table.name)
-        # the first table of a name wins, as in table_named
-        columns_of = {t.name: t.column_names() for t in reversed(self.tables)}
+            columns = set()
+            for column in table.columns:
+                if column.name in columns:
+                    problems.append(f"duplicate column name: {table.name}.{column.name}")
+                columns.add(column.name)
+            columns_of.setdefault(table.name, columns)
         for table in self.tables:
             for fk in table.foreign_keys:
                 target_columns = columns_of.get(fk.ref_table)
@@ -210,8 +207,10 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                                  primary_key=[], identity_pk=False)
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
-                source = end.role if same_class else end.class_name
-                col = key_column(source)
+                col = fk_column_name(junction, end.class_name, end.role, prefer_role=same_class)
+                if same_class and col != key_column(end.role):
+                    loss.add("association", assoc.name, "RENAMED", "info",
+                             f"role {end.role} stored as column {col} in table {junction.name}")
                 junction.columns.append(ColumnPlan(name=col, sql_type="NUMBER(10)",
                                                    nullable=False))
                 junction.primary_key.append(col)
@@ -360,14 +359,3 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
                     f'ALTER TABLE "{table.name}" ADD CONSTRAINT "{name}" '
                     f'FOREIGN KEY ("{fk.column}") REFERENCES "{fk.ref_table}" ("ID");')
     return "\n\n".join(statements) + "\n"
-
-
-def expected_fk_count(model: DomainModel) -> int:
-    """many-to-one + one-to-one + 2 x many-to-many + generalizations."""
-    return len(model.generalizations) + sum(
-        2 if a.kind == "many-to-many" else 1 for a in model.associations)
-
-
-def expected_table_count(model: DomainModel) -> int:
-    return len(model.classes) + sum(
-        1 for a in model.associations if a.kind == "many-to-many")

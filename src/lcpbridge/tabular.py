@@ -32,8 +32,21 @@ SAMPLE_LIMIT = 1000  # data rows read per table; the rest of the file is not rea
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
 _BOOL_TOKENS = frozenset(("true", "false"))
-_DATE_FORMATS = ("%d/%m/%Y", "%Y-%m-%d")
-_TIME_SUFFIXES = ("%H:%M", "%H:%M:%S")
+
+# The date and datetime rungs accept exactly what the stdlib's strptime
+# accepts with "%d/%m/%Y" or "%Y-%m-%d", alone or followed by " %H:%M" or
+# " %H:%M:%S". The field patterns are strptime's own (Lib/_strptime.py), so
+# 1-digit fields, a space-padded day, any run of whitespace before the time
+# and Unicode decimal digits where strptime has \d all match as they do
+# there; datetime(...) then rejects what the patterns let through (30/02,
+# 29/02 in a common year, year 0, seconds 60 and 61).
+_DAY = r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+_MONTH = r"(?P<m>1[0-2]|0[1-9]|[1-9])"
+_YEAR = r"(?P<Y>\d\d\d\d)"
+_TIME = (r"(?:\s+(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d)"
+         r"(?::(?P<S>6[0-1]|[0-5]\d|\d))?)?\Z")
+_DMY_RE = re.compile(f"{_DAY}/{_MONTH}/{_YEAR}{_TIME}")
+_YMD_RE = re.compile(f"{_YEAR}-{_MONTH}-{_DAY}{_TIME}")
 
 
 @dataclass(frozen=True)
@@ -126,43 +139,18 @@ def load_tabular(paths) -> TabularSource:
 # Type inference
 
 
-def _all_parse(values, predicate) -> bool:
-    return all(predicate(v) for v in values)
-
-
-def _is_bool(value: str) -> bool:
-    return value.strip().lower() in _BOOL_TOKENS
-
-
-def _is_int(value: str) -> bool:
-    return bool(_INT_RE.match(value.strip()))
-
-
-def _is_float(value: str) -> bool:
-    return bool(_FLOAT_RE.match(value.strip()))
-
-
-def _is_date(value: str) -> bool:
-    value = value.strip()
-    for fmt in _DATE_FORMATS:
-        try:
-            datetime.strptime(value, fmt)
-            return True
-        except ValueError:
-            continue
-    return False
-
-
-def _is_datetime(value: str) -> bool:
-    value = value.strip()
-    for date_fmt in _DATE_FORMATS:
-        for time_fmt in _TIME_SUFFIXES:
-            try:
-                datetime.strptime(value, f"{date_fmt} {time_fmt}")
-                return True
-            except ValueError:
-                continue
-    return False
+def _temporal_kind(value: str) -> str | None:
+    """"date" or "datetime" for a stripped value the ladder accepts as one."""
+    found = _DMY_RE.match(value) or _YMD_RE.match(value)
+    if found is None:
+        return None
+    day, month, year, hour, minute, second = found.group("d", "m", "Y", "H", "M", "S")
+    try:
+        datetime(int(year), int(month), int(day),
+                 int(hour or 0), int(minute or 0), int(second or 0))
+    except ValueError:
+        return None
+    return "date" if hour is None else "datetime"
 
 
 def infer_column_type(values) -> tuple[str, bool]:
@@ -170,18 +158,18 @@ def infer_column_type(values) -> tuple[str, bool]:
 
     Empty cells are ignored. A column with no usable values defaults to str.
     """
-    usable = [v for v in values if v.strip()]
+    usable = [v for v in map(str.strip, values) if v]
     if not usable:
         return "str", True
-    if _all_parse(usable, _is_bool):
+    if all(v.lower() in _BOOL_TOKENS for v in usable):
         return "bool", False
-    if _all_parse(usable, _is_int):
+    if all(map(_INT_RE.match, usable)):
         return "int", False
-    if _all_parse(usable, _is_float):
+    if all(map(_FLOAT_RE.match, usable)):
         return "float", False
-    if _all_parse(usable, _is_date):
+    if all(_temporal_kind(v) == "date" for v in usable):
         return "date", False
-    if _all_parse(usable, _is_datetime):
+    if all(_temporal_kind(v) == "datetime" for v in usable):
         return "datetime", False
     return "str", False
 

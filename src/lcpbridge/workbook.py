@@ -97,12 +97,6 @@ class WorkbookManifest:
     workbook_name: str
     sheets: list[ManifestSheet] = field(default_factory=list)
 
-    def sheet_named(self, name: str) -> ManifestSheet | None:
-        for sheet in self.sheets:
-            if sheet.name == name:
-                return sheet
-        return None
-
     def as_dict(self):
         return {"workbook_name": self.workbook_name,
                 "sheets": [s.as_dict() for s in self.sheets]}
@@ -232,8 +226,12 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             bridge = ManifestSheet(name=name, kind="bridge",
                                    sample_row=[] if include_sample_row else None)
             same_class = end1.class_name == end2.class_name
-            for end in (end1, end2):
-                header = end.role if same_class else end.class_name.lower()
+            headers = [end.role if same_class else end.class_name.lower() for end in (end1, end2)]
+            if headers[1].lower() == headers[0].lower():  # self-association, case-twin roles
+                headers[1] = end2.class_name.lower()
+                loss.add("association", assoc.name, "RENAMED", "info",
+                         f"role {end2.role} stored as column {headers[1]!r} on sheet {name}")
+            for end, header in zip((end1, end2), headers):
                 source = sheet_of_class[end.class_name]
                 bridge.columns.append(ManifestColumn(
                     header=header, cell_format="General",
@@ -315,8 +313,3 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
     manifest_path = Path(str(path) + ".manifest.json")
     manifest_path.write_text(manifest.to_json(), encoding="utf-8")
     return path, manifest_path
-
-
-def expected_dropdown_count(model: DomainModel) -> int:
-    """Sheet-sourced dropdowns: one per single-column association, two per bridge."""
-    return sum(2 if a.kind == "many-to-many" else 1 for a in model.associations)

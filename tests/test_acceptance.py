@@ -29,17 +29,15 @@ from lcpbridge.planner import plan_migration
 from lcpbridge.plantuml import emit_plantuml, parse_plantuml
 from lcpbridge.relational import (
     emit_sql,
-    expected_fk_count,
-    expected_table_count,
     plan_relational,
 )
 from lcpbridge.workbook import (
     ListDropdown,
     SheetDropdown,
-    expected_dropdown_count,
     plan_workbook,
 )
 
+from expected import expected_dropdown_count, expected_fk_count, expected_table_count
 from generators import random_mendix_export, random_merge_pair, random_model
 from test_capabilities import GOLDEN
 

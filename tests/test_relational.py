@@ -24,14 +24,15 @@ from lcpbridge.model import (
 )
 from lcpbridge.relational import (
     MAX_NAME,
+    ColumnPlan,
     RelationalSchemaPlan,
+    TablePlan,
     emit_sql,
-    expected_fk_count,
-    expected_table_count,
     plan_relational,
     sql_name,
 )
 
+from expected import expected_fk_count, expected_table_count, table_named
 from generators import random_model
 
 
@@ -74,7 +75,7 @@ class TestPlan:
                             associations=(_m("Book", "Library",
                                              Multiplicity(0, None), Multiplicity(0, 1)),))
         plan, _ = plan_relational(model)
-        book = plan.table_named("BOOK")
+        book = table_named(plan, "BOOK")
         fk_col = next(c for c in book.columns if c.name == "LIBRARY_ID")
         assert fk_col.nullable
         assert book.foreign_keys[0].ref_table == "LIBRARY"
@@ -84,7 +85,7 @@ class TestPlan:
                             associations=(_m("Book", "Library",
                                              Multiplicity(0, None), Multiplicity(1, 1)),))
         plan, _ = plan_relational(model)
-        fk_col = next(c for c in plan.table_named("BOOK").columns
+        fk_col = next(c for c in table_named(plan, "BOOK").columns
                       if c.name == "LIBRARY_ID")
         assert not fk_col.nullable
 
@@ -93,7 +94,7 @@ class TestPlan:
                             associations=(_m("Book", "Author",
                                              Multiplicity(0, None), Multiplicity(0, None)),))
         plan, _ = plan_relational(model)
-        junction = plan.table_named("BOOK_AUTHOR")
+        junction = table_named(plan, "BOOK_AUTHOR")
         assert junction is not None
         assert junction.primary_key == ["BOOK_ID", "AUTHOR_ID"]
         assert len(junction.foreign_keys) == 2
@@ -104,7 +105,7 @@ class TestPlan:
                                              Multiplicity(1, 1), Multiplicity(0, 1)),))
         plan, _ = plan_relational(model)
         # host = alphabetically first class
-        passport = plan.table_named("PASSPORT")
+        passport = table_named(plan, "PASSPORT")
         fk_col = next(c for c in passport.columns if c.name.endswith("_ID"))
         assert fk_col.unique
         assert passport.foreign_keys[0].unique
@@ -115,7 +116,7 @@ class TestPlan:
                                 __import__("lcpbridge.model", fromlist=["Generalization"])
                                 .Generalization("Media", "Book"),))
         plan, _ = plan_relational(model)
-        book = plan.table_named("BOOK")
+        book = table_named(plan, "BOOK")
         assert book.foreign_keys[0].column == "ID"
         assert book.foreign_keys[0].ref_table == "MEDIA"
         assert not book.identity_pk
@@ -125,14 +126,14 @@ class TestPlan:
                             classes=(Class("Ticket", (Property("status", enum_type("S")),)),),
                             enumerations=(Enumeration("S", ("OPEN", "CLOSED")),))
         plan, _ = plan_relational(model)
-        col = next(c for c in plan.table_named("TICKET").columns if c.name == "STATUS")
+        col = next(c for c in table_named(plan, "TICKET").columns if c.name == "STATUS")
         assert col.check == '"STATUS" IN (\'OPEN\', \'CLOSED\')'
 
     def test_time_property_coerced_with_loss(self):
         model = DomainModel("M", classes=(
             Class("Slot", (Property("starts", primitive_type("time")),)),))
         plan, loss = plan_relational(model)
-        col = next(c for c in plan.table_named("SLOT").columns if c.name == "STARTS")
+        col = next(c for c in table_named(plan, "SLOT").columns if c.name == "STARTS")
         assert col.sql_type == "VARCHAR2(8)"
         assert loss.with_reason("TYPE_COERCED")
 
@@ -150,8 +151,27 @@ class TestPlan:
                                              Multiplicity(0, None), Multiplicity(0, 1),
                                              r1="reports", r2="manager"),))
         plan, _ = plan_relational(model)
-        person = plan.table_named("PERSON")
+        person = table_named(plan, "PERSON")
         assert any(c.name == "MANAGER_ID" for c in person.columns)
+
+    def test_self_many_to_many_with_case_twin_roles(self):
+        model = DomainModel("M", classes=(Class("Person"),), associations=(
+            _m("Person", "Person", Multiplicity(0, None), Multiplicity(0, None),
+               name="Knows", r1="a", r2="A"),))
+        plan, loss = plan_relational(model)
+        junction = table_named(plan, "PERSON_PERSON")
+        assert [c.name for c in junction.columns] == ["A_ID", "PERSON_ID"]
+        assert [(e.element_kind, e.element_name) for e in loss.with_reason("RENAMED")] == \
+            [("class", "Person"), ("association", "Knows")]
+        conn = run_script(emit_sql(plan, dialect="ansi"))
+        assert len(introspect_tables(conn)) == expected_table_count(model)
+        assert introspect_fk_count(conn) == expected_fk_count(model)
+        conn.close()
+
+    def test_validate_reports_duplicate_column(self):
+        key = ColumnPlan(name="A_ID", sql_type="NUMBER(10)")
+        plan = RelationalSchemaPlan([TablePlan(name="T", columns=[key, key])])
+        assert plan.validate() == ["duplicate column name: T.A_ID"]
 
 
 class TestNames:

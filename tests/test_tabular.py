@@ -4,10 +4,11 @@ import csv
 import random
 import tracemalloc
 import zipfile
+from datetime import datetime
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.errors import TabularError
@@ -17,6 +18,7 @@ from lcpbridge.tabular import (
     Table,
     TableColumn,
     TabularSource,
+    _temporal_kind,
     infer_column_type,
     infer_model,
     load_tabular,
@@ -32,11 +34,27 @@ def _source(**tables) -> TabularSource:
     return TabularSource(tables=tuple(built))
 
 
+DATE_FORMATS = ("%d/%m/%Y", "%Y-%m-%d")
+DATETIME_FORMATS = tuple(f"{d} {t}" for d in DATE_FORMATS for t in ("%H:%M", "%H:%M:%S"))
+
+
+def reference_temporal_kind(value: str) -> str | None:
+    """The date and datetime rungs as strptime calls: the reference for the
+    regex version."""
+    value = value.strip()
+    for kind, formats in (("date", DATE_FORMATS), ("datetime", DATETIME_FORMATS)):
+        for fmt in formats:
+            try:
+                datetime.strptime(value, fmt)
+                return kind
+            except ValueError:
+                pass
+    return None
+
+
 # A second, independent route to the expected type: try each primitive's own
 # parser over every value instead of walking the precedence ladder.
 def _oracle_type(values):
-    from datetime import datetime
-
     usable = [v.strip() for v in values if v.strip()]
     if not usable:
         return "str"
@@ -51,26 +69,9 @@ def _oracle_type(values):
             if kind == "float":
                 float(value)
                 return "_" not in value and value.lower() not in ("nan", "inf", "-inf", "+inf")
-            if kind == "date":
-                for fmt in ("%d/%m/%Y", "%Y-%m-%d"):
-                    try:
-                        datetime.strptime(value, fmt)
-                        return True
-                    except ValueError:
-                        pass
-                return False
-            if kind == "datetime":
-                for fmt in ("%d/%m/%Y %H:%M", "%d/%m/%Y %H:%M:%S",
-                            "%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S"):
-                    try:
-                        datetime.strptime(value, fmt)
-                        return True
-                    except ValueError:
-                        pass
-                return False
+            return reference_temporal_kind(value) == kind
         except ValueError:
             return False
-        return False
 
     for kind in ("bool", "int", "float", "date", "datetime"):
         if all(parses(v, kind) for v in usable):
@@ -391,3 +392,62 @@ class TestInference:
         book = model.class_named("Book")
         types = {p.name: p.type.primitive for p in book.properties}
         assert types == {"title": "str", "pages": "int", "published": "date"}
+
+
+_UNICODE_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")
+
+
+@st.composite
+def temporal_text(draw):
+    """Dates and datetimes drawn to hit strptime's quirks: 1-digit and
+    space-padded fields, any whitespace before the time, out-of-range values
+    its patterns let through (30/02, 29/02 in a common year, year 0000,
+    seconds 60 and 61), Unicode decimal digits where it has \\d, and leading
+    and trailing characters."""
+    digits = draw(st.sampled_from((None,) * 6 + _UNICODE_DIGITS))
+
+    def field(low, high, edges, pads=("{}", "{:02d}")):
+        # out-of-range values sit mid-list: hypothesis favours both ends
+        numbers = list(range(low, high + 1))
+        numbers[len(numbers) // 2:len(numbers) // 2] = edges
+        text = draw(st.sampled_from(pads)).format(draw(st.sampled_from(numbers)))
+        if digits:  # the first character of a field is an ASCII class in strptime
+            text = text[:1] + text[1:].translate(str.maketrans("0123456789", digits))
+        return text
+
+    day = field(1, 28, (0, 29, 30, 31, 32), ("{}", "{:02d}", "{:2d}"))
+    month = field(1, 12, (0, 13))
+    year = draw(st.sampled_from(("{:04d}",) * 4 + ("{}",))).format(draw(st.one_of(
+        st.integers(1, 9999), st.sampled_from((2023, 0, 10_000, 2024)))))
+    if digits:
+        year = year.translate(str.maketrans("0123456789", digits))
+    text = f"{day}/{month}/{year}" if draw(st.booleans()) else f"{year}-{month}-{day}"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from([" ", " ", "  ", "\t", " \t ", "\n", "\xa0", "", "T"]))
+        text += f"{field(0, 23, (24,))}:{field(0, 59, (60,))}"
+        if draw(st.booleans()):
+            text += f":{field(0, 59, (60, 61, 62))}"
+    lead = draw(st.sampled_from(["", "", " ", "\t", "\n "]))
+    tail = draw(st.sampled_from(["", "", "", "", "", "", " ", "x", ":", "0"]))
+    return lead + text + tail
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(temporal_text(), temporal_text(), temporal_text(),
+                 st.text(alphabet="0123456789٠٥/-: \tx", max_size=20)))
+@example("2024-01- 5")
+@example("5/1/2024\t\t 7:3:9")
+@example("٠١/٠٢/٢٠٢٤")
+@example("٢٠٢٤-٠١-٠٢")
+@example("1٥/1/2024")
+@example("29/02/2024")
+@example("29/02/2023")
+@example("0000-01-01")
+@example("2024-01-01 23:59:60")
+@example("2024-01-01 23:59:61")
+@example("31/12/1999 10:30x")
+def test_temporal_rungs_match_strptime_reference(text):
+    expected = reference_temporal_kind(text)
+    assert _temporal_kind(text.strip()) == expected
+    inferred, _ = infer_column_type([text])
+    assert (inferred if inferred in ("date", "datetime") else None) == expected

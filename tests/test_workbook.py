@@ -24,10 +24,10 @@ from lcpbridge.workbook import (
     ListDropdown,
     SheetDropdown,
     emit_workbook,
-    expected_dropdown_count,
     plan_workbook,
 )
 
+from expected import expected_dropdown_count, sheet_named
 from generators import random_model
 
 NS = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
@@ -62,7 +62,7 @@ class TestPlanRules:
 
     def test_many_to_one_dropdown_on_many_side(self, library_model):
         manifest, _ = plan_workbook(library_model)
-        book = manifest.sheet_named("Book")
+        book = sheet_named(manifest, "Book")
         dropdown = next(c for c in book.columns
                         if isinstance(c.validation, SheetDropdown))
         assert dropdown.validation.source_sheet == "Library"
@@ -70,7 +70,7 @@ class TestPlanRules:
 
     def test_many_to_many_bridge_sheet(self, library_model):
         manifest, _ = plan_workbook(library_model)
-        bridge = manifest.sheet_named("BOOK_AUTHOR")
+        bridge = sheet_named(manifest, "BOOK_AUTHOR")
         assert bridge is not None
         assert bridge.kind == "bridge"
         assert len(bridge.columns) == 2
@@ -99,7 +99,7 @@ class TestPlanRules:
         assert manifest.sheets[0].sample_row == ["TRUE"]
 
         lib_manifest, _ = plan_workbook(library_model)
-        status = next(c for c in lib_manifest.sheet_named("Book").columns
+        status = next(c for c in sheet_named(lib_manifest, "Book").columns
                       if c.header == "status")
         assert isinstance(status.validation, ListDropdown)
         assert status.validation.options == ("AVAILABLE", "LOANED", "RESERVED")
@@ -110,7 +110,7 @@ class TestPlanRules:
             Class("Book", (Property("pages", primitive_type("int")),)),
         ), generalizations=(Generalization("Media", "Book"),))
         manifest, loss = plan_workbook(model)
-        book = manifest.sheet_named("Book")
+        book = sheet_named(manifest, "Book")
         assert [c.header for c in book.columns] == ["title", "pages"]
         assert loss.with_reason("GENERALIZATION_FLATTENED")
 
@@ -207,8 +207,22 @@ class TestEmit:
         assert {t.name for t in source.tables} == \
             {"Library", "Book", "Author", "BOOK_AUTHOR"}
         book = next(t for t in source.tables if t.name == "Book")
-        manifest_headers = [c.header for c in manifest.sheet_named("Book").columns]
+        manifest_headers = [c.header for c in sheet_named(manifest, "Book").columns]
         assert [c.header for c in book.columns] == manifest_headers
+
+    def test_self_many_to_many_with_case_twin_roles_reloads(self, tmp_path):
+        model = DomainModel("M", classes=(
+            Class("Person", (Property("name", primitive_type("str")),)),), associations=(
+            Association("Knows", AssociationEnd("a", "Person", Multiplicity(0, None)),
+                        AssociationEnd("A", "Person", Multiplicity(0, None))),))
+        manifest, loss = plan_workbook(model)
+        assert [c.header for c in sheet_named(manifest, "PERSON_PERSON").columns] == \
+            ["a", "person"]
+        assert [e.element_name for e in loss.with_reason("RENAMED")] == ["Knows"]
+        book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
+        inferred, _ = infer_model(load_tabular([book_path]))
+        bridge = inferred.class_named("PERSON_PERSON")
+        assert [p.name for p in bridge.properties] == ["a", "person"]
 
     def test_round_trip_recovers_names_and_types_widen(self, tmp_path, library_model):
         manifest, _ = plan_workbook(library_model)
