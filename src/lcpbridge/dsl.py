@@ -21,10 +21,15 @@ between the import and generation legs of a migration::
 
 `#` starts a line comment. Parsing and printing are pure and inverse of each
 other up to declaration ordering.
+
+Well-formed text is read one declaration at a time, each with one regex
+match; text the scanner cannot read goes to the token parser, whose model or
+error (with line, column and expected tokens) is final.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -227,11 +232,96 @@ class _Parser:
             upper = self.expect_int()
         self.expect_punct("]")
         navigable = False
-        if self.peek().kind == "IDENT" and self.peek().text == "nav":
+        # like `id`, `nav` is a flag only when it does not begin the next end
+        if (self.peek().kind == "IDENT" and self.peek().text == "nav"
+                and self.peek(1).text != ":"):
             self.advance()
             navigable = True
         return AssociationEnd(role=role, class_name=class_name,
                               multiplicity=Multiplicity(lower, upper), navigable=navigable)
+
+
+_KEYWORDS = {"c": "class", "a": "association", "e": "enum"}  # by first character
+
+
+@functools.cache
+def _declaration_patterns() -> dict[str, re.Pattern]:
+    """The scanner's regexes, compiled on first parse rather than at import.
+
+    Between tokens they skip exactly what ``_tokenize`` skips (``s``). Every
+    quantifier is possessive, so nothing is read twice: a name (``n``) or an
+    integer ends where ``_tokenize`` ends it, and a keyword may not run on
+    into a name. ``id`` and ``nav`` are flags where ``_Parser`` takes them as
+    flags, that is when no ``:`` follows.
+    """
+    parts = {"s": r"(?:[ \t\r\n]++|\#[^\n]*+)*+", "n": r"[^\W\d]\w*+"}
+    parts["end"] = r"""(%(n)s) %(s)s : %(s)s (%(n)s) %(s)s
+        \[ %(s)s (\d++) %(s)s \.\. %(s)s (\d++|\*) %(s)s \] (?: %(s)s (nav)(?!\w)(?! %(s)s :) )?+""" % parts
+    patterns = {
+        "model": r"%(s)s model(?!\w) %(s)s (%(n)s) %(s)s",
+        # group 2 holds the literals, read by "literal"
+        "enum": r"""enum(?!\w) %(s)s (%(n)s) %(s)s
+            \{ %(s)s (%(n)s %(s)s (?: , %(s)s %(n)s %(s)s )*+) \} %(s)s""",
+        "literal": r"(%(n)s) %(s)s (?: , %(s)s )?+",
+        # group 3 holds the properties, read by "property"
+        "class": r"""class(?!\w) %(s)s (%(n)s) (?: %(s)s extends(?!\w) %(s)s (%(n)s) )?+ %(s)s
+            \{ %(s)s ( (?: %(n)s %(s)s : %(s)s %(n)s (?: %(s)s id(?!\w)(?! %(s)s :) )?+ %(s)s )*+ )
+            \} %(s)s""",
+        "property": r"(%(n)s) %(s)s : %(s)s (%(n)s) (?: %(s)s (id)(?!\w)(?! %(s)s :) )?+ %(s)s",
+        "association": r"""association(?!\w) %(s)s (%(n)s) %(s)s
+            \{ %(s)s %(end)s %(s)s %(end)s %(s)s \} %(s)s""",
+    }
+    return {key: re.compile(pattern % parts, re.VERBOSE) for key, pattern in patterns.items()}
+
+
+def _scan(source: str) -> DomainModel | None:
+    """The model of well-formed ``source``, or None where ``_Parser`` must
+    read it. Each declaration is one ``match`` at its first character."""
+    patterns = _declaration_patterns()
+    found = patterns["model"].match(source)
+    if found is None:
+        return None
+    name, pos = found.group(1), found.end()
+    classes: list[Class] = []
+    associations: list[Association] = []
+    generalizations: list[Generalization] = []
+    enumerations: list[Enumeration] = []
+    types = {primitive: primitive_type(primitive) for primitive in PRIMITIVES}
+    multiplicities: dict[tuple[str, str], Multiplicity] = {}
+
+    def multiplicity(lower: str, upper: str) -> Multiplicity:
+        shared = multiplicities.get((lower, upper))
+        if shared is None:
+            shared = multiplicities[lower, upper] = \
+                Multiplicity(int(lower), None if upper == "*" else int(upper))
+        return shared
+
+    while pos < len(source):
+        keyword = _KEYWORDS.get(source[pos])
+        found = keyword and patterns[keyword].match(source, pos)
+        if not found:
+            return None
+        pos = found.end()
+        if keyword == "class":
+            props = []
+            for prop_name, type_name, flag in patterns["property"].findall(
+                    source, found.start(3), found.end(3)):
+                type_ref = types.get(type_name) or types.setdefault(type_name, enum_type(type_name))
+                props.append(Property(prop_name, type_ref, flag == "id"))
+            classes.append(Class(found.group(1), tuple(props)))
+            if found.group(2) is not None:
+                generalizations.append(Generalization(found.group(2), found.group(1)))
+        elif keyword == "association":
+            role1, class1, low1, up1, nav1, role2, class2, low2, up2, nav2 = found.groups()[1:]
+            associations.append(Association(
+                found.group(1),
+                AssociationEnd(role1, class1, multiplicity(low1, up1), nav1 is not None),
+                AssociationEnd(role2, class2, multiplicity(low2, up2), nav2 is not None)))
+        else:
+            literals = patterns["literal"].findall(source, found.start(2), found.end(2))
+            enumerations.append(Enumeration(found.group(1), tuple(literals)))
+    return DomainModel(name, tuple(classes), tuple(associations),
+                       tuple(generalizations), tuple(enumerations))
 
 
 def parse_pivot_text(source: str) -> DomainModel:
@@ -240,7 +330,9 @@ def parse_pivot_text(source: str) -> DomainModel:
     Raises DslSyntaxError with line/column on grammar problems and
     InvalidModelError when the parsed model breaks a metamodel invariant.
     """
-    model = _Parser(source).model()
+    model = _scan(source)
+    if model is None:
+        model = _Parser(source).model()
     return require_valid(model, "parsed pivot text")
 
 

@@ -57,7 +57,7 @@ def fit_name(name: str, limit: int) -> str:
     return name[:limit - 6] + hashlib.sha1(name.encode("utf-8")).hexdigest()[:6].upper()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     """Reference to a primitive type or a declared enumeration."""
 
@@ -72,24 +72,29 @@ class TypeRef:
         return self.primitive if self.kind == "primitive" else (self.enum_name or "?")
 
 
+_PRIMITIVE_TYPES = {name: TypeRef(kind="primitive", primitive=name) for name in PRIMITIVES}
+
+
 def primitive_type(name: str) -> TypeRef:
-    if name not in PRIMITIVES:
+    """The one shared reference to primitive ``name``."""
+    type_ref = _PRIMITIVE_TYPES.get(name)
+    if type_ref is None:
         raise ValueError(f"not a pivot primitive: {name!r}")
-    return TypeRef(kind="primitive", primitive=name)
+    return type_ref
 
 
 def enum_type(name: str) -> TypeRef:
     return TypeRef(kind="enumeration", enum_name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Property:
     name: str
     type: TypeRef
     is_id: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Class:
     name: str
     properties: tuple[Property, ...] = ()
@@ -101,7 +106,7 @@ class Class:
 UNBOUNDED = None  # sentinel value for Multiplicity.upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiplicity:
     lower: int
     upper: int | None  # None = unbounded (*)
@@ -120,7 +125,7 @@ OPTIONAL_ONE = Multiplicity(0, 1)
 EXACTLY_ONE = Multiplicity(1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationEnd:
     role: str
     class_name: str
@@ -128,7 +133,7 @@ class AssociationEnd:
     navigable: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Association:
     name: str
     end1: AssociationEnd
@@ -150,19 +155,19 @@ class Association:
         return "one-to-one"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generalization:
     general: str  # parent class name
     specific: str  # child class name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enumeration:
     name: str
     literals: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainModel:
     name: str
     classes: tuple[Class, ...] = ()
@@ -191,7 +196,7 @@ def empty_model(name: str = "Model") -> DomainModel:
 # Validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     rule: str
     element: str

@@ -179,7 +179,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
     def key_column(name: str) -> str:  # FK column after a class or role
         return fit_name(sql_name(name) + "_ID", MAX_NAME)
 
-    def fk_column_name(table: TablePlan, ref_class: str, role: str,
+    def fk_column_name(table: TablePlan, ref_class: str, role: str, assoc_name: str,
                        prefer_role: bool = False) -> str:
         # self-associations name the column after the role (MANAGER_ID, not
         # PERSON_ID); otherwise the referenced class names it
@@ -189,9 +189,12 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         for candidate in candidates:
             if candidate not in taken:
                 return candidate
-        raise NameCollisionError(
-            f"cannot place FK column in {table.name}: both candidates taken",
-            candidates[0], candidates[1])
+        number = 2  # both taken: the first free numbered name
+        while (column := fit_name(f"{candidates[0]}_{number}", MAX_NAME)) in taken:
+            number += 1
+        loss.add("association", assoc_name, "RENAMED", "info",
+                 f"role {role} stored as column {column} in table {table.name}")
+        return column
 
     junctions: list[TablePlan] = []
     for assoc in model.associations:
@@ -207,8 +210,10 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                                  primary_key=[], identity_pk=False)
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
-                col = fk_column_name(junction, end.class_name, end.role, prefer_role=same_class)
-                if same_class and col != key_column(end.role):
+                col = fk_column_name(junction, end.class_name, end.role, assoc.name,
+                                     prefer_role=same_class)
+                # stored under the class's name (fk_column_name reports a numbered one)
+                if same_class and key_column(end.role) != col == key_column(end.class_name):
                     loss.add("association", assoc.name, "RENAMED", "info",
                              f"role {end.role} stored as column {col} in table {junction.name}")
                 junction.columns.append(ColumnPlan(name=col, sql_type="NUMBER(10)",
@@ -225,7 +230,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         elif kind == "many-to-one":
             many_end, one_end = (end1, end2) if end1.multiplicity.is_many else (end2, end1)
             host = table_of_class[many_end.class_name]
-            col = fk_column_name(host, one_end.class_name, one_end.role,
+            col = fk_column_name(host, one_end.class_name, one_end.role, assoc.name,
                                  prefer_role=many_end.class_name == one_end.class_name)
             host.columns.append(ColumnPlan(
                 name=col, sql_type="NUMBER(10)", nullable=one_end.multiplicity.lower == 0))
@@ -239,7 +244,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         else:  # one-to-one: host deterministically on the alphabetically-first class
             first, second = sorted((end1, end2), key=lambda e: (e.class_name, e.role))
             host = table_of_class[first.class_name]
-            col = fk_column_name(host, second.class_name, second.role,
+            col = fk_column_name(host, second.class_name, second.role, assoc.name,
                                  prefer_role=first.class_name == second.class_name)
             host.columns.append(ColumnPlan(
                 name=col, sql_type="NUMBER(10)",

@@ -81,6 +81,8 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
     """The header row and the data rows after it; the readers stop at
     SAMPLE_LIMIT data rows."""
     if not rows or not any(cell.strip() for cell in rows[0]):
+        if rows and not any(cell.strip() for row in rows for cell in row):
+            return Table(name=name, columns=())  # the sheet of a class with no properties
         raise TabularError(f"{where} has no header row")
     headers = [h.strip() for h in rows[0]]
     _check_headers(headers, where)

@@ -229,6 +229,8 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             headers = [end.role if same_class else end.class_name.lower() for end in (end1, end2)]
             if headers[1].lower() == headers[0].lower():  # self-association, case-twin roles
                 headers[1] = end2.class_name.lower()
+                if headers[1] == headers[0].lower():  # the class name is taken too
+                    headers[1] += "_2"
                 loss.add("association", assoc.name, "RENAMED", "info",
                          f"role {end2.role} stored as column {headers[1]!r} on sheet {name}")
             for end, header in zip((end1, end2), headers):

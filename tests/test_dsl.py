@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcpbridge.dsl import parse_pivot_text, print_pivot_text
-from lcpbridge.errors import DslSyntaxError, InvalidModelError
-from lcpbridge.model import model_equal
+from lcpbridge.dsl import _Parser, _scan, _tokenize, parse_pivot_text, print_pivot_text
+from lcpbridge.errors import DslSyntaxError, InvalidModelError, LcpBridgeError
+from lcpbridge.model import (
+    Association,
+    AssociationEnd,
+    Class,
+    DomainModel,
+    Enumeration,
+    Generalization,
+    Property,
+    enum_type,
+    model_equal,
+    require_valid,
+)
 
 from generators import random_model
 
@@ -217,3 +228,155 @@ class TestRoundTrip:
     def test_round_trip_on_random_models(self, seed):
         model = random_model(random.Random(seed))
         assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
+
+
+# ---------------------------------------------------------------------------
+# The declaration scanner against the token parser
+
+KEYWORDS = ("id", "nav", "class", "extends", "model")
+
+
+def keyword_named(model: DomainModel, rng: random.Random) -> DomainModel:
+    """``model`` with some of its elements renamed to words of the syntax;
+    the result is still valid."""
+    words = iter(rng.sample(KEYWORDS, len(KEYWORDS)))
+    global_names = [c.name for c in model.classes] + [e.name for e in model.enumerations]
+    renamed = {name: next(words, name) for name in global_names if rng.random() < 0.3}
+
+    def rename(name: str) -> str:
+        return renamed.get(name, name)
+
+    def word_or(name: str) -> str:
+        return rng.choice(KEYWORDS) if rng.random() < 0.3 else name
+
+    def props(cls: Class) -> tuple[Property, ...]:
+        free = set(KEYWORDS)  # each word names at most one property of a class
+        out = []
+        for prop in cls.properties:
+            name = prop.name
+            if free and rng.random() < 0.3:
+                name = rng.choice(sorted(free))
+                free.discard(name)
+            type_ref = prop.type if prop.type.kind == "primitive" \
+                else enum_type(rename(prop.type.enum_name))
+            out.append(Property(name, type_ref, prop.is_id))
+        return tuple(out)
+
+    def ends(assoc: Association) -> tuple[AssociationEnd, AssociationEnd]:
+        role1, role2 = word_or(assoc.end1.role), word_or(assoc.end2.role)
+        if role1 == role2:
+            role2 = assoc.end2.role
+        return tuple(AssociationEnd(role, rename(end.class_name), end.multiplicity, end.navigable)
+                     for role, end in ((role1, assoc.end1), (role2, assoc.end2)))
+
+    def literals(enum: Enumeration) -> tuple[str, ...]:
+        first, *rest = enum.literals
+        return (word_or(first), *rest)
+
+    return require_valid(DomainModel(
+        word_or(model.name),
+        tuple(Class(rename(c.name), props(c)) for c in model.classes),
+        tuple(Association(word_or(a.name), *ends(a)) for a in model.associations),
+        tuple(Generalization(rename(g.general), rename(g.specific))
+              for g in model.generalizations),
+        tuple(Enumeration(rename(e.name), literals(e)) for e in model.enumerations)))
+
+
+# What _tokenize skips; every comment ends in a newline, since a lone \r
+# does not end one. The comments hold declarations the scanner must not read.
+SEPARATORS = (" ", "  ", "\t", "\n", "\r", "\r\n", "\n\n", "# note\n", "#\n",
+              "# x: str id\n", "#} class Z { y: int }\n", "# nav: A [0..1]\n",
+              "# a\r b: int\n")
+# tokens a mutation inserts or substitutes
+TOKEN_MENU = KEYWORDS + ("enum", "association", "str", "Name", "x2", "0", "1", "12",
+                         "{", "}", "[", "]", ":", ",", "*", "..", "@", ".", "\xa0")
+
+
+def token_texts(text: str) -> list[str]:
+    return [tok.text for tok in _tokenize(text) if tok.kind != "EOF"]
+
+
+def is_word(token: str) -> bool:
+    return token[:1].isalnum() or token[:1] == "_"
+
+
+def respaced(tokens: list[str], rng: random.Random) -> str:
+    """The tokens joined by random runs of blanks and comments; two words or
+    numbers in a row get at least one separator, so they stay two tokens."""
+    out = [rng.choice(SEPARATORS) for _ in range(rng.randint(0, 2))]
+    previous = ""
+    for token in tokens:
+        runs = rng.choice((0, 0, 1, 1, 2, 3))
+        if is_word(previous[-1:]) and is_word(token):
+            runs = max(runs, 1)
+        out.extend(rng.choice(SEPARATORS) for _ in range(runs))
+        out.append(token)
+        previous = token
+    out.extend(rng.choice(SEPARATORS) for _ in range(rng.randint(0, 2)))
+    return "".join(out)
+
+
+def outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: a model, or the error's kind and
+    every detail it reports."""
+    try:
+        return parse(text)
+    except LcpBridgeError as exc:
+        return (type(exc), exc.args, exc.details, getattr(exc, "violations", None))
+
+
+def reference_parse(text: str) -> DomainModel:
+    return require_valid(_Parser(text).model(), "parsed pivot text")
+
+
+def mutants(tokens: list[str], rng: random.Random) -> list[list[str]]:
+    """One single-token deletion, insertion and substitution of ``tokens``,
+    and two neighbouring words run together into one (``Aextends``)."""
+    at = rng.randrange(len(tokens))
+    out = [tokens[:at] + tokens[at + 1:],
+           tokens[:at] + [rng.choice(TOKEN_MENU)] + tokens[at:],
+           tokens[:at] + [rng.choice(TOKEN_MENU)] + tokens[at + 1:]]
+    pairs = [k for k in range(len(tokens) - 1) if is_word(tokens[k]) and is_word(tokens[k + 1])]
+    if pairs:
+        k = rng.choice(pairs)
+        out.append(tokens[:k] + [tokens[k] + tokens[k + 1]] + tokens[k + 2:])
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**31))
+def test_scanner_reads_what_the_token_parser_reads(seed):
+    rng = random.Random(seed)
+    model = keyword_named(random_model(rng), rng)
+    printed = print_pivot_text(model)
+    tokens = token_texts(printed)
+    text = respaced(tokens, rng)
+    scanned = _scan(text)
+    assert scanned is not None, "the fast path was not taken"
+    assert scanned == _Parser(text).model()
+    assert print_pivot_text(scanned) == printed
+    for mutant in mutants(tokens, rng):
+        text = respaced(mutant, rng)
+        assert outcome(parse_pivot_text, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("source", [
+    "model M\nclass A {\n  x: str\n  id: int\n}\n",
+    "model M\nclass A {\n  x: str id\n  id: int id\n}\n",
+    "model M\nclass A {}\nassociation R {\n  a: A [0..1]\n  nav: A [0..*] nav\n}\n",
+    "model M\nclass A {}\nassociation R {\n  a: A [0..1] nav\n  nav: A [0..*]\n}\n",
+    "model model\nclass class extends extends {\n  model: int\n}\nclass extends {}\n",
+    "model M\nclass A { # x: int\n}\nenum E { A, # B,\n C }\n",
+])
+def test_scanner_takes_flags_where_the_parser_does(source):
+    assert _scan(source) is not None
+    assert _scan(source) == _Parser(source).model()
+
+
+def test_role_named_nav_round_trips():
+    # the first end is not navigable, so `nav` begins the second end's line
+    model = parse_pivot_text("model M\nclass A {}\nassociation R {\n"
+                             "  a: A [0..1]\n  nav: A [0..*]\n}\n")
+    end1, end2 = model.associations[0].ends
+    assert (end1.navigable, end2.role, end2.navigable) == (False, "nav", False)
+    assert parse_pivot_text(print_pivot_text(model)) == model

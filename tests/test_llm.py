@@ -136,6 +136,7 @@ class TestClients:
                 client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
         finally:
             server.shutdown()
+            server.server_close()
 
     @staticmethod
     @contextlib.contextmanager

@@ -168,6 +168,39 @@ class TestPlan:
         assert introspect_fk_count(conn) == expected_fk_count(model)
         conn.close()
 
+    def test_self_many_to_many_with_roles_named_like_the_class(self):
+        model = DomainModel("M", classes=(Class("Person"),), associations=(
+            _m("Person", "Person", Multiplicity(0, None), Multiplicity(0, None),
+               name="Knows", r1="person", r2="Person"),))
+        plan, loss = plan_relational(model)
+        junction = table_named(plan, "PERSON_PERSON")
+        assert [c.name for c in junction.columns] == ["PERSON_ID", "PERSON_ID_2"]
+        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+            ("Person", "table PERSON"),
+            ("Knows", "role Person stored as column PERSON_ID_2 in table PERSON_PERSON")]
+        conn = run_script(emit_sql(plan, dialect="ansi"))
+        assert len(introspect_tables(conn)) == expected_table_count(model)
+        assert introspect_fk_count(conn) == expected_fk_count(model)
+        conn.close()
+
+    def test_foreign_key_with_both_candidates_taken_is_numbered(self):
+        model = DomainModel("M", classes=(
+            Class("Person"),
+            Class("Order", (Property("personId", primitive_type("int")),
+                            Property("ownerId", primitive_type("int"))))), associations=(
+            _m("Order", "Person", Multiplicity(0, None), Multiplicity(0, 1),
+               name="Owns", r1="orders", r2="owner"),))
+        plan, loss = plan_relational(model)
+        order = table_named(plan, "ORDER")
+        assert [c.name for c in order.columns] == ["ID", "PERSON_ID", "OWNER_ID", "PERSON_ID_2"]
+        assert [fk.column for fk in order.foreign_keys] == ["PERSON_ID_2"]
+        assert [e.element_name for e in loss.with_reason("RENAMED")] == \
+            ["Person", "Order", "Owns"]
+        conn = run_script(emit_sql(plan, dialect="ansi"))
+        assert len(introspect_tables(conn)) == expected_table_count(model)
+        assert introspect_fk_count(conn) == expected_fk_count(model)
+        conn.close()
+
     def test_validate_reports_duplicate_column(self):
         key = ColumnPlan(name="A_ID", sql_type="NUMBER(10)")
         plan = RelationalSchemaPlan([TablePlan(name="T", columns=[key, key])])

@@ -5,7 +5,9 @@ Linear work grows about 8x from 500 to 4,000 classes and quadratic work
 still catching a quadratic step.
 """
 
+import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -58,3 +60,53 @@ def half_known(model):
 def test_layer_grows_at_most_linearly(layer, prepare):
     ratio = growth(layer, prepare(scaling_model(SMALL)), prepare(scaling_model(LARGE)))
     assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
+
+
+# Counts repeat exactly from run to run, so they can bear the tight bound of
+# the target shape: doubling the model at most about doubles the work.
+COUNT_SMALL, COUNT_LARGE = 2500, 5000
+MAX_COUNT_GROWTH = 2.3
+
+
+def python_calls(layer, arg) -> int:
+    """Python-level function calls made by ``layer(arg)``."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        layer(arg)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def allocations(layer, arg) -> tuple[int, int]:
+    """(blocks still allocated after ``layer(arg)``, with its result alive;
+    peak traced bytes during the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        tracemalloc.reset_peak()
+        result = layer(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del result
+    return sum(stat.count_diff for stat in after.compare_to(before, "filename")), peak
+
+
+def test_parse_pivot_text_counts_grow_linearly():
+    parse_pivot_text("model Warm")  # first-parse set-up stays out of the counts
+    small, large = (print_pivot_text(scaling_model(n)) for n in (COUNT_SMALL, COUNT_LARGE))
+    calls = python_calls(parse_pivot_text, large) / python_calls(parse_pivot_text, small)
+    (blocks_small, peak_small), (blocks_large, peak_large) = \
+        allocations(parse_pivot_text, small), allocations(parse_pivot_text, large)
+    ratios = {"calls": calls, "blocks": blocks_large / blocks_small,
+              "peak bytes": peak_large / peak_small}
+    assert max(ratios.values()) <= MAX_COUNT_GROWTH, \
+        f"{ratios} from {COUNT_SMALL} to {COUNT_LARGE} classes"

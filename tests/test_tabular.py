@@ -109,6 +109,13 @@ class TestLoad:
             load_tabular([path])
         assert "header" in str(err.value)
 
+    def test_blank_header_above_data_rejected(self, tmp_path):
+        path = tmp_path / "Headless.csv"
+        path.write_text(",\na,b\n", encoding="utf-8")
+        with pytest.raises(TabularError) as err:
+            load_tabular([path])
+        assert "no header row" in str(err.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TabularError):
             load_tabular([tmp_path / "nope.csv"])

@@ -224,6 +224,27 @@ class TestEmit:
         bridge = inferred.class_named("PERSON_PERSON")
         assert [p.name for p in bridge.properties] == ["a", "person"]
 
+    def test_self_many_to_many_with_roles_named_like_the_class_reloads(self, tmp_path):
+        model = DomainModel("M", classes=(
+            Class("Person", (Property("name", primitive_type("str")),)),), associations=(
+            Association("Knows", AssociationEnd("person", "Person", Multiplicity(0, None)),
+                        AssociationEnd("Person", "Person", Multiplicity(0, None))),))
+        manifest, loss = plan_workbook(model)
+        assert [c.header for c in sheet_named(manifest, "PERSON_PERSON").columns] == \
+            ["person", "person_2"]
+        assert [e.element_name for e in loss.with_reason("RENAMED")] == ["Knows"]
+        book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
+        inferred, _ = infer_model(load_tabular([book_path]))
+        bridge = inferred.class_named("PERSON_PERSON")
+        assert [p.name for p in bridge.properties] == ["person", "person_2"]
+
+    def test_class_without_properties_reloads(self, tmp_path):
+        model = DomainModel("M", classes=(Class("Person"),))
+        manifest, _ = plan_workbook(model)
+        book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
+        inferred, _ = infer_model(load_tabular([book_path]))
+        assert inferred.classes == (Class("Person"),)
+
     def test_round_trip_recovers_names_and_types_widen(self, tmp_path, library_model):
         manifest, _ = plan_workbook(library_model)
         book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
