@@ -102,14 +102,10 @@ class OutputError(LcpBridgeError):
 
 
 class NameCollisionError(LcpBridgeError):
-    """Two distinct source names map to the same generated identifier."""
+    """A generated plan fails its own check: two of its names collide or a
+    reference dangles. Generators rename instead, so this is a fault."""
 
     code = "NAME_COLLISION"
-
-    def __init__(self, message: str, first: str, second: str):
-        super().__init__(message, first=first, second=second)
-        self.first = first
-        self.second = second
 
 
 class LlmClientError(LcpBridgeError):

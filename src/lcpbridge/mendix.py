@@ -10,7 +10,7 @@ multiplicities follow the (type, owner) decision table below.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MendixImportError, MissingInputError
@@ -23,6 +23,7 @@ from .model import (
     Enumeration,
     Generalization,
     Multiplicity,
+    Namespace,
     Property,
     enum_type,
     primitive_type,
@@ -223,28 +224,20 @@ def _check_references(export: MendixExport) -> None:
                     f"association {assoc.name!r} references absent entity {end!r}")
 
 
-@dataclass
-class _Namer:
-    """Sanitize foreign names once, recording renames."""
-
-    loss: LossReport
-    kind: str
-    mapping: dict = field(default_factory=dict)
-
-    def clean(self, name: str) -> str:
-        if name not in self.mapping:
-            cleaned = sanitize_identifier(name)
-            if cleaned != name:
-                self.loss.add(self.kind, name, "RENAMED", "info", f"sanitized to {cleaned}")
-            self.mapping[name] = cleaned
-        return self.mapping[name]
-
-
 def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
     """Apply the concept mapping: entities, attributes, enums, associations."""
     loss = LossReport()
-    class_namer = _Namer(loss, "class")
-    enum_namer = _Namer(loss, "enumeration")
+    # classes and enumerations share one namespace, as in validate_model; a
+    # name is claimed on first use and references resolve to what it claimed
+    names = Namespace()
+    claimed: dict[tuple[str, str], str] = {}  # (kind, raw name) -> pivot name
+
+    def pivot_name(kind: str, raw: str) -> str:
+        if (kind, raw) not in claimed:
+            name = claimed[kind, raw] = names.claim(sanitize_identifier(raw))
+            if name != raw:
+                loss.add(kind, raw, "RENAMED", "info", f"sanitized to {name}")
+        return claimed[kind, raw]
 
     enumerations = []
     for enum in export.enumerations:
@@ -256,21 +249,22 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
                          f"sanitized to {cleaned}")
             if cleaned not in literals:
                 literals.append(cleaned)
-        enumerations.append(Enumeration(name=enum_namer.clean(enum.name),
+        enumerations.append(Enumeration(name=pivot_name("enumeration", enum.name),
                                         literals=tuple(literals)))
 
     classes = []
     generalizations = []
     for entity in export.entities:
-        class_name = class_namer.clean(entity.name)
+        class_name = pivot_name("class", entity.name)
+        prop_names = Namespace()
         properties = []
         for attr in entity.attributes:
-            prop_name = sanitize_identifier(attr.name)
+            prop_name = prop_names.claim(sanitize_identifier(attr.name))
             if prop_name != attr.name:
                 loss.add("property", f"{entity.name}.{attr.name}", "RENAMED", "info",
                          f"sanitized to {prop_name}")
             if attr.type == "Enumeration":
-                type_ref = enum_type(enum_namer.clean(attr.enum_ref))
+                type_ref = enum_type(pivot_name("enumeration", attr.enum_ref))
             elif attr.type in ATTRIBUTE_TYPES:
                 primitive, detail = ATTRIBUTE_TYPES[attr.type]
                 type_ref = primitive_type(primitive)
@@ -285,7 +279,7 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
         classes.append(Class(name=class_name, properties=tuple(properties)))
         if entity.generalization is not None:
             generalizations.append(Generalization(
-                general=class_namer.clean(entity.generalization), specific=class_name))
+                general=pivot_name("class", entity.generalization), specific=class_name))
 
     associations = []
     for assoc in export.associations:
@@ -296,8 +290,8 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
             key = ("Reference", "Default")
         child_mult, parent_mult = CARDINALITY_TABLE[key]
         both = assoc.owner == "Both"
-        child_class = class_namer.clean(assoc.child)
-        parent_class = class_namer.clean(assoc.parent)
+        child_class = pivot_name("class", assoc.child)
+        parent_class = pivot_name("class", assoc.parent)
         child_role = sanitize_identifier(child_class.lower())
         parent_role = sanitize_identifier(parent_class.lower())
         if child_role == parent_role:

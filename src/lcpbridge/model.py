@@ -26,6 +26,7 @@ RESERVED_WORDS = frozenset(
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NOT_ALNUM_RE = re.compile(r"[^A-Za-z0-9]+")
 
 
 def is_identifier(name: str) -> bool:
@@ -35,13 +36,13 @@ def is_identifier(name: str) -> bool:
 def sanitize_identifier(name: str, fallback: str = "Unnamed") -> str:
     """Coerce a foreign name into a pivot identifier.
 
-    Spaces and punctuation become underscores; a non-letter start gets an
-    ``X`` prefix; reserved words get a trailing underscore. Deterministic,
-    so repeated runs rename identically. Callers record a RENAMED loss entry
+    Each run of spaces, punctuation and underscores becomes one underscore,
+    and none is kept at either end; a non-letter start gets an ``X``
+    prefix; reserved words get a trailing underscore. Deterministic, so
+    repeated runs rename identically. Callers record a RENAMED loss entry
     when the result differs from the input.
     """
-    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", name.strip())
-    cleaned = re.sub(r"_+", "_", cleaned).strip("_") or fallback
+    cleaned = _NOT_ALNUM_RE.sub("_", name).strip("_") or fallback
     if not cleaned[0].isalpha():
         cleaned = "X" + cleaned
     if cleaned.lower() in RESERVED_WORDS:
@@ -49,12 +50,48 @@ def sanitize_identifier(name: str, fallback: str = "Unnamed") -> str:
     return cleaned
 
 
-def fit_name(name: str, limit: int) -> str:
-    """``name`` if it fits ``limit`` characters, else its first ``limit - 6``
-    characters and 6 hex digits of its sha1 (long names stay distinct)."""
-    if len(name) <= limit:
+def fit_name(name: str, limit: int | None) -> str:
+    """``name`` if it fits ``limit`` characters (or there is no limit), else
+    its first ``limit - 6`` characters and 6 hex digits of its sha1 (long
+    names stay distinct)."""
+    if limit is None or len(name) <= limit:
         return name
     return name[:limit - 6] + hashlib.sha1(name.encode("utf-8")).hexdigest()[:6].upper()
+
+
+class Namespace:
+    """The names generated so far in one scope: a model's tables or sheets,
+    a table's columns, a sheet's headers, an imported model's classes.
+
+    Names compare case-insensitively, as in ``validate_model``, XLSX sheet
+    names and ``load_tabular``. The caller applies its own fold first
+    (``sanitize_identifier``, ``sql_name``...) and records a RENAMED loss
+    entry when the claimed name differs from what it asked for.
+    """
+
+    __slots__ = ("limit", "_taken")
+
+    def __init__(self, limit: int | None = None, taken=()):
+        self.limit = limit
+        self._taken = {name.lower() for name in taken}
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._taken
+
+    def claim(self, *candidates: str) -> str:
+        """The first candidate, fitted to the limit, that is still free; when
+        all are taken, the first free ``<first candidate>_<n>`` for n = 2, 3..."""
+        for candidate in candidates:
+            name = fit_name(candidate, self.limit)
+            if name.lower() not in self._taken:
+                break
+        else:
+            number = 2
+            while (name := fit_name(f"{candidates[0]}_{number}", self.limit)).lower() \
+                    in self._taken:
+                number += 1
+        self._taken.add(name.lower())
+        return name
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,4 +446,5 @@ __all__ = [
     "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
     "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",
     "model_equal", "association_key", "is_identifier", "sanitize_identifier", "fit_name",
+    "Namespace",
 ]

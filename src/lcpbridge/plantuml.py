@@ -24,6 +24,7 @@ from .model import (
     Enumeration,
     Generalization,
     Multiplicity,
+    Namespace,
     Property,
     enum_type,
     primitive_type,
@@ -110,7 +111,7 @@ class _Builder:
         self.associations: list[Association] = []
         self.generalizations: list[Generalization] = []
         self.parents: dict[str, str] = {}
-        self.assoc_names: set[str] = set()
+        self.assoc_names = Namespace()
         self.skipped: list[SkippedLine] = []
         self.loss = LossReport()
         self.warnings: list[str] = []
@@ -179,15 +180,6 @@ class _Builder:
         self.parents[specific] = general
         self.generalizations.append(Generalization(general=general, specific=specific))
 
-    def unique_assoc_name(self, base: str) -> str:
-        name = base
-        counter = 2
-        while name in self.assoc_names:
-            name = f"{base}_{counter}"
-            counter += 1
-        self.assoc_names.add(name)
-        return name
-
     def add_association(self, left: str, m_left: str, arrow: str, m_right: str,
                         right: str, label: str | None):
         left = self.ensure_class(left)
@@ -196,11 +188,10 @@ class _Builder:
             base = sanitize_identifier(label.strip().strip("<>").strip())
         else:
             base = f"{left}_{right}"
-        name = self.unique_assoc_name(base)
-        role1 = sanitize_identifier(left.lower())
-        role2 = sanitize_identifier(right.lower())
-        if role1 == role2:
-            role2 += "_2"
+        name = self.assoc_names.claim(base)
+        roles = Namespace()
+        role1 = roles.claim(sanitize_identifier(left.lower()))
+        role2 = roles.claim(sanitize_identifier(right.lower()))
         core = arrow.strip("o*")
         nav1 = core.startswith("<")
         nav2 = core.endswith(">")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import DomainModel, fit_name
+from .model import DomainModel, Namespace, fit_name
 
 MAX_NAME = 30  # classic Oracle identifier limit
 
@@ -55,7 +55,7 @@ def sql_name(name: str) -> str:
     return fit_name(_CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_"), MAX_NAME)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnPlan:
     name: str
     sql_type: str
@@ -64,7 +64,7 @@ class ColumnPlan:
     check: str | None = None  # column-scoped membership/range predicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForeignKeyPlan:
     column: str
     ref_table: str
@@ -72,7 +72,7 @@ class ForeignKeyPlan:
     unique: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TablePlan:
     name: str
     columns: list[ColumnPlan] = field(default_factory=list)
@@ -80,11 +80,8 @@ class TablePlan:
     foreign_keys: list[ForeignKeyPlan] = field(default_factory=list)
     identity_pk: bool = True  # surrogate key filled by the database
 
-    def column_names(self) -> set[str]:
-        return {c.name for c in self.columns}
 
-
-@dataclass
+@dataclass(slots=True)
 class RelationalSchemaPlan:
     tables: list[TablePlan] = field(default_factory=list)
 
@@ -122,31 +119,23 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
     plan = RelationalSchemaPlan()
 
     table_of_class: dict[str, TablePlan] = {}
-    used_table_names: dict[str, str] = {}  # sql name -> source element
-
-    def claim_table_name(sql: str, source: str) -> str:
-        if sql in used_table_names:
-            raise NameCollisionError(
-                f"table name {sql!r} generated twice", used_table_names[sql], source)
-        used_table_names[sql] = source
-        return sql
-
+    tables = Namespace(MAX_NAME)
+    columns_of: dict[str, Namespace] = {}  # table name -> its columns
     enum_literals = {e.name: e.literals for e in model.enumerations}
 
     for cls in model.classes:
-        table_name = claim_table_name(sql_name(cls.name), cls.name)
+        table_name = tables.claim(sql_name(cls.name))
         if table_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"table {table_name}")
         table = TablePlan(name=table_name)
         table.columns.append(ColumnPlan(name="ID", sql_type="NUMBER(10)", nullable=False))
-        used_columns: dict[str, str] = {"ID": "(surrogate key)"}
+        columns = columns_of[table_name] = Namespace(MAX_NAME, ("ID",))
         for prop in cls.properties:
-            col_name = sql_name(prop.name)
-            if col_name in used_columns:
-                raise NameCollisionError(
-                    f"column name {col_name!r} generated twice in table {table_name}",
-                    used_columns[col_name], prop.name)
-            used_columns[col_name] = prop.name
+            folded = sql_name(prop.name)
+            col_name = columns.claim(folded)
+            if col_name != folded:
+                loss.add("property", f"{cls.name}.{prop.name}", "RENAMED", "info",
+                         f"column {col_name} in table {table_name}")
             if prop.type.kind == "enumeration":
                 literals = enum_literals.get(prop.type.enum_name, ())
                 membership = ", ".join(_quoted_literal(l) for l in literals)
@@ -176,24 +165,18 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         loss.add("generalization", f"{gen.specific}->{gen.general}", "GENERALIZATION_FLATTENED",
                  "info", "class-table inheritance: child key doubles as FK to parent")
 
-    def key_column(name: str) -> str:  # FK column after a class or role
-        return fit_name(sql_name(name) + "_ID", MAX_NAME)
-
-    def fk_column_name(table: TablePlan, ref_class: str, role: str, assoc_name: str,
-                       prefer_role: bool = False) -> str:
+    def fk_column(table: TablePlan, ref_class: str, role: str, assoc_name: str,
+                  prefer_role: bool = False) -> str:
         # self-associations name the column after the role (MANAGER_ID, not
-        # PERSON_ID); otherwise the referenced class names it
-        candidates = [key_column(role), key_column(ref_class)] \
-            if prefer_role else [key_column(ref_class), key_column(role)]
-        taken = table.column_names()
-        for candidate in candidates:
-            if candidate not in taken:
-                return candidate
-        number = 2  # both taken: the first free numbered name
-        while (column := fit_name(f"{candidates[0]}_{number}", MAX_NAME)) in taken:
-            number += 1
-        loss.add("association", assoc_name, "RENAMED", "info",
-                 f"role {role} stored as column {column} in table {table.name}")
+        # PERSON_ID); otherwise the referenced table names it. A column named
+        # after neither the first choice nor the role is reported.
+        role_key = fit_name(sql_name(role) + "_ID", MAX_NAME)
+        table_key = fit_name(table_of_class[ref_class].name + "_ID", MAX_NAME)
+        candidates = (role_key, table_key) if prefer_role else (table_key, role_key)
+        column = columns_of[table.name].claim(*candidates)
+        if column != candidates[0] and column != role_key:
+            loss.add("association", assoc_name, "RENAMED", "info",
+                     f"role {role} stored as column {column} in table {table.name}")
         return column
 
     junctions: list[TablePlan] = []
@@ -201,21 +184,17 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
         if kind == "many-to-many":
-            base = f"{sql_name(end1.class_name)}_{sql_name(end2.class_name)}"
+            table1, table2 = table_of_class[end1.class_name], table_of_class[end2.class_name]
+            base = f"{table1.name}_{table2.name}"
             if len(base) > MAX_NAME:
                 base = sql_name(base)
-            if base in used_table_names:
-                base = sql_name(f"{base}_{assoc.name}")
-            junction = TablePlan(name=claim_table_name(base, assoc.name),
+            junction = TablePlan(name=tables.claim(base, sql_name(f"{base}_{assoc.name}")),
                                  primary_key=[], identity_pk=False)
+            columns_of[junction.name] = Namespace(MAX_NAME)
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
-                col = fk_column_name(junction, end.class_name, end.role, assoc.name,
-                                     prefer_role=same_class)
-                # stored under the class's name (fk_column_name reports a numbered one)
-                if same_class and key_column(end.role) != col == key_column(end.class_name):
-                    loss.add("association", assoc.name, "RENAMED", "info",
-                             f"role {end.role} stored as column {col} in table {junction.name}")
+                col = fk_column(junction, end.class_name, end.role, assoc.name,
+                                prefer_role=same_class)
                 junction.columns.append(ColumnPlan(name=col, sql_type="NUMBER(10)",
                                                    nullable=False))
                 junction.primary_key.append(col)
@@ -230,8 +209,8 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         elif kind == "many-to-one":
             many_end, one_end = (end1, end2) if end1.multiplicity.is_many else (end2, end1)
             host = table_of_class[many_end.class_name]
-            col = fk_column_name(host, one_end.class_name, one_end.role, assoc.name,
-                                 prefer_role=many_end.class_name == one_end.class_name)
+            col = fk_column(host, one_end.class_name, one_end.role, assoc.name,
+                            prefer_role=many_end.class_name == one_end.class_name)
             host.columns.append(ColumnPlan(
                 name=col, sql_type="NUMBER(10)", nullable=one_end.multiplicity.lower == 0))
             host.foreign_keys.append(ForeignKeyPlan(
@@ -244,8 +223,8 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         else:  # one-to-one: host deterministically on the alphabetically-first class
             first, second = sorted((end1, end2), key=lambda e: (e.class_name, e.role))
             host = table_of_class[first.class_name]
-            col = fk_column_name(host, second.class_name, second.role, assoc.name,
-                                 prefer_role=first.class_name == second.class_name)
+            col = fk_column(host, second.class_name, second.role, assoc.name,
+                            prefer_role=first.class_name == second.class_name)
             host.columns.append(ColumnPlan(
                 name=col, sql_type="NUMBER(10)",
                 nullable=second.multiplicity.lower == 0, unique=True))
@@ -256,7 +235,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
     plan.tables.extend(junctions)
     problems = plan.validate()
     if problems:
-        raise NameCollisionError("; ".join(problems), "-", "-")
+        raise NameCollisionError("; ".join(problems))
     return plan, loss
 
 

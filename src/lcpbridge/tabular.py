@@ -21,6 +21,7 @@ from .loss import LossReport
 from .model import (
     Class,
     DomainModel,
+    Namespace,
     Property,
     primitive_type,
     require_valid,
@@ -176,16 +177,6 @@ def infer_column_type(values) -> tuple[str, bool]:
     return "str", False
 
 
-def _unique_name(base: str, taken: set[str]) -> str:
-    name = base
-    counter = 2
-    while name.lower() in taken:
-        name = f"{base}_{counter}"
-        counter += 1
-    taken.add(name.lower())
-    return name
-
-
 def infer_model(source: TabularSource, name: str = "Imported",
                 suggest_references: bool = False) -> tuple[DomainModel, LossReport]:
     """One class per table, one property per column, types from the ladder.
@@ -196,18 +187,16 @@ def infer_model(source: TabularSource, name: str = "Imported",
     """
     loss = LossReport()
     table_names = {t.name.lower() for t in source.tables}
-    taken_classes: set[str] = set()
+    class_names = Namespace()
     classes = []
     for table in source.tables:
-        class_name = sanitize_identifier(table.name)
-        class_name = _unique_name(class_name, taken_classes)
+        class_name = class_names.claim(sanitize_identifier(table.name))
         if class_name != table.name:
             loss.add("class", table.name, "RENAMED", "info", f"sanitized to {class_name}")
-        taken_props: set[str] = set()
+        prop_names = Namespace()
         properties = []
         for column in table.columns:
-            prop_name = sanitize_identifier(column.header)
-            prop_name = _unique_name(prop_name, taken_props)
+            prop_name = prop_names.claim(sanitize_identifier(column.header))
             if prop_name != column.header:
                 loss.add("property", f"{table.name}.{column.header}", "RENAMED", "info",
                          f"sanitized to {prop_name}")

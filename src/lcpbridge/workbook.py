@@ -16,7 +16,7 @@ from pathlib import Path
 from . import xlsx
 from .errors import NameCollisionError
 from .loss import LossReport
-from .model import DomainModel, Property, fit_name
+from .model import DomainModel, Namespace, Property
 
 SHEET_NAME_MAX = 31  # hard container limit
 
@@ -46,7 +46,7 @@ BOOL_OPTIONS = ("TRUE", "FALSE")
 DATA_ROWS = 1000  # rows covered by each dropdown validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SheetDropdown:
     source_sheet: str
 
@@ -54,7 +54,7 @@ class SheetDropdown:
         return {"kind": "sheet", "source_sheet": self.source_sheet}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListDropdown:
     options: tuple[str, ...]
 
@@ -62,7 +62,7 @@ class ListDropdown:
         return {"kind": "list", "options": list(self.options)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestColumn:
     header: str
     cell_format: str = "General"
@@ -76,7 +76,7 @@ class ManifestColumn:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ManifestSheet:
     name: str
     kind: str  # "class" | "bridge"
@@ -92,7 +92,7 @@ class ManifestSheet:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkbookManifest:
     workbook_name: str
     sheets: list[ManifestSheet] = field(default_factory=list)
@@ -127,14 +127,6 @@ class WorkbookManifest:
         return problems
 
 
-def _sheet_name(raw: str, taken: dict[str, str]) -> str:
-    name = fit_name(raw, SHEET_NAME_MAX)
-    if name in taken:
-        raise NameCollisionError(f"sheet name {name!r} generated twice", taken[name], raw)
-    taken[name] = raw
-    return name
-
-
 def plan_workbook(model: DomainModel, include_sample_row: bool = True
                   ) -> tuple[WorkbookManifest, LossReport]:
     """Lay out sheets, columns, validations and the sample row for a valid
@@ -142,7 +134,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
     loss = LossReport()
     manifest = WorkbookManifest(workbook_name=model.name)
     enum_literals = {e.name: e.literals for e in model.enumerations}
-    taken: dict[str, str] = {}
+    sheets = Namespace(SHEET_NAME_MAX)
 
     # inherited columns repeat on the child sheet (transitively)
     parents = {g.specific: g.general for g in model.generalizations}
@@ -163,9 +155,9 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         return list(props.values())
 
     sheet_of_class: dict[str, ManifestSheet] = {}
-    headers_of: dict[str, set[str]] = {}  # class -> lower-cased headers of its sheet
+    headers_of: dict[str, Namespace] = {}  # class -> headers of its sheet
     for cls in model.classes:
-        sheet_name = _sheet_name(cls.name, taken)
+        sheet_name = sheets.claim(cls.name)
         if sheet_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"sheet {sheet_name}")
         sheet = ManifestSheet(name=sheet_name, kind="class",
@@ -188,7 +180,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             if include_sample_row:
                 sheet.sample_row.append(sample)
         manifest.sheets.append(sheet)
-        headers_of[cls.name] = {c.header.lower() for c in sheet.columns}
+        headers_of[cls.name] = Namespace(taken=(c.header for c in sheet.columns))
         if cls.name in parents:
             loss.add("class", cls.name, "GENERALIZATION_FLATTENED", "warning",
                      f"columns of {parents[cls.name]} repeated on sheet {sheet_name}")
@@ -198,16 +190,10 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
 
     def add_dropdown(host_class: str, target_class: str, header: str):
         host_sheet, target_sheet = sheet_of_class[host_class], sheet_of_class[target_class]
-        taken_headers = headers_of[host_class]
-        unique = header
-        counter = 2
-        while unique.lower() in taken_headers:
-            unique = f"{header}_{counter}"
-            counter += 1
+        unique = headers_of[host_class].claim(header)
         if unique != header:
             loss.add("association", header, "RENAMED", "info",
                      f"dropdown column stored as {unique!r} on sheet {host_sheet.name}")
-        taken_headers.add(unique.lower())
         host_sheet.columns.append(ManifestColumn(
             header=unique, cell_format="General",
             validation=SheetDropdown(target_sheet.name)))
@@ -220,20 +206,19 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         if kind == "many-to-many":
             base = f"{sheet_of_class[end1.class_name].name}_" \
                    f"{sheet_of_class[end2.class_name].name}".upper()
-            if base in taken:
-                base = f"{base}_{assoc.name}".upper()
-            name = _sheet_name(base, taken)
+            name = sheets.claim(base, f"{base}_{assoc.name}".upper())
             bridge = ManifestSheet(name=name, kind="bridge",
                                    sample_row=[] if include_sample_row else None)
             same_class = end1.class_name == end2.class_name
-            headers = [end.role if same_class else end.class_name.lower() for end in (end1, end2)]
-            if headers[1].lower() == headers[0].lower():  # self-association, case-twin roles
-                headers[1] = end2.class_name.lower()
-                if headers[1] == headers[0].lower():  # the class name is taken too
-                    headers[1] += "_2"
-                loss.add("association", assoc.name, "RENAMED", "info",
-                         f"role {end2.role} stored as column {headers[1]!r} on sheet {name}")
-            for end, header in zip((end1, end2), headers):
+            headers = Namespace()
+            for end in (end1, end2):
+                # a self-association names its columns after the roles, else
+                # after the class (numbered when that is taken too)
+                header = headers.claim(end.role if same_class and end.role not in headers
+                                       else end.class_name.lower())
+                if same_class and header != end.role:
+                    loss.add("association", assoc.name, "RENAMED", "info",
+                             f"role {end.role} stored as column {header!r} on sheet {name}")
                 source = sheet_of_class[end.class_name]
                 bridge.columns.append(ManifestColumn(
                     header=header, cell_format="General",
@@ -268,7 +253,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
 
     problems = manifest.validate()
     if problems:
-        raise NameCollisionError("; ".join(problems), "-", "-")
+        raise NameCollisionError("; ".join(problems))
     return manifest, loss
 
 

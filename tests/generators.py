@@ -46,22 +46,56 @@ def fresh_name(rng: random.Random, taken: set, capitalize: bool = False) -> str:
             return name
 
 
+# Pieces of adversarial names: short words that fold onto each other once
+# joined in camel or snake case (fooBar, foo_Bar, FOO_BAR), digits before a
+# capital (x2Item folds to X2_ITEM), and a stem that takes a name past the
+# 30-character SQL and the 31-character sheet limits.
+_PIECES = ("a", "b", "ab", "foo", "bar", "id", "x2", "item")
+_LONG_STEM = "averyLongSharedPrefixForNames"
+
+
+def adversarial_name(rng: random.Random, taken: set, capitalize: bool = False) -> str:
+    """A valid identifier, unique in ``taken`` (case-insensitively), drawn to
+    collide in the generators' folds: mixed case, ``_`` runs, digits,
+    reserved words in any case, camel/snake twins and names of 25-33
+    characters that share their first 24."""
+    while True:
+        draw = rng.random()
+        if draw < 0.15:
+            name = rng.choice(sorted(RESERVED_WORDS))
+        elif draw < 0.3:
+            name = _LONG_STEM[:rng.randint(24, 29)] + rng.choice(_PIECES)
+        else:
+            name = rng.choice(_PIECES) + "".join(
+                rng.choice(("", "_", "__")) + rng.choice(_PIECES).capitalize()
+                for _ in range(rng.randint(0, 2)))
+        name = "".join(c.swapcase() if rng.random() < 0.2 else c for c in name)
+        if capitalize:
+            name = name[0].upper() + name[1:]
+        if name.lower() not in taken:
+            taken.add(name.lower())
+            return name
+
+
 def random_model(rng: random.Random, max_classes: int = 10, max_associations: int = 15,
-                 max_enums: int = 3, max_generalizations: int = 3) -> DomainModel:
+                 max_enums: int = 3, max_generalizations: int = 3,
+                 names=fresh_name) -> DomainModel:
+    """A valid model; ``names(rng, taken, capitalize)`` draws every name
+    (``adversarial_name`` for names that collide in the generators' folds)."""
     taken: set = set()
-    name = fresh_name(rng, taken, capitalize=True)
+    name = names(rng, taken, capitalize=True)
 
     enums = []
     for _ in range(rng.randint(0, max_enums)):
         literals_taken: set = set()
-        literals = tuple(fresh_name(rng, literals_taken).upper()
+        literals = tuple(names(rng, literals_taken).upper()
                          for _ in range(rng.randint(1, 4)))
-        enums.append(Enumeration(name=fresh_name(rng, taken, capitalize=True),
+        enums.append(Enumeration(name=names(rng, taken, capitalize=True),
                                  literals=literals))
 
     classes = []
     for _ in range(rng.randint(0, max_classes)):
-        class_name = fresh_name(rng, taken, capitalize=True)
+        class_name = names(rng, taken, capitalize=True)
         props_taken: set = set()
         properties = []
         id_assigned = False
@@ -73,7 +107,7 @@ def random_model(rng: random.Random, max_classes: int = 10, max_associations: in
             is_id = (not id_assigned and type_ref.kind == "primitive"
                      and rng.random() < 0.15)
             id_assigned = id_assigned or is_id
-            properties.append(Property(name=fresh_name(rng, props_taken),
+            properties.append(Property(name=names(rng, props_taken),
                                        type=type_ref, is_id=is_id))
         classes.append(Class(name=class_name, properties=tuple(properties)))
 
@@ -93,10 +127,10 @@ def random_model(rng: random.Random, max_classes: int = 10, max_associations: in
             c1 = rng.choice(classes).name
             c2 = rng.choice(classes).name
             role_taken: set = set()
-            role1 = fresh_name(rng, role_taken)
-            role2 = fresh_name(rng, role_taken)
+            role1 = names(rng, role_taken)
+            role2 = names(rng, role_taken)
             associations.append(Association(
-                name=fresh_name(rng, assoc_names, capitalize=True),
+                name=names(rng, assoc_names, capitalize=True),
                 end1=AssociationEnd(role=role1, class_name=c1,
                                     multiplicity=rng.choice(MULTIPLICITY_MENU),
                                     navigable=rng.random() < 0.7),

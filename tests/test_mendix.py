@@ -166,6 +166,32 @@ class TestMapping:
         renames = loss.with_reason("RENAMED")
         assert {r.element_name for r in renames} >= {"Sales Order", "Sales Order.total amount"}
 
+    @pytest.mark.parametrize("entities, classes, renamed", [
+        ([{"name": "Order"}, {"name": "order"}], ["Order", "order_2"], ["order"]),
+        ([{"name": "Order Line"}, {"name": "Order_Line"}], ["Order_Line", "Order_Line_2"],
+         ["Order Line", "Order_Line"]),
+        ([{"name": "Status"}], ["Status_2"], ["Status"]),  # enumerations claim first
+    ], ids=["case-twins", "sanitized-twins", "class-and-enumeration"])
+    def test_colliding_entity_names_renamed(self, entities, classes, renamed):
+        doc = {"domainModel": {"name": "M", "entities": entities,
+                               "enumerations": [{"name": "Status", "values": ["OPEN"]}],
+                               "associations": [{"name": "Link", "parent": entities[0]["name"],
+                                                 "child": entities[-1]["name"]}]}}
+        model, loss = mendix_to_pivot(parse_mendix_export(doc))
+        assert [c.name for c in model.classes] == classes
+        assert [e.name for e in model.enumerations] == ["Status"]
+        assert {e.class_name for e in model.associations[0].ends} == \
+            {classes[0], classes[-1]}
+        assert [r.element_name for r in loss.with_reason("RENAMED")] == renamed
+
+    def test_colliding_attribute_names_renamed(self):
+        doc = {"domainModel": {"name": "M", "entities": [{"name": "Book", "attributes": [
+            {"name": "Name", "type": "String"}, {"name": "name", "type": "String"}]}]}}
+        model, loss = mendix_to_pivot(parse_mendix_export(doc))
+        assert model.classes[0].property_names() == ("Name", "name_2")
+        assert [(r.element_name, r.detail) for r in loss.with_reason("RENAMED")] == \
+            [("Book.name", "sanitized to name_2")]
+
     def test_self_association_roles_distinct(self):
         doc = {"domainModel": {"name": "M", "entities": [{"name": "Person"}],
                                "associations": [{"name": "Manages", "parent": "Person",

@@ -1,10 +1,14 @@
 """Metamodel validation and structural equality."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpbridge.model import (
+    RESERVED_WORDS,
     Association,
     AssociationEnd,
     Class,
@@ -192,3 +196,17 @@ class TestSanitizer:
     ])
     def test_sanitize(self, raw, expected):
         assert sanitize_identifier(raw) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("aZ09_ -.\t\n\u00e9\u0660\u2003\u00a0x"),
+                   max_size=10))
+    def test_sanitize_matches_two_pass_reference(self, raw):
+        """One regex pass does what replacing each character outside
+        [A-Za-z0-9_] and then collapsing runs of ``_`` did."""
+        cleaned = re.sub(r"[^A-Za-z0-9_]", "_", raw.strip())
+        cleaned = re.sub(r"_+", "_", cleaned).strip("_") or "Unnamed"
+        if not cleaned[0].isalpha():
+            cleaned = "X" + cleaned
+        if cleaned.lower() in RESERVED_WORDS:
+            cleaned += "_"
+        assert sanitize_identifier(raw) == cleaned

@@ -1,0 +1,88 @@
+"""One naming rule for every generated name, and the property that every
+valid model generates: names that collide in a generator's fold are renamed,
+never rejected."""
+
+import random
+import sqlite3
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcpbridge.dsl import parse_pivot_text, print_pivot_text
+from lcpbridge.model import Namespace, model_equal
+from lcpbridge.relational import MAX_NAME, emit_sql, plan_relational
+from lcpbridge.tabular import infer_model, load_tabular
+from lcpbridge.workbook import SHEET_NAME_MAX, emit_workbook, plan_workbook
+
+from expected import expected_fk_count, expected_table_count
+from generators import adversarial_name, random_model
+
+
+class TestNamespace:
+    def test_first_free_candidate(self):
+        names = Namespace(taken=("ID",))
+        assert names.claim("id", "Key") == "Key"
+        assert names.claim("key", "other") == "other"
+
+    def test_numbered_after_the_first_candidate(self):
+        names = Namespace(taken=("a", "b"))
+        assert names.claim("A", "B") == "A_2"
+        assert names.claim("a", "b") == "a_3"
+        assert "A_3" in names and "c" not in names
+
+    def test_candidates_fitted_to_the_limit(self):
+        names = Namespace(limit=8)
+        first = names.claim("ABCDEFGHIJ")
+        assert len(first) == 8 and first.startswith("AB")
+        numbered = names.claim("ABCDEFGHIJ")
+        assert len(numbered) == 8 and numbered != first
+
+    def test_no_limit_keeps_long_names(self):
+        assert Namespace().claim("x" * 100) == "x" * 100
+
+
+@pytest.fixture(scope="module")
+def workbook_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("naming") / "model.xlsx"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**31))
+def test_every_valid_model_generates(workbook_path, seed):
+    """Adversarially named valid models (see ``generators.adversarial_name``)
+    round-trip through the DSL, run as ANSI DDL on sqlite with one table per
+    class and per many-to-many association, and reload from their workbook
+    with one class per sheet.
+
+    The PlantUML round trip is not a leg yet: a class named like a reserved
+    word (``Class``) comes back with the ``_`` suffix that ``parse_plantuml``
+    gives foreign names, and a ``__`` run comes back as one ``_``. The
+    generator keeps drawing both so that leg can join once the PlantUML
+    syntax carries them.
+    """
+    model = random_model(random.Random(seed), names=adversarial_name)
+
+    assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
+
+    plan, _ = plan_relational(model)
+    assert all(len(c.name) <= MAX_NAME for t in plan.tables for c in t.columns)
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.executescript(emit_sql(plan, dialect="ansi"))
+        tables = [row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'")]
+        fk_ids = sum(len({row[0] for row in conn.execute(
+            f'PRAGMA foreign_key_list("{table}")')}) for table in tables)
+    finally:
+        conn.close()
+    assert len(tables) == expected_table_count(model)
+    assert fk_ids == expected_fk_count(model)
+
+    manifest, _ = plan_workbook(model)
+    assert all(len(s.name) <= SHEET_NAME_MAX for s in manifest.sheets)
+    emit_workbook(manifest, workbook_path)
+    inferred, _ = infer_model(load_tabular([workbook_path]))
+    assert len(inferred.classes) == len(manifest.sheets)
+    for sheet, cls in zip(manifest.sheets, inferred.classes):
+        assert len(cls.properties) == len(sheet.columns), sheet.name

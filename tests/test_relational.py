@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcpbridge.errors import NameCollisionError
 from lcpbridge.model import (
     Association,
     AssociationEnd,
@@ -54,6 +53,14 @@ def introspect_fk_count(conn) -> int:
         fks = conn.execute(f'PRAGMA foreign_key_list("{table}")').fetchall()
         total += len({row[0] for row in fks})  # group composite FKs by id
     return total
+
+
+def assert_runs_on_sqlite(plan, model):
+    """The ANSI script runs and makes the tables and foreign keys the model needs."""
+    conn = run_script(emit_sql(plan, dialect="ansi"))
+    assert len(introspect_tables(conn)) == expected_table_count(model)
+    assert introspect_fk_count(conn) == expected_fk_count(model)
+    conn.close()
 
 
 def _m(c1, c2, m1, m2, name="A1", r1="left", r2="right"):
@@ -141,9 +148,65 @@ class TestPlan:
         model = DomainModel("M", classes=(
             Class("T", (Property("a_b", primitive_type("int")),
                         Property("aB", primitive_type("int")),)),))
-        with pytest.raises(NameCollisionError) as err:
-            plan_relational(model)
-        assert err.value.first and err.value.second
+        plan, loss = plan_relational(model)
+        assert [c.name for c in table_named(plan, "T").columns] == ["ID", "A_B", "A_B_2"]
+        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == \
+            [("T.aB", "column A_B_2 in table T")]
+        assert_runs_on_sqlite(plan, model)
+
+    @pytest.mark.parametrize("name", ["ID", "Id", "id"])
+    def test_property_named_like_the_surrogate_key(self, name):
+        model = DomainModel("M", classes=(
+            Class("Book", (Property(name, primitive_type("str")),)),))
+        plan, loss = plan_relational(model)
+        assert [c.name for c in table_named(plan, "BOOK").columns] == ["ID", "ID_2"]
+        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+            ("Book", "table BOOK"), (f"Book.{name}", "column ID_2 in table BOOK")]
+        assert_runs_on_sqlite(plan, model)
+
+    def test_classes_folding_to_one_table_name(self):
+        model = DomainModel("M", classes=(Class("aB"), Class("a_b")), associations=(
+            _m("aB", "a_b", Multiplicity(0, None), Multiplicity(0, 1), name="L"),
+            _m("aB", "a_b", Multiplicity(0, None), Multiplicity(0, None), name="N")))
+        plan, loss = plan_relational(model)
+        assert [t.name for t in plan.tables] == ["A_B", "A_B_2", "A_B_A_B_2"]
+        assert [(fk.column, fk.ref_table) for fk in table_named(plan, "A_B").foreign_keys] \
+            == [("A_B_2_ID", "A_B_2")]
+        assert [c.name for c in table_named(plan, "A_B_A_B_2").columns] == \
+            ["A_B_ID", "A_B_2_ID"]
+        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+            ("aB", "table A_B"), ("a_b", "table A_B_2")]
+        assert_runs_on_sqlite(plan, model)
+
+    def test_camel_and_snake_properties_folding_to_one_column(self):
+        model = DomainModel("M", classes=(Class("T", (
+            Property("fooBar", primitive_type("int")),
+            Property("foo_Bar", primitive_type("str")),
+            Property("FOO_BAR_2", primitive_type("str")))),))
+        plan, loss = plan_relational(model)
+        assert [c.name for c in table_named(plan, "T").columns] == \
+            ["ID", "FOO_BAR", "FOO_BAR_2", "FOO_BAR_2_2"]
+        assert [e.element_name for e in loss.with_reason("RENAMED")] == \
+            ["T.foo_Bar", "T.FOO_BAR_2"]
+        assert_runs_on_sqlite(plan, model)
+
+    @pytest.mark.parametrize("m1, m2, role", [
+        (Multiplicity(0, None), Multiplicity(0, 1), "manager"),
+        (Multiplicity(0, 1), Multiplicity(0, 1), "reports"),  # hosted on the end sorted first
+    ], ids=["many-to-one", "one-to-one"])
+    def test_self_reference_stored_under_the_class_name_is_reported(self, m1, m2, role):
+        """As in a self junction (test_self_many_to_many_with_case_twin_roles)."""
+        model = DomainModel("M", classes=(Class("Person", (
+            Property("managerId", primitive_type("int")),
+            Property("reportsId", primitive_type("int")))),), associations=(
+            _m("Person", "Person", m1, m2, name="Manages", r1="reports", r2="manager"),))
+        plan, loss = plan_relational(model)
+        assert [c.name for c in table_named(plan, "PERSON").columns] == \
+            ["ID", "MANAGER_ID", "REPORTS_ID", "PERSON_ID"]
+        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+            ("Person", "table PERSON"),
+            ("Manages", f"role {role} stored as column PERSON_ID in table PERSON")]
+        assert_runs_on_sqlite(plan, model)
 
     def test_self_association_role_columns(self):
         model = DomainModel("M", classes=(Class("Person"),),
@@ -163,10 +226,7 @@ class TestPlan:
         assert [c.name for c in junction.columns] == ["A_ID", "PERSON_ID"]
         assert [(e.element_kind, e.element_name) for e in loss.with_reason("RENAMED")] == \
             [("class", "Person"), ("association", "Knows")]
-        conn = run_script(emit_sql(plan, dialect="ansi"))
-        assert len(introspect_tables(conn)) == expected_table_count(model)
-        assert introspect_fk_count(conn) == expected_fk_count(model)
-        conn.close()
+        assert_runs_on_sqlite(plan, model)
 
     def test_self_many_to_many_with_roles_named_like_the_class(self):
         model = DomainModel("M", classes=(Class("Person"),), associations=(
@@ -178,10 +238,7 @@ class TestPlan:
         assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
             ("Person", "table PERSON"),
             ("Knows", "role Person stored as column PERSON_ID_2 in table PERSON_PERSON")]
-        conn = run_script(emit_sql(plan, dialect="ansi"))
-        assert len(introspect_tables(conn)) == expected_table_count(model)
-        assert introspect_fk_count(conn) == expected_fk_count(model)
-        conn.close()
+        assert_runs_on_sqlite(plan, model)
 
     def test_foreign_key_with_both_candidates_taken_is_numbered(self):
         model = DomainModel("M", classes=(
@@ -196,10 +253,7 @@ class TestPlan:
         assert [fk.column for fk in order.foreign_keys] == ["PERSON_ID_2"]
         assert [e.element_name for e in loss.with_reason("RENAMED")] == \
             ["Person", "Order", "Owns"]
-        conn = run_script(emit_sql(plan, dialect="ansi"))
-        assert len(introspect_tables(conn)) == expected_table_count(model)
-        assert introspect_fk_count(conn) == expected_fk_count(model)
-        conn.close()
+        assert_runs_on_sqlite(plan, model)
 
     def test_validate_reports_duplicate_column(self):
         key = ColumnPlan(name="A_ID", sql_type="NUMBER(10)")
@@ -360,10 +414,7 @@ class TestLongNames:
         assert plan.validate() == []
         for table in plan.tables:
             assert all(len(c.name) <= MAX_NAME for c in table.columns)
-        conn = run_script(emit_sql(plan, dialect="ansi"))
-        assert len(introspect_tables(conn)) == expected_table_count(model)
-        assert introspect_fk_count(conn) == expected_fk_count(model)
-        conn.close()
+        assert_runs_on_sqlite(plan, model)
 
     def test_two_long_references_stay_distinct(self):
         host, a, b = _long("Order"), _long("CustomerA"), _long("CustomerB")

@@ -100,12 +100,17 @@ def allocations(layer, arg) -> tuple[int, int]:
     return sum(stat.count_diff for stat in after.compare_to(before, "filename")), peak
 
 
-def test_parse_pivot_text_counts_grow_linearly():
+@pytest.mark.parametrize("layer, prepare", [
+    (parse_pivot_text, print_pivot_text),
+    (plan_relational, lambda model: model),
+    (plan_workbook, lambda model: model),
+], ids=["parse_pivot_text", "plan_relational", "plan_workbook"])
+def test_counts_grow_linearly(layer, prepare):
     parse_pivot_text("model Warm")  # first-parse set-up stays out of the counts
-    small, large = (print_pivot_text(scaling_model(n)) for n in (COUNT_SMALL, COUNT_LARGE))
-    calls = python_calls(parse_pivot_text, large) / python_calls(parse_pivot_text, small)
+    small, large = (prepare(scaling_model(n)) for n in (COUNT_SMALL, COUNT_LARGE))
+    calls = python_calls(layer, large) / python_calls(layer, small)
     (blocks_small, peak_small), (blocks_large, peak_large) = \
-        allocations(parse_pivot_text, small), allocations(parse_pivot_text, large)
+        allocations(layer, small), allocations(layer, large)
     ratios = {"calls": calls, "blocks": blocks_large / blocks_small,
               "peak bytes": peak_large / peak_small}
     assert max(ratios.values()) <= MAX_COUNT_GROWTH, \

@@ -238,6 +238,16 @@ class TestEmit:
         bridge = inferred.class_named("PERSON_PERSON")
         assert [p.name for p in bridge.properties] == ["person", "person_2"]
 
+    def test_class_named_like_a_bridge_sheet_reloads(self, tmp_path):
+        model = DomainModel("M", classes=(Class("a_b"), Class("A"), Class("B")), associations=(
+            Association("Links", AssociationEnd("as_", "A", Multiplicity(0, None)),
+                        AssociationEnd("bs", "B", Multiplicity(0, None))),))
+        manifest, _ = plan_workbook(model)
+        assert [s.name for s in manifest.sheets] == ["a_b", "A", "B", "A_B_LINKS"]
+        book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
+        inferred, _ = infer_model(load_tabular([book_path]))
+        assert [c.name for c in inferred.classes] == ["a_b", "A", "B", "A_B_LINKS"]
+
     def test_class_without_properties_reloads(self, tmp_path):
         model = DomainModel("M", classes=(Class("Person"),))
         manifest, _ = plan_workbook(model)
