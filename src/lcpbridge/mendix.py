@@ -199,7 +199,11 @@ def load_mendix_export(path: str | Path) -> MendixExport:
 
 def _check_references(export: MendixExport) -> None:
     entity_names = {e.name for e in export.entities}
-    enum_names = {e.name for e in export.enumerations}
+    enum_names = set()
+    for enum in export.enumerations:
+        if enum.name in enum_names:
+            raise MendixImportError(f"duplicate enumeration name {enum.name!r}")
+        enum_names.add(enum.name)
     seen = set()
     for entity in export.entities:
         if entity.name in seen:

@@ -120,7 +120,6 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
 
     table_of_class: dict[str, TablePlan] = {}
     tables = Namespace(MAX_NAME)
-    columns_of: dict[str, Namespace] = {}  # table name -> its columns
     enum_literals = {e.name: e.literals for e in model.enumerations}
 
     for cls in model.classes:
@@ -129,7 +128,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             loss.add("class", cls.name, "RENAMED", "info", f"table {table_name}")
         table = TablePlan(name=table_name)
         table.columns.append(ColumnPlan(name="ID", sql_type="NUMBER(10)", nullable=False))
-        columns = columns_of[table_name] = Namespace(MAX_NAME, ("ID",))
+        columns = Namespace(MAX_NAME, ("ID",))  # dropped once the class is placed
         for prop in cls.properties:
             folded = sql_name(prop.name)
             col_name = columns.claim(folded)
@@ -173,12 +172,17 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         role_key = fit_name(sql_name(role) + "_ID", MAX_NAME)
         table_key = fit_name(table_of_class[ref_class].name + "_ID", MAX_NAME)
         candidates = (role_key, table_key) if prefer_role else (table_key, role_key)
-        column = columns_of[table.name].claim(*candidates)
+        columns = columns_of.get(table.name)
+        if columns is None:  # the table's first foreign key: rebuilt from its columns
+            taken = (c.name for c in table.columns)
+            columns = columns_of[table.name] = Namespace(MAX_NAME, taken)
+        column = columns.claim(*candidates)
         if column != candidates[0] and column != role_key:
             loss.add("association", assoc_name, "RENAMED", "info",
                      f"role {role} stored as column {column} in table {table.name}")
         return column
 
+    columns_of: dict[str, Namespace] = {}  # table name -> its columns, for tables given a FK
     junctions: list[TablePlan] = []
     for assoc in model.associations:
         kind = assoc.kind
@@ -190,7 +194,6 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                 base = sql_name(base)
             junction = TablePlan(name=tables.claim(base, sql_name(f"{base}_{assoc.name}")),
                                  primary_key=[], identity_pk=False)
-            columns_of[junction.name] = Namespace(MAX_NAME)
             same_class = end1.class_name == end2.class_name
             for end in (end1, end2):
                 col = fk_column(junction, end.class_name, end.role, assoc.name,
@@ -233,6 +236,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                 ref_column="ID", unique=True))
 
     plan.tables.extend(junctions)
+    columns_of.clear()  # not needed by the check, which builds its own sets
     problems = plan.validate()
     if problems:
         raise NameCollisionError("; ".join(problems))

@@ -9,10 +9,11 @@ the loss report always flags them as unknown.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 
 from . import xlsx
@@ -30,10 +31,6 @@ from .model import (
 
 SAMPLE_LIMIT = 1000  # data rows read per table; the rest of the file is not read
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
-_BOOL_TOKENS = frozenset(("true", "false"))
-
 # The date and datetime rungs accept exactly what the stdlib's strptime
 # accepts with "%d/%m/%Y" or "%Y-%m-%d", alone or followed by " %H:%M" or
 # " %H:%M:%S". The field patterns are strptime's own (Lib/_strptime.py), so
@@ -46,8 +43,45 @@ _MONTH = r"(?P<m>1[0-2]|0[1-9]|[1-9])"
 _YEAR = r"(?P<Y>\d\d\d\d)"
 _TIME = (r"(?:\s+(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d)"
          r"(?::(?P<S>6[0-1]|[0-5]\d|\d))?)?\Z")
-_DMY_RE = re.compile(f"{_DAY}/{_MONTH}/{_YEAR}{_TIME}")
-_YMD_RE = re.compile(f"{_YEAR}-{_MONTH}-{_DAY}{_TIME}")
+
+
+@functools.cache
+def _temporal_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """D/M/Y and Y-M-D with their named fields, compiled on first use."""
+    return (re.compile(f"{_DAY}/{_MONTH}/{_YEAR}{_TIME}"),
+            re.compile(f"{_YEAR}-{_MONTH}-{_DAY}{_TIME}"))
+
+
+@functools.cache
+def _column_rungs() -> tuple[tuple[str, re.Pattern], ...]:
+    """The ladder as (kind, pattern), in order. Each pattern fullmatches a
+    whole column: its values, each followed by NUL.
+
+    No value pattern matches NUL, so each repetition reads exactly one value
+    and the possessive ``++`` never has to give one back. The temporal
+    patterns are the calendar: the strptime fields above without \\d's
+    Unicode digits, days 29 and 30 in every month but February, 31 only in
+    the long months, 29 February only in a leap year, no year 0 and no
+    seconds 60 or 61. They hold for ASCII columns only.
+    """
+    year = r"(?!0000)[0-9]{4}"
+    leap = r"(?!0000)(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
+    day = r"(?:1[0-9]|2[0-8]|0[1-9]|[1-9]| [1-9])"  # 1-28
+    month, not_feb, long = r"(?:1[0-2]|0?[1-9])", r"(?:1[0-2]|0?[13-9])", r"(?:1[02]|0?[13578])"
+    dmy = (f"(?:{day}/{month}/{year}|(?:29|30)/{not_feb}/{year}|31/{long}/{year}"
+           f"|29/0?2/{leap})")
+    ymd = (f"(?:{year}-{month}-{day}|{year}-{not_feb}-(?:29|30)|{year}-{long}-31"
+           f"|{leap}-0?2-29)")
+    date = f"(?:{dmy}|{ymd})"
+    time = r"\s+(?:2[0-3]|[0-1][0-9]|[0-9]):(?:[0-5][0-9]|[0-9])(?::(?:[0-5][0-9]|[0-9]))?"
+    values = (
+        ("bool", "(?ai:true|false)"),
+        ("int", r"[+-]?\d+"),
+        ("float", r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"),
+        ("date", date),
+        ("datetime", date + time),
+    )
+    return tuple((kind, re.compile(f"(?:{value}\0)++")) for kind, value in values)
 
 
 @dataclass(frozen=True)
@@ -87,14 +121,13 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
         raise TabularError(f"{where} has no header row")
     headers = [h.strip() for h in rows[0]]
     _check_headers(headers, where)
-    columns = []
-    for idx, header in enumerate(headers):
-        values = tuple(
-            row[idx] if idx < len(row) else ""
-            for row in rows[1:]
-        )
-        columns.append(TableColumn(header=header, values=values))
-    return Table(name=name, columns=tuple(columns))
+    data = rows[1:]
+    # transposed in C; short rows are padded with "", cells past the header
+    # are dropped, and a column no row reaches is all ""
+    values = list(islice(zip_longest(*data, fillvalue=""), len(headers)))
+    values += [("",) * len(data)] * (len(headers) - len(values))
+    return Table(name=name, columns=tuple(
+        TableColumn(header=header, values=column) for header, column in zip(headers, values)))
 
 
 def _load_csv(path: Path) -> Table:
@@ -144,7 +177,8 @@ def load_tabular(paths) -> TabularSource:
 
 def _temporal_kind(value: str) -> str | None:
     """"date" or "datetime" for a stripped value the ladder accepts as one."""
-    found = _DMY_RE.match(value) or _YMD_RE.match(value)
+    dmy, ymd = _temporal_patterns()
+    found = dmy.match(value) or ymd.match(value)
     if found is None:
         return None
     day, month, year, hour, minute, second = found.group("d", "m", "Y", "H", "M", "S")
@@ -160,20 +194,24 @@ def infer_column_type(values) -> tuple[str, bool]:
     """Apply the precedence ladder; returns (primitive name, defaulted flag).
 
     Empty cells are ignored. A column with no usable values defaults to str.
+    Each rung tests the whole column with one regex call. A column that is
+    not ASCII takes the temporal rungs a value at a time through
+    ``_temporal_kind``, since strptime reads any Unicode digit and a regex
+    cannot check the calendar on those.
     """
     usable = [v for v in map(str.strip, values) if v]
     if not usable:
         return "str", True
-    if all(v.lower() in _BOOL_TOKENS for v in usable):
-        return "bool", False
-    if all(map(_INT_RE.match, usable)):
-        return "int", False
-    if all(map(_FLOAT_RE.match, usable)):
-        return "float", False
-    if all(_temporal_kind(v) == "date" for v in usable):
-        return "date", False
-    if all(_temporal_kind(v) == "datetime" for v in usable):
-        return "datetime", False
+    joined = "\0".join(usable) + "\0"
+    if joined.count("\0") != len(usable):
+        return "str", False  # a value holds NUL, which no rung accepts
+    calendar_exact = joined.isascii()
+    for kind, pattern in _column_rungs():
+        if kind in ("bool", "int", "float") or calendar_exact:
+            if pattern.fullmatch(joined):
+                return kind, False
+        elif all(_temporal_kind(v) == kind for v in usable):
+            return kind, False
     return "str", False
 
 
@@ -186,7 +224,18 @@ def infer_model(source: TabularSource, name: str = "Imported",
     REFERENCE_CANDIDATE suggestion in the loss report, nothing more.
     """
     loss = LossReport()
-    table_names = {t.name.lower() for t in source.tables}
+    classes = _infer_classes(source, loss, suggest_references)
+    loss.add("model", name, "ASSOCIATIONS_UNKNOWN", "warning",
+             "tabular sources carry no explicit relationships between classes")
+    model = DomainModel(name=sanitize_identifier(name), classes=classes)
+    return require_valid(model, "inferred tabular model"), loss
+
+
+def _infer_classes(source: TabularSource, loss: LossReport,
+                   suggest_references: bool) -> tuple[Class, ...]:
+    """The classes of ``infer_model``; its name sets are gone before the
+    model is validated."""
+    table_names = {t.name.lower() for t in source.tables} if suggest_references else ()
     class_names = Namespace()
     classes = []
     for table in source.tables:
@@ -210,8 +259,4 @@ def infer_model(source: TabularSource, name: str = "Imported",
                 loss.add("property", f"{table.name}.{column.header}", "REFERENCE_CANDIDATE",
                          "info", "header matches another table; possible many-to-one")
         classes.append(Class(name=class_name, properties=tuple(properties)))
-
-    loss.add("model", name, "ASSOCIATIONS_UNKNOWN", "warning",
-             "tabular sources carry no explicit relationships between classes")
-    model = DomainModel(name=sanitize_identifier(name), classes=tuple(classes))
-    return require_valid(model, "inferred tabular model"), loss
+    return tuple(classes)

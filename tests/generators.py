@@ -1,4 +1,4 @@
-"""Seeded random generators for models and Mendix exports.
+"""Seeded random generators for models, Mendix exports and tabular sources.
 
 Used directly by the acceptance suite (fixed seeds, explicit counts) and
 wrapped into hypothesis strategies by the property tests.
@@ -23,6 +23,7 @@ from lcpbridge.model import (
     primitive_type,
     validate_model,
 )
+from lcpbridge.tabular import Table, TableColumn, TabularSource
 
 PRIMITIVE_MENU = ("str", "int", "float", "bool", "date", "datetime", "time", "binary")
 MULTIPLICITY_MENU = (
@@ -263,3 +264,25 @@ def scaling_model(n: int) -> DomainModel:
                             for k in range(0, n - 1, 10))
     return DomainModel("Scaling", classes=classes, associations=associations,
                        generalizations=generalizations)
+
+
+# One column per rung of the type ladder, a text column and a blank one; the
+# Arabic-Indic digits send the last date column down the per-value path.
+SCALING_COLUMNS = (
+    ("flag", ("true", "False", "")),
+    ("count", ("1", "-20", "+3")),
+    ("price", ("1.5", "2", "3e2")),
+    ("due", ("2024-01-31", "29/02/2024", "")),
+    ("at", ("2024-01-01 10:30", "31/12/1999 23:59:59", "1/2/2023 7:05")),
+    ("note", ("a", "b, c", "2024-01-01")),
+    ("empty", ("", "", "")),
+    ("local", ("\u0662\u0660\u0662\u0664-\u0660\u0661-\u0660\u0662", "2024-01-02", "")),
+)
+
+
+def scaling_tables(n: int) -> TabularSource:
+    """The size ladder of the tabular scaling test: ``n`` tables of the
+    columns above, three rows each."""
+    return TabularSource(tables=tuple(
+        Table(f"Table{i}", tuple(TableColumn(header, values) for header, values in SCALING_COLUMNS))
+        for i in range(n)))

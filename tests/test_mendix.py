@@ -87,6 +87,14 @@ def test_duplicate_entity_rejected():
         parse_mendix_export(doc)
 
 
+def test_duplicate_enumeration_rejected(mendix_library_path):
+    doc = json.loads(mendix_library_path.read_text(encoding="utf-8"))
+    enumerations = doc["domainModel"]["enumerations"]
+    enumerations.append(dict(enumerations[0]))  # a second BookStatus
+    with pytest.raises(MendixImportError, match="duplicate enumeration name 'BookStatus'"):
+        parse_mendix_export(doc)
+
+
 def test_enum_ref_must_exist():
     doc = {"domainModel": {"name": "M", "entities": [
         {"name": "A", "attributes": [{"name": "s", "type": "Enumeration",

@@ -15,9 +15,10 @@ from lcpbridge.dsl import parse_pivot_text, print_pivot_text
 from lcpbridge.llm import merge_models
 from lcpbridge.model import Class, DomainModel
 from lcpbridge.relational import emit_sql, plan_relational
+from lcpbridge.tabular import infer_column_type, infer_model
 from lcpbridge.workbook import plan_workbook
 
-from generators import scaling_model
+from generators import scaling_model, scaling_tables
 
 SMALL, LARGE = 500, 4000
 MAX_GROWTH = 24
@@ -100,14 +101,16 @@ def allocations(layer, arg) -> tuple[int, int]:
     return sum(stat.count_diff for stat in after.compare_to(before, "filename")), peak
 
 
-@pytest.mark.parametrize("layer, prepare", [
-    (parse_pivot_text, print_pivot_text),
-    (plan_relational, lambda model: model),
-    (plan_workbook, lambda model: model),
-], ids=["parse_pivot_text", "plan_relational", "plan_workbook"])
-def test_counts_grow_linearly(layer, prepare):
-    parse_pivot_text("model Warm")  # first-parse set-up stays out of the counts
-    small, large = (prepare(scaling_model(n)) for n in (COUNT_SMALL, COUNT_LARGE))
+@pytest.mark.parametrize("layer, make", [
+    (parse_pivot_text, lambda n: print_pivot_text(scaling_model(n))),
+    (plan_relational, scaling_model),
+    (plan_workbook, scaling_model),
+    (infer_model, scaling_tables),
+], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model"])
+def test_counts_grow_linearly(layer, make):
+    parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
+    infer_column_type(["1"])
+    small, large = make(COUNT_SMALL), make(COUNT_LARGE)
     calls = python_calls(layer, large) / python_calls(layer, small)
     (blocks_small, peak_small), (blocks_large, peak_large) = \
         allocations(layer, small), allocations(layer, large)

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import time
 import tracemalloc
 import zipfile
 from datetime import datetime
@@ -24,6 +25,8 @@ from lcpbridge.tabular import (
     load_tabular,
 )
 from lcpbridge.xlsx import read_workbook
+
+from expected import reference_column_type
 
 
 def _source(**tables) -> TabularSource:
@@ -458,3 +461,69 @@ def test_temporal_rungs_match_strptime_reference(text):
     assert _temporal_kind(text.strip()) == expected
     inferred, _ = infer_column_type([text])
     assert (inferred if inferred in ("date", "datetime") else None) == expected
+
+
+def _any_case(word: str):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+@st.composite
+def month_end(draw):
+    """Days 28-31 of any month, in years around the leap-year rules."""
+    day, month = draw(st.integers(28, 31)), draw(st.integers(1, 12))
+    year = draw(st.sampled_from((0, 4, 1900, 2000, 2023, 2024, 2100)))
+    text = (f"{day}/{month:02d}/{year:04d}" if draw(st.booleans())
+            else f"{year:04d}-{month}-{day}")
+    return text + draw(st.sampled_from(("", " 10:30", " 23:59:59", " 0:0:60")))
+
+
+_CELLS = {
+    "temporal": temporal_text(),
+    "month end": month_end(),
+    "int": st.one_of(st.integers(-10**12, 10**12).map(str),
+                     st.sampled_from(["+5", "-0", "٣", "+٤٥", "1_000"])),
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from([".5", "1.", "3e2", "-0.25E-3", "1e", ".", "٣.٥"])),
+    "bool": st.sampled_from(["true", "false"]).flatmap(_any_case),
+    "blank": st.sampled_from(["", " ", "\t", "\n"]),
+    "odd": st.sampled_from(["1\0", "\0", "true\0", "2024-01-01\0", "1\n2", "tr\nue",
+                            "1\t2", "2024-01-01\t10:30", "31/12/1999\n23:59", "falſe"]),
+}
+
+
+@st.composite
+def mixed_column(draw):
+    """1-20 cells drawn from one to three of the kinds above."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.one_of(*(_CELLS[k] for k in kinds)), min_size=1, max_size=20))
+
+
+@settings(max_examples=600, deadline=None)
+@given(mixed_column())
+@example(["29/02/2024", "2024-02-29", "2\u0665/1/\u0662\u0660\u0662\u0664"])
+@example(["29/02/0000"])
+@example(["31/04/2024 10:30"])
+@example(["29/02/2023 10:30"])
+@example(["1", "2\x003"])
+@example(["2024-01-01", "2024-01-01\x00"])
+def test_column_ladder_matches_value_ladder(column):
+    assert infer_column_type(column) == reference_column_type(column)
+
+
+def test_column_failing_at_last_value_costs_linear_time():
+    accepted = ["29/02/2024 10:30"] * 100_000
+    failing = accepted + ["x"]
+    assert infer_column_type(accepted) == ("datetime", False)
+    assert infer_column_type(failing) == ("str", False)
+
+    def best_time(column):
+        best = float("inf")
+        for _ in range(3):
+            start = time.process_time()
+            infer_column_type(column)
+            best = min(best, time.process_time() - start)
+        return best
+
+    # every value is read once by each rung, whether or not the last one fails
+    assert best_time(failing) <= 4 * best_time(accepted)
