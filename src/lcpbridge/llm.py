@@ -16,7 +16,7 @@ import base64
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .capabilities import default_matrix
@@ -37,6 +37,7 @@ from .model import (
     Property,
     association_key,
     enum_type,
+    primitive_type,
     require_valid,
 )
 from .plantuml import END_MARKER, START_MARKER, PlantUmlImport, emit_plantuml, parse_plantuml
@@ -48,10 +49,8 @@ _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 
 @dataclass(frozen=True)
 class PromptContext:
-    platform_id: str
     display_name: str
     syntax_description: str
-    extra_instructions: str = ""
 
 
 def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
@@ -68,7 +67,7 @@ def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
         asset = _PROMPT_DIR / "default.txt"
     text = asset.read_text(encoding="utf-8")
     display = matrix.display_name(platform_id)
-    return PromptContext(platform_id=platform_id, display_name=display,
+    return PromptContext(display_name=display,
                          syntax_description=text.replace("{platform}", display))
 
 
@@ -103,8 +102,6 @@ def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> 
             "only what is visible in the image but missing from it (typically "
             "the relationships between classes).\n\n" + emit_plantuml(partial).strip()
         )
-    if context.extra_instructions:
-        sections.append(context.extra_instructions.strip())
     sections.append(
         "Answer with a single @startuml ... @enduml block and nothing else."
     )
@@ -259,18 +256,7 @@ class MergeReport:
                     or self.added_enumerations or self.added_generalizations or self.conflicts)
 
     def as_dict(self) -> dict:
-        return {
-            "added_classes": list(self.added_classes),
-            "added_properties": list(self.added_properties),
-            "added_associations": list(self.added_associations),
-            "added_enumerations": list(self.added_enumerations),
-            "added_generalizations": list(self.added_generalizations),
-            "conflicts": [
-                {"element": c.element, "partial_value": c.partial_value,
-                 "inferred_value": c.inferred_value, "resolution": c.resolution}
-                for c in self.conflicts
-            ],
-        }
+        return asdict(self)
 
 
 def _assoc_pair(assoc: Association) -> frozenset:
@@ -283,105 +269,113 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
     Everything in the partial model survives unchanged. The inferred model
     contributes classes, properties, enumerations, generalizations and
     associations that the partial lacks; wherever the two disagree the
-    partial value stands and the disagreement is recorded. Both inputs come
-    from validating importers; only the merged result is checked here.
+    partial value stands and the disagreement is recorded. Classes and
+    enumerations share one case-insensitive namespace. Both inputs come from
+    validating importers; only the merged result is checked here.
     """
     report = MergeReport()
+    # lowercase name -> the surviving element, in output order
+    classes = {c.name.lower(): c for c in partial.classes}
+    enums = {e.name.lower(): e for e in partial.enumerations}
 
-    partial_class_names = {c.name.lower() for c in partial.classes}
-    partial_enum_names = {e.name.lower() for e in partial.enumerations}
-
-    enums = list(partial.enumerations)
-    enum_exact = {e.name.lower(): e.name for e in enums}
-    enum_named = {e.name: e for e in enums}
     for enum in inferred.enumerations:
         low = enum.name.lower()
-        known = enum_exact.get(low)
-        if known is None:
-            if low in partial_class_names:
-                report.conflicts.append(MergeConflict(
-                    element=f"enum {enum.name}",
-                    partial_value=f"class {enum.name} already present",
-                    inferred_value=", ".join(enum.literals)))
-                continue
-            enums.append(enum)
-            enum_exact[low] = enum.name
-            enum_named[enum.name] = enum
-            report.added_enumerations.append(enum.name)
-        else:
-            mine = enum_named[known]
+        mine = enums.get(low)
+        if mine is not None:
             if frozenset(mine.literals) != frozenset(enum.literals):
                 report.conflicts.append(MergeConflict(
-                    element=f"enum {known}",
+                    element=f"enum {mine.name}",
                     partial_value=", ".join(mine.literals),
                     inferred_value=", ".join(enum.literals)))
+        elif low in classes:
+            report.conflicts.append(MergeConflict(
+                element=f"enum {enum.name}",
+                partial_value=f"class {enum.name} already present",
+                inferred_value=", ".join(enum.literals)))
+        else:
+            enums[low] = enum
+            report.added_enumerations.append(enum.name)
 
     def repoint(prop: Property) -> Property:
         # inferred names may differ from the surviving element only in case
         if prop.type.kind == "enumeration":
-            exact = enum_exact.get(prop.type.enum_name.lower())
-            if exact is not None and exact != prop.type.enum_name:
-                return Property(name=prop.name, type=enum_type(exact), is_id=prop.is_id)
+            enum = enums.get(prop.type.enum_name.lower())
+            if enum is not None and enum.name != prop.type.enum_name:
+                return Property(name=prop.name, type=enum_type(enum.name), is_id=prop.is_id)
         return prop
 
-    classes: list[Class] = []
-    class_exact = {c.name.lower(): c.name for c in partial.classes}
+    def adopt(owner: str, prop: Property) -> Property:
+        """``prop`` as it joins class ``owner``: typed str if its enumeration
+        lost to a partial class."""
+        prop = repoint(prop)
+        if prop.type.kind == "enumeration" and prop.type.enum_name.lower() not in enums:
+            report.conflicts.append(MergeConflict(
+                element=f"{owner}.{prop.name}",
+                partial_value=f"class {classes[prop.type.enum_name.lower()].name}",
+                inferred_value=f"enumeration {prop.type.enum_name}"))
+            return Property(name=prop.name, type=primitive_type("str"), is_id=prop.is_id)
+        return prop
+
     inferred_twins = {c.name.lower(): c for c in inferred.classes}
     for cls in partial.classes:
         inferred_twin = inferred_twins.get(cls.name.lower())
         if inferred_twin is None:
-            classes.append(cls)
             continue
         props = list(cls.properties)
         own = {p.name.lower(): p for p in props}
         for prop in inferred_twin.properties:
             mine = own.get(prop.name.lower())
             if mine is None:
-                props.append(repoint(prop))
+                props.append(adopt(cls.name, prop))
                 report.added_properties.append(f"{cls.name}.{prop.name}")
             elif mine.type.key() != repoint(prop).type.key() or mine.is_id != prop.is_id:
                 report.conflicts.append(MergeConflict(
                     element=f"{cls.name}.{mine.name}",
                     partial_value=mine.type.display() + (" id" if mine.is_id else ""),
                     inferred_value=prop.type.display() + (" id" if prop.is_id else "")))
-        classes.append(Class(name=cls.name, properties=tuple(props)))
+        classes[cls.name.lower()] = Class(name=cls.name, properties=tuple(props))
     for cls in inferred.classes:
         low = cls.name.lower()
-        if low in class_exact:
+        if low in classes:
             continue
-        if low in partial_enum_names:
+        if low in enums:
             report.conflicts.append(MergeConflict(
                 element=f"class {cls.name}",
                 partial_value=f"enumeration {cls.name} already present",
                 inferred_value=f"{len(cls.properties)} properties"))
             continue
-        classes.append(Class(name=cls.name, properties=tuple(repoint(p) for p in cls.properties)))
-        class_exact[low] = cls.name
+        classes[low] = Class(name=cls.name,
+                             properties=tuple(adopt(cls.name, p) for p in cls.properties))
         report.added_classes.append(cls.name)
+
+    def lost_to_enum(*names: str) -> str | None:
+        """The partial enumeration that kept one of ``names`` out of the classes."""
+        for name in names:
+            if name.lower() not in classes:
+                return f"enumeration {enums[name.lower()].name} already present"
+        return None
 
     generalizations = list(partial.generalizations)
     parent_of = {g.specific.lower(): g.general for g in generalizations}
     for gen in inferred.generalizations:
         existing_parent = parent_of.get(gen.specific.lower())
-        if existing_parent is not None:
-            if existing_parent.lower() != gen.general.lower():
-                report.conflicts.append(MergeConflict(
-                    element=f"generalization of {gen.specific}",
-                    partial_value=existing_parent,
-                    inferred_value=gen.general))
+        if existing_parent is not None and existing_parent.lower() == gen.general.lower():
             continue
-        general = class_exact.get(gen.general.lower())
-        specific = class_exact.get(gen.specific.lower())
-        if general is None or specific is None or general == specific:
+        # a partial parent of another name, or a class that lost to an enumeration
+        objection = existing_parent or lost_to_enum(gen.general, gen.specific)
+        if objection is not None:
+            report.conflicts.append(MergeConflict(
+                element=f"generalization of {gen.specific}",
+                partial_value=objection,
+                inferred_value=gen.general))
             continue
+        general = classes[gen.general.lower()].name
+        specific = classes[gen.specific.lower()].name
         # reject edges that would close a cycle through existing ones
-        node, cyclic = general.lower(), False
-        while node in parent_of:
+        node = general.lower()
+        while node in parent_of and node != specific.lower():
             node = parent_of[node].lower()
-            if node == specific.lower():
-                cyclic = True
-                break
-        if cyclic:
+        if node == specific.lower():
             report.conflicts.append(MergeConflict(
                 element=f"generalization of {specific}",
                 partial_value="(acyclic hierarchy preserved)",
@@ -391,23 +385,21 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
         parent_of[specific.lower()] = general
         report.added_generalizations.append(f"{specific}->{general}")
 
+    def end(e: AssociationEnd) -> AssociationEnd:
+        return replace(e, class_name=classes[e.class_name.lower()].name)
+
     associations = list(partial.associations)
     fingerprints = {association_key(a) for a in associations}
     partial_pairs = {_assoc_pair(a): a for a in partial.associations}
     for assoc in inferred.associations:
-        exact1 = class_exact.get(assoc.end1.class_name.lower())
-        exact2 = class_exact.get(assoc.end2.class_name.lower())
-        if exact1 is None or exact2 is None:
+        clash = lost_to_enum(assoc.end1.class_name, assoc.end2.class_name)
+        if clash is not None:
+            report.conflicts.append(MergeConflict(
+                element=f"association {assoc.name}",
+                partial_value=clash,
+                inferred_value=_describe_assoc(assoc)))
             continue
-        normalized = Association(
-            name=assoc.name,
-            end1=AssociationEnd(role=assoc.end1.role, class_name=exact1,
-                                multiplicity=assoc.end1.multiplicity,
-                                navigable=assoc.end1.navigable),
-            end2=AssociationEnd(role=assoc.end2.role, class_name=exact2,
-                                multiplicity=assoc.end2.multiplicity,
-                                navigable=assoc.end2.navigable),
-        )
+        normalized = replace(assoc, end1=end(assoc.end1), end2=end(assoc.end2))
         if association_key(normalized) in fingerprints:
             continue
         clashing = partial_pairs.get(_assoc_pair(normalized))
@@ -423,10 +415,10 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
 
     merged = DomainModel(
         name=partial.name,
-        classes=tuple(classes),
+        classes=tuple(classes.values()),
         associations=tuple(associations),
         generalizations=tuple(generalizations),
-        enumerations=tuple(enums),
+        enumerations=tuple(enums.values()),
     )
     return require_valid(merged, "merged model"), report
 

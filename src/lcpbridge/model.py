@@ -275,25 +275,33 @@ def validate_model(model: DomainModel) -> ValidationResult:
 
     _check_name(model.name, "model", out)
 
-    class_names: dict[str, str] = {}  # lowercase -> declared
+    # lowercase -> the first name declared; the names not stored there (case
+    # twins, repeats, clashes) are few, and are kept aside to tell a reference
+    # to them from an undeclared one
+    class_names: dict[str, str] = {}
+    other_classes: set[str] = set()
     for cls in model.classes:
         _check_name(cls.name, "class", out)
         low = cls.name.lower()
         if low in class_names:
             out.append(Violation("DUPLICATE_CLASS_NAME", cls.name,
                                  f"clashes with class {class_names[low]!r} (names compare case-insensitively)"))
+            other_classes.add(cls.name)
         else:
             class_names[low] = cls.name
 
     enum_names: dict[str, str] = {}
+    other_enums: set[str] = set()
     for enum in model.enumerations:
         _check_name(enum.name, "enumeration", out)
         low = enum.name.lower()
         if low in enum_names:
             out.append(Violation("DUPLICATE_ENUM_NAME", enum.name, "enumeration name repeated"))
+            other_enums.add(enum.name)
         elif low in class_names:
             out.append(Violation("DUPLICATE_ENUM_NAME", enum.name,
                                  f"clashes with class {class_names[low]!r}"))
+            other_enums.add(enum.name)
         else:
             enum_names[low] = enum.name
         if enum.name in PRIMITIVES:
@@ -310,8 +318,8 @@ def validate_model(model: DomainModel) -> ValidationResult:
                 out.append(Violation("DUPLICATE_LITERAL", f"{enum.name}.{lit}", "literal repeated"))
             seen_lits.add(lit)
 
-    declared_enums = {e.name for e in model.enumerations}
-    declared_classes = {c.name for c in model.classes}
+    def declared(name: str, names: dict[str, str], others: set[str]) -> bool:
+        return names.get(name.lower()) == name or name in others
 
     for cls in model.classes:
         prop_names = set()
@@ -335,7 +343,7 @@ def validate_model(model: DomainModel) -> ValidationResult:
                 if not t.enum_name or t.primitive is not None:
                     out.append(Violation("BAD_TYPE", f"{cls.name}.{prop.name}",
                                          f"malformed enumeration type reference {t!r}"))
-                elif t.enum_name not in declared_enums:
+                elif not declared(t.enum_name, enum_names, other_enums):
                     out.append(Violation("UNKNOWN_ENUM", f"{cls.name}.{prop.name}",
                                          f"references absent enumeration {t.enum_name!r}"))
             else:
@@ -346,7 +354,7 @@ def validate_model(model: DomainModel) -> ValidationResult:
         _check_name(assoc.name, "association", out)
         for end in assoc.ends:
             _check_name(end.role, "role", out)
-            if end.class_name not in declared_classes:
+            if not declared(end.class_name, class_names, other_classes):
                 out.append(Violation("DANGLING_END", f"{assoc.name}.{end.role}",
                                      f"references absent class {end.class_name!r}"))
             m = end.multiplicity
@@ -365,7 +373,7 @@ def validate_model(model: DomainModel) -> ValidationResult:
             out.append(Violation("SELF_GENERALIZATION", label, "a class cannot specialize itself"))
             continue
         for name in (gen.general, gen.specific):
-            if name not in declared_classes:
+            if not declared(name, class_names, other_classes):
                 out.append(Violation("DANGLING_GENERALIZATION", label,
                                      f"references absent class {name!r}"))
         if gen.specific in children_seen:

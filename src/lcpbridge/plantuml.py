@@ -60,8 +60,10 @@ _ASSOC_RE = re.compile(
 )
 _ATTR_RE = re.compile(r"^[+\-#~]?\s*([\w ]+?)\s*:\s*(.+?)\s*$")
 _STEREOTYPE_RE = re.compile(r"<<\s*(\w+)\s*>>")
-_SKIP_PREFIXES = ("skinparam", "title", "note", "legend", "hide", "show",
-                  "scale", "left to right", "top to bottom", "!")
+# Lines the subset skips: a comment, a preprocessor line, or one of these
+# keywords as a whole word, so a class named ``notebook`` is still read.
+_SKIP_RE = re.compile(r"'|!|(?:skinparam|title|note|legend|hide|show|scale"
+                      r"|left to right|top to bottom)\b")
 
 
 @dataclass
@@ -104,45 +106,37 @@ def parse_multiplicity(token: str) -> Multiplicity:
 
 class _Builder:
     def __init__(self):
-        self.class_order: list[str] = []
         self.class_props: dict[str, list[Property]] = {}
-        self.enum_order: list[str] = []
         self.enum_literals: dict[str, list[str]] = {}
         self.associations: list[Association] = []
-        self.generalizations: list[Generalization] = []
-        self.parents: dict[str, str] = {}
+        self.parents: dict[str, str] = {}  # specific -> general
         self.assoc_names = Namespace()
         self.skipped: list[SkippedLine] = []
         self.loss = LossReport()
         self.warnings: list[str] = []
 
-    def ensure_class(self, name: str) -> str:
+    def declare(self, kind: str, name: str) -> str:
+        """Declare a ``class`` or an ``enumeration`` under its sanitized name."""
         clean = sanitize_identifier(name)
         if clean != name:
-            self.loss.add("class", name, "RENAMED", "info", f"sanitized to {clean}")
-        if clean not in self.class_props:
-            self.class_order.append(clean)
-            self.class_props[clean] = []
+            self.loss.add(kind, name, "RENAMED", "info", f"sanitized to {clean}")
+        table = self.class_props if kind == "class" else self.enum_literals
+        table.setdefault(clean, [])
         return clean
 
-    def ensure_enum(self, name: str) -> str:
-        clean = sanitize_identifier(name)
-        if clean != name:
-            self.loss.add("enumeration", name, "RENAMED", "info", f"sanitized to {clean}")
-        if clean not in self.enum_literals:
-            self.enum_order.append(clean)
-            self.enum_literals[clean] = []
-        return clean
+    def add_literal(self, enum: str, text: str):
+        literal = sanitize_identifier(text.strip(","))
+        if literal not in self.enum_literals[enum]:
+            self.enum_literals[enum].append(literal)
 
     def resolve_type(self, token: str, owner: str, prop: str):
         token = token.strip()
-        for name in self.enum_order:
-            if name == token:
-                return enum_type(name)
+        if token in self.enum_literals:
+            return enum_type(token)
         mapped = _TYPE_TABLE.get(token.lower())
         if mapped:
             return primitive_type(mapped)
-        for name in self.enum_order:
+        for name in self.enum_literals:
             if name.lower() == token.lower():
                 return enum_type(name)
         self.loss.add("property", f"{owner}.{prop}", "TYPE_COERCED", "warning",
@@ -168,8 +162,8 @@ class _Builder:
                      is_id=is_id))
 
     def add_generalization(self, general: str, specific: str):
-        general = self.ensure_class(general)
-        specific = self.ensure_class(specific)
+        general = self.declare("class", general)
+        specific = self.declare("class", specific)
         if specific in self.parents:
             if self.parents[specific] != general:
                 self.warnings.append(
@@ -178,12 +172,11 @@ class _Builder:
                               "warning", "second parent not representable")
             return
         self.parents[specific] = general
-        self.generalizations.append(Generalization(general=general, specific=specific))
 
     def add_association(self, left: str, m_left: str, arrow: str, m_right: str,
                         right: str, label: str | None):
-        left = self.ensure_class(left)
-        right = self.ensure_class(right)
+        left = self.declare("class", left)
+        right = self.declare("class", right)
         if label:
             base = sanitize_identifier(label.strip().strip("<>").strip())
         else:
@@ -206,17 +199,18 @@ class _Builder:
         ))
 
     def build(self, name: str) -> DomainModel:
-        classes = tuple(Class(name=c, properties=tuple(self.class_props[c]))
-                        for c in self.class_order)
-        enums = tuple(Enumeration(name=e, literals=tuple(self.enum_literals[e]))
-                      for e in self.enum_order)
-        return DomainModel(name=name, classes=classes,
-                           associations=tuple(self.associations),
-                           generalizations=tuple(self.generalizations),
-                           enumerations=enums)
+        return DomainModel(
+            name=name,
+            classes=tuple(Class(name=c, properties=tuple(props))
+                          for c, props in self.class_props.items()),
+            associations=tuple(self.associations),
+            generalizations=tuple(Generalization(general=g, specific=s)
+                                  for s, g in self.parents.items()),
+            enumerations=tuple(Enumeration(name=e, literals=tuple(literals))
+                               for e, literals in self.enum_literals.items()))
 
 
-def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
+def parse_plantuml(text: str) -> PlantUmlImport:
     """Parse one @startuml block into a validated pivot model."""
     if text.count(START_MARKER) == 0 or END_MARKER not in text:
         raise PlantUmlError("missing @startuml/@enduml markers")
@@ -226,8 +220,7 @@ def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
     start = text.index(START_MARKER)
     end = text.index(END_MARKER, start)
     header = text[start + len(START_MARKER):].split("\n", 1)[0].strip()
-    if model_name is None:
-        model_name = sanitize_identifier(header) if header else "Model"
+    model_name = sanitize_identifier(header) if header else "Model"
     body = text[start:end].split("\n")[1:]
 
     builder = _Builder()
@@ -251,9 +244,7 @@ def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
             if line == "}":
                 current_enum = None
                 continue
-            literal = sanitize_identifier(line.strip(","))
-            if literal not in builder.enum_literals[current_enum]:
-                builder.enum_literals[current_enum].append(literal)
+            builder.add_literal(current_enum, line)
             continue
         if current_class is not None:
             if line == "}":
@@ -269,25 +260,20 @@ def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
                 skip(offset, line)
             continue
 
-        if line.startswith("'") or line.startswith(_SKIP_PREFIXES):
+        keyword = _SKIP_RE.match(line)
+        if keyword:
             skip(offset, line)
-            if line.startswith("note") and ":" not in line:
+            if keyword.group() == "note" and ":" not in line:
                 skip_until = "end note"  # multi-line note body
             continue
 
         match = _ENUM_RE.match(line)
         if match:
-            name = builder.ensure_enum(match.group(1) or match.group(2))
+            name = builder.declare("enumeration", match.group(1) or match.group(2))
             rest = match.group(4).strip()
-            inline = rest.rstrip("}").strip()
-            if inline:
-                for literal in re.split(r"[,;]", inline):
-                    literal = literal.strip()
-                    if not literal:
-                        continue
-                    literal = sanitize_identifier(literal)
-                    if literal not in builder.enum_literals[name]:
-                        builder.enum_literals[name].append(literal)
+            for literal in re.split(r"[,;]", rest.rstrip("}")):
+                if literal.strip():
+                    builder.add_literal(name, literal.strip())
             if match.group(3) and not rest.endswith("}"):
                 current_enum = name
             continue
@@ -295,14 +281,12 @@ def parse_plantuml(text: str, model_name: str | None = None) -> PlantUmlImport:
         match = _CLASS_RE.match(line)
         if match:
             name = match.group(2) or match.group(1) or match.group(3) or match.group(4)
-            name = builder.ensure_class(name)
+            name = builder.declare("class", name)
             rest = match.group(6).strip()
-            inline = rest.rstrip("}").strip()
-            if inline:
-                for chunk in re.split(r"[;,]", inline):
-                    attr = _ATTR_RE.match(chunk.strip())
-                    if attr:
-                        builder.add_property(name, attr.group(1), attr.group(2))
+            for chunk in re.split(r"[;,]", rest.rstrip("}")):
+                attr = _ATTR_RE.match(chunk.strip())
+                if attr:
+                    builder.add_property(name, attr.group(1), attr.group(2))
             if match.group(5) and not rest.endswith("}"):
                 current_class = name
             continue

@@ -15,6 +15,7 @@ from lcpbridge.errors import (
 from lcpbridge.llm import (
     HttpVisionClient,
     ImagePayload,
+    MergeConflict,
     PromptContext,
     ReplayVisionClient,
     VisionRequest,
@@ -30,9 +31,12 @@ from lcpbridge.model import (
     AssociationEnd,
     Class,
     DomainModel,
+    Enumeration,
+    Generalization,
     Multiplicity,
     Property,
     empty_model,
+    enum_type,
     model_equal,
     primitive_type,
     validate_model,
@@ -313,6 +317,46 @@ class TestMerge:
         merged, report = merge_models(partial, inferred)
         assert len(merged.associations) == 1  # partial's stands
         assert report.conflicts and report.conflicts[0].resolution == "PARTIAL_WINS"
+
+    def test_class_named_like_a_partial_enumeration_takes_its_edges_along(self):
+        partial = DomainModel("M", classes=(Class("Book"), Class("Shelf")),
+                              enumerations=(Enumeration("Status", ("OPEN",)),))
+        inferred = DomainModel(
+            "M", classes=(Class("Book"), Class("Shelf"), Class("status")),
+            associations=(Association("Book_status",
+                                      AssociationEnd("book", "Book", Multiplicity(0, None)),
+                                      AssociationEnd("status", "status", Multiplicity(0, 1))),),
+            generalizations=(Generalization("status", "Shelf"),))
+        merged, report = merge_models(partial, inferred)
+        assert model_equal(merged, partial)
+        assert report.as_dict() == {
+            "added_classes": [], "added_properties": [], "added_associations": [],
+            "added_enumerations": [], "added_generalizations": [],
+            "conflicts": [
+                {"element": "class status",
+                 "partial_value": "enumeration status already present",
+                 "inferred_value": "0 properties", "resolution": "PARTIAL_WINS"},
+                {"element": "generalization of Shelf",
+                 "partial_value": "enumeration Status already present",
+                 "inferred_value": "status", "resolution": "PARTIAL_WINS"},
+                {"element": "association Book_status",
+                 "partial_value": "enumeration Status already present",
+                 "inferred_value": "Book[0..*] -- status[0..1]",
+                 "resolution": "PARTIAL_WINS"},
+            ]}
+
+    def test_property_of_an_enumeration_named_like_a_partial_class_is_str(self):
+        partial = DomainModel("M", classes=(Class("Status"), Class("Order")))
+        inferred = DomainModel(
+            "M", classes=(Class("Order", (Property("state", enum_type("Status")),)),),
+            enumerations=(Enumeration("Status", ("OPEN",)),))
+        merged, report = merge_models(partial, inferred)
+        assert merged.class_named("Order").properties == \
+            (Property("state", primitive_type("str")),)
+        assert report.added_properties == ["Order.state"]
+        assert report.conflicts[-1] == MergeConflict(
+            element="Order.state", partial_value="class Status",
+            inferred_value="enumeration Status")
 
     def test_merge_laws_on_random_pairs(self):
         rng = random.Random(99)

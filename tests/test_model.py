@@ -114,6 +114,31 @@ class TestValidation:
         model = DomainModel("M", enumerations=(Enumeration("E", ()),))
         assert "EMPTY_ENUM" in validate_model(model).rules()
 
+    def test_references_to_case_twins_resolve_exactly(self):
+        # a reference is declared only under its exact name: the second twin
+        # ITEM and the repeated enumeration color are declared, item and
+        # COLOR are not
+        model = DomainModel(
+            "M",
+            classes=(Class("Item", (Property("shade", enum_type("color")),
+                                    Property("tone", enum_type("COLOR")),
+                                    Property("kind", enum_type("item")))),
+                     Class("ITEM"), Class("Shelf")),
+            associations=(_assoc("Shelf_ITEM", "Shelf", "ITEM"),
+                          _assoc("Shelf_item", "Shelf", "item")),
+            generalizations=(Generalization("ITEM", "Shelf"), Generalization("Item", "shelf")),
+            enumerations=(Enumeration("Color", ("RED",)), Enumeration("color", ("RED",)),
+                          Enumeration("item", ("A",))))
+        assert [(v.rule, v.element, v.message) for v in validate_model(model).violations] == [
+            ("DUPLICATE_CLASS_NAME", "ITEM",
+             "clashes with class 'Item' (names compare case-insensitively)"),
+            ("DUPLICATE_ENUM_NAME", "color", "enumeration name repeated"),
+            ("DUPLICATE_ENUM_NAME", "item", "clashes with class 'Item'"),
+            ("UNKNOWN_ENUM", "Item.tone", "references absent enumeration 'COLOR'"),
+            ("DANGLING_END", "Shelf_item.right", "references absent class 'item'"),
+            ("DANGLING_GENERALIZATION", "shelf->Item", "references absent class 'shelf'"),
+        ]
+
     def test_generated_models_validate(self):
         rng = random.Random(7)
         for _ in range(50):

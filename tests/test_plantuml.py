@@ -98,6 +98,38 @@ note left: remember this
         result = parse_plantuml(text)
         assert len(result.skipped) == 3  # title, comment, hide
 
+    @pytest.mark.parametrize("name", ["skinparams", "titles", "notebook", "legendary",
+                                      "hideout", "showroom", "scales"])
+    def test_skip_words_match_whole_words_only(self, name):
+        text = (f'@startuml\nclass Car\n{name} "0..*" -- "0..1" Car : cars\n'
+                f"{name} <|-- Journal\nCar -- Journal\n@enduml")
+        result = parse_plantuml(text)
+        assert result.skipped == []
+        assert [c.name for c in result.model.classes] == ["Car", name, "Journal"]
+        assert [a.name for a in result.model.associations] == ["cars", "Car_Journal"]
+        assert [(g.general, g.specific) for g in result.model.generalizations] == \
+            [(name, "Journal")]
+
+    def test_class_named_like_a_note_does_not_open_a_note_block(self):
+        text = """@startuml
+class Car
+class Journal
+showroom "0..*" -- "0..1" Car : cars
+notebook <|-- Journal
+Car -- Journal
+Car -- showroom
+Journal -- showroom
+note left of Car
+  a real note
+end note
+!include style.puml
+@enduml"""
+        result = parse_plantuml(text)
+        assert [s.text for s in result.skipped] == \
+            ["note left of Car", "a real note", "end note", "!include style.puml"]
+        assert len(result.model.associations) == 4
+        assert result.model.generalizations[0].general == "notebook"
+
     def test_second_parent_dropped_not_fatal(self):
         text = "@startuml\nA <|-- C\nB <|-- C\n@enduml"
         result = parse_plantuml(text)
