@@ -250,6 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except LcpBridgeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        if "step" in exc.details:
+            print(f"  in step '{exc.details['step']}'", file=sys.stderr)
         return 1
     return 2
 

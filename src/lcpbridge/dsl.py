@@ -23,8 +23,9 @@ between the import and generation legs of a migration::
 other up to declaration ordering.
 
 Well-formed text is read one declaration at a time, each with one regex
-match; text the scanner cannot read goes to the token parser, whose model or
-error (with line, column and expected tokens) is final.
+match. Text the scanner cannot read is malformed: it is walked once more,
+token by token against the grammar, to report its first error with line,
+column and expected tokens; no second model is built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import NoReturn
 
 from .errors import DslSyntaxError, MissingInputError
 from .model import (
@@ -49,12 +50,6 @@ from .model import (
     primitive_type,
     require_valid,
 )
-
-class _Token(NamedTuple):
-    kind: str  # IDENT | INT | PUNCT | EOF, or BAD before the tokenizer rejects it
-    text: str
-    offset: int  # into the source; line and column are worked out on error
-
 
 # Blanks and comments match no named group and are dropped. \d is exactly
 # the digits int() accepts, and \w is str.isalnum() or "_".
@@ -74,173 +69,6 @@ def _syntax_error(source: str, message: str, offset: int,
     return DslSyntaxError(message, line, column, expected)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = [_Token(kind, m.group(), m.start())
-              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup)]
-    for tok in tokens:
-        if tok.kind == "BAD":
-            raise _syntax_error(source, f"unexpected character {tok.text!r}", tok.offset)
-    # a comment on the last line is skipped without moving the end of input,
-    # so a truncated file is reported where its code stops
-    last_line = source.rfind("\n") + 1
-    comment = source.find("#", last_line)
-    eof = _Token("EOF", "", len(source) if comment < 0 else comment)
-    tokens += [eof, eof]  # so that peek(1) never indexes past the end
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token stream; keywords are contextual."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, expected: tuple[str, ...]):
-        tok = self.peek()
-        got = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        raise _syntax_error(self.source, f"unexpected {got}", tok.offset, expected)
-
-    def expect_word(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == word:
-            return self.advance()
-        self.fail((repr(word),))
-
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
-            return self.advance()
-        self.fail((repr(text),))
-
-    def expect_ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return self.advance().text
-        self.fail((what,))
-
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "INT":
-            return int(self.advance().text)
-        self.fail(("integer",))
-
-    # grammar -------------------------------------------------------------
-
-    def model(self) -> DomainModel:
-        self.expect_word("model")
-        name = self.expect_ident("model name")
-        classes: list[Class] = []
-        associations: list[Association] = []
-        generalizations: list[Generalization] = []
-        enumerations: list[Enumeration] = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                self.fail(("'enum'", "'class'", "'association'"))
-            if tok.text == "enum":
-                enumerations.append(self.enum_decl())
-            elif tok.text == "class":
-                cls, gen = self.class_decl()
-                classes.append(cls)
-                if gen is not None:
-                    generalizations.append(gen)
-            elif tok.text == "association":
-                associations.append(self.assoc_decl())
-            else:
-                self.fail(("'enum'", "'class'", "'association'"))
-        return DomainModel(
-            name=name,
-            classes=tuple(classes),
-            associations=tuple(associations),
-            generalizations=tuple(generalizations),
-            enumerations=tuple(enumerations),
-        )
-
-    def enum_decl(self) -> Enumeration:
-        self.expect_word("enum")
-        name = self.expect_ident("enumeration name")
-        self.expect_punct("{")
-        literals = [self.expect_ident("literal")]
-        while self.peek().text == ",":
-            self.advance()
-            literals.append(self.expect_ident("literal"))
-        self.expect_punct("}")
-        return Enumeration(name=name, literals=tuple(literals))
-
-    def class_decl(self) -> tuple[Class, Generalization | None]:
-        self.expect_word("class")
-        name = self.expect_ident("class name")
-        gen = None
-        if self.peek().kind == "IDENT" and self.peek().text == "extends":
-            self.advance()
-            parent = self.expect_ident("parent class name")
-            gen = Generalization(general=parent, specific=name)
-        self.expect_punct("{")
-        props: list[Property] = []
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-            props.append(self.prop())
-        self.expect_punct("}")
-        return Class(name=name, properties=tuple(props)), gen
-
-    def prop(self) -> Property:
-        name = self.expect_ident("property name")
-        self.expect_punct(":")
-        type_name = self.expect_ident("type name")
-        if type_name in PRIMITIVES:
-            type_ref = primitive_type(type_name)
-        else:
-            type_ref = enum_type(type_name)
-        is_id = False
-        # `id` is a flag only when it does not begin the next property
-        if (self.peek().kind == "IDENT" and self.peek().text == "id"
-                and self.peek(1).text != ":"):
-            self.advance()
-            is_id = True
-        return Property(name=name, type=type_ref, is_id=is_id)
-
-    def assoc_decl(self) -> Association:
-        self.expect_word("association")
-        name = self.expect_ident("association name")
-        self.expect_punct("{")
-        end1 = self.end()
-        end2 = self.end()
-        self.expect_punct("}")
-        return Association(name=name, end1=end1, end2=end2)
-
-    def end(self) -> AssociationEnd:
-        role = self.expect_ident("role name")
-        self.expect_punct(":")
-        class_name = self.expect_ident("class name")
-        self.expect_punct("[")
-        lower = self.expect_int()
-        self.expect_punct("..")
-        if self.peek().text == "*":
-            self.advance()
-            upper = None
-        else:
-            upper = self.expect_int()
-        self.expect_punct("]")
-        navigable = False
-        # like `id`, `nav` is a flag only when it does not begin the next end
-        if (self.peek().kind == "IDENT" and self.peek().text == "nav"
-                and self.peek(1).text != ":"):
-            self.advance()
-            navigable = True
-        return AssociationEnd(role=role, class_name=class_name,
-                              multiplicity=Multiplicity(lower, upper), navigable=navigable)
-
-
 _KEYWORDS = {"c": "class", "a": "association", "e": "enum"}  # by first character
 
 
@@ -248,11 +76,11 @@ _KEYWORDS = {"c": "class", "a": "association", "e": "enum"}  # by first characte
 def _declaration_patterns() -> dict[str, re.Pattern]:
     """The scanner's regexes, compiled on first parse rather than at import.
 
-    Between tokens they skip exactly what ``_tokenize`` skips (``s``). Every
+    Between tokens they skip exactly what ``_TOKEN_RE`` skips (``s``). Every
     quantifier is possessive, so nothing is read twice: a name (``n``) or an
-    integer ends where ``_tokenize`` ends it, and a keyword may not run on
-    into a name. ``id`` and ``nav`` are flags where ``_Parser`` takes them as
-    flags, that is when no ``:`` follows.
+    integer ends where ``_TOKEN_RE`` ends it, and a keyword may not run on
+    into a name. ``id`` and ``nav`` are flags only when no ``:`` follows, as
+    in ``_raise_syntax_error``.
     """
     parts = {"s": r"(?:[ \t\r\n]++|\#[^\n]*+)*+", "n": r"[^\W\d]\w*+"}
     parts["end"] = r"""(%(n)s) %(s)s : %(s)s (%(n)s) %(s)s
@@ -275,8 +103,8 @@ def _declaration_patterns() -> dict[str, re.Pattern]:
 
 
 def _scan(source: str) -> DomainModel | None:
-    """The model of well-formed ``source``, or None where ``_Parser`` must
-    read it. Each declaration is one ``match`` at its first character."""
+    """The model of well-formed ``source``, or None if it is malformed.
+    Each declaration is one ``match`` at its first character."""
     patterns = _declaration_patterns()
     found = patterns["model"].match(source)
     if found is None:
@@ -324,6 +152,82 @@ def _scan(source: str) -> DomainModel | None:
                        tuple(generalizations), tuple(enumerations))
 
 
+def _raise_syntax_error(source: str) -> NoReturn:
+    """Raise the first error in ``source``, which ``_scan`` rejected: its
+    first bad character, else the first token the grammar does not allow.
+    Keywords are contextual, so any of them is also a name."""
+    tokens = [(kind, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup)]
+    for kind, text, offset in tokens:
+        if kind == "BAD":
+            raise _syntax_error(source, f"unexpected character {text!r}", offset)
+    # a comment on the last line is skipped without moving the end of input,
+    # so a truncated file is reported where its code stops
+    comment = source.find("#", source.rfind("\n") + 1)
+    tokens += [("EOF", "", len(source) if comment < 0 else comment)] * 2
+    pos = 0
+
+    def take(kind: str, *words: str, what: str = "") -> str:
+        """Consume a ``kind`` token (one of ``words``, if any) or raise."""
+        nonlocal pos
+        found, text, offset = tokens[pos]
+        if found != kind or words and text not in words:
+            got = "end of input" if found == "EOF" else repr(text)
+            expected = (what,) if what else tuple(map(repr, words))
+            raise _syntax_error(source, f"unexpected {got}", offset, expected)
+        pos += 1
+        return text
+
+    def flag(word: str) -> None:
+        """Skip ``word`` where it is a flag: it does not begin the next item."""
+        nonlocal pos
+        if tokens[pos][:2] == ("IDENT", word) and tokens[pos + 1][1] != ":":
+            pos += 1
+
+    take("IDENT", "model")
+    take("IDENT", what="model name")
+    while tokens[pos][0] != "EOF":
+        keyword = take("IDENT", "enum", "class", "association")
+        if keyword == "enum":
+            take("IDENT", what="enumeration name")
+            take("PUNCT", "{")
+            take("IDENT", what="literal")
+            while tokens[pos][1] == ",":
+                pos += 1
+                take("IDENT", what="literal")
+            take("PUNCT", "}")
+        elif keyword == "class":
+            take("IDENT", what="class name")
+            if tokens[pos][:2] == ("IDENT", "extends"):
+                pos += 1
+                take("IDENT", what="parent class name")
+            take("PUNCT", "{")
+            while tokens[pos][:2] != ("PUNCT", "}"):
+                take("IDENT", what="property name")
+                take("PUNCT", ":")
+                take("IDENT", what="type name")
+                flag("id")
+            pos += 1
+        else:
+            take("IDENT", what="association name")
+            take("PUNCT", "{")
+            for _ in range(2):
+                take("IDENT", what="role name")
+                take("PUNCT", ":")
+                take("IDENT", what="class name")
+                take("PUNCT", "[")
+                take("INT", what="integer")
+                take("PUNCT", "..")
+                if tokens[pos][1] == "*":
+                    pos += 1
+                else:
+                    take("INT", what="integer")
+                take("PUNCT", "]")
+                flag("nav")
+            take("PUNCT", "}")
+    raise AssertionError("the scanner rejected text that the grammar accepts")
+
+
 def parse_pivot_text(source: str) -> DomainModel:
     """Parse pivot DSL text into a validated model.
 
@@ -332,7 +236,7 @@ def parse_pivot_text(source: str) -> DomainModel:
     """
     model = _scan(source)
     if model is None:
-        model = _Parser(source).model()
+        _raise_syntax_error(source)
     return require_valid(model, "parsed pivot text")
 
 

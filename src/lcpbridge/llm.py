@@ -251,10 +251,6 @@ class MergeReport:
     added_generalizations: list[str] = field(default_factory=list)
     conflicts: list[MergeConflict] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.added_classes or self.added_properties or self.added_associations
-                    or self.added_enumerations or self.added_generalizations or self.conflicts)
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -290,7 +286,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
         elif low in classes:
             report.conflicts.append(MergeConflict(
                 element=f"enum {enum.name}",
-                partial_value=f"class {enum.name} already present",
+                partial_value=f"class {classes[low].name} already present",
                 inferred_value=", ".join(enum.literals)))
         else:
             enums[low] = enum
@@ -341,7 +337,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
         if low in enums:
             report.conflicts.append(MergeConflict(
                 element=f"class {cls.name}",
-                partial_value=f"enumeration {cls.name} already present",
+                partial_value=f"enumeration {enums[low].name} already present",
                 inferred_value=f"{len(cls.properties)} properties"))
             continue
         classes[low] = Class(name=cls.name,

@@ -72,9 +72,6 @@ class LossReport:
                 seen.add(item)
         return merged
 
-    def with_reason(self, reason: str) -> list[LossItem]:
-        return [i for i in self.items if i.reason == reason]
-
     def to_json(self) -> str:
         payload = {"items": [i.as_dict() for i in self.items]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -136,9 +136,6 @@ class Class:
     name: str
     properties: tuple[Property, ...] = ()
 
-    def property_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.properties)
-
 
 UNBOUNDED = None  # sentinel value for Multiplicity.upper
 
@@ -211,18 +208,6 @@ class DomainModel:
     associations: tuple[Association, ...] = ()
     generalizations: tuple[Generalization, ...] = ()
     enumerations: tuple[Enumeration, ...] = ()
-
-    def class_named(self, name: str) -> Class | None:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
-
-    def enum_named(self, name: str) -> Enumeration | None:
-        for enum in self.enumerations:
-            if enum.name == name:
-                return enum
-        return None
 
 
 def empty_model(name: str = "Model") -> DomainModel:

@@ -19,7 +19,7 @@ from .pipeline import EXPORTERS, IMPORTERS
 
 # Formal import happens only through real model formats, not data-file
 # inference; these are the tokens with a faithful generator behind them.
-FORMAL_IMPORT_FORMATS = ("SQL", "XML")
+FORMAL_IMPORT_FORMATS = ("SQL",)
 
 
 @dataclass
@@ -51,7 +51,7 @@ def plan_migration(source: str, target: str,
     format a registered importer parses. A partial export is combined with
     the screenshot path so the vision model can recover the missing
     relationships. Import: formal needs full data import through a real
-    model format (SQL/XML) with a generator behind it; anything else falls
+    model format (SQL) with a generator behind it; anything else falls
     back to the structured workbook.
     """
     matrix = matrix or default_matrix()

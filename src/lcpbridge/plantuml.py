@@ -320,6 +320,11 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                           loss=builder.loss, warnings=builder.warnings)
 
 
+def _leading(name: str) -> str:
+    """``name`` as the first word of a line: quoted where it is a skip word."""
+    return f'"{name}"' if _SKIP_RE.match(name) else name
+
+
 def emit_plantuml(model: DomainModel) -> str:
     """Render a valid model as PlantUML; parse_plantuml maps it back."""
     lines = [START_MARKER]
@@ -337,7 +342,7 @@ def emit_plantuml(model: DomainModel) -> str:
             lines.append(f"  {prop.name} : {prop.type.display()}{marker}")
         lines.append("}")
     for gen in model.generalizations:
-        lines.append(f"{gen.general} <|-- {gen.specific}")
+        lines.append(f"{_leading(gen.general)} <|-- {gen.specific}")
     for assoc in model.associations:
         e1, e2 = assoc.end1, assoc.end2
         if e1.navigable and not e2.navigable:
@@ -347,7 +352,7 @@ def emit_plantuml(model: DomainModel) -> str:
         else:
             arrow = "--"
         lines.append(
-            f'{e1.class_name} "{e1.multiplicity.display()}" {arrow} '
+            f'{_leading(e1.class_name)} "{e1.multiplicity.display()}" {arrow} '
             f'"{e2.multiplicity.display()}" {e2.class_name} : {assoc.name}'
         )
     lines.append(END_MARKER)

@@ -1,12 +1,29 @@
 """What the generators must produce for a pivot model, counted from the model
-alone, lookups by name into the plans they build, and the tabular type
-ladder a value at a time."""
+alone, lookups by name into the models, reports and plans they build, the
+tabular type ladder a value at a time, and the `.bml` token parser that the
+declaration scanner and the error reporter are held to."""
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from lcpbridge.model import DomainModel
+from lcpbridge.dsl import _TOKEN_RE, _syntax_error
+from lcpbridge.llm import MergeReport
+from lcpbridge.loss import LossItem, LossReport
+from lcpbridge.model import (
+    PRIMITIVES,
+    Association,
+    AssociationEnd,
+    Class,
+    DomainModel,
+    Enumeration,
+    Generalization,
+    Multiplicity,
+    Property,
+    enum_type,
+    primitive_type,
+)
 from lcpbridge.relational import RelationalSchemaPlan, TablePlan
 from lcpbridge.tabular import _temporal_kind
 from lcpbridge.workbook import ManifestSheet, WorkbookManifest
@@ -26,6 +43,26 @@ def expected_table_count(model: DomainModel) -> int:
 def expected_dropdown_count(model: DomainModel) -> int:
     """Sheet-sourced dropdowns: one per single-column association, two per bridge."""
     return sum(2 if a.kind == "many-to-many" else 1 for a in model.associations)
+
+
+def class_named(model: DomainModel, name: str) -> Class | None:
+    return next((c for c in model.classes if c.name == name), None)
+
+
+def enum_named(model: DomainModel, name: str) -> Enumeration | None:
+    return next((e for e in model.enumerations if e.name == name), None)
+
+
+def property_names(cls: Class) -> tuple[str, ...]:
+    return tuple(p.name for p in cls.properties)
+
+
+def with_reason(report: LossReport, reason: str) -> list[LossItem]:
+    return [i for i in report.items if i.reason == reason]
+
+
+def is_empty(report: MergeReport) -> bool:
+    return not any(vars(report).values())
 
 
 def table_named(plan: RelationalSchemaPlan, name: str) -> TablePlan | None:
@@ -57,3 +94,180 @@ def reference_column_type(values) -> tuple[str, bool]:
     if all(_temporal_kind(v) == "datetime" for v in usable):
         return "datetime", False
     return "str", False
+
+
+# ---------------------------------------------------------------------------
+# The `.bml` grammar as a token parser that builds the model
+
+
+class _Token(NamedTuple):
+    kind: str  # IDENT | INT | PUNCT | EOF, or BAD before the tokenizer rejects it
+    text: str
+    offset: int  # into the source; line and column are worked out on error
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = [_Token(kind, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup)]
+    for tok in tokens:
+        if tok.kind == "BAD":
+            raise _syntax_error(source, f"unexpected character {tok.text!r}", tok.offset)
+    # a comment on the last line is skipped without moving the end of input,
+    # so a truncated file is reported where its code stops
+    last_line = source.rfind("\n") + 1
+    comment = source.find("#", last_line)
+    eof = _Token("EOF", "", len(source) if comment < 0 else comment)
+    tokens += [eof, eof]  # so that peek(1) never indexes past the end
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the token stream; keywords are contextual."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.tokens[self.pos + ahead]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def fail(self, expected: tuple[str, ...]):
+        tok = self.peek()
+        got = "end of input" if tok.kind == "EOF" else repr(tok.text)
+        raise _syntax_error(self.source, f"unexpected {got}", tok.offset, expected)
+
+    def expect_word(self, word: str) -> _Token:
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text == word:
+            return self.advance()
+        self.fail((repr(word),))
+
+    def expect_punct(self, text: str) -> _Token:
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.text == text:
+            return self.advance()
+        self.fail((repr(text),))
+
+    def expect_ident(self, what: str) -> str:
+        tok = self.peek()
+        if tok.kind == "IDENT":
+            return self.advance().text
+        self.fail((what,))
+
+    def expect_int(self) -> int:
+        tok = self.peek()
+        if tok.kind == "INT":
+            return int(self.advance().text)
+        self.fail(("integer",))
+
+    # grammar -------------------------------------------------------------
+
+    def model(self) -> DomainModel:
+        self.expect_word("model")
+        name = self.expect_ident("model name")
+        classes: list[Class] = []
+        associations: list[Association] = []
+        generalizations: list[Generalization] = []
+        enumerations: list[Enumeration] = []
+        while self.peek().kind != "EOF":
+            tok = self.peek()
+            if tok.kind != "IDENT":
+                self.fail(("'enum'", "'class'", "'association'"))
+            if tok.text == "enum":
+                enumerations.append(self.enum_decl())
+            elif tok.text == "class":
+                cls, gen = self.class_decl()
+                classes.append(cls)
+                if gen is not None:
+                    generalizations.append(gen)
+            elif tok.text == "association":
+                associations.append(self.assoc_decl())
+            else:
+                self.fail(("'enum'", "'class'", "'association'"))
+        return DomainModel(
+            name=name,
+            classes=tuple(classes),
+            associations=tuple(associations),
+            generalizations=tuple(generalizations),
+            enumerations=tuple(enumerations),
+        )
+
+    def enum_decl(self) -> Enumeration:
+        self.expect_word("enum")
+        name = self.expect_ident("enumeration name")
+        self.expect_punct("{")
+        literals = [self.expect_ident("literal")]
+        while self.peek().text == ",":
+            self.advance()
+            literals.append(self.expect_ident("literal"))
+        self.expect_punct("}")
+        return Enumeration(name=name, literals=tuple(literals))
+
+    def class_decl(self) -> tuple[Class, Generalization | None]:
+        self.expect_word("class")
+        name = self.expect_ident("class name")
+        gen = None
+        if self.peek().kind == "IDENT" and self.peek().text == "extends":
+            self.advance()
+            parent = self.expect_ident("parent class name")
+            gen = Generalization(general=parent, specific=name)
+        self.expect_punct("{")
+        props: list[Property] = []
+        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
+            props.append(self.prop())
+        self.expect_punct("}")
+        return Class(name=name, properties=tuple(props)), gen
+
+    def prop(self) -> Property:
+        name = self.expect_ident("property name")
+        self.expect_punct(":")
+        type_name = self.expect_ident("type name")
+        if type_name in PRIMITIVES:
+            type_ref = primitive_type(type_name)
+        else:
+            type_ref = enum_type(type_name)
+        is_id = False
+        # `id` is a flag only when it does not begin the next property
+        if (self.peek().kind == "IDENT" and self.peek().text == "id"
+                and self.peek(1).text != ":"):
+            self.advance()
+            is_id = True
+        return Property(name=name, type=type_ref, is_id=is_id)
+
+    def assoc_decl(self) -> Association:
+        self.expect_word("association")
+        name = self.expect_ident("association name")
+        self.expect_punct("{")
+        end1 = self.end()
+        end2 = self.end()
+        self.expect_punct("}")
+        return Association(name=name, end1=end1, end2=end2)
+
+    def end(self) -> AssociationEnd:
+        role = self.expect_ident("role name")
+        self.expect_punct(":")
+        class_name = self.expect_ident("class name")
+        self.expect_punct("[")
+        lower = self.expect_int()
+        self.expect_punct("..")
+        if self.peek().text == "*":
+            self.advance()
+            upper = None
+        else:
+            upper = self.expect_int()
+        self.expect_punct("]")
+        navigable = False
+        # like `id`, `nav` is a flag only when it does not begin the next end
+        if (self.peek().kind == "IDENT" and self.peek().text == "nav"
+                and self.peek(1).text != ":"):
+            self.advance()
+            navigable = True
+        return AssociationEnd(role=role, class_name=class_name,
+                              multiplicity=Multiplicity(lower, upper), navigable=navigable)

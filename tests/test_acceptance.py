@@ -37,7 +37,7 @@ from lcpbridge.workbook import (
     plan_workbook,
 )
 
-from expected import expected_dropdown_count, expected_fk_count, expected_table_count
+from expected import expected_dropdown_count, expected_fk_count, expected_table_count, is_empty
 from generators import random_mendix_export, random_merge_pair, random_model
 from test_capabilities import GOLDEN
 
@@ -190,7 +190,7 @@ def test_criterion_6_merge_laws():
             assert model_equal(merge_models(empty_model(), inferred)[0], inferred)
             idem_merged, idem_report = merge_models(partial, partial)
             assert model_equal(idem_merged, partial)
-            assert idem_report.is_empty()
+            assert is_empty(idem_report)
 
             for conflict in report.conflicts:
                 assert conflict.resolution == "PARTIAL_WINS"

@@ -167,6 +167,16 @@ def test_non_utf8_input_file_is_coded_error(tmp_path, capsys, name, argv, error)
     assert f"error [{error}]" in err
 
 
+def test_failing_step_is_named_on_its_own_line(tmp_path, capsys):
+    path = tmp_path / "Book.csv"
+    path.write_text("")
+    code, _, err = run_cli(capsys, "migrate", "--from", "outsystems", "--to", "apex",
+                           "--input", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.splitlines()[-2:] == [
+        f"error [TABULAR_ERROR]: {path} has no header row", "  in step 'tabular'"]
+
+
 def test_non_utf8_model_error_names_line_and_column(tmp_path, capsys):
     path = tmp_path / "m.bml"
     path.write_bytes(b"model M\nclass \xff {}\n")

@@ -31,6 +31,7 @@ from lcpbridge.planner import plan_migration
 from lcpbridge.tabular import infer_model, load_tabular
 
 from conftest import PLACEHOLDER_PNG
+from expected import class_named
 
 # table -> columns of (header, values); the ladder reads each column's type
 TABLES = {
@@ -183,7 +184,7 @@ def test_enumeration_named_like_a_partial_class(tmp_path):
 
     assert [c.name for c in result.model.classes] == ["Status", "Order", "Invoice"]
     assert result.model.enumerations == ()
-    assert result.model.class_named("Invoice").properties == \
+    assert class_named(result.model, "Invoice").properties == \
         (Property("state", primitive_type("str")),)
     report = json.loads((out / "merge-report.json").read_text(encoding="utf-8"))
     assert report["added_classes"] == ["Invoice"]

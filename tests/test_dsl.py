@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcpbridge.dsl import _Parser, _scan, _tokenize, parse_pivot_text, print_pivot_text
+from lcpbridge.dsl import _scan, load_pivot_file, parse_pivot_text, print_pivot_text
 from lcpbridge.errors import DslSyntaxError, InvalidModelError, LcpBridgeError
 from lcpbridge.model import (
     Association,
@@ -21,6 +21,7 @@ from lcpbridge.model import (
     require_valid,
 )
 
+from expected import _Parser, _tokenize, class_named, property_names
 from generators import random_model
 
 LIBRARY_DSL = """\
@@ -71,9 +72,9 @@ class TestParse:
         assert len(model.associations) == 2
         assert len(model.enumerations) == 1
         assert {c.name for c in model.classes} == {"Library", "Book", "Author"}
-        book = model.class_named("Book")
-        assert book.property_names() == ("title", "pages", "status", "published")
-        assert model.class_named("Library").properties[0].is_id
+        book = class_named(model, "Book")
+        assert property_names(book) == ("title", "pages", "status", "published")
+        assert class_named(model, "Library").properties[0].is_id
 
     def test_unterminated_block_errors_at_end_of_input(self):
         with pytest.raises(DslSyntaxError) as err:
@@ -104,7 +105,7 @@ class TestParse:
 
     def test_property_named_id(self):
         model = parse_pivot_text("model M\nclass A {\n  id: int\n  code: str id\n}")
-        cls = model.class_named("A")
+        cls = class_named(model, "A")
         assert cls.properties[0].name == "id"
         assert not cls.properties[0].is_id
         assert cls.properties[1].is_id
@@ -231,9 +232,9 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# The declaration scanner against the token parser
+# The declaration scanner and the error reporter against the token parser
 
-KEYWORDS = ("id", "nav", "class", "extends", "model")
+KEYWORDS = ("id", "nav", "class", "extends", "model", "enum", "association")
 
 
 def keyword_named(model: DomainModel, rng: random.Random) -> DomainModel:
@@ -288,7 +289,7 @@ SEPARATORS = (" ", "  ", "\t", "\n", "\r", "\r\n", "\n\n", "# note\n", "#\n",
               "# x: str id\n", "#} class Z { y: int }\n", "# nav: A [0..1]\n",
               "# a\r b: int\n")
 # tokens a mutation inserts or substitutes
-TOKEN_MENU = KEYWORDS + ("enum", "association", "str", "Name", "x2", "0", "1", "12",
+TOKEN_MENU = KEYWORDS + ("str", "Name", "x2", "0", "1", "12",
                          "{", "}", "[", "]", ":", ",", "*", "..", "@", ".", "\xa0")
 
 
@@ -380,3 +381,32 @@ def test_role_named_nav_round_trips():
     end1, end2 = model.associations[0].ends
     assert (end1.navigable, end2.role, end2.navigable) == (False, "nav", False)
     assert parse_pivot_text(print_pivot_text(model)) == model
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any text, any bytes
+
+# words, punctuation and blanks of the grammar, and characters it rejects;
+# "²" is a digit to str.isdigit() but not to int()
+SOUP_PIECES = KEYWORDS + ("str", "A", "x", "0", "12", "{", "}", "[", "]", ":", ",", "*", "..",
+                          ".", " ", "\n", "\t", "\r", "#", "@", "\xa0", "²")
+token_soup = st.lists(st.sampled_from(SOUP_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(("", "model M\nclass A {")), token_soup).map("".join),
+    st.text()))
+def test_any_text_parses_as_the_token_parser_reads_it(text):
+    assert outcome(parse_pivot_text, text) == outcome(reference_parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(), token_soup.map(str.encode)))
+def test_any_bytes_load_or_fail_with_a_coded_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bml"
+    path.write_bytes(data)
+    try:
+        load_pivot_file(path)
+    except LcpBridgeError:
+        pass

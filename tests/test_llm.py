@@ -42,6 +42,7 @@ from lcpbridge.model import (
     validate_model,
 )
 
+from expected import class_named, is_empty
 from generators import random_merge_pair
 
 IMAGE = ImagePayload(data=b"\x89PNG fake", media_type="image/png")
@@ -220,7 +221,7 @@ class TestExtract:
         completion = ("Sure! Here is the diagram:\n\n@startuml\nclass Book {\n"
                       "  title : string\n}\n@enduml\nHope this helps.")
         result = extract_model(completion)
-        assert result.model.class_named("Book") is not None
+        assert class_named(result.model, "Book") is not None
 
     def test_no_markers(self):
         with pytest.raises(NoPlantUmlBlockError):
@@ -234,8 +235,8 @@ class TestExtract:
         completion = ("@startuml\nclass First\n@enduml\n"
                       "@startuml\nclass Second\n@enduml")
         result = extract_model(completion)
-        assert result.model.class_named("First") is not None
-        assert result.model.class_named("Second") is None
+        assert class_named(result.model, "First") is not None
+        assert class_named(result.model, "Second") is None
         assert any("more than one" in w for w in result.warnings)
 
     def test_parse_error_carries_block_text(self):
@@ -269,7 +270,7 @@ class TestMerge:
         partial = _model_ab(with_assoc=True)
         merged, report = merge_models(partial, _model_ab(with_assoc=True))
         assert model_equal(merged, partial)
-        assert report.is_empty()
+        assert is_empty(report)
 
     def test_type_conflict_partial_wins(self):
         partial = DomainModel("M", classes=(
@@ -277,14 +278,14 @@ class TestMerge:
         inferred = DomainModel("M", classes=(
             Class("Book", (Property("pages", primitive_type("str")),)),))
         merged, report = merge_models(partial, inferred)
-        assert merged.class_named("Book").properties[0].type.primitive == "int"
+        assert class_named(merged, "Book").properties[0].type.primitive == "int"
         assert len(report.conflicts) == 1
         assert report.conflicts[0].resolution == "PARTIAL_WINS"
 
     def test_merge_with_empty_is_identity_both_ways(self, library_model):
         merged_right, report_right = merge_models(library_model, empty_model("E"))
         assert model_equal(merged_right, library_model)
-        assert report_right.is_empty()
+        assert is_empty(report_right)
         merged_left, _ = merge_models(empty_model("E"), library_model)
         assert model_equal(merged_left, library_model)
 
@@ -334,7 +335,7 @@ class TestMerge:
             "added_enumerations": [], "added_generalizations": [],
             "conflicts": [
                 {"element": "class status",
-                 "partial_value": "enumeration status already present",
+                 "partial_value": "enumeration Status already present",
                  "inferred_value": "0 properties", "resolution": "PARTIAL_WINS"},
                 {"element": "generalization of Shelf",
                  "partial_value": "enumeration Status already present",
@@ -345,13 +346,22 @@ class TestMerge:
                  "resolution": "PARTIAL_WINS"},
             ]}
 
+    def test_enumeration_named_like_a_partial_class_names_the_class(self):
+        partial = DomainModel("M", classes=(Class("Status"),))
+        inferred = DomainModel("M", enumerations=(Enumeration("status", ("OPEN",)),))
+        merged, report = merge_models(partial, inferred)
+        assert model_equal(merged, partial)
+        assert report.conflicts == [MergeConflict(
+            element="enum status", partial_value="class Status already present",
+            inferred_value="OPEN")]
+
     def test_property_of_an_enumeration_named_like_a_partial_class_is_str(self):
         partial = DomainModel("M", classes=(Class("Status"), Class("Order")))
         inferred = DomainModel(
             "M", classes=(Class("Order", (Property("state", enum_type("Status")),)),),
             enumerations=(Enumeration("Status", ("OPEN",)),))
         merged, report = merge_models(partial, inferred)
-        assert merged.class_named("Order").properties == \
+        assert class_named(merged, "Order").properties == \
             (Property("state", primitive_type("str")),)
         assert report.added_properties == ["Order.state"]
         assert report.conflicts[-1] == MergeConflict(

@@ -15,6 +15,7 @@ from lcpbridge.mendix import (
 )
 from lcpbridge.model import validate_model
 
+from expected import property_names, with_reason
 from generators import random_mendix_export
 
 
@@ -147,7 +148,7 @@ class TestMapping:
             {"name": "User", "attributes": [{"name": "pw", "type": "HashedString"}]}]}}
         model, loss = mendix_to_pivot(parse_mendix_export(doc))
         assert model.classes[0].properties[0].type.primitive == "str"
-        entries = loss.with_reason("TYPE_COERCED")
+        entries = with_reason(loss, "TYPE_COERCED")
         assert entries and entries[0].element_name == "User.pw"
 
     def test_autonumber_coerced_with_loss(self):
@@ -155,7 +156,7 @@ class TestMapping:
             {"name": "Order_", "attributes": [{"name": "nr", "type": "AutoNumber"}]}]}}
         model, loss = mendix_to_pivot(parse_mendix_export(doc))
         assert model.classes[0].properties[0].type.primitive == "int"
-        assert loss.with_reason("TYPE_COERCED")
+        assert with_reason(loss, "TYPE_COERCED")
 
     def test_generalization_mapped(self):
         doc = {"domainModel": {"name": "M", "entities": [
@@ -171,7 +172,7 @@ class TestMapping:
         model, loss = mendix_to_pivot(parse_mendix_export(doc))
         assert model.classes[0].name == "Sales_Order"
         assert model.classes[0].properties[0].name == "total_amount"
-        renames = loss.with_reason("RENAMED")
+        renames = with_reason(loss, "RENAMED")
         assert {r.element_name for r in renames} >= {"Sales Order", "Sales Order.total amount"}
 
     @pytest.mark.parametrize("entities, classes, renamed", [
@@ -190,14 +191,14 @@ class TestMapping:
         assert [e.name for e in model.enumerations] == ["Status"]
         assert {e.class_name for e in model.associations[0].ends} == \
             {classes[0], classes[-1]}
-        assert [r.element_name for r in loss.with_reason("RENAMED")] == renamed
+        assert [r.element_name for r in with_reason(loss, "RENAMED")] == renamed
 
     def test_colliding_attribute_names_renamed(self):
         doc = {"domainModel": {"name": "M", "entities": [{"name": "Book", "attributes": [
             {"name": "Name", "type": "String"}, {"name": "name", "type": "String"}]}]}}
         model, loss = mendix_to_pivot(parse_mendix_export(doc))
-        assert model.classes[0].property_names() == ("Name", "name_2")
-        assert [(r.element_name, r.detail) for r in loss.with_reason("RENAMED")] == \
+        assert property_names(model.classes[0]) == ("Name", "name_2")
+        assert [(r.element_name, r.detail) for r in with_reason(loss, "RENAMED")] == \
             [("Book.name", "sanitized to name_2")]
 
     def test_self_association_roles_distinct(self):

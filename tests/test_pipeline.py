@@ -19,6 +19,8 @@ from lcpbridge.pipeline import (
 from lcpbridge.planner import plan_migration
 from lcpbridge.workbook import SheetDropdown
 
+from expected import class_named, with_reason
+
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "model.xlsx.manifest.json").read_text())
@@ -90,7 +92,7 @@ class TestScenarioPowerAppsToApex:
                                  llm_client=ReplayVisionClient(replay_dir))
         result = execute_migration(plan, inputs, tmp_path,
                                    ExecutionOptions(dialect="ansi"))
-        book = result.model.class_named("Book")
+        book = class_named(result.model, "Book")
         types = {p.name: p.type.primitive for p in book.properties}
         assert types == {"title": "str", "pages": "int", "published": "date"}
 
@@ -270,7 +272,7 @@ class TestReviewHook:
             plan, MigrationInputs(files=[mendix_library_path]), tmp_path,
             ExecutionOptions(review_hook=edit_model))
         assert calls == [tmp_path / "model.bml"]
-        assert result.model.class_named("Addendum") is not None
+        assert class_named(result.model, "Addendum") is not None
         manifest = read_manifest(tmp_path)
         assert any(s["name"] == "Addendum" for s in manifest["sheets"])
 
@@ -296,7 +298,7 @@ class TestCsvFallbackExporter:
         paths, loss = run_exporter("csv", library_model, tmp_path, ExecutionOptions())
         names = {p.name for p in paths}
         assert names == {"Library.csv", "Book.csv", "Author.csv", "BOOK_AUTHOR.csv"}
-        assert loss.with_reason("DROPPED")  # validations not expressible in CSV
+        assert with_reason(loss, "DROPPED")  # validations not expressible in CSV
 
 
 class TestValidateOnce:

@@ -9,6 +9,8 @@ from lcpbridge.errors import NoViablePathError, UnknownPlatformError
 from lcpbridge.pipeline import IMPORTERS
 from lcpbridge.planner import plan_migration
 
+from expected import with_reason
+
 
 def test_mendix_to_powerapps():
     plan = plan_migration("mendix", "powerapps")
@@ -22,7 +24,7 @@ def test_powerapps_to_apex():
     assert plan.export_method == "alternative"
     assert plan.import_method == "formal"
     assert plan.chain == ("tabular", "image-llm", "apex-sql")
-    assert plan.expected_losses.with_reason("LLM_INFERRED")
+    assert with_reason(plan.expected_losses, "LLM_INFERRED")
 
 
 def test_mendix_to_mendix():
@@ -36,8 +38,8 @@ def test_full_xlsx_export_uses_tabular_with_loss_note():
     plan = plan_migration("outsystems", "apex")
     assert plan.export_method == "formal"
     assert plan.chain[0] == "tabular"
-    assert plan.expected_losses.with_reason("ASSOCIATIONS_UNKNOWN")
-    assert plan.expected_losses.with_reason("THIRD_PARTY_REQUIRED")
+    assert with_reason(plan.expected_losses, "ASSOCIATIONS_UNKNOWN")
+    assert with_reason(plan.expected_losses, "THIRD_PARTY_REQUIRED")
 
 
 def test_unparseable_full_export_falls_back_to_image():
@@ -50,7 +52,7 @@ def test_unparseable_full_export_falls_back_to_image():
 def test_workbook_risk_flagged_for_non_tabular_target():
     plan = plan_migration("mendix", "appian")
     assert plan.import_method == "alternative"
-    assert plan.expected_losses.with_reason("DROPPED")
+    assert with_reason(plan.expected_losses, "DROPPED")
 
 
 def test_unknown_platform():

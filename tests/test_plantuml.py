@@ -7,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.errors import PlantUmlError
-from lcpbridge.model import Multiplicity, model_equal
+from lcpbridge.model import (
+    Association,
+    AssociationEnd,
+    Class,
+    DomainModel,
+    Generalization,
+    Multiplicity,
+    model_equal,
+)
 from lcpbridge.plantuml import emit_plantuml, parse_multiplicity, parse_plantuml
 
+from expected import class_named, enum_named, property_names, with_reason
 from generators import random_model
 
 
@@ -21,7 +30,7 @@ class TestParse:
 
     def test_single_class_with_attribute(self):
         result = parse_plantuml("@startuml\nclass Book { title : str }\n@enduml")
-        book = result.model.class_named("Book")
+        book = class_named(result.model, "Book")
         assert book is not None
         assert book.properties[0].name == "title"
         assert book.properties[0].type.primitive == "str"
@@ -51,8 +60,8 @@ class Ticket {
 }
 @enduml"""
         model = parse_plantuml(text).model
-        assert model.enum_named("Status").literals == ("OPEN", "CLOSED")
-        status_prop = model.class_named("Ticket").properties[1]
+        assert enum_named(model, "Status").literals == ("OPEN", "CLOSED")
+        status_prop = class_named(model, "Ticket").properties[1]
         assert status_prop.type.kind == "enumeration"
         assert status_prop.type.enum_name == "Status"
 
@@ -65,14 +74,14 @@ class Ticket {
 
     def test_unknown_type_becomes_str_with_loss(self):
         result = parse_plantuml("@startuml\nclass A { x : Money }\n@enduml")
-        prop = result.model.class_named("A").properties[0]
+        prop = class_named(result.model, "A").properties[0]
         assert prop.type.primitive == "str"
-        assert result.loss.with_reason("TYPE_COERCED")
+        assert with_reason(result.loss, "TYPE_COERCED")
 
     def test_type_table(self):
         text = ("@startuml\nclass A {\n  a : string\n  b : Integer\n  c : double\n"
                 "  d : boolean\n  e : timestamp\n  f : text\n}\n@enduml")
-        props = parse_plantuml(text).model.class_named("A").properties
+        props = class_named(parse_plantuml(text).model, "A").properties
         assert [p.type.primitive for p in props] == \
             ["str", "int", "float", "bool", "datetime", "str"]
 
@@ -90,7 +99,7 @@ note left: remember this
         assert len(skipped_texts) == 3
         assert any("skinparam" in t for t in skipped_texts)
         assert any("getTitle" in t for t in skipped_texts)
-        assert result.model.class_named("Book").property_names() == ("title",)
+        assert property_names(class_named(result.model, "Book")) == ("title",)
 
     def test_skiplist_counts_nonempty_unsupported_lines(self):
         text = ("@startuml\n\ntitle My Model\n'just a comment\nclass A\n"
@@ -134,7 +143,7 @@ end note
         text = "@startuml\nA <|-- C\nB <|-- C\n@enduml"
         result = parse_plantuml(text)
         assert len(result.model.generalizations) == 1
-        assert result.loss.with_reason("DROPPED")
+        assert with_reason(result.loss, "DROPPED")
 
     def test_aggregation_markers_treated_as_association(self):
         result = parse_plantuml('@startuml\nLibrary o-- Book\n@enduml')
@@ -194,6 +203,17 @@ class TestEmit:
     def test_generalization_line(self):
         model = parse_plantuml("@startuml\nPerson <|-- Author\n@enduml").model
         assert "Person <|-- Author" in emit_plantuml(model)
+
+    @pytest.mark.parametrize("word", ["note", "show", "title", "hide", "scale", "legend",
+                                      "skinparam"])
+    def test_class_named_like_a_skip_word_round_trips(self, word):
+        model = DomainModel("M", classes=(Class(word), Class("Car")), associations=(
+            Association("parks", AssociationEnd("spot", word, Multiplicity(0, 1)),
+                        AssociationEnd("cars", "Car", Multiplicity(0, None))),),
+            generalizations=(Generalization(word, "Car"),))
+        result = parse_plantuml(emit_plantuml(model))
+        assert result.skipped == []
+        assert model_equal(result.model, model)
 
     def test_emit_is_deterministic(self, library_model):
         assert emit_plantuml(library_model) == emit_plantuml(library_model)

@@ -31,7 +31,7 @@ from lcpbridge.relational import (
     sql_name,
 )
 
-from expected import expected_fk_count, expected_table_count, table_named
+from expected import expected_fk_count, expected_table_count, table_named, with_reason
 from generators import random_model
 
 
@@ -142,7 +142,7 @@ class TestPlan:
         plan, loss = plan_relational(model)
         col = next(c for c in table_named(plan, "SLOT").columns if c.name == "STARTS")
         assert col.sql_type == "VARCHAR2(8)"
-        assert loss.with_reason("TYPE_COERCED")
+        assert with_reason(loss, "TYPE_COERCED")
 
     def test_column_collision_reports_both_names(self):
         model = DomainModel("M", classes=(
@@ -150,7 +150,7 @@ class TestPlan:
                         Property("aB", primitive_type("int")),)),))
         plan, loss = plan_relational(model)
         assert [c.name for c in table_named(plan, "T").columns] == ["ID", "A_B", "A_B_2"]
-        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == \
+        assert [(e.element_name, e.detail) for e in with_reason(loss, "RENAMED")] == \
             [("T.aB", "column A_B_2 in table T")]
         assert_runs_on_sqlite(plan, model)
 
@@ -160,7 +160,7 @@ class TestPlan:
             Class("Book", (Property(name, primitive_type("str")),)),))
         plan, loss = plan_relational(model)
         assert [c.name for c in table_named(plan, "BOOK").columns] == ["ID", "ID_2"]
-        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+        assert [(e.element_name, e.detail) for e in with_reason(loss, "RENAMED")] == [
             ("Book", "table BOOK"), (f"Book.{name}", "column ID_2 in table BOOK")]
         assert_runs_on_sqlite(plan, model)
 
@@ -174,7 +174,7 @@ class TestPlan:
             == [("A_B_2_ID", "A_B_2")]
         assert [c.name for c in table_named(plan, "A_B_A_B_2").columns] == \
             ["A_B_ID", "A_B_2_ID"]
-        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+        assert [(e.element_name, e.detail) for e in with_reason(loss, "RENAMED")] == [
             ("aB", "table A_B"), ("a_b", "table A_B_2")]
         assert_runs_on_sqlite(plan, model)
 
@@ -186,7 +186,7 @@ class TestPlan:
         plan, loss = plan_relational(model)
         assert [c.name for c in table_named(plan, "T").columns] == \
             ["ID", "FOO_BAR", "FOO_BAR_2", "FOO_BAR_2_2"]
-        assert [e.element_name for e in loss.with_reason("RENAMED")] == \
+        assert [e.element_name for e in with_reason(loss, "RENAMED")] == \
             ["T.foo_Bar", "T.FOO_BAR_2"]
         assert_runs_on_sqlite(plan, model)
 
@@ -203,7 +203,7 @@ class TestPlan:
         plan, loss = plan_relational(model)
         assert [c.name for c in table_named(plan, "PERSON").columns] == \
             ["ID", "MANAGER_ID", "REPORTS_ID", "PERSON_ID"]
-        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+        assert [(e.element_name, e.detail) for e in with_reason(loss, "RENAMED")] == [
             ("Person", "table PERSON"),
             ("Manages", f"role {role} stored as column PERSON_ID in table PERSON")]
         assert_runs_on_sqlite(plan, model)
@@ -224,7 +224,7 @@ class TestPlan:
         plan, loss = plan_relational(model)
         junction = table_named(plan, "PERSON_PERSON")
         assert [c.name for c in junction.columns] == ["A_ID", "PERSON_ID"]
-        assert [(e.element_kind, e.element_name) for e in loss.with_reason("RENAMED")] == \
+        assert [(e.element_kind, e.element_name) for e in with_reason(loss, "RENAMED")] == \
             [("class", "Person"), ("association", "Knows")]
         assert_runs_on_sqlite(plan, model)
 
@@ -235,7 +235,7 @@ class TestPlan:
         plan, loss = plan_relational(model)
         junction = table_named(plan, "PERSON_PERSON")
         assert [c.name for c in junction.columns] == ["PERSON_ID", "PERSON_ID_2"]
-        assert [(e.element_name, e.detail) for e in loss.with_reason("RENAMED")] == [
+        assert [(e.element_name, e.detail) for e in with_reason(loss, "RENAMED")] == [
             ("Person", "table PERSON"),
             ("Knows", "role Person stored as column PERSON_ID_2 in table PERSON_PERSON")]
         assert_runs_on_sqlite(plan, model)
@@ -251,7 +251,7 @@ class TestPlan:
         order = table_named(plan, "ORDER")
         assert [c.name for c in order.columns] == ["ID", "PERSON_ID", "OWNER_ID", "PERSON_ID_2"]
         assert [fk.column for fk in order.foreign_keys] == ["PERSON_ID_2"]
-        assert [e.element_name for e in loss.with_reason("RENAMED")] == \
+        assert [e.element_name for e in with_reason(loss, "RENAMED")] == \
             ["Person", "Order", "Owns"]
         assert_runs_on_sqlite(plan, model)
 

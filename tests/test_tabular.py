@@ -26,7 +26,7 @@ from lcpbridge.tabular import (
 )
 from lcpbridge.xlsx import read_workbook
 
-from expected import reference_column_type
+from expected import class_named, reference_column_type, with_reason
 
 
 def _source(**tables) -> TabularSource:
@@ -299,20 +299,20 @@ class TestInference:
     def test_book_example(self):
         source = _source(Book={"title": ["A", "B"], "pages": ["12", "300"]})
         model, _ = infer_model(source)
-        book = model.class_named("Book")
+        book = class_named(model, "Book")
         assert book.properties[0].type.primitive == "str"
         assert book.properties[1].type.primitive == "int"
 
     def test_empty_column_defaults_to_str_with_loss(self):
         source = _source(Book={"notes": ["", "", ""]})
         model, loss = infer_model(source)
-        assert model.class_named("Book").properties[0].type.primitive == "str"
-        assert loss.with_reason("TYPE_DEFAULTED")
+        assert class_named(model, "Book").properties[0].type.primitive == "str"
+        assert with_reason(loss, "TYPE_DEFAULTED")
 
     def test_int_generalizes_to_float(self):
         source = _source(T={"x": ["1", "2.5"]})
         model, _ = infer_model(source)
-        assert model.class_named("T").properties[0].type.primitive == "float"
+        assert class_named(model, "T").properties[0].type.primitive == "float"
 
     @pytest.mark.parametrize("values,expected", [
         (["true", "FALSE", "True"], "bool"),
@@ -378,28 +378,28 @@ class TestInference:
         model, _ = infer_model(source)
         assert len(model.classes) == len(source.tables)
         for table in source.tables:
-            cls = model.class_named(table.name)
+            cls = class_named(model, table.name)
             assert len(cls.properties) == len(table.columns)
 
     def test_no_associations_and_loss_noted(self):
         source = _source(Book={"t": ["a"]}, Author={"n": ["b"]})
         model, loss = infer_model(source)
         assert model.associations == ()
-        assert loss.with_reason("ASSOCIATIONS_UNKNOWN")
+        assert with_reason(loss, "ASSOCIATIONS_UNKNOWN")
 
     def test_reference_suggestion_off_by_default(self):
         source = _source(Book={"author": ["x"]}, Author={"name": ["y"]})
         _, loss = infer_model(source)
-        assert not loss.with_reason("REFERENCE_CANDIDATE")
+        assert not with_reason(loss, "REFERENCE_CANDIDATE")
         _, loss_on = infer_model(source, suggest_references=True)
-        suggestions = loss_on.with_reason("REFERENCE_CANDIDATE")
+        suggestions = with_reason(loss_on, "REFERENCE_CANDIDATE")
         assert suggestions and suggestions[0].element_name == "Book.author"
 
     def test_inferred_model_validates(self, csv_paths):
         model, _ = infer_model(load_tabular(csv_paths))
         assert validate_model(model).ok
         assert {c.name for c in model.classes} == {"Book", "Author", "Library"}
-        book = model.class_named("Book")
+        book = class_named(model, "Book")
         types = {p.name: p.type.primitive for p in book.properties}
         assert types == {"title": "str", "pages": "int", "published": "date"}
 

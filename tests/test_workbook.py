@@ -27,7 +27,7 @@ from lcpbridge.workbook import (
     plan_workbook,
 )
 
-from expected import expected_dropdown_count, sheet_named
+from expected import class_named, expected_dropdown_count, property_names, sheet_named, with_reason
 from generators import random_model
 
 NS = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
@@ -112,7 +112,7 @@ class TestPlanRules:
         manifest, loss = plan_workbook(model)
         book = sheet_named(manifest, "Book")
         assert [c.header for c in book.columns] == ["title", "pages"]
-        assert loss.with_reason("GENERALIZATION_FLATTENED")
+        assert with_reason(loss, "GENERALIZATION_FLATTENED")
 
     def test_one_to_one_encoded_with_loss(self):
         model = DomainModel("M", classes=(Class("Person"), Class("Passport")),
@@ -121,14 +121,14 @@ class TestPlanRules:
                                 AssociationEnd("person", "Person", Multiplicity(0, 1)),
                                 AssociationEnd("passport", "Passport", Multiplicity(1, 1))),))
         manifest, loss = plan_workbook(model)
-        assert loss.with_reason("ONE_TO_ONE_FLATTENED")
+        assert with_reason(loss, "ONE_TO_ONE_FLATTENED")
         drops = sheet_dropdowns(manifest)
         assert len(drops) == 1
         assert drops[0][0] == "Passport"  # alphabetically-first class hosts
 
     def test_association_risk_always_reported(self, library_model):
         _, loss = plan_workbook(library_model)
-        warnings = loss.with_reason("ASSOCIATIONS_UNKNOWN")
+        warnings = with_reason(loss, "ASSOCIATIONS_UNKNOWN")
         assert len(warnings) == len(library_model.associations)
 
     def test_rules_hold_on_random_models(self):
@@ -218,10 +218,10 @@ class TestEmit:
         manifest, loss = plan_workbook(model)
         assert [c.header for c in sheet_named(manifest, "PERSON_PERSON").columns] == \
             ["a", "person"]
-        assert [e.element_name for e in loss.with_reason("RENAMED")] == ["Knows"]
+        assert [e.element_name for e in with_reason(loss, "RENAMED")] == ["Knows"]
         book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
         inferred, _ = infer_model(load_tabular([book_path]))
-        bridge = inferred.class_named("PERSON_PERSON")
+        bridge = class_named(inferred, "PERSON_PERSON")
         assert [p.name for p in bridge.properties] == ["a", "person"]
 
     def test_self_many_to_many_with_roles_named_like_the_class_reloads(self, tmp_path):
@@ -232,10 +232,10 @@ class TestEmit:
         manifest, loss = plan_workbook(model)
         assert [c.header for c in sheet_named(manifest, "PERSON_PERSON").columns] == \
             ["person", "person_2"]
-        assert [e.element_name for e in loss.with_reason("RENAMED")] == ["Knows"]
+        assert [e.element_name for e in with_reason(loss, "RENAMED")] == ["Knows"]
         book_path, _ = emit_workbook(manifest, tmp_path / "m.xlsx")
         inferred, _ = infer_model(load_tabular([book_path]))
-        bridge = inferred.class_named("PERSON_PERSON")
+        bridge = class_named(inferred, "PERSON_PERSON")
         assert [p.name for p in bridge.properties] == ["person", "person_2"]
 
     def test_class_named_like_a_bridge_sheet_reloads(self, tmp_path):
@@ -262,11 +262,11 @@ class TestEmit:
         inferred_classes = {c.name for c in model.classes}
         for cls in library_model.classes:
             assert cls.name in inferred_classes
-            inferred = model.class_named(cls.name)
-            assert set(cls.property_names()) <= set(inferred.property_names())
+            inferred = class_named(model, cls.name)
+            assert set(property_names(cls)) <= set(property_names(inferred))
         assert model.associations == ()  # structure only; never recovered
 
-        book = model.class_named("Book")
+        book = class_named(model, "Book")
         types = {p.name: p.type.primitive for p in book.properties}
         assert types["pages"] == "int"
         assert types["published"] == "date"
