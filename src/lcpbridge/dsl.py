@@ -241,8 +241,7 @@ def parse_pivot_text(source: str) -> DomainModel:
 
 
 def print_pivot_text(model: DomainModel) -> str:
-    """Render a valid model back to DSL text; inverse of parse_pivot_text."""
-    require_valid(model, "model to print")
+    """Render a valid model, trusted as built, to DSL text; inverse of parse_pivot_text."""
     out = [f"model {model.name}"]
 
     if model.enumerations:

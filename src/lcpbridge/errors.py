@@ -101,13 +101,6 @@ class OutputError(LcpBridgeError):
     code = "OUTPUT_ERROR"
 
 
-class NameCollisionError(LcpBridgeError):
-    """A generated plan fails its own check: two of its names collide or a
-    reference dangles. Generators rename instead, so this is a fault."""
-
-    code = "NAME_COLLISION"
-
-
 class LlmClientError(LcpBridgeError):
     """Base for vision-model client failures."""
 

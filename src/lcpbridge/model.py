@@ -3,11 +3,12 @@
 All model types are immutable plain data. Construction never raises;
 ``validate_model`` is the single well-formedness gate and reports violations
 as data. Platform adapters build these types and generators consume them.
-It runs where a model is built from outside input, and nowhere downstream:
-``parse_pivot_text``, ``print_pivot_text`` (the hand-edited ``.bml``),
+It runs once, where a model is built from outside input, and nowhere
+downstream: ``parse_pivot_text`` (a ``.bml`` load, hand-edited or not),
 ``parse_plantuml`` (a bad vision-model answer is re-prompted),
 ``mendix_to_pivot``, ``infer_model``, the ``merge_models`` result, and
-``pipeline.run_exporter`` for API callers. Planners and emitters trust it.
+``pipeline.run_exporter`` for Python API callers only. ``print_pivot_text``,
+the planners and the emitters trust it.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class Property:
 class Class:
     name: str
     properties: tuple[Property, ...] = ()
-
-
-UNBOUNDED = None  # sentinel value for Multiplicity.upper
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,7 +432,7 @@ def model_equal(a: DomainModel, b: DomainModel) -> bool:
 
 
 __all__ = [
-    "PRIMITIVES", "RESERVED_WORDS", "UNBOUNDED", "MANY", "OPTIONAL_ONE", "EXACTLY_ONE",
+    "PRIMITIVES", "RESERVED_WORDS", "MANY", "OPTIONAL_ONE", "EXACTLY_ONE",
     "TypeRef", "primitive_type", "enum_type", "Property", "Class", "Multiplicity",
     "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
     "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",

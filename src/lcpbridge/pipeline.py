@@ -250,16 +250,26 @@ def run_importer(adapter_id: str, inputs: MigrationInputs, source_platform: str,
                        partial=partial, matrix=matrix)
 
 
+def _generate(adapter_id: str, model: DomainModel, out_dir: Path,
+              options: ExecutionOptions) -> tuple[list[Path], LossReport]:
+    """Run one generator on a valid model; its errors name the step."""
+    adapter = EXPORTERS.get(adapter_id)
+    if adapter is None:
+        raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
+    try:
+        with _writing_to(out_dir):
+            return adapter.run(model, out_dir, options)
+    except LcpBridgeError as exc:
+        exc.details["step"] = adapter_id
+        raise
+
+
 def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
                  options: ExecutionOptions) -> tuple[list[Path], LossReport]:
-    """Run one generator from the pivot model, checked here for API callers;
+    """Run one generator on a model from an API caller, checked here first;
     returns written files."""
-    with _writing_to(out_dir):
-        require_valid(model, "model for export")
-        adapter = EXPORTERS.get(adapter_id)
-        if adapter is None:
-            raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
-        return adapter.run(model, out_dir, options)
+    require_valid(model, "model for export")
+    return _generate(adapter_id, model, out_dir, options)
 
 
 def _import_leg(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
@@ -331,7 +341,7 @@ def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str
             options.review_hook(pivot_path)
             model = load_pivot_file(pivot_path)  # re-validate after human edits
 
-        outputs, export_loss = run_exporter(exporter_id, model, out_dir, options)
+        outputs, export_loss = _generate(exporter_id, model, out_dir, options)
         actual_loss.extend(export_loss)
 
         final_loss = plan.expected_losses.union(actual_loss)
@@ -347,7 +357,7 @@ def execute_from_pivot(pivot_path: str | Path, exporter_id: str, out_dir: str | 
     out_dir = Path(out_dir)
     model = load_pivot_file(pivot_path)
     with _writing_to(out_dir):
-        outputs, loss = run_exporter(exporter_id, model, out_dir, options)
+        outputs, loss = _generate(exporter_id, model, out_dir, options)
         outputs += _write_reports(out_dir, loss, None)
     return ExecutionResult(model=model, pivot_path=Path(pivot_path), outputs=outputs,
                            loss=loss)

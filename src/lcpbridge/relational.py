@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import NameCollisionError
 from .loss import LossReport
 from .model import DomainModel, Namespace, fit_name
 
@@ -66,10 +65,8 @@ class ColumnPlan:
 
 @dataclass(frozen=True, slots=True)
 class ForeignKeyPlan:
-    column: str
+    column: str  # references the "ID" key of ref_table
     ref_table: str
-    ref_column: str
-    unique: bool = False
 
 
 @dataclass(slots=True)
@@ -85,36 +82,13 @@ class TablePlan:
 class RelationalSchemaPlan:
     tables: list[TablePlan] = field(default_factory=list)
 
-    def validate(self) -> list[str]:
-        problems = []
-        columns_of: dict[str, set[str]] = {}  # the first table of a name wins
-        for table in self.tables:  # names fit MAX_NAME by sql_name/fit_name
-            if table.name in columns_of:
-                problems.append(f"duplicate table name: {table.name}")
-            columns = set()
-            for column in table.columns:
-                if column.name in columns:
-                    problems.append(f"duplicate column name: {table.name}.{column.name}")
-                columns.add(column.name)
-            columns_of.setdefault(table.name, columns)
-        for table in self.tables:
-            for fk in table.foreign_keys:
-                target_columns = columns_of.get(fk.ref_table)
-                if target_columns is None:
-                    problems.append(f"FK {table.name}.{fk.column} references absent "
-                                    f"table {fk.ref_table}")
-                elif fk.ref_column not in target_columns:
-                    problems.append(f"FK {table.name}.{fk.column} references absent "
-                                    f"column {fk.ref_table}.{fk.ref_column}")
-        return problems
-
 
 def _quoted_literal(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
 def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossReport]:
-    """Derive the table layout for a valid pivot model; the caller validates it."""
+    """Derive the table layout for a valid pivot model; names are unique as claimed."""
     loss = LossReport()
     plan = RelationalSchemaPlan()
 
@@ -136,7 +110,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                 loss.add("property", f"{cls.name}.{prop.name}", "RENAMED", "info",
                          f"column {col_name} in table {table_name}")
             if prop.type.kind == "enumeration":
-                literals = enum_literals.get(prop.type.enum_name, ())
+                literals = enum_literals[prop.type.enum_name]
                 membership = ", ".join(_quoted_literal(l) for l in literals)
                 table.columns.append(ColumnPlan(
                     name=col_name, sql_type="VARCHAR2(255)",
@@ -159,8 +133,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         child = table_of_class[gen.specific]
         parent = table_of_class[gen.general]
         child.identity_pk = False  # shares the parent's key value
-        child.foreign_keys.append(ForeignKeyPlan(
-            column="ID", ref_table=parent.name, ref_column="ID"))
+        child.foreign_keys.append(ForeignKeyPlan(column="ID", ref_table=parent.name))
         loss.add("generalization", f"{gen.specific}->{gen.general}", "GENERALIZATION_FLATTENED",
                  "info", "class-table inheritance: child key doubles as FK to parent")
 
@@ -202,8 +175,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                                                    nullable=False))
                 junction.primary_key.append(col)
                 junction.foreign_keys.append(ForeignKeyPlan(
-                    column=col, ref_table=table_of_class[end.class_name].name,
-                    ref_column="ID"))
+                    column=col, ref_table=table_of_class[end.class_name].name))
             junctions.append(junction)
             for end in (end1, end2):
                 if end.multiplicity.lower > 0:
@@ -217,8 +189,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             host.columns.append(ColumnPlan(
                 name=col, sql_type="NUMBER(10)", nullable=one_end.multiplicity.lower == 0))
             host.foreign_keys.append(ForeignKeyPlan(
-                column=col, ref_table=table_of_class[one_end.class_name].name,
-                ref_column="ID"))
+                column=col, ref_table=table_of_class[one_end.class_name].name))
             if many_end.multiplicity.lower > 0:
                 loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
                          f"lower bound {many_end.multiplicity.lower} on {many_end.role} "
@@ -232,14 +203,9 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                 name=col, sql_type="NUMBER(10)",
                 nullable=second.multiplicity.lower == 0, unique=True))
             host.foreign_keys.append(ForeignKeyPlan(
-                column=col, ref_table=table_of_class[second.class_name].name,
-                ref_column="ID", unique=True))
+                column=col, ref_table=table_of_class[second.class_name].name))
 
     plan.tables.extend(junctions)
-    columns_of.clear()  # not needed by the check, which builds its own sets
-    problems = plan.validate()
-    if problems:
-        raise NameCollisionError("; ".join(problems))
     return plan, loss
 
 
@@ -330,7 +296,7 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     every foreign key (safe for cycles). ansi: foreign keys are inlined in
     the CREATE statements because the embedded verification engine does not
     support adding constraints afterwards. The plan is trusted as built:
-    ``plan_relational`` checks it once.
+    ``plan_relational`` claims every name from a ``Namespace``.
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import xlsx
-from .errors import NameCollisionError
 from .loss import LossReport
 from .model import DomainModel, Namespace, Property
 
@@ -104,33 +103,11 @@ class WorkbookManifest:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
-    def validate(self) -> list[str]:
-        problems = []
-        names = set()
-        for sheet in self.sheets:
-            if sheet.name in names:
-                problems.append(f"duplicate sheet name {sheet.name!r}")
-            names.add(sheet.name)
-        for sheet in self.sheets:
-            if sheet.sample_row is not None and len(sheet.sample_row) != len(sheet.columns):
-                problems.append(f"sheet {sheet.name!r}: sample row length "
-                                f"{len(sheet.sample_row)} != column count {len(sheet.columns)}")
-            headers = set()
-            for column in sheet.columns:
-                if column.header.lower() in headers:
-                    problems.append(f"sheet {sheet.name!r}: duplicate header {column.header!r}")
-                headers.add(column.header.lower())
-                if isinstance(column.validation, SheetDropdown) \
-                        and column.validation.source_sheet not in names:
-                    problems.append(f"sheet {sheet.name!r}, column {column.header!r}: "
-                                    f"dropdown source {column.validation.source_sheet!r} missing")
-        return problems
-
 
 def plan_workbook(model: DomainModel, include_sample_row: bool = True
                   ) -> tuple[WorkbookManifest, LossReport]:
     """Lay out sheets, columns, validations and the sample row for a valid
-    model; the caller validates it."""
+    model; sheet names and headers are unique as claimed."""
     loss = LossReport()
     manifest = WorkbookManifest(workbook_name=model.name)
     enum_literals = {e.name: e.literals for e in model.enumerations}
@@ -165,10 +142,10 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         sheet_of_class[cls.name] = sheet
         for prop in effective_properties(cls.name):
             if prop.type.kind == "enumeration":
-                literals = enum_literals.get(prop.type.enum_name, ())
+                literals = enum_literals[prop.type.enum_name]
                 column = ManifestColumn(header=prop.name, cell_format="General",
                                         validation=ListDropdown(tuple(literals)))
-                sample = literals[0] if literals else ""
+                sample = literals[0]
             else:
                 primitive = prop.type.primitive
                 validation = ListDropdown(BOOL_OPTIONS) if primitive == "bool" else None
@@ -250,10 +227,6 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
     for host_sheet, source in dropdown_samples:
         value = source.sample_row[0] if source.sample_row else ""
         host_sheet.sample_row.append(value)
-
-    problems = manifest.validate()
-    if problems:
-        raise NameCollisionError("; ".join(problems))
     return manifest, loss
 
 
@@ -263,7 +236,7 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
     A zero-sheet manifest still produces a workbook with one blank sheet
     (the container format requires at least one), while the manifest JSON
     keeps the true zero-sheet description. The manifest is trusted as built:
-    ``plan_workbook`` checks it once.
+    ``plan_workbook`` claims every sheet name and header from a ``Namespace``.
     """
     path = Path(path)
 

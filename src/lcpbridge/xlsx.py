@@ -19,13 +19,24 @@ NS_MAIN = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
 NS_REL = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
 NS_PKG_REL = "http://schemas.openxmlformats.org/package/2006/relationships"
 
-# Number formats used by the workbook generator. Ids >= 164 are the custom
-# range; 0/1/2 are builtin General, "0" and "0.00".
-_CUSTOM_FORMATS = {
-    "DD/MM/YYYY": 164,
-    "DD/MM/YYYY HH:MM": 165,
-}
-_BUILTIN_FORMATS = {"General": 0, "0": 1, "0.00": 2}
+# The number formats the workbook generator uses, one cell style each: the
+# builtin General, "0" and "0.00" (ids 0-2) and two in the custom range (164+).
+_STYLES_XML = (
+    '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
+    f'<styleSheet xmlns="{NS_MAIN}">'
+    '<numFmts count="2"><numFmt numFmtId="164" formatCode="DD/MM/YYYY"/>'
+    '<numFmt numFmtId="165" formatCode="DD/MM/YYYY HH:MM"/></numFmts>'
+    '<fonts count="1"><font><sz val="11"/><name val="Calibri"/></font></fonts>'
+    '<fills count="1"><fill><patternFill patternType="none"/></fill></fills>'
+    '<borders count="1"><border/></borders>'
+    '<cellStyleXfs count="1"><xf numFmtId="0"/></cellStyleXfs>'
+    '<cellXfs count="5">'
+    '<xf numFmtId="0" fontId="0" fillId="0" borderId="0"/>'
+    + "".join(f'<xf numFmtId="{i}" fontId="0" fillId="0" borderId="0" applyNumberFormat="1"/>'
+              for i in (1, 2, 164, 165))
+    + "</cellXfs></styleSheet>"
+)
+_STYLE_OF = {"General": 0, "0": 1, "0.00": 2, "DD/MM/YYYY": 3, "DD/MM/YYYY HH:MM": 4}
 
 _CELL_REF_RE = re.compile(r"([A-Z]+)(\d+)")
 _EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -83,52 +94,13 @@ class SheetData:
     validations: list[ListValidation] = field(default_factory=list)
 
 
-def _style_index(number_format: str, styles: dict[str, int]) -> int:
-    if number_format not in styles:
-        raise ValueError(f"unregistered number format {number_format!r}")
-    return styles[number_format]
-
-
-def _styles_xml(formats: list[str]) -> tuple[str, dict[str, int]]:
-    custom = [f for f in formats if f in _CUSTOM_FORMATS]
-    num_fmts = "".join(
-        f'<numFmt numFmtId="{_CUSTOM_FORMATS[f]}" formatCode="{escape(f, {chr(34): "&quot;"})}"/>'
-        for f in sorted(set(custom), key=_CUSTOM_FORMATS.get)
-    )
-    num_fmt_block = f'<numFmts count="{len(set(custom))}">{num_fmts}</numFmts>' if custom else ""
-
-    style_of: dict[str, int] = {}
-    xfs = []
-    for fmt in formats:
-        if fmt in style_of:
-            continue
-        fmt_id = _CUSTOM_FORMATS.get(fmt, _BUILTIN_FORMATS.get(fmt))
-        if fmt_id is None:
-            raise ValueError(f"unsupported number format {fmt!r}")
-        apply_attr = ' applyNumberFormat="1"' if fmt_id else ""
-        xfs.append(f'<xf numFmtId="{fmt_id}" fontId="0" fillId="0" borderId="0"{apply_attr}/>')
-        style_of[fmt] = len(xfs) - 1
-    xml = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<styleSheet xmlns="{NS_MAIN}">'
-        f"{num_fmt_block}"
-        '<fonts count="1"><font><sz val="11"/><name val="Calibri"/></font></fonts>'
-        '<fills count="1"><fill><patternFill patternType="none"/></fill></fills>'
-        '<borders count="1"><border/></borders>'
-        '<cellStyleXfs count="1"><xf numFmtId="0"/></cellStyleXfs>'
-        f'<cellXfs count="{len(xfs)}">{"".join(xfs)}</cellXfs>'
-        "</styleSheet>"
-    )
-    return xml, style_of
-
-
-def _sheet_xml(sheet: SheetData, styles: dict[str, int]) -> str:
+def _sheet_xml(sheet: SheetData) -> str:
     rows_xml = []
     for r, row in enumerate(sheet.rows, start=1):
         cells = []
         for c, cell in enumerate(row, start=1):
             ref = f"{column_letter(c)}{r}"
-            style = _style_index(cell.number_format, styles)
+            style = _STYLE_OF[cell.number_format]
             style_attr = f' s="{style}"' if style else ""
             if cell.kind == "number":
                 cells.append(f'<c r="{ref}"{style_attr}><v>{escape(cell.text)}</v></c>')
@@ -169,9 +141,6 @@ def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
     """Write the sheets as an .xlsx file; at least one sheet is emitted."""
     if not sheets:
         sheets = [SheetData(name="Sheet1", rows=[])]
-
-    formats = ["General", "0", "0.00", "DD/MM/YYYY", "DD/MM/YYYY HH:MM"]
-    styles_xml, style_of = _styles_xml(formats)
 
     sheet_entries = []
     rel_entries = []
@@ -225,10 +194,10 @@ def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
         ("_rels/.rels", root_rels),
         ("xl/workbook.xml", workbook_xml),
         ("xl/_rels/workbook.xml.rels", workbook_rels),
-        ("xl/styles.xml", styles_xml),
+        ("xl/styles.xml", _STYLES_XML),
     ]
     for i, sheet in enumerate(sheets, start=1):
-        parts.append((f"xl/worksheets/sheet{i}.xml", _sheet_xml(sheet, style_of)))
+        parts.append((f"xl/worksheets/sheet{i}.xml", _sheet_xml(sheet)))
 
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, data in parts:

@@ -1,7 +1,8 @@
 """What the generators must produce for a pivot model, counted from the model
-alone, lookups by name into the models, reports and plans they build, the
-tabular type ladder a value at a time, and the `.bml` token parser that the
-declaration scanner and the error reporter are held to."""
+alone, the checks their plans pass by construction, lookups by name into the
+models, reports and plans they build, the tabular type ladder a value at a
+time, and the `.bml` token parser that the declaration scanner and the error
+reporter are held to."""
 
 from __future__ import annotations
 
@@ -24,9 +25,15 @@ from lcpbridge.model import (
     enum_type,
     primitive_type,
 )
-from lcpbridge.relational import RelationalSchemaPlan, TablePlan
+from lcpbridge.relational import MAX_NAME, RelationalSchemaPlan, TablePlan
 from lcpbridge.tabular import _temporal_kind
-from lcpbridge.workbook import ManifestSheet, WorkbookManifest
+from lcpbridge.workbook import (
+    SHEET_NAME_MAX,
+    ListDropdown,
+    ManifestSheet,
+    SheetDropdown,
+    WorkbookManifest,
+)
 
 
 def expected_fk_count(model: DomainModel) -> int:
@@ -43,6 +50,73 @@ def expected_table_count(model: DomainModel) -> int:
 def expected_dropdown_count(model: DomainModel) -> int:
     """Sheet-sourced dropdowns: one per single-column association, two per bridge."""
     return sum(2 if a.kind == "many-to-many" else 1 for a in model.associations)
+
+
+def plan_problems(plan: RelationalSchemaPlan) -> list[str]:
+    """What ``plan_relational`` guarantees by claiming every name from a
+    ``Namespace``: table names unique, column names unique per table, names
+    within MAX_NAME, and each foreign key a column of its table that
+    references the ``ID`` column of a planned table."""
+    problems = []
+    columns_of: dict[str, set[str]] = {}  # the first table of a name wins
+    for table in plan.tables:
+        if table.name in columns_of:
+            problems.append(f"duplicate table name: {table.name}")
+        columns = set()
+        for column in table.columns:
+            if column.name in columns:
+                problems.append(f"duplicate column name: {table.name}.{column.name}")
+            columns.add(column.name)
+        columns_of.setdefault(table.name, columns)
+        problems += [f"name past {MAX_NAME} characters: {name}"
+                     for name in (table.name, *columns) if len(name) > MAX_NAME]
+    for table in plan.tables:
+        for fk in table.foreign_keys:
+            target_columns = columns_of.get(fk.ref_table)
+            if fk.column not in columns_of[table.name]:
+                problems.append(f"FK {table.name}.{fk.column} is no column of its table")
+            if target_columns is None:
+                problems.append(f"FK {table.name}.{fk.column} references absent "
+                                f"table {fk.ref_table}")
+            elif "ID" not in target_columns:
+                problems.append(f"FK {table.name}.{fk.column} references absent "
+                                f"column {fk.ref_table}.ID")
+    return problems
+
+
+def manifest_problems(manifest: WorkbookManifest) -> list[str]:
+    """What ``plan_workbook`` guarantees by claiming every sheet name and
+    header from a ``Namespace``: sheet names unique and within SHEET_NAME_MAX,
+    headers unique per sheet (both compared as a spreadsheet does, ignoring
+    case), one sample value per column, and every dropdown sourced from a
+    class sheet or from a list of at least one option."""
+    problems = []
+    kind_of, names = {}, set()
+    for sheet in manifest.sheets:
+        if sheet.name.lower() in names:
+            problems.append(f"duplicate sheet name {sheet.name!r}")
+        names.add(sheet.name.lower())
+        if len(sheet.name) > SHEET_NAME_MAX:
+            problems.append(f"sheet name past {SHEET_NAME_MAX} characters: {sheet.name!r}")
+        kind_of.setdefault(sheet.name, sheet.kind)
+    for sheet in manifest.sheets:
+        if sheet.sample_row is not None and len(sheet.sample_row) != len(sheet.columns):
+            problems.append(f"sheet {sheet.name!r}: sample row length "
+                            f"{len(sheet.sample_row)} != column count {len(sheet.columns)}")
+        headers = set()
+        for column in sheet.columns:
+            where = f"sheet {sheet.name!r}, column {column.header!r}"
+            if column.header.lower() in headers:
+                problems.append(f"sheet {sheet.name!r}: duplicate header {column.header!r}")
+            headers.add(column.header.lower())
+            validation = column.validation
+            if isinstance(validation, SheetDropdown) \
+                    and kind_of.get(validation.source_sheet) != "class":
+                problems.append(f"{where}: dropdown source {validation.source_sheet!r} "
+                                "is no class sheet")
+            elif isinstance(validation, ListDropdown) and not validation.options:
+                problems.append(f"{where}: dropdown lists no option")
+    return problems
 
 
 def class_named(model: DomainModel, name: str) -> Class | None:

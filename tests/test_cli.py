@@ -201,7 +201,8 @@ def test_non_utf8_model_error_names_line_and_column(tmp_path, capsys):
         "import-bml-is-dir", "export-sql-is-dir", "export-loss-report-is-dir"])
 def test_out_path_that_is_a_file_is_output_error(tmp_path, capsys, mendix_library_path,
                                                  argv, blocker):
-    """--out is a file, or an artifact path inside it is a directory."""
+    """--out is a file, or an artifact path inside it is a directory; a
+    generator's own artifact names the generator's step."""
     run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),
             "--out", str(tmp_path / "work"))
     if blocker is None:
@@ -216,6 +217,8 @@ def test_out_path_that_is_a_file_is_output_error(tmp_path, capsys, mendix_librar
         mendix=mendix_library_path, tmp=tmp_path, out=out).split())
     assert code == 1
     assert expected in err
+    step = {"model.sql": "apex-sql", "model.xlsx": "workbook"}.get(blocker)
+    assert (f"  in step '{step}'" in err.splitlines()) == (step is not None)
     if blocker is None:
         assert out.read_text() == ""
     else:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
 from lcpbridge.model import Namespace, model_equal
-from lcpbridge.relational import MAX_NAME, emit_sql, plan_relational
+from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_model, load_tabular
-from lcpbridge.workbook import SHEET_NAME_MAX, emit_workbook, plan_workbook
+from lcpbridge.workbook import emit_workbook, plan_workbook
 
-from expected import expected_fk_count, expected_table_count
+from expected import expected_fk_count, expected_table_count, manifest_problems, plan_problems
 from generators import adversarial_name, random_model
 
 
@@ -51,9 +51,10 @@ def workbook_path(tmp_path_factory):
 @given(st.integers(0, 2**31))
 def test_every_valid_model_generates(workbook_path, seed):
     """Adversarially named valid models (see ``generators.adversarial_name``)
-    round-trip through the DSL, run as ANSI DDL on sqlite with one table per
-    class and per many-to-many association, and reload from their workbook
-    with one class per sheet.
+    round-trip through the DSL, plan to a relational schema and a workbook
+    that pass the test-side checks of ``expected``, run as ANSI DDL on sqlite
+    with one table per class and per many-to-many association, and reload
+    from their workbook with one class per sheet.
 
     The PlantUML round trip is not a leg yet: a class named like a reserved
     word (``Class``) comes back with the ``_`` suffix that ``parse_plantuml``
@@ -66,7 +67,7 @@ def test_every_valid_model_generates(workbook_path, seed):
     assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
 
     plan, _ = plan_relational(model)
-    assert all(len(c.name) <= MAX_NAME for t in plan.tables for c in t.columns)
+    assert plan_problems(plan) == []
     conn = sqlite3.connect(":memory:")
     try:
         conn.executescript(emit_sql(plan, dialect="ansi"))
@@ -80,7 +81,7 @@ def test_every_valid_model_generates(workbook_path, seed):
     assert fk_ids == expected_fk_count(model)
 
     manifest, _ = plan_workbook(model)
-    assert all(len(s.name) <= SHEET_NAME_MAX for s in manifest.sheets)
+    assert manifest_problems(manifest) == []
     emit_workbook(manifest, workbook_path)
     inferred, _ = infer_model(load_tabular([workbook_path]))
     assert len(inferred.classes) == len(manifest.sheets)

@@ -7,7 +7,7 @@ import pytest
 
 from lcpbridge.capabilities import load_capabilities
 from lcpbridge.dsl import load_pivot_file
-from lcpbridge.errors import LcpBridgeError, MissingInputError
+from lcpbridge.errors import InvalidModelError, LcpBridgeError, MissingInputError
 from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
 from lcpbridge.pipeline import (
@@ -277,8 +277,6 @@ class TestReviewHook:
         assert any(s["name"] == "Addendum" for s in manifest["sheets"])
 
     def test_bad_edit_aborts_with_violations(self, tmp_path, mendix_library_path):
-        from lcpbridge.errors import InvalidModelError
-
         plan = plan_migration("mendix", "powerapps")
 
         def break_model(pivot_path):
@@ -331,10 +329,10 @@ class TestValidateOnce:
         return calls
 
     @pytest.mark.parametrize("path, expected", [
-        ("mendix-apex-review", 4),  # Mendix mapping, .bml print, .bml re-load, export
-        ("outsystems-csv-apex", 3),  # inference, .bml print, export
-        ("powerapps-screenshot-outsystems", 5),  # inference, PlantUML, merge, print, export
-        ("powerapps-malformed-first-answer", 5),  # a re-prompt adds no check
+        ("mendix-apex-review", 2),  # Mendix mapping, .bml re-load
+        ("outsystems-csv-apex", 1),  # inference
+        ("powerapps-screenshot-outsystems", 3),  # inference, PlantUML, merge
+        ("powerapps-malformed-first-answer", 3),  # a re-prompt adds no check
     ])
     def test_validations_per_migration(self, tmp_path, mendix_library_path, csv_paths,
                                        screenshot_path, validations, path, expected):
@@ -355,7 +353,8 @@ class TestValidateOnce:
         execute_migration(plan, inputs, tmp_path, options)
         assert len(validations) == expected, validations
 
-    def test_consumers_trust_their_model(self, library_model, validations):
+    def test_consumers_trust_their_model(self, tmp_path, library_model, validations):
+        from lcpbridge.dsl import print_pivot_text, save_pivot_file
         from lcpbridge.llm import build_prompt, load_prompt_context
         from lcpbridge.plantuml import emit_plantuml
         from lcpbridge.relational import emit_sql, plan_relational
@@ -368,4 +367,17 @@ class TestValidateOnce:
         plan_workbook(library_model)
         emit_plantuml(library_model)
         build_prompt(context, library_model)
+        print_pivot_text(library_model)
+        save_pivot_file(library_model, tmp_path / "model.bml")
         assert validations == []
+
+    def test_run_exporter_checks_the_api_callers_model(self, tmp_path):
+        from lcpbridge.model import Class, DomainModel
+        from lcpbridge.pipeline import run_exporter
+
+        broken = DomainModel("M", classes=(Class("A"), Class("A")))
+        with pytest.raises(InvalidModelError) as err:
+            run_exporter("apex-sql", broken, tmp_path, ExecutionOptions())
+        assert err.value.code == "INVALID_MODEL"
+        assert [v.rule for v in err.value.violations] == ["DUPLICATE_CLASS_NAME"]
+        assert not (tmp_path / "model.sql").exists()

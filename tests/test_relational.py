@@ -30,8 +30,16 @@ from lcpbridge.relational import (
     plan_relational,
     sql_name,
 )
+from lcpbridge.workbook import plan_workbook
 
-from expected import expected_fk_count, expected_table_count, table_named, with_reason
+from expected import (
+    expected_fk_count,
+    expected_table_count,
+    manifest_problems,
+    plan_problems,
+    table_named,
+    with_reason,
+)
 from generators import random_model
 
 
@@ -115,7 +123,7 @@ class TestPlan:
         passport = table_named(plan, "PASSPORT")
         fk_col = next(c for c in passport.columns if c.name.endswith("_ID"))
         assert fk_col.unique
-        assert passport.foreign_keys[0].unique
+        assert passport.foreign_keys[0].column == fk_col.name
 
     def test_generalization_shared_key(self):
         model = DomainModel("M", classes=(Class("Media"), Class("Book")),
@@ -258,7 +266,7 @@ class TestPlan:
     def test_validate_reports_duplicate_column(self):
         key = ColumnPlan(name="A_ID", sql_type="NUMBER(10)")
         plan = RelationalSchemaPlan([TablePlan(name="T", columns=[key, key])])
-        assert plan.validate() == ["duplicate column name: T.A_ID"]
+        assert plan_problems(plan) == ["duplicate column name: T.A_ID"]
 
 
 class TestNames:
@@ -411,9 +419,8 @@ class TestLongNames:
             _m(first, second, m1, m2, name=_long("Link"),
                r1=_long("placedOrders"), r2=_long("buyer")),))
         plan, _ = plan_relational(model)
-        assert plan.validate() == []
-        for table in plan.tables:
-            assert all(len(c.name) <= MAX_NAME for c in table.columns)
+        assert plan_problems(plan) == []
+        assert manifest_problems(plan_workbook(model)[0]) == []
         assert_runs_on_sqlite(plan, model)
 
     def test_two_long_references_stay_distinct(self):
@@ -422,6 +429,7 @@ class TestLongNames:
             _m(host, a, Multiplicity(0, None), Multiplicity(0, 1), name="L1"),
             _m(host, b, Multiplicity(0, None), Multiplicity(0, 1), name="L2")))
         plan, _ = plan_relational(model)
+        assert plan_problems(plan) == []
         fk_columns = [fk.column for fk in plan.tables[0].foreign_keys]
         assert len(set(fk_columns)) == 2
         conn = run_script(emit_sql(plan, dialect="ansi"))
