@@ -1,18 +1,42 @@
 """Minimal OOXML spreadsheet container support (no third-party writer).
 
-An ``.xlsx`` file is a zip of XML parts; this module writes and reads just
-the subset the toolkit needs: sheets with inline-string/number/boolean
-cells, per-cell number formats, and list data validations. Output is
-byte-deterministic (fixed zip timestamps, no compression entropy sources),
-which the migration determinism guarantee relies on.
+An ``.xlsx`` file is a zip of XML parts (SpreadsheetML, ECMA-376 Part 1).
+The writer emits the subset the toolkit needs: sheets with
+inline-string/number/boolean cells, per-cell number formats and list data
+validations. Its output is byte-deterministic (fixed zip timestamps, no
+compression entropy sources), which the migration determinism guarantee
+relies on.
+
+The reader gives each sheet's cells as display strings. A compiled scan
+reads the sheet and shared-strings parts a chunk at a time, only as far
+as the rows or strings it needs: it splits the text at each row or item
+end and reads each with one ``fullmatch``, which accounts for every
+character, and one ``findall``. It reads the markup this writer saves and
+the shared-strings layout ECMA-376 describes, with attributes in the order
+Excel documents them: rows and cells with those attributes, ``<v>``
+values, inline and shared strings with rich and phonetic runs, the five
+predefined entities and numeric character references. No workbook saved
+by a spreadsheet app is in the repository, so how much of one the scan
+reads is not known. ElementTree checks the markup around the rows. From
+the first row, or chunk of shared strings, holding anything else (a
+formula, a comment, CDATA, a processing instruction, a prefixed or
+foreign element, another entity, a CR in text, an unknown attribute or
+child), ElementTree reads the rest of the part. A part whose markup before its
+rows or strings fails the check it reads whole. That reader is also the reference the
+tests hold the scan to. Both feed ``_fill``, which places the cells.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import io
+import itertools
 import re
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 NS_MAIN = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
@@ -61,13 +85,6 @@ def column_letter(index: int) -> str:
         index, rem = divmod(index - 1, 26)
         letters = chr(ord("A") + rem) + letters
     return letters
-
-
-def _column_index(letters: str) -> int:
-    index = 0
-    for ch in letters:
-        index = index * 26 + (ord(ch) - ord("A") + 1)
-    return index
 
 
 @dataclass
@@ -216,121 +233,477 @@ MAX_COLUMNS = 16_384  # ... and columns per row (A to XFD)
 _ROW = f"{{{NS_MAIN}}}row"
 _CELL = f"{{{NS_MAIN}}}c"
 _VALUE = f"{{{NS_MAIN}}}v"
+_INLINE = f"{{{NS_MAIN}}}is"
 _TEXT = f"{{{NS_MAIN}}}t"
+_RUN = f"{{{NS_MAIN}}}r"
 _SHARED_ITEM = f"{{{NS_MAIN}}}si"
-_VALIDATION = f"{{{NS_MAIN}}}dataValidation"
-_SHARED_PART = "xl/sharedStrings.xml"
+_SHARED_STRINGS = f"{NS_REL}/sharedStrings"
+_SHARED_PART = "xl/sharedStrings.xml"  # where the part is when no relationship names it
+_CHUNK = 1 << 15  # bytes inflated at a time
+_CONTROLS = bytes(range(0x20)).translate(None, b"\t\n\r")  # no XML character
+_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 
 @dataclass
 class SheetContent:
     name: str
     rows: list[list[str]]
-    validations: list[dict]
 
 
-def _cell_text(cell: ET.Element) -> str | int:
-    """The cell's display string, or its shared-string index for ``t="s"``."""
-    kind = cell.get("t", "n")
-    if kind == "inlineStr":
-        node = cell.find(f"{{{NS_MAIN}}}is")
-        return "".join(t.text or "" for t in node.iter(_TEXT)) if node is not None else ""
-    value = cell.findtext(_VALUE, default="")
-    if kind == "s":
-        try:
-            index = int(value)
-        except ValueError:
-            return ""
-        return index if index >= 0 else ""
-    if kind == "b":
-        return "TRUE" if value.strip() == "1" else "FALSE"
-    if kind == "str":
-        return value
-    # plain number: keep integral values free of a trailing .0
-    if value and "." in value:
-        try:
-            as_float = float(value)
-            if as_float == int(as_float) and "e" not in value.lower():
-                return str(int(as_float))
-        except ValueError:
-            pass
-    return value
+class _Unread(Exception):
+    """The scan met markup it does not read; ElementTree reads on from there."""
 
 
-def _read_sheet(part, max_rows: int | None, wanted: set[int]):
-    """Stream one sheet part into a cell grid and its list validations.
+class _Patterns(NamedTuple):
+    rows: tuple[re.Pattern, re.Pattern]  # empty rows and a row, fullmatched; indexed by
+    ends: tuple[re.Pattern, re.Pattern]  # ... x14ac; empty rows, then </sheetData>
+    cells: re.Pattern  # findall: (column letters, t, <v> text, <is> markup)
+    items: re.Pattern  # shared-string items, fullmatched
+    item_texts: re.Pattern  # findall: (<t> text of a plain item, markup of any other)
+    runs: re.Pattern  # findall: the text of each <t> of rich markup, "" for <rPh>
+    entity: re.Pattern
+    foreign_encoding: re.Pattern
 
-    Reading stops at the first row numbered past ``max_rows``; the grid is
-    then what a full read would give, cut to ``max_rows`` rows, and the
-    validations, which follow the rows, are not reached. Shared-string cells
-    hold their index, which is also added to ``wanted``.
+
+@functools.cache
+def _patterns() -> _Patterns:
+    """The scan's patterns, compiled on first use.
+
+    The fullmatched ones account for every character of the rows or items
+    they read. Text holds no CR and no reference but the five predefined
+    entities and numeric ones (``_take`` has checked that every character
+    is one XML allows). Attributes are quoted with ``"`` and come in the
+    order Excel documents them; lcpbridge writes ``t`` before ``s``. A cell
+    reference is one to three letters and a row number, as the row's ``r``
+    is a number. A cell holds at most a ``<v>`` and an ``<is>``; rich text
+    holds ``<t>``, ``<r>`` runs with their formatting, ``<rPh>`` and
+    ``<phoneticPr>``. The row patterns are indexed by whether the root
+    declares the ``x14ac`` prefix, whose ``dyDescent`` may follow a row's
+    attributes.
     """
-    grid: list[list] = []
-    validations = []
-    for _, elem in ET.iterparse(part):
-        if elem.tag == _ROW:
-            row_index = int(elem.get("r", len(grid) + 1))
-            if not 1 <= row_index <= MAX_ROWS:
-                raise ValueError(f"row number {row_index} is outside 1..{MAX_ROWS}")
-            if max_rows is not None and row_index > max_rows:
-                grid.extend([] for _ in range(max_rows - len(grid)))
-                break
-            while len(grid) < row_index:
-                grid.append([])
-            cells = grid[row_index - 1]
-            for cell in elem.iter(_CELL):
-                ref = cell.get("r", "")
-                match = _CELL_REF_RE.match(ref)
-                col = _column_index(match.group(1)) if match else len(cells) + 1
+    value = r'"[^"<&]*+"'
+    plain = r"[^<&\r]*+"
+    text = rf"{plain}(?:&(?:amp|lt|gt|quot|apos|#[0-9]++|#x[0-9a-fA-F]++);{plain})*+"
+    t = rf"<t(?: xml:space={value})?+(?:>{text}</t>|/>)"
+    formats = (r"<(?:b|i|strike|condense|extend|outline|shadow|u|vertAlign|sz|rFont|family"
+               rf"|charset|scheme)(?: val={value})?+/>|<color(?: auto={value})?+"
+               rf"(?: indexed={value})?+(?: rgb={value})?+(?: theme={value})?+"
+               rf"(?: tint={value})?+/>")
+    rich = (rf"(?:{t}|<r>(?:<rPr>(?:{formats})*+</rPr>|<rPr/>)?+{t}</r>"
+            rf"|<rPh sb={value} eb={value}>{t}</rPh>"
+            rf"|<phoneticPr fontId={value}(?: type={value})?+(?: alignment={value})?+/>)*+")
+    cell = (r'<c(?: r="[A-Z]{1,3}+[0-9]++")?+'
+            rf"(?: s={value}(?: t={value})?+| t={value}(?: s={value})?+)?+"
+            rf"(?:/>|>(?:<v>{text}</v>|<v/>)?+(?:<is>{rich}</is>|<is/>)?+</c>)")
+    ws = r"[ \t\r\n]*+"
+    # the attributes after r: skipped at once where the tag ends, as it
+    # mostly does after r and spans
+    more = "".join(rf"(?: {name}={value})?+" for name in (
+        "s", "customFormat", "ht", "hidden", "customHeight", "outlineLevel", "collapsed",
+        "thickTop", "thickBot", "ph"))
+    rows, ends = [], []
+    for x14ac in ("", rf"(?: x14ac:dyDescent={value})?+"):
+        attrs = rf"(?: spans={value})?+(?:(?=/?>)|{more}{x14ac})"
+        empty = rf'(?:<row(?: r="[0-9]++")?+{attrs}/>{ws})*+'
+        rows.append(re.compile(rf'{ws}(?P<empty>{empty})<row(?: r="(?P<r>[0-9]++)")?+{attrs}>'
+                               rf"(?:{ws}{cell})*+{ws}"))
+        ends.append(re.compile(rf"{ws}(?P<empty>{empty})</sheetData>"))
+    return _Patterns(
+        rows=tuple(rows),
+        ends=tuple(ends),
+        cells=re.compile(r'<c(?: r="([A-Z]++)[0-9]++")?+(?: s="[^"]*+")?+(?: t="([^"]*+)")?+'
+                         r'(?: s="[^"]*+")?+(?:/>|>(?:<v>([^<]*+)</v>|<v/>)?+'
+                         r"(?:<is>(.*?)</is>|<is/>)?+</c>)", re.S),
+        items=re.compile(rf"(?:{ws}(?:<si/>|<si>{rich}</si>))*+{ws}"),
+        item_texts=re.compile(r'<si>(?:<t(?: xml:space="[^"]*+")?+>([^<]*+)</t>|(.*?))</si>|<si/>',
+                              re.S),
+        runs=re.compile(r"<rPh .*?</rPh>|<t[^>]*+>([^<]*+)</t>", re.S),
+        entity=re.compile(r"&(#x[0-9a-fA-F]++|#[0-9]++|amp|lt|gt|quot|apos);"),
+        foreign_encoding=re.compile(r"""<\?xml[^>]*encoding\s*=\s*["'](?!(?i:utf-8)["'])"""),
+    )
+
+
+def _entity(match: re.Match) -> str:
+    ref = match[1]
+    if ref[0] != "#":
+        return _ENTITIES[ref]
+    try:
+        code = int(ref[2:], 16) if ref[1] == "x" else int(ref[1:])
+    except ValueError:  # too many digits
+        raise _Unread from None
+    if not (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD
+            or 0x10000 <= code <= 0x10FFFF):
+        raise _Unread  # not an XML character
+    return chr(code)
+
+
+def _unescape(text: str) -> str:
+    return _patterns().entity.sub(_entity, text) if "&" in text else text
+
+
+def _rich_text(node: ET.Element) -> str:
+    """The text of a shared or inline string: its own ``<t>`` and the ``<t>``
+    of its ``<r>`` runs (ECMA-376 §18.4.8), never a phonetic ``<rPh>`` run."""
+    parts = []
+    for child in node:
+        if child.tag == _TEXT:
+            parts.append(child.text or "")
+        elif child.tag == _RUN:
+            parts.extend(t.text or "" for t in child.iterfind(_TEXT))
+    return "".join(parts)
+
+
+def _scanned_text(markup: str) -> str:
+    """``_rich_text`` of rich markup the scan has matched."""
+    return _unescape("".join(_patterns().runs.findall(markup)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _column_index(letters: str) -> int:
+    """Column letters to a 1-based index; four letters and more are past XFD."""
+    if len(letters) > 3:
+        return MAX_COLUMNS + 1
+    index = 0
+    for ch in letters:
+        index = index * 26 + (ord(ch) - ord("A") + 1)
+    return index
+
+
+def _number_text(value: str) -> str:
+    """A plain number's display string: integral values lose a trailing .0."""
+    try:
+        as_float = float(value)
+    except ValueError:
+        return value
+    return str(int(as_float)) if as_float.is_integer() and "e" not in value.lower() else value
+
+
+def _fill(grid: list[list], rows, max_rows: int | None, wanted: set[int]) -> bool:
+    """Place each (r, cells) of ``rows`` into ``grid``; True once a row
+    numbered past ``max_rows`` ends the read, with ``grid`` cut to ``max_rows``.
+
+    Both readers feed this. ``r`` is the row's attribute, None when absent:
+    such a row follows the last one. Each cell is (column letters, ``t``,
+    ``<v>`` text, inline text); without letters it follows the last cell.
+    A shared-string cell holds its index, which is also added to ``wanted``.
+    """
+    for r, cells in rows:
+        row_index = len(grid) + 1 if r is None else int(r)
+        if not 1 <= row_index <= MAX_ROWS:
+            raise ValueError(f"row number {row_index} is outside 1..{MAX_ROWS}")
+        if max_rows is not None and row_index > max_rows:
+            grid.extend([] for _ in range(max_rows - len(grid)))
+            return True
+        while len(grid) < row_index:
+            grid.append([])
+        line = grid[row_index - 1]
+        for letters, kind, value, inline in cells:
+            if kind == "s":
+                try:
+                    text = int(value)
+                except ValueError:
+                    text = ""
+                else:
+                    if text < 0:
+                        text = ""
+                    else:
+                        wanted.add(text)
+            elif kind == "b":
+                text = "TRUE" if value.strip() == "1" else "FALSE"
+            elif kind == "inlineStr":
+                text = inline
+            elif kind != "str" and "." in value:
+                text = _number_text(value)
+            else:
+                text = value
+            end = len(line)
+            col = _column_index(letters) if letters else end + 1
+            if col > end:
                 if col > MAX_COLUMNS:
-                    raise ValueError(f"cell {ref!r} in row {row_index} is past column XFD")
-                while len(cells) < col:
-                    cells.append("")
-                text = cells[col - 1] = _cell_text(cell)
-                if isinstance(text, int):
-                    wanted.add(text)
+                    raise ValueError(
+                        f"cell {letters or col} in row {row_index} is past column XFD")
+                if col > end + 1:
+                    line.extend([""] * (col - 1 - end))
+                line.append(text)
+            else:
+                line[col - 1] = text
+    return False
+
+
+def _chunks(head: bytes, part):
+    """``head``, then the rest of ``part`` a chunk at a time."""
+    return itertools.chain((head,), iter(functools.partial(part.read, _CHUNK), b""))
+
+
+def _tree_events(chunks, events=None):
+    """ElementTree's (event, element) pairs for the XML in ``chunks``."""
+    parser = ET.XMLPullParser(events)
+    for chunk in chunks:
+        parser.feed(chunk)
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()
+
+
+def _tree_rows(chunks):
+    """(r, cells) for each row of sheet XML through ElementTree: the reader
+    of what the scan does not read, and the scan's reference."""
+    for _, elem in _tree_events(chunks):
+        if elem.tag == _ROW:
+            cells = []
+            for cell in elem.iter(_CELL):
+                ref = _CELL_REF_RE.match(cell.get("r", ""))
+                kind = cell.get("t", "")
+                inline = cell.find(_INLINE) if kind == "inlineStr" else None
+                cells.append((ref.group(1) if ref else "", kind,
+                              cell.findtext(_VALUE, default=""),
+                              "" if inline is None else _rich_text(inline)))
+            yield elem.get("r"), cells
             elem.clear()
-        elif elem.tag == _VALIDATION:
-            validations.append({
-                "type": elem.get("type", ""),
-                "sqref": elem.get("sqref", ""),
-                "formula": elem.findtext(f"{{{NS_MAIN}}}formula1", default=""),
-            })
-    return grid, validations
 
 
-def _shared_strings(zf: zipfile.ZipFile, wanted: set[int]) -> dict[int, str]:
-    """The shared strings at the ``wanted`` indices, streamed up to the last one."""
-    found: dict[int, str] = {}
-    if not wanted or _SHARED_PART not in zf.namelist():
-        return found
+def _tree_shared_strings(chunks, wanted: set[int], found: dict[int, str], index: int) -> None:
+    """Put the shared strings at the ``wanted`` indices into ``found``
+    through ElementTree, streamed up to the last one; the first item of
+    ``chunks`` has number ``index``."""
     last = max(wanted)
-    with zf.open(_SHARED_PART) as part:
-        events = ET.iterparse(part, events=("start", "end"))
-        _, root = next(events)
-        index = 0
-        for event, elem in events:
-            if event == "end" and elem.tag == _SHARED_ITEM:
-                if index in wanted:
-                    found[index] = "".join(t.text or "" for t in elem.iter(_TEXT))
-                if index == last:
-                    break
-                index += 1
-                root.clear()  # drop the items read so far: memory stays flat
+    events = _tree_events(chunks, ("start", "end"))
+    _, root = next(events)
+    for event, elem in events:
+        if event == "end" and elem.tag == _SHARED_ITEM:
+            if index in wanted:
+                found[index] = _rich_text(elem)
+            if index == last:
+                break
+            index += 1
+            root.clear()  # drop the items read so far: memory stays flat
+
+
+def _inflate(part, buf: bytearray, end: bytes) -> bool:
+    """Grow ``buf`` by a chunk of ``part``, and by more until it holds
+    ``end``; True once the part is used up."""
+    while True:
+        start = max(len(buf) - len(end) + 1, 0)
+        chunk = part.read(_CHUNK)
+        if not chunk:
+            return True
+        buf += chunk
+        if buf.find(end, start) >= 0:
+            return False
+
+
+def _take(buf: bytearray, end: bytes, at_end: bool) -> str | None:
+    """Cut from ``buf`` and decode its text up to the last ``end``, or all of
+    it at the part's end. None, with ``buf`` left whole, on a character XML
+    does not allow, and on ``]]>``, which XML text never holds."""
+    cut = len(buf) if at_end else buf.rfind(end) + len(end)
+    data = buf[:cut]
+    if (len(data.translate(None, _CONTROLS)) != len(data) or b"]]>" in data
+            or b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data):  # U+FFFE, U+FFFF
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    del buf[:cut]
+    return text
+
+
+def _outline(doc: str, marker: str) -> bool:
+    """Check a part with its rows or items cut out and one empty ``marker``
+    element in their place; True if its root declares the ``x14ac`` prefix.
+
+    Raises _Unread unless ElementTree parses ``doc`` and finds no DOCTYPE,
+    comment, CDATA or encoding but UTF-8, and the marker is the only row or
+    item and is in the main namespace. The callers check the part's head
+    with the root's end tag right after the marker first: so the marker is
+    a child of the root, and the main namespace is the root's default.
+    """
+    if "<!" in doc or _patterns().foreign_encoding.search(doc):
+        raise _Unread
+    prefixes, found, started = set(), [], False
+    try:
+        for event, item in ET.iterparse(io.BytesIO(doc.encode()), ("start-ns", "start")):
+            if event == "start-ns":
+                if not started:  # declared on the root
+                    prefixes.add(item[0])
+            else:
+                started = True
+                if item.tag.rpartition("}")[2] in (marker, "row", "si"):
+                    found.append(item.tag)
+    except ET.ParseError:
+        raise _Unread from None
+    if found != [f"{{{NS_MAIN}}}{marker}"]:
+        raise _Unread
+    return "x14ac" in prefixes
+
+
+def _scanned_rows(segments: list[str], pattern: re.Pattern):
+    """(r, cells) for each row of ``segments``, the text between row ends, as
+    ``_tree_rows`` gives them. Raises _Unread(i) at ``segments[i]``, the
+    first one not read, before yielding any of its rows."""
+    cells = _patterns().cells
+    for index, segment in enumerate(segments):
+        match = pattern.fullmatch(segment)
+        if match is None:
+            raise _Unread(index)
+        found = cells.findall(segment)
+        if "&" in segment or "<is" in segment:
+            try:
+                found = [(letters, kind, _unescape(value),
+                          _scanned_text(inline) if inline else "")
+                         for letters, kind, value, inline in found]
+            except _Unread:
+                raise _Unread(index) from None
+        if match["empty"]:
+            yield from _empty_rows(match["empty"])
+        yield match["r"], found
+
+
+def _empty_rows(markup: str):
+    return ((match[1], ()) for match in re.finditer(r'<row(?: r="([^"]*)")?', markup))
+
+
+def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) -> bytes | None:
+    """Read a sheet part into ``grid`` by the compiled scan, a chunk at a
+    time, until a row numbered past ``max_rows`` or the part's end: then
+    return None. At the first row the scan does not read, return the part's
+    head and the bytes inflated from that row on, for ElementTree to read on.
+    """
+    buf = bytearray()
+    at_end = _inflate(part, buf, b"</row>")
+    text = _take(buf, b"</row>", at_end)
+    if text is None:
+        return bytes(buf)
+    start = text.find("<sheetData")
+    head = text[:start]
+    if text.startswith("<sheetData>", start):
+        body = text[start + len("<sheetData>"):]
+    elif text.startswith("<sheetData/>", start):
+        body = "</sheetData>" + text[start + len("<sheetData/>"):]
+    else:
+        return text.encode() + buf
+    try:
+        x14ac = _outline(head + "<sheetData/></worksheet>", "sheetData")
+    except _Unread:
+        return text.encode() + buf
+    rows, ends = _patterns().rows[x14ac], _patterns().ends[x14ac]
+    while True:
+        segments = body.split("</row>")
+        body = segments.pop()
+        try:
+            if _fill(grid, _scanned_rows(segments, rows), max_rows, wanted):
+                return None
+        except _Unread as unread:
+            body = "</row>".join([*segments[unread.args[0]:], body])
+            break
+        if at_end:
+            match = ends.match(body)
+            try:
+                if match is None:
+                    raise _Unread
+                _outline(head + "<sheetData/>" + body[match.end():], "sheetData")
+            except _Unread:
+                break
+            _fill(grid, _empty_rows(match["empty"]), max_rows, wanted)
+            return None
+        at_end = _inflate(part, buf, b"</row>")
+        text = _take(buf, b"</row>", at_end)
+        if text is None:
+            break
+        body += text
+    return (head + "<sheetData>" + body).encode() + buf
+
+
+def _scan_shared_strings(part, wanted: list[int], found: dict[int, str]
+                         ) -> tuple[int, bytes] | None:
+    """Put the shared strings at the sorted ``wanted`` indices into ``found``
+    by the compiled scan, a chunk at a time, up to the last of them: then
+    return None. At the first chunk of items the scan does not read, return
+    the number of its first item, and the part's head and the bytes
+    inflated from that item on, for ElementTree to read on.
+    """
+    patterns = _patterns()
+    buf = bytearray()
+    at_end = _inflate(part, buf, b"</si>")
+    text = _take(buf, b"</si>", at_end)
+    if text is None:
+        return 0, bytes(buf)
+    start = text.find("<si")
+    if start < 0:
+        return 0, text.encode() + buf
+    head, body = text[:start], text[start:]
+    try:
+        _outline(head + "<si/></sst>", "si")
+    except _Unread:
+        return 0, text.encode() + buf
+    index, pick = 0, 0  # the number of the chunk's first item; wanted[pick] is the next
+    while True:
+        items = body
+        try:
+            if at_end:
+                stop = body.rfind("</sst>")
+                if stop < 0:
+                    raise _Unread
+                items = body[:stop]
+                _outline(head + "<si/>" + body[stop:], "si")
+            if patterns.items.fullmatch(items) is None:
+                raise _Unread
+            texts = patterns.item_texts.findall(items)
+            end = bisect.bisect_left(wanted, index + len(texts), pick)
+            for number in wanted[pick:end]:
+                plain, rich = texts[number - index]
+                found[number] = _scanned_text(rich) if rich else _unescape(plain)
+        except _Unread:
+            break
+        index, pick = index + len(texts), end
+        if at_end or pick == len(wanted):
+            return None
+        at_end = _inflate(part, buf, b"</si>")
+        body = _take(buf, b"</si>", at_end)
+        if body is None:
+            body = ""
+            break
+    return index, (head + body).encode() + buf
+
+
+def _read_sheet(zf: zipfile.ZipFile, name: str, max_rows: int | None,
+                wanted: set[int]) -> list[list]:
+    """A sheet part's grid: read by the scan, and through ElementTree from
+    the first row the scan does not read."""
+    grid: list[list] = []
+    with zf.open(name) as part:
+        rest = _scan_sheet(part, max_rows, grid, wanted)
+        if rest is not None:
+            _fill(grid, _tree_rows(_chunks(rest, part)), max_rows, wanted)
+    return grid
+
+
+def _shared_strings(zf: zipfile.ZipFile, name: str, wanted: set[int]) -> dict[int, str]:
+    """The shared strings at the ``wanted`` indices: read by the scan, and
+    through ElementTree from the first chunk of items the scan does not read."""
+    found: dict[int, str] = {}
+    if not wanted or name not in zf.namelist():
+        return found
+    with zf.open(name) as part:
+        rest = _scan_shared_strings(part, sorted(wanted), found)
+        if rest is not None:
+            index, head = rest
+            _tree_shared_strings(_chunks(head, part), wanted, found, index)
     return found
 
 
 def read_workbook(path: str | Path, max_rows: int | None = None) -> list[SheetContent]:
-    """Read sheet names, cell grid (as display strings) and list validations.
+    """Read sheet names and cell grids, as display strings.
 
     With ``max_rows`` set, each sheet is read only up to that row number,
-    which relies on rows coming in ascending order, as OOXML requires, and
-    list validations are kept only for sheets read to their end.
+    which relies on rows coming in ascending order, as OOXML requires.
     """
     with zipfile.ZipFile(path) as zf:
         workbook = ET.fromstring(zf.read("xl/workbook.xml"))
         rels = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))
         targets = {}
+        shared_part = _SHARED_PART
         for rel in rels.iter(f"{{{NS_PKG_REL}}}Relationship"):
             target = rel.get("Target", "")
             if target.startswith("/"):
@@ -338,20 +711,26 @@ def read_workbook(path: str | Path, max_rows: int | None = None) -> list[SheetCo
             else:
                 target = "xl/" + target
             targets[rel.get("Id")] = target
+            if rel.get("Type") == _SHARED_STRINGS:
+                shared_part = target
 
         wanted: set[int] = set()
         sheets = []
         for sheet in workbook.iter(f"{{{NS_MAIN}}}sheet"):
+            name = sheet.get("name", "")
             rid = sheet.get(f"{{{NS_REL}}}id")
-            with zf.open(targets[rid]) as part:
-                grid, validations = _read_sheet(part, max_rows, wanted)
-            sheets.append(SheetContent(name=sheet.get("name", ""), rows=grid,
-                                       validations=validations))
-        shared = _shared_strings(zf, wanted)
+            if rid not in targets:
+                raise ValueError(f"sheet {name!r} points at relationship {rid!r}, "
+                                 "which the workbook does not define")
+            sheets.append(SheetContent(name=name,
+                                       rows=_read_sheet(zf, targets[rid], max_rows, wanted)))
+        shared = _shared_strings(zf, shared_part, wanted)
     if wanted:
+        # each index to its string, "" where the table has none; any other
+        # cell text is not a key, so it stays as it is
+        strings = dict.fromkeys(wanted, "")
+        strings.update(shared)
         for sheet in sheets:
             for cells in sheet.rows:
-                for col, text in enumerate(cells):
-                    if isinstance(text, int):
-                        cells[col] = shared.get(text, "")
+                cells[:] = map(strings.get, cells, cells)
     return sheets

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 import string
+import zipfile
+from pathlib import Path
 
 from lcpbridge.model import (
     RESERVED_WORDS,
@@ -286,3 +288,28 @@ def scaling_tables(n: int) -> TabularSource:
     return TabularSource(tables=tuple(
         Table(f"Table{i}", tuple(TableColumn(header, values) for header, values in SCALING_COLUMNS))
         for i in range(n)))
+
+
+def scaling_workbook(n: int, path: Path) -> Path:
+    """The size ladder of the workbook read: one sheet of ``n`` rows in the
+    shared-strings layout, with number, boolean and inline string cells,
+    written to ``path``."""
+    ns = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
+    rel = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
+    rows = "".join(
+        f'<row r="{r}"><c r="A{r}" t="s"><v>{2 * r}</v></c><c r="B{r}"><v>{r}.0</v></c>'
+        f'<c r="C{r}" t="b"><v>{r % 2}</v></c><c r="D{r}" t="inlineStr"><is><t>note &amp; {r}</t>'
+        f'</is></c><c r="F{r}" s="1" t="s"><v>{2 * r + 1}</v></c></row>' for r in range(1, n + 1))
+    items = "".join(f"<si><t>name {i}</t></si><si><r><t>rich </t></r><r><rPr><b/></rPr>"
+                    f"<t>{i}</t></r></si>" for i in range(1, n + 1))
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("xl/workbook.xml", f'<workbook xmlns="{ns}" xmlns:r="{rel}"><sheets>'
+                    '<sheet name="Rows" sheetId="1" r:id="rId1"/></sheets></workbook>')
+        zf.writestr("xl/_rels/workbook.xml.rels",
+                    '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/'
+                    f'relationships"><Relationship Id="rId1" Type="{rel}/worksheet" '
+                    'Target="worksheets/sheet1.xml"/></Relationships>')
+        zf.writestr("xl/worksheets/sheet1.xml",
+                    f'<worksheet xmlns="{ns}"><sheetData>{rows}</sheetData></worksheet>')
+        zf.writestr("xl/sharedStrings.xml", f'<sst xmlns="{ns}"><si><t>pad</t></si>{items}</sst>')
+    return path

@@ -17,8 +17,9 @@ from lcpbridge.model import Class, DomainModel
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model
 from lcpbridge.workbook import plan_workbook
+from lcpbridge.xlsx import read_workbook
 
-from generators import scaling_model, scaling_tables
+from generators import scaling_model, scaling_tables, scaling_workbook
 
 SMALL, LARGE = 500, 4000
 MAX_GROWTH = 24
@@ -106,10 +107,14 @@ def allocations(layer, arg) -> tuple[int, int]:
     (plan_relational, scaling_model),
     (plan_workbook, scaling_model),
     (infer_model, scaling_tables),
-], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model"])
-def test_counts_grow_linearly(layer, make):
+    (read_workbook, scaling_workbook),
+], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model", "read_workbook"])
+def test_counts_grow_linearly(layer, make, tmp_path):
     parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
     infer_column_type(["1"])
+    read_workbook(scaling_workbook(2, tmp_path / "warm.xlsx"))
+    if make is scaling_workbook:  # the workbook is read from a file
+        make = lambda n: scaling_workbook(n, tmp_path / f"{n}.xlsx")
     small, large = make(COUNT_SMALL), make(COUNT_LARGE)
     calls = python_calls(layer, large) / python_calls(layer, small)
     (blocks_small, peak_small), (blocks_large, peak_large) = \

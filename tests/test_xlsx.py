@@ -1,12 +1,24 @@
-"""Round-trip checks for the minimal OOXML container layer."""
+"""Round-trip checks for the minimal OOXML container layer, and the sheet
+scan held to the ElementTree reader."""
 
+import contextlib
 import subprocess
 import sys
 import zipfile
 from pathlib import Path
+from unittest import mock
+from xml.etree import ElementTree as ET
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcpbridge
+from lcpbridge import xlsx
 from lcpbridge.xlsx import (
+    NS_MAIN,
+    NS_PKG_REL,
+    NS_REL,
     CellValue,
     ListValidation,
     SheetData,
@@ -43,10 +55,13 @@ def test_validations_survive(tmp_path):
                        formula="'Other'!$A$2:$A$10"),
     ])
     write_workbook(path, [sheet, SheetData(name="Other", rows=[[CellValue("x")]])])
-    back = read_workbook(path)
-    assert back[0].validations[0]["type"] == "list"
-    assert back[0].validations[0]["formula"] == "'Other'!$A$2:$A$10"
-    assert back[0].validations[0]["sqref"] == "A2:A10"
+    with zipfile.ZipFile(path) as zf:
+        xml = ET.fromstring(zf.read("xl/worksheets/sheet1.xml"))
+    validation, = xml.iter(f"{{{NS_MAIN}}}dataValidation")
+    assert validation.get("type") == "list"
+    assert validation.findtext(f"{{{NS_MAIN}}}formula1") == "'Other'!$A$2:$A$10"
+    assert validation.get("sqref") == "A2:A10"
+    assert read_workbook(path)[0].rows == [["col"]]
 
 
 def test_empty_sheet_list_yields_placeholder(tmp_path):
@@ -105,3 +120,316 @@ def test_import_leaves_network_and_sax_modules_out():
     result = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Reading: the scan against the ElementTree reader
+
+def _package(path, sheet_xml: str | bytes, strings_xml: str | bytes | None = None,
+             strings_target: str = "sharedStrings.xml", sheet_rid: str = "rId1") -> None:
+    """A one-sheet workbook named Data, with the given sheet and shared-strings parts."""
+    rels = (f'<Relationship Id="rId1" Type="{NS_REL}/worksheet" Target="worksheets/sheet1.xml"/>'
+            f'<Relationship Id="rId2" Type="{NS_REL}/sharedStrings" Target="{strings_target}"/>')
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("xl/workbook.xml", f'<workbook xmlns="{NS_MAIN}" xmlns:r="{NS_REL}"><sheets>'
+                    f'<sheet name="Data" sheetId="1" r:id="{sheet_rid}"/></sheets></workbook>')
+        zf.writestr("xl/_rels/workbook.xml.rels",
+                    f'<Relationships xmlns="{NS_PKG_REL}">{rels}</Relationships>')
+        zf.writestr("xl/worksheets/sheet1.xml", sheet_xml)
+        if strings_xml is not None:
+            zf.writestr(f"xl/{strings_target}", strings_xml)
+
+
+def _sheet(rows: str) -> str:
+    return f'<worksheet xmlns="{NS_MAIN}"><sheetData>{rows}</sheetData></worksheet>'
+
+
+def _strings(items: str, root_attrs: str = "") -> str:
+    return f'<sst xmlns="{NS_MAIN}"{root_attrs}>{items}</sst>'
+
+
+def _read(path, max_rows=None, scan=True, chunk=xlsx._CHUNK):
+    """read_workbook's sheets as (name, rows), or "error", inflating ``chunk``
+    bytes at a time; without ``scan`` every part goes to the ElementTree reader."""
+    with contextlib.nullcontext() if scan else mock.patch.multiple(
+            xlsx, _scan_sheet=lambda *_: b"", _scan_shared_strings=lambda *_: (0, b"")), \
+            mock.patch.object(xlsx, "_CHUNK", chunk):
+        try:
+            return [(sheet.name, sheet.rows) for sheet in read_workbook(path, max_rows)]
+        except Exception:  # whatever the reader raises, load_tabular makes a TabularError
+            return "error"
+
+
+def _fast_path_only():
+    """Fail if a part goes to the ElementTree reader."""
+    return mock.patch.multiple(
+        xlsx, _tree_rows=mock.Mock(side_effect=AssertionError("sheet read by ElementTree")),
+        _tree_shared_strings=mock.Mock(side_effect=AssertionError("strings read by ElementTree")))
+
+
+_PHONETIC = '<t>東京</t><rPh sb="0" eb="2"><t>トウキョウ</t></rPh><phoneticPr fontId="1"/>'
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "elementtree"])
+def test_phonetic_runs_are_not_text(tmp_path, scan):
+    path = tmp_path / "t.xlsx"
+    _package(path, _sheet(
+        '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="B1" t="s"><v>1</v></c>'
+        f'<c r="C1" t="inlineStr"><is>{_PHONETIC}</is></c></row>'),
+        _strings(f'<si>{_PHONETIC}</si><si><r><t>大</t></r><r><rPr><b/></rPr><t>阪</t></r>'
+                 '<rPh sb="0" eb="1"><t>オオ</t></rPh></si>'))
+    assert _read(path, scan=scan) == [("Data", [["東京", "大阪", "東京"]])]
+
+
+def test_shared_strings_found_through_their_relationship(tmp_path):
+    path = tmp_path / "t.xlsx"
+    _package(path, _sheet('<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
+                          '<row r="2"><c r="A2" t="s"><v>1</v></c></row>'),
+             _strings("<si><t>name</t></si><si><t>Ada</t></si>"), strings_target="strings.xml")
+    assert read_workbook(path)[0].rows == [["name"], ["Ada"]]
+
+
+def test_sheet_without_relationship_is_named(tmp_path):
+    path = tmp_path / "t.xlsx"
+    _package(path, _sheet(""), sheet_rid="rId7")
+    with pytest.raises(ValueError, match=r"sheet 'Data' .*'rId7'"):
+        read_workbook(path)
+
+
+def test_scan_reads_the_writers_and_the_shared_strings_layout(tmp_path):
+    """No part of either layout goes to ElementTree: workbooks this writer
+    saves, and a hand-written sheet with the attributes and shared strings
+    ECMA-376 describes, in the order Excel documents them."""
+    written = tmp_path / "written.xlsx"
+    write_workbook(written, [
+        SheetData(name="People", rows=[
+            [CellValue("name"), CellValue("age"), CellValue("member")],
+            [CellValue("Ada & <Bob>"), CellValue("36", kind="number", number_format="0"),
+             CellValue("TRUE", kind="bool")],
+            [CellValue(" two\nlines "), CellValue("1.50", kind="number", number_format="0.00")]],
+            validations=[ListValidation(column=3, first_row=2, last_row=9,
+                                        formula='"TRUE,FALSE"')]),
+        SheetData(name="Empty")])
+    saved = tmp_path / "saved.xlsx"
+    head = ('<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\r\n'
+            f'<worksheet xmlns="{NS_MAIN}" xmlns:r="{NS_REL}" '
+            'xmlns:mc="http://schemas.openxmlformats.org/markup-compatibility/2006" '
+            'mc:Ignorable="x14ac" '
+            'xmlns:x14ac="http://schemas.microsoft.com/office/spreadsheetml/2009/9/ac">'
+            '<dimension ref="A1:C3"/><sheetViews><sheetView tabSelected="1" workbookViewId="0">'
+            '<selection activeCell="A2" sqref="A2"/></sheetView></sheetViews>'
+            '<sheetFormatPr defaultRowHeight="15" x14ac:dyDescent="0.25"/><sheetData>')
+    rows = ('<row r="1" spans="1:3" x14ac:dyDescent="0.25"><c r="A1" t="s"><v>0</v></c>'
+            '<c r="B1" t="s"><v>1</v></c><c r="C1" t="s"><v>2</v></c></row>'
+            '<row r="2" spans="1:3" ht="30" customHeight="1" x14ac:dyDescent="0.25">'
+            '<c r="A2" s="1" t="s"><v>3</v></c><c r="B2" s="2"><v>3.0</v></c>'
+            '<c r="C2" t="b"><v>0</v></c></row><row r="3" spans="1:3"/>')
+    tail = ('</sheetData><pageMargins left="0.7" right="0.7" top="0.75" bottom="0.75" '
+            'header="0.3" footer="0.3"/></worksheet>')
+    _package(saved, head + rows + tail, _strings(
+        f'<si><t>name</t></si><si><t>size</t></si><si><t xml:space="preserve">ok </t></si>'
+        f'<si>{_PHONETIC}</si>'))
+    with _fast_path_only():
+        assert [(s.name, s.rows) for s in read_workbook(written)] == [
+            ("People", [["name", "age", "member"], ["Ada & <Bob>", "36", "TRUE"],
+                        [" two\nlines ", "1.50"]]),
+            ("Empty", [])]
+        assert read_workbook(saved)[0].rows == [
+            ["name", "size", "ok "], ["東京", "3", "FALSE"], []]
+        assert read_workbook(saved, max_rows=2)[0].rows == [
+            ["name", "size", "ok "], ["東京", "3", "FALSE"]]
+    assert _read(saved) == _read(saved, scan=False)
+
+
+def _spy(name, calls):
+    """Patch an ElementTree reader of ``xlsx`` to add (its arguments, what it
+    gave) to ``calls``: the rows taken from ``_tree_rows``."""
+    reader = getattr(xlsx, name)
+
+    def spy(*args):
+        calls.append((args, []))
+        if name == "_tree_shared_strings":
+            return reader(*args)
+        return (calls[-1][1].append(row) or row for row in reader(*args))
+    return mock.patch.object(xlsx, name, spy)
+
+
+def test_elementtree_reads_on_from_the_first_row_not_read(tmp_path):
+    """A formula in row 900 of 1,200: the scan reads the rows before it, and
+    ElementTree the rows from it on; the grid is the one ElementTree reads."""
+    path = tmp_path / "t.xlsx"
+    _package(path, _sheet("".join(
+        f'<row r="{r}"><c r="A{r}" t="s"><v>{r % 7}</v></c><c r="B{r}">'
+        f'{"<f>A1*2</f>" if r == 900 else ""}<v>{r}</v></c></row>' for r in range(1, 1201))),
+        _strings("".join(f"<si><t>s{i}</t></si>" for i in range(7))))
+    for max_rows, last in ((None, 1200), (1001, 1002)):
+        expected = _read(path, max_rows, scan=False)
+        calls = []
+        with _spy("_tree_rows", calls):
+            assert _read(path, max_rows) == expected
+        (_, rows), = calls
+        assert [int(r) for r, _ in rows] == list(range(900, last + 1))
+
+
+def test_elementtree_reads_on_from_the_first_chunk_of_strings_not_read(tmp_path):
+    """A comment after shared string 3,000 of 4,000: ElementTree reads on
+    from the start of the chunk that holds it."""
+    path = tmp_path / "t.xlsx"
+    items = [f"<si><t>text {i}</t></si>" for i in range(4000)]
+    items[3000:3000] = ["<!-- note -->"]
+    _package(path, _sheet("".join(f'<row r="{r}"><c r="A{r}" t="s"><v>{r * 3}</v></c></row>'
+                                  for r in range(1, 1300))), _strings("".join(items)))
+    expected = _read(path, scan=False)
+    calls = []
+    with _spy("_tree_shared_strings", calls):
+        assert _read(path) == expected
+    ((_, _, found, index), _), = calls
+    assert 1000 < index <= 3000 and min(found) == 3 and max(found) == 3 * 1299
+
+
+# Markup for the equivalence test. Text pieces are XML text as written, with
+# the five entities, numeric references and a CR that XML reads as a LF.
+_PIECES = ["a", "Zq", " ", "1", "3.0", "-2", "东", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;",
+           "&#10;", "&#x41;", "&#13;", "\n", "\t", "\r\n", ">", '"', "'"]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+_t = st.one_of(_texts.map("<t>{}</t>".format),
+               _texts.map('<t xml:space="preserve">{}</t>'.format), st.just("<t/>"))
+_rich = st.lists(st.one_of(
+    _t,
+    _t.map("<r>{}</r>".format),
+    _t.map(('<r><rPr><b/><sz val="11"/><color theme="1"/><rFont val="Calibri"/></rPr>'
+            "{}</r>").format),
+    _t.map('<rPh sb="0" eb="1">{}</rPh>'.format),
+    st.just('<phoneticPr fontId="1" type="noConversion"/>'),
+), max_size=3).map("".join)
+_values = st.one_of(st.sampled_from(["1", " 1", "3.0", "1.50", "2e3", "", "1" + "0" * 400 + ".0"]),
+                    _texts)
+
+
+@st.composite
+def _cells(draw) -> str:
+    letters = draw(st.sampled_from(["A", "B", "C", "AB", "XFD", "a", ""]))
+    ref = draw(st.sampled_from(["", f' r="{letters}7"', f' r="{letters}"']))
+    kind = draw(st.sampled_from(["", "s", "n", "b", "str", "e", "inlineStr"]))
+    t = f' t="{kind}"' if kind else ""
+    s = draw(st.sampled_from(["", ' s="1"']))
+    attrs = ref + draw(st.sampled_from([s + t, t + s]))
+    values = st.sampled_from(["0", "1", "2", "4", " 1", "-1", "x"]) if kind == "s" else _values
+    if draw(st.integers(0, 3)):  # mostly the content that the kind reads
+        content = _rich.map("<is>{}</is>".format) if kind == "inlineStr" else \
+            values.map("<v>{}</v>".format)
+        return f"<c{attrs}>{draw(content)}</c>"
+    body = draw(st.one_of(
+        st.just("/>"), st.just("></c>"), st.just("><v/></c>"),
+        values.map("><v>{}</v></c>".format),
+        _rich.map("><is>{}</is></c>".format),
+        st.tuples(values, _rich).map(lambda vr: f"><v>{vr[0]}</v><is>{vr[1]}</is></c>")))
+    return f"<c{attrs}{body}"
+
+
+@st.composite
+def _rows(draw) -> str:
+    number = draw(st.one_of(st.none(), st.integers(1, 6)))
+    attrs = "" if number is None else f' r="{number}"'
+    attrs += draw(st.sampled_from(["", ' spans="1:3"']))
+    cells = draw(st.lists(_cells(), max_size=4))
+    return f"<row{attrs}/>" if not cells and draw(st.booleans()) else \
+        f"<row{attrs}>{''.join(cells)}</row>"
+
+
+# Markup the scan leaves to ElementTree, well-formed or not, and rows past
+# the sheet's bounds. The x prefix is bound on the root, to the main
+# namespace or to another.
+_UNREAD = [
+    '<row r="0"/>', '<row r="1048577"/>', '<row r="2"><c r="XFE2"/></row>',
+    '<row r="2"><c r="XFD2"/><c/></row>',
+    "<!-- a note -->", "<?app data?>", '<row r="2"><c r="A2"><v><![CDATA[7]]></v></c></row>',
+    '<x:row r="2"><x:c r="A2" t="str"><x:v>p</x:v></x:c></x:row>',
+    '<row r="2"><c r="A2" t="str"><v>p</v><f>A1</f></c></row>', '<row r="2" x:r="1"/>',
+    '<row r="2"><c r="A2" t="str"><v>&nbsp;</v></c></row>',
+    '<row r="2"><c r="A2" t="str"><v>&#0;</v></c></row>',
+    '<row r="2"><c r="A2"><v>1</v></row>', '<row r="2"><c r="A2" t="str"><v>a<b</v></c></row>',
+    '<row r="2"><c r="A2" t="str"><v>a]]>b</v></c></row>',
+    '<row r="2"><c r="A2" t="str"><v>a\r\nb</v></c></row>',
+    '<row r="2"><c r="A2" t="inlineStr"><is><t>a\rb</t></is></c></row>',
+    '<row r="2"><c r="A2" r="B2"/></row>', "<row r='2'/>", '<row r="2" ></row>', "</row>",
+    '<row/><row><c t="str"><v>&#0;</v></c></row>',
+]
+
+
+_STRINGS_UNREAD = ["<!-- shared -->", "<si><t><![CDATA[c]]></t></si>", "<si><t>a<b/>c</t></si>",
+                   "<si><t>&nbsp;</t></si>", "<si><t>a</si>", "<si><t>a</t><x:t>b</x:t></si>"]
+
+
+@pytest.mark.parametrize("head, unread, tail, strings", [
+    *(("", piece, "", "") for piece in _UNREAD),
+    *(("", "", "", piece) for piece in _STRINGS_UNREAD),
+    ('<row r="9"/>', "", "", ""),
+    ("", "", '<row r="9"><c r="A9" t="str"><v>late</v></c></row>', ""),
+])
+def test_each_unread_markup_reads_as_elementtree_does(tmp_path, head, unread, tail, strings):
+    path = tmp_path / "t.xlsx"
+    rows = (f'<row r="1"><c r="A1" t="s"><v>0</v></c></row>{unread}'
+            '<row r="3"><c t="str"><v>z</v></c></row>')
+    _package(path, f'<worksheet xmlns="{NS_MAIN}" xmlns:x="{NS_MAIN}">{head}<sheetData>{rows}'
+             f"</sheetData>{tail}</worksheet>",
+             _strings(f"{strings}<si><t>h</t></si>", f' xmlns:x="{NS_MAIN}"'))
+    for max_rows in (None, 1, 2, 3):
+        expected = _read(path, max_rows, scan=False)
+        for chunk in (xlsx._CHUNK, 7):
+            assert _read(path, max_rows, chunk=chunk) == expected, (max_rows, chunk)
+
+
+@pytest.mark.parametrize("part, at, piece", [
+    ("sheet", "row", b"\xff"), ("sheet", "row", b"\x01"), ("sheet", "row", "\ufffe".encode()),
+    ("sheet", "tail", b'<row r="9"/>'), ("sheet", "after", b"x"), ("sheet", "after", b"<!--c-->"),
+    ("strings", "item", b"\xff"), ("strings", "after", b"<si/>"),
+    ("strings", "after", b"<!--c-->"),
+])
+def test_bytes_and_markup_after_the_rows_read_as_elementtree_does(tmp_path, part, at, piece):
+    """Bytes XML does not allow, and markup after the rows, the items or the
+    root. A cell wants a shared string past the table, so all of it is read."""
+    def put(where: str) -> bytes:
+        return piece if (part, at) == where else b""
+    sheet = (f'<worksheet xmlns="{NS_MAIN}"><sheetData><row r="1"><c r="A1" t="s"><v>0</v></c>'
+             '<c t="s"><v>9</v></c></row><row r="2"><c t="str"><v>a').encode() + \
+        put(("sheet", "row")) + b'b</v></c></row><row r="3"/></sheetData>' + \
+        put(("sheet", "tail")) + b"</worksheet>" + put(("sheet", "after"))
+    strings = f'<sst xmlns="{NS_MAIN}"><si><t>h'.encode() + put(("strings", "item")) + \
+        b"</t></si></sst>" + put(("strings", "after"))
+    path = tmp_path / "t.xlsx"
+    _package(path, sheet, strings)
+    for max_rows in (None, 1, 2, 3):
+        expected = _read(path, max_rows, scan=False)
+        for chunk in (xlsx._CHUNK, 7):
+            assert _read(path, max_rows, chunk=chunk) == expected, (max_rows, chunk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rows(), max_size=6),
+       gaps=st.lists(st.sampled_from(["", "\n", "\r\n  ", " \t"]), min_size=7, max_size=7),
+       unread=st.one_of(st.none(), st.tuples(st.integers(0, 6), st.sampled_from(_UNREAD))),
+       root=st.sampled_from([f' xmlns="{NS_MAIN}"', f' xmlns="{NS_MAIN}" xmlns:x="{NS_MAIN}"',
+                             f' xmlns="{NS_MAIN}" xmlns:x="urn:other"',
+                             f' xmlns="urn:other" xmlns:x="{NS_MAIN}"']),
+       items=st.lists(st.one_of(_rich.map("<si>{}</si>".format), st.just("<si/>"),
+                                _texts.map("<si><t>{}</t></si>".format)), max_size=5),
+       around=st.sampled_from([("", ""), ('<dimension ref="A1"/>', '<pageMargins left="0.7"/>'),
+                               ('<sheetViews><sheetView workbookViewId="0"/></sheetViews>', ""),
+                               ('<row r="9"/>', ""),
+                               ("", '<row r="9"><c r="A9" t="str"><v>late</v></c></row>')]),
+       strings_unread=st.sampled_from(["", "", ""] + _STRINGS_UNREAD),
+       chunk=st.sampled_from([xlsx._CHUNK, 1, 16, 64]))
+def test_scan_reads_as_elementtree_does(tmp_path_factory, rows, gaps, unread, root, around,
+                                        items, strings_unread, chunk):
+    """Equal grids, or an error from both, at every cap, and wherever the
+    parts are cut into chunks."""
+    if unread is not None:
+        rows = rows[:unread[0]] + [unread[1]] + rows[unread[0]:]
+    markup = "".join(gap + row for gap, row in zip(gaps, rows)) + gaps[-1]
+    path = tmp_path_factory.mktemp("scan") / "t.xlsx"
+    head, tail = around
+    _package(path, f"<worksheet{root}>{head}<sheetData>{markup}</sheetData>{tail}</worksheet>",
+             _strings(strings_unread + "".join(items), f' xmlns:x="{NS_MAIN}"'))
+    for max_rows in (None, 1, 3):
+        assert _read(path, max_rows, chunk=chunk) == _read(path, max_rows, scan=False), max_rows
