@@ -7,8 +7,8 @@ the entries collected while executing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 SEVERITIES = ("info", "warning", "loss")
 
@@ -73,8 +73,20 @@ class LossReport:
         return merged
 
     def to_json(self) -> str:
-        payload = {"items": [i.as_dict() for i in self.items]}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """``json.dumps({"items": [...]}, indent=2, sort_keys=True)`` plus a
+        newline, written directly: the schema is five strings per item, and
+        ``indent`` would send ``json.dumps`` down its pure-Python encoder."""
+        if not self.items:
+            return '{\n  "items": []\n}\n'
+        q = encode_basestring_ascii
+        body = ",\n".join(
+            f'    {{\n      "detail": {q(i.detail)},\n'
+            f'      "element_kind": {q(i.element_kind)},\n'
+            f'      "element_name": {q(i.element_name)},\n'
+            f'      "reason": {q(i.reason)},\n'
+            f'      "severity": {q(i.severity)}\n    }}'
+            for i in self.items)
+        return '{\n  "items": [\n' + body + '\n  ]\n}\n'
 
     def summary(self) -> str:
         """One human line per entry, for the CLI's error stream."""

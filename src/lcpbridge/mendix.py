@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import MendixImportError, MissingInputError
@@ -21,6 +22,7 @@ from .model import (
     Class,
     DomainModel,
     Enumeration,
+    Folds,
     Generalization,
     Multiplicity,
     Namespace,
@@ -53,21 +55,26 @@ CARDINALITY_TABLE = {
 }
 
 
-@dataclass(frozen=True)
+# The records of one export: plain, not frozen like the pivot model's types
+# (see ``model``), since a large export makes tens of thousands of them and
+# nothing keeps them past ``mendix_to_pivot``.
+
+
+@dataclass(slots=True)
 class MendixAttribute:
     name: str
     type: str
     enum_ref: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MendixEntity:
     name: str
     attributes: tuple[MendixAttribute, ...] = ()
     generalization: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MendixAssociation:
     name: str
     parent: str
@@ -76,19 +83,26 @@ class MendixAssociation:
     owner: str = "Default"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MendixEnumeration:
     name: str
     values: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MendixExport:
     name: str
     entities: tuple[MendixEntity, ...] = ()
     associations: tuple[MendixAssociation, ...] = ()
     enumerations: tuple[MendixEnumeration, ...] = ()
     warnings: tuple[str, ...] = ()
+
+
+DOMAIN_MODEL_FIELDS = frozenset(("name", "entities", "associations", "enumerations"))
+ENTITY_FIELDS = frozenset(("name", "attributes", "generalization"))
+ATTRIBUTE_FIELDS = frozenset(("name", "type", "enum_ref"))
+ASSOCIATION_FIELDS = frozenset(("name", "parent", "child", "type", "owner"))
+ENUMERATION_FIELDS = frozenset(("name", "values"))
 
 
 def _require(mapping: dict, key: str, where: str) -> str:
@@ -111,16 +125,36 @@ def _list_of(mapping: dict, key: str, item_type: type, where: str) -> list:
     items = mapping.get(key)
     if items is None:
         return []
-    if not isinstance(items, list) or not all(isinstance(i, item_type) for i in items):
+    if not isinstance(items, list) or not all(map(isinstance, items, repeat(item_type))):
         noun = "objects" if item_type is dict else "strings"
         raise MendixImportError(f"field {key!r} in {where} must be a list of {noun}")
     return items
+
+
+def _attribute_fields(attr: dict, entity: str) -> tuple[str, str, str | None]:
+    """(name, type, enum_ref) of an attribute, checked one field at a time;
+    the fast path in ``parse_mendix_export`` comes here only to raise."""
+    name = _require(attr, "name", f"attribute of {entity}")
+    where = f"attribute {entity}.{name}"
+    return name, _require(attr, "type", where), _optional(attr, "enum_ref", where)
+
+
+def _association_fields(raw: dict, name: str) -> tuple[str, str, str, str]:
+    """(parent, child, type, owner) of an association, as for attributes."""
+    where = f"association {name}"
+    return (_require(raw, "parent", where), _require(raw, "child", where),
+            _optional(raw, "type", where, "Reference"),
+            _optional(raw, "owner", where, "Default"))
 
 
 def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     """Read an export document into memory, checking referential integrity.
 
     Unknown fields are ignored but listed in the result's warnings.
+
+    Each field is read once and its type checked inline; only a field that
+    fails that check goes through ``_require``/``_optional``/``_list_of``,
+    which raise the error for it (or accept a ``str`` or ``list`` subclass).
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -135,54 +169,71 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
 
     warnings: list[str] = []
 
-    def note_unknown(mapping: dict, known: set[str], where: str):
+    def note_unknown(mapping: dict, known: frozenset[str], where: str):
         for key in mapping:
             if key not in known:
                 warnings.append(f"ignored unknown field {key!r} in {where}")
 
-    note_unknown(dm, {"name", "entities", "associations", "enumerations"}, "domainModel")
+    note_unknown(dm, DOMAIN_MODEL_FIELDS, "domainModel")
 
     entities = []
     for raw in _list_of(dm, "entities", dict, "domainModel"):
-        name = _require(raw, "name", "entity")
-        note_unknown(raw, {"name", "attributes", "generalization"}, f"entity {name}")
+        name = raw.get("name")
+        if name.__class__ is not str or not name:
+            name = _require(raw, "name", "entity")
+        if raw.keys() - ENTITY_FIELDS:
+            note_unknown(raw, ENTITY_FIELDS, f"entity {name}")
+        attrs = raw.get("attributes")
+        if attrs.__class__ is not list or not all(map(isinstance, attrs, repeat(dict))):
+            attrs = _list_of(raw, "attributes", dict, f"entity {name}")
         attributes = []
-        for attr in _list_of(raw, "attributes", dict, f"entity {name}"):
-            attr_name = _require(attr, "name", f"attribute of {name}")
-            where = f"attribute {name}.{attr_name}"
-            attr_type = _require(attr, "type", where)
-            note_unknown(attr, {"name", "type", "enum_ref"}, where)
-            attributes.append(MendixAttribute(attr_name, attr_type,
-                                              _optional(attr, "enum_ref", where)))
-        entities.append(MendixEntity(name, tuple(attributes),
-                                     _optional(raw, "generalization", f"entity {name}")))
+        for attr in attrs:
+            attr_name = attr.get("name")
+            attr_type = attr.get("type")
+            enum_ref = attr.get("enum_ref")
+            if attr_name.__class__ is not str or not attr_name \
+                    or attr_type.__class__ is not str or not attr_type \
+                    or (enum_ref is not None and enum_ref.__class__ is not str):
+                attr_name, attr_type, enum_ref = _attribute_fields(attr, name)
+            if attr.keys() - ATTRIBUTE_FIELDS:
+                note_unknown(attr, ATTRIBUTE_FIELDS, f"attribute {name}.{attr_name}")
+            attributes.append(MendixAttribute(attr_name, attr_type, enum_ref))
+        generalization = raw.get("generalization")
+        if generalization is not None and generalization.__class__ is not str:
+            generalization = _optional(raw, "generalization", f"entity {name}")
+        entities.append(MendixEntity(name, tuple(attributes), generalization))
 
     associations = []
     for raw in _list_of(dm, "associations", dict, "domainModel"):
-        name = _require(raw, "name", "association")
-        note_unknown(raw, {"name", "parent", "child", "type", "owner"}, f"association {name}")
-        associations.append(MendixAssociation(
-            name=name,
-            parent=_require(raw, "parent", f"association {name}"),
-            child=_require(raw, "child", f"association {name}"),
-            type=_optional(raw, "type", f"association {name}", "Reference"),
-            owner=_optional(raw, "owner", f"association {name}", "Default"),
-        ))
+        name = raw.get("name")
+        if name.__class__ is not str or not name:
+            name = _require(raw, "name", "association")
+        if raw.keys() - ASSOCIATION_FIELDS:
+            note_unknown(raw, ASSOCIATION_FIELDS, f"association {name}")
+        parent = raw.get("parent")
+        child = raw.get("child")
+        kind = raw.get("type", "Reference")
+        owner = raw.get("owner", "Default")
+        if parent.__class__ is not str or not parent or child.__class__ is not str \
+                or not child or kind.__class__ is not str or owner.__class__ is not str:
+            parent, child, kind, owner = _association_fields(raw, name)
+        associations.append(MendixAssociation(name, parent, child, kind, owner))
 
     enumerations = []
     for raw in _list_of(dm, "enumerations", dict, "domainModel"):
-        name = _require(raw, "name", "enumeration")
-        note_unknown(raw, {"name", "values"}, f"enumeration {name}")
-        values = _list_of(raw, "values", str, f"enumeration {name}")
+        name = raw.get("name")
+        if name.__class__ is not str or not name:
+            name = _require(raw, "name", "enumeration")
+        if raw.keys() - ENUMERATION_FIELDS:
+            note_unknown(raw, ENUMERATION_FIELDS, f"enumeration {name}")
+        values = raw.get("values")
+        if values.__class__ is not list or not all(map(isinstance, values, repeat(str))):
+            values = _list_of(raw, "values", str, f"enumeration {name}")
         enumerations.append(MendixEnumeration(name, tuple(values)))
 
     export = MendixExport(
-        name=_optional(dm, "name", "domainModel", "DomainModel"),
-        entities=tuple(entities),
-        associations=tuple(associations),
-        enumerations=tuple(enumerations),
-        warnings=tuple(warnings),
-    )
+        _optional(dm, "name", "domainModel", "DomainModel"),
+        tuple(entities), tuple(associations), tuple(enumerations), tuple(warnings))
     _check_references(export)
     return export
 
@@ -229,32 +280,40 @@ def _check_references(export: MendixExport) -> None:
 
 
 def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
-    """Apply the concept mapping: entities, attributes, enums, associations."""
+    """Apply the concept mapping: entities, attributes, enums, associations.
+
+    Attribute, literal and role names repeat across entities, so each of
+    them is sanitized once per distinct name in the call.
+    """
     loss = LossReport()
+    for warning in export.warnings:
+        loss.add("model", export.name, "DROPPED", "info", warning)
+    sanitized = Folds(sanitize_identifier)
     # classes and enumerations share one namespace, as in validate_model; a
     # name is claimed on first use and references resolve to what it claimed
     names = Namespace()
-    claimed: dict[tuple[str, str], str] = {}  # (kind, raw name) -> pivot name
+    claimed: dict[str, dict[str, str]] = {"class": {}, "enumeration": {}}  # raw -> pivot
 
     def pivot_name(kind: str, raw: str) -> str:
-        if (kind, raw) not in claimed:
-            name = claimed[kind, raw] = names.claim(sanitize_identifier(raw))
+        of_kind = claimed[kind]
+        name = of_kind.get(raw)
+        if name is None:
+            name = of_kind[raw] = names.claim(sanitize_identifier(raw))
             if name != raw:
                 loss.add(kind, raw, "RENAMED", "info", f"sanitized to {name}")
-        return claimed[kind, raw]
+        return name
 
     enumerations = []
     for enum in export.enumerations:
         literals = []
         for value in enum.values:
-            cleaned = sanitize_identifier(value)
+            cleaned = sanitized[value]
             if cleaned != value:
                 loss.add("literal", f"{enum.name}.{value}", "RENAMED", "info",
                          f"sanitized to {cleaned}")
             if cleaned not in literals:
                 literals.append(cleaned)
-        enumerations.append(Enumeration(name=pivot_name("enumeration", enum.name),
-                                        literals=tuple(literals)))
+        enumerations.append(Enumeration(pivot_name("enumeration", enum.name), tuple(literals)))
 
     classes = []
     generalizations = []
@@ -263,27 +322,28 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
         prop_names = Namespace()
         properties = []
         for attr in entity.attributes:
-            prop_name = prop_names.claim(sanitize_identifier(attr.name))
+            prop_name = prop_names.claim(sanitized[attr.name])
             if prop_name != attr.name:
                 loss.add("property", f"{entity.name}.{attr.name}", "RENAMED", "info",
                          f"sanitized to {prop_name}")
-            if attr.type == "Enumeration":
+            attr_type = attr.type
+            if attr_type == "Enumeration":
                 type_ref = enum_type(pivot_name("enumeration", attr.enum_ref))
-            elif attr.type in ATTRIBUTE_TYPES:
-                primitive, detail = ATTRIBUTE_TYPES[attr.type]
+            elif attr_type in ATTRIBUTE_TYPES:
+                primitive, detail = ATTRIBUTE_TYPES[attr_type]
                 type_ref = primitive_type(primitive)
                 if detail:
                     loss.add("property", f"{entity.name}.{attr.name}", "TYPE_COERCED",
-                             "warning", f"{attr.type} -> {primitive}: {detail}")
+                             "warning", f"{attr_type} -> {primitive}: {detail}")
             else:
                 type_ref = primitive_type("str")
                 loss.add("property", f"{entity.name}.{attr.name}", "TYPE_COERCED",
-                         "warning", f"unknown Mendix type {attr.type!r} stored as str")
-            properties.append(Property(name=prop_name, type=type_ref))
-        classes.append(Class(name=class_name, properties=tuple(properties)))
+                         "warning", f"unknown Mendix type {attr_type!r} stored as str")
+            properties.append(Property(prop_name, type_ref))
+        classes.append(Class(class_name, tuple(properties)))
         if entity.generalization is not None:
             generalizations.append(Generalization(
-                general=pivot_name("class", entity.generalization), specific=class_name))
+                pivot_name("class", entity.generalization), class_name))
 
     associations = []
     for assoc in export.associations:
@@ -296,17 +356,14 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
         both = assoc.owner == "Both"
         child_class = pivot_name("class", assoc.child)
         parent_class = pivot_name("class", assoc.parent)
-        child_role = sanitize_identifier(child_class.lower())
-        parent_role = sanitize_identifier(parent_class.lower())
+        child_role = sanitized[child_class.lower()]
+        parent_role = sanitized[parent_class.lower()]
         if child_role == parent_role:
             parent_role += "_parent"
         associations.append(Association(
-            name=sanitize_identifier(assoc.name),
-            end1=AssociationEnd(role=child_role, class_name=child_class,
-                                multiplicity=child_mult, navigable=both),
-            end2=AssociationEnd(role=parent_role, class_name=parent_class,
-                                multiplicity=parent_mult, navigable=True),
-        ))
+            sanitize_identifier(assoc.name),
+            AssociationEnd(child_role, child_class, child_mult, both),
+            AssociationEnd(parent_role, parent_class, parent_mult, True)))
 
     model = DomainModel(
         name=sanitize_identifier(export.name),

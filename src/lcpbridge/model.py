@@ -9,10 +9,19 @@ downstream: ``parse_pivot_text`` (a ``.bml`` load, hand-edited or not),
 ``mendix_to_pivot``, ``infer_model``, the ``merge_models`` result, and
 ``pipeline.run_exporter`` for Python API callers only. ``print_pivot_text``,
 the planners and the emitters trust it.
+
+The model types stay frozen: a validated model is shared by every generator
+of a migration and by the merge, so no step may change what another has
+checked. The records an adapter builds on its way to or from a model
+(``mendix.Mendix*``, ``relational.ColumnPlan``...) are plain slotted
+dataclasses instead: one step builds them and the next reads them once, and
+a pass over a large model builds tens of thousands, where a frozen
+dataclass's ``__init__`` costs about three times a plain one's.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -82,17 +91,41 @@ class Namespace:
     def claim(self, *candidates: str) -> str:
         """The first candidate, fitted to the limit, that is still free; when
         all are taken, the first free ``<first candidate>_<n>`` for n = 2, 3..."""
+        limit, taken = self.limit, self._taken
         for candidate in candidates:
-            name = fit_name(candidate, self.limit)
-            if name.lower() not in self._taken:
+            name = candidate if limit is None or len(candidate) <= limit \
+                else fit_name(candidate, limit)
+            low = name.lower()
+            if low not in taken:
                 break
         else:
             number = 2
-            while (name := fit_name(f"{candidates[0]}_{number}", self.limit)).lower() \
-                    in self._taken:
+            while (low := (name := fit_name(f"{candidates[0]}_{number}", limit)).lower()) \
+                    in taken:
                 number += 1
-        self._taken.add(name.lower())
+        taken.add(low)
         return name
+
+
+class Folds(dict):
+    """``fold(name)`` for each name looked up, computed on the first lookup.
+
+    One call's memo of a pure name fold (``sanitize_identifier``,
+    ``sql_name``): names repeat within a model (the same property in many
+    classes, a class in many associations), so each distinct name is folded
+    once. It lives as long as the call that made it, so nothing is kept
+    from one model to the next.
+    """
+
+    __slots__ = ("fold",)
+
+    def __init__(self, fold):
+        super().__init__()
+        self.fold = fold
+
+    def __missing__(self, name: str) -> str:
+        folded = self[name] = self.fold(name)
+        return folded
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,11 +285,42 @@ def _check_name(value: str, kind: str, out: list[Violation], rule: str = "BAD_ID
                              f"{kind} name must start with a letter and use letters/digits/underscore"))
 
 
-def validate_model(model: DomainModel) -> ValidationResult:
-    """Check every pivot invariant; violations are returned, never raised."""
-    out: list[Violation] = []
+@functools.cache
+def _identifiers_re() -> re.Pattern:
+    """Identifiers, each followed by NUL, compiled on first use. No
+    identifier holds NUL, so each repetition reads exactly one name and the
+    possessive ``++`` never has to give one back."""
+    return re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\0)++")
 
-    _check_name(model.name, "model", out)
+
+def _all_identifiers(model: DomainModel) -> bool:
+    """Whether every name ``validate_model`` checks is an identifier: one
+    fullmatch over the names joined by NUL, as in
+    ``tabular.infer_column_type``. A name that holds NUL would read as two,
+    so the NUL count must equal the name count."""
+    names = [model.name]
+    names += [cls.name for cls in model.classes]
+    names += [prop.name for cls in model.classes for prop in cls.properties]
+    for enum in model.enumerations:
+        names.append(enum.name)
+        names += enum.literals
+    for assoc in model.associations:
+        names += (assoc.name, assoc.end1.role, assoc.end2.role)
+    joined = "\0".join(names) + "\0"
+    return joined.count("\0") == len(names) and _identifiers_re().fullmatch(joined) is not None
+
+
+def validate_model(model: DomainModel) -> ValidationResult:
+    """Check every pivot invariant; violations are returned, never raised.
+
+    The names are checked together first; only when one of them fails does
+    each name get its own check, in the order its violation is reported.
+    """
+    out: list[Violation] = []
+    bad_names = not _all_identifiers(model)
+
+    if bad_names:
+        _check_name(model.name, "model", out)
 
     # lowercase -> the first name declared; the names not stored there (case
     # twins, repeats, clashes) are few, and are kept aside to tell a reference
@@ -264,7 +328,8 @@ def validate_model(model: DomainModel) -> ValidationResult:
     class_names: dict[str, str] = {}
     other_classes: set[str] = set()
     for cls in model.classes:
-        _check_name(cls.name, "class", out)
+        if bad_names:
+            _check_name(cls.name, "class", out)
         low = cls.name.lower()
         if low in class_names:
             out.append(Violation("DUPLICATE_CLASS_NAME", cls.name,
@@ -276,7 +341,8 @@ def validate_model(model: DomainModel) -> ValidationResult:
     enum_names: dict[str, str] = {}
     other_enums: set[str] = set()
     for enum in model.enumerations:
-        _check_name(enum.name, "enumeration", out)
+        if bad_names:
+            _check_name(enum.name, "enumeration", out)
         low = enum.name.lower()
         if low in enum_names:
             out.append(Violation("DUPLICATE_ENUM_NAME", enum.name, "enumeration name repeated"))
@@ -296,7 +362,8 @@ def validate_model(model: DomainModel) -> ValidationResult:
             out.append(Violation("EMPTY_ENUM", enum.name, "enumeration needs at least one literal"))
         seen_lits = set()
         for lit in enum.literals:
-            _check_name(lit, "literal", out)
+            if bad_names:
+                _check_name(lit, "literal", out)
             if lit in seen_lits:
                 out.append(Violation("DUPLICATE_LITERAL", f"{enum.name}.{lit}", "literal repeated"))
             seen_lits.add(lit)
@@ -311,7 +378,8 @@ def validate_model(model: DomainModel) -> ValidationResult:
             out.append(Violation("MULTIPLE_ID_PROPERTIES", cls.name,
                                  f"more than one id property: {', '.join(id_props)}"))
         for prop in cls.properties:
-            _check_name(prop.name, "property", out)
+            if bad_names:
+                _check_name(prop.name, "property", out)
             low = prop.name.lower()
             if low in prop_names:
                 out.append(Violation("DUPLICATE_PROPERTY_NAME", f"{cls.name}.{prop.name}",
@@ -334,9 +402,11 @@ def validate_model(model: DomainModel) -> ValidationResult:
                                      f"unknown type kind {t.kind!r}"))
 
     for assoc in model.associations:
-        _check_name(assoc.name, "association", out)
+        if bad_names:
+            _check_name(assoc.name, "association", out)
         for end in assoc.ends:
-            _check_name(end.role, "role", out)
+            if bad_names:
+                _check_name(end.role, "role", out)
             if not declared(end.class_name, class_names, other_classes):
                 out.append(Violation("DANGLING_END", f"{assoc.name}.{end.role}",
                                      f"references absent class {end.class_name!r}"))
@@ -437,5 +507,5 @@ __all__ = [
     "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
     "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",
     "model_equal", "association_key", "is_identifier", "sanitize_identifier", "fit_name",
-    "Namespace",
+    "Namespace", "Folds",
 ]

@@ -6,6 +6,12 @@ junction tables for many-to-many, and class-table inheritance where the
 child's primary key is also a foreign key to the parent. The ``ansi``
 dialect keeps the script runnable on an embedded engine (sqlite) for
 verification; ``oracle`` is what ships.
+
+The pivot model read here stays frozen (see ``model``). The plan records are
+plain slotted dataclasses: ``plan_relational`` builds one per column and
+foreign key, tens of thousands on a large model, where a frozen dataclass's
+``__init__`` costs about three times a plain one's; only it writes them,
+and ``emit_sql`` reads them once.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .loss import LossReport
-from .model import DomainModel, Namespace, fit_name
+from .model import DomainModel, Folds, Namespace, fit_name
 
 MAX_NAME = 30  # classic Oracle identifier limit
 
@@ -54,7 +60,7 @@ def sql_name(name: str) -> str:
     return fit_name(_CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_"), MAX_NAME)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ColumnPlan:
     name: str
     sql_type: str
@@ -63,7 +69,7 @@ class ColumnPlan:
     check: str | None = None  # column-scoped membership/range predicate
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ForeignKeyPlan:
     column: str  # references the "ID" key of ref_table
     ref_table: str
@@ -88,44 +94,46 @@ def _quoted_literal(value: str) -> str:
 
 
 def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossReport]:
-    """Derive the table layout for a valid pivot model; names are unique as claimed."""
+    """Derive the table layout for a valid pivot model; names are unique as claimed.
+
+    Property and role names repeat across classes and associations, so each
+    of them goes through ``sql_name`` once per distinct name in the call.
+    """
     loss = LossReport()
     plan = RelationalSchemaPlan()
 
     table_of_class: dict[str, TablePlan] = {}
     tables = Namespace(MAX_NAME)
+    sql_names = Folds(sql_name)
     enum_literals = {e.name: e.literals for e in model.enumerations}
+    # enumeration name -> the check's IN list, built on first use
+    memberships = Folds(lambda enum: ", ".join(map(_quoted_literal, enum_literals[enum])))
 
     for cls in model.classes:
         table_name = tables.claim(sql_name(cls.name))
         if table_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"table {table_name}")
-        table = TablePlan(name=table_name)
-        table.columns.append(ColumnPlan(name="ID", sql_type="NUMBER(10)", nullable=False))
+        table = TablePlan(table_name, [ColumnPlan("ID", "NUMBER(10)", False)])
         columns = Namespace(MAX_NAME, ("ID",))  # dropped once the class is placed
         for prop in cls.properties:
-            folded = sql_name(prop.name)
+            folded = sql_names[prop.name]
             col_name = columns.claim(folded)
             if col_name != folded:
                 loss.add("property", f"{cls.name}.{prop.name}", "RENAMED", "info",
                          f"column {col_name} in table {table_name}")
-            if prop.type.kind == "enumeration":
-                literals = enum_literals[prop.type.enum_name]
-                membership = ", ".join(_quoted_literal(l) for l in literals)
+            type_ref = prop.type
+            if type_ref.kind == "enumeration":
                 table.columns.append(ColumnPlan(
-                    name=col_name, sql_type="VARCHAR2(255)",
-                    nullable=not prop.is_id, unique=prop.is_id,
-                    check=f'"{col_name}" IN ({membership})'))
+                    col_name, "VARCHAR2(255)", not prop.is_id, prop.is_id,
+                    f'"{col_name}" IN ({memberships[type_ref.enum_name]})'))
             else:
-                primitive = prop.type.primitive
-                sql_type = SQL_TYPES[primitive]
+                primitive = type_ref.primitive
                 check = f'"{col_name}" IN (0, 1)' if primitive == "bool" else None
                 if primitive == "time":
                     loss.add("property", f"{cls.name}.{prop.name}", "TYPE_COERCED",
                              "warning", "time stored as 8-char text")
                 table.columns.append(ColumnPlan(
-                    name=col_name, sql_type=sql_type,
-                    nullable=not prop.is_id, unique=prop.is_id, check=check))
+                    col_name, SQL_TYPES[primitive], not prop.is_id, prop.is_id, check))
         plan.tables.append(table)
         table_of_class[cls.name] = table
 
@@ -133,7 +141,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         child = table_of_class[gen.specific]
         parent = table_of_class[gen.general]
         child.identity_pk = False  # shares the parent's key value
-        child.foreign_keys.append(ForeignKeyPlan(column="ID", ref_table=parent.name))
+        child.foreign_keys.append(ForeignKeyPlan("ID", parent.name))
         loss.add("generalization", f"{gen.specific}->{gen.general}", "GENERALIZATION_FLATTENED",
                  "info", "class-table inheritance: child key doubles as FK to parent")
 
@@ -142,7 +150,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         # self-associations name the column after the role (MANAGER_ID, not
         # PERSON_ID); otherwise the referenced table names it. A column named
         # after neither the first choice nor the role is reported.
-        role_key = fit_name(sql_name(role) + "_ID", MAX_NAME)
+        role_key = fit_name(sql_names[role] + "_ID", MAX_NAME)
         table_key = fit_name(table_of_class[ref_class].name + "_ID", MAX_NAME)
         candidates = (role_key, table_key) if prefer_role else (table_key, role_key)
         columns = columns_of.get(table.name)
@@ -171,11 +179,10 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             for end in (end1, end2):
                 col = fk_column(junction, end.class_name, end.role, assoc.name,
                                 prefer_role=same_class)
-                junction.columns.append(ColumnPlan(name=col, sql_type="NUMBER(10)",
-                                                   nullable=False))
+                junction.columns.append(ColumnPlan(col, "NUMBER(10)", False))
                 junction.primary_key.append(col)
                 junction.foreign_keys.append(ForeignKeyPlan(
-                    column=col, ref_table=table_of_class[end.class_name].name))
+                    col, table_of_class[end.class_name].name))
             junctions.append(junction)
             for end in (end1, end2):
                 if end.multiplicity.lower > 0:
@@ -186,10 +193,8 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             host = table_of_class[many_end.class_name]
             col = fk_column(host, one_end.class_name, one_end.role, assoc.name,
                             prefer_role=many_end.class_name == one_end.class_name)
-            host.columns.append(ColumnPlan(
-                name=col, sql_type="NUMBER(10)", nullable=one_end.multiplicity.lower == 0))
-            host.foreign_keys.append(ForeignKeyPlan(
-                column=col, ref_table=table_of_class[one_end.class_name].name))
+            host.columns.append(ColumnPlan(col, "NUMBER(10)", one_end.multiplicity.lower == 0))
+            host.foreign_keys.append(ForeignKeyPlan(col, table_of_class[one_end.class_name].name))
             if many_end.multiplicity.lower > 0:
                 loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
                          f"lower bound {many_end.multiplicity.lower} on {many_end.role} "
@@ -200,10 +205,8 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
             col = fk_column(host, second.class_name, second.role, assoc.name,
                             prefer_role=first.class_name == second.class_name)
             host.columns.append(ColumnPlan(
-                name=col, sql_type="NUMBER(10)",
-                nullable=second.multiplicity.lower == 0, unique=True))
-            host.foreign_keys.append(ForeignKeyPlan(
-                column=col, ref_table=table_of_class[second.class_name].name))
+                col, "NUMBER(10)", second.multiplicity.lower == 0, True))
+            host.foreign_keys.append(ForeignKeyPlan(col, table_of_class[second.class_name].name))
 
     plan.tables.extend(junctions)
     return plan, loss

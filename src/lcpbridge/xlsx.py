@@ -370,12 +370,23 @@ def _column_index(letters: str) -> int:
 
 
 def _number_text(value: str) -> str:
-    """A plain number's display string: integral values lose a trailing .0."""
+    """A plain number's display string: integral values lose a trailing .0.
+
+    Past 2**53 a float no longer holds every integer, so there the digits
+    are read exactly, and a value that is not integral keeps its text.
+    """
     try:
         as_float = float(value)
     except ValueError:
         return value
-    return str(int(as_float)) if as_float.is_integer() and "e" not in value.lower() else value
+    if not as_float.is_integer() or "e" in value.lower():
+        return value
+    if -2.0 ** 53 < as_float < 2.0 ** 53:
+        return str(int(as_float))
+    from decimal import Decimal  # rare: imported here to keep it out of start-up
+
+    exact = Decimal(value)
+    return str(int(exact)) if exact == exact.to_integral_value() else value
 
 
 def _fill(grid: list[list], rows, max_rows: int | None, wanted: set[int]) -> bool:

@@ -1,17 +1,28 @@
 """What the generators must produce for a pivot model, counted from the model
 alone, the checks their plans pass by construction, lookups by name into the
 models, reports and plans they build, the tabular type ladder a value at a
-time, and the `.bml` token parser that the declaration scanner and the error
-reporter are held to."""
+time, the `.bml` token parser that the declaration scanner and the error
+reporter are held to, and the Mendix export parser that checks one field at
+a time, which the inline checks of ``parse_mendix_export`` are held to."""
 
 from __future__ import annotations
 
+import json
 import re
 from typing import NamedTuple
 
 from lcpbridge.dsl import _TOKEN_RE, _syntax_error
 from lcpbridge.llm import MergeReport
+from lcpbridge.errors import MendixImportError
 from lcpbridge.loss import LossItem, LossReport
+from lcpbridge.mendix import (
+    MendixAssociation,
+    MendixAttribute,
+    MendixEntity,
+    MendixEnumeration,
+    MendixExport,
+    _check_references,
+)
 from lcpbridge.model import (
     PRIMITIVES,
     Association,
@@ -345,3 +356,100 @@ class _Parser:
             navigable = True
         return AssociationEnd(role=role, class_name=class_name,
                               multiplicity=Multiplicity(lower, upper), navigable=navigable)
+
+
+# ---------------------------------------------------------------------------
+# The Mendix export parser, one helper call per field
+
+
+def _require(mapping: dict, key: str, where: str) -> str:
+    if mapping.get(key) in (None, ""):
+        raise MendixImportError(f"missing mandatory field {key!r} in {where}")
+    return _optional(mapping, key, where)
+
+
+def _optional(mapping: dict, key: str, where: str, default: str | None = None) -> str | None:
+    value = mapping.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise MendixImportError(f"field {key!r} in {where} must be a string")
+    return value
+
+
+def _list_of(mapping: dict, key: str, item_type: type, where: str) -> list:
+    items = mapping.get(key)
+    if items is None:
+        return []
+    if not isinstance(items, list) or not all(isinstance(i, item_type) for i in items):
+        noun = "objects" if item_type is dict else "strings"
+        raise MendixImportError(f"field {key!r} in {where} must be a list of {noun}")
+    return items
+
+
+def reference_parse_mendix_export(document: str | bytes | dict) -> MendixExport:
+    """``mendix.parse_mendix_export`` with each field read and checked
+    through ``_require``/``_optional``/``_list_of``, in document order."""
+    if isinstance(document, (str, bytes)):
+        try:
+            payload = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise MendixImportError(f"malformed JSON: {exc}") from exc
+    else:
+        payload = document
+    if not isinstance(payload, dict) or not isinstance(payload.get("domainModel"), dict):
+        raise MendixImportError("document has no top-level 'domainModel' object")
+    dm = payload["domainModel"]
+
+    warnings: list[str] = []
+
+    def note_unknown(mapping: dict, known: set[str], where: str):
+        for key in mapping:
+            if key not in known:
+                warnings.append(f"ignored unknown field {key!r} in {where}")
+
+    note_unknown(dm, {"name", "entities", "associations", "enumerations"}, "domainModel")
+
+    entities = []
+    for raw in _list_of(dm, "entities", dict, "domainModel"):
+        name = _require(raw, "name", "entity")
+        note_unknown(raw, {"name", "attributes", "generalization"}, f"entity {name}")
+        attributes = []
+        for attr in _list_of(raw, "attributes", dict, f"entity {name}"):
+            attr_name = _require(attr, "name", f"attribute of {name}")
+            where = f"attribute {name}.{attr_name}"
+            attr_type = _require(attr, "type", where)
+            note_unknown(attr, {"name", "type", "enum_ref"}, where)
+            attributes.append(MendixAttribute(attr_name, attr_type,
+                                              _optional(attr, "enum_ref", where)))
+        entities.append(MendixEntity(name, tuple(attributes),
+                                     _optional(raw, "generalization", f"entity {name}")))
+
+    associations = []
+    for raw in _list_of(dm, "associations", dict, "domainModel"):
+        name = _require(raw, "name", "association")
+        note_unknown(raw, {"name", "parent", "child", "type", "owner"}, f"association {name}")
+        associations.append(MendixAssociation(
+            name=name,
+            parent=_require(raw, "parent", f"association {name}"),
+            child=_require(raw, "child", f"association {name}"),
+            type=_optional(raw, "type", f"association {name}", "Reference"),
+            owner=_optional(raw, "owner", f"association {name}", "Default"),
+        ))
+
+    enumerations = []
+    for raw in _list_of(dm, "enumerations", dict, "domainModel"):
+        name = _require(raw, "name", "enumeration")
+        note_unknown(raw, {"name", "values"}, f"enumeration {name}")
+        values = _list_of(raw, "values", str, f"enumeration {name}")
+        enumerations.append(MendixEnumeration(name, tuple(values)))
+
+    export = MendixExport(
+        name=_optional(dm, "name", "domainModel", "DomainModel"),
+        entities=tuple(entities),
+        associations=tuple(associations),
+        enumerations=tuple(enumerations),
+        warnings=tuple(warnings),
+    )
+    _check_references(export)
+    return export

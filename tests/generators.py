@@ -6,6 +6,7 @@ wrapped into hypothesis strategies by the property tests.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 import zipfile
@@ -266,6 +267,36 @@ def scaling_model(n: int) -> DomainModel:
                             for k in range(0, n - 1, 10))
     return DomainModel("Scaling", classes=classes, associations=associations,
                        generalizations=generalizations)
+
+
+def scaling_mendix(n: int) -> str:
+    """The size ladder of the Mendix import, as export JSON: ``n`` entities
+    of 6 attributes (one of them renamed, some typed by one of n/100
+    enumerations), 2n associations between random entities and n/10
+    generalizations, as in ``scaling_model``."""
+    rng = random.Random(n)
+    names = [f"Entity{i}" for i in range(n)]
+    enums = [{"name": f"Status{k}", "values": ["OPEN", "On Hold", "closed"]}
+             for k in range(max(1, n // 100))]
+    types = MENDIX_TYPE_MENU + ("Enumeration",)
+    entities = []
+    for i, name in enumerate(names):
+        attributes = []
+        for j in range(6):
+            kind = types[(i + j) % len(types)] if (i + j) % 4 else "String"
+            attribute = {"name": f"field{j}Value" if j else "field value", "type": kind}
+            if kind == "Enumeration":
+                attribute["enum_ref"] = enums[i % len(enums)]["name"]
+            attributes.append(attribute)
+        entities.append({"name": name, "attributes": attributes})
+    for k in range(0, n - 1, 10):
+        entities[k + 1]["generalization"] = names[k]
+    associations = [{"name": f"Link{k}", "parent": rng.choice(names),
+                     "child": rng.choice(names),
+                     "type": rng.choice(("Reference", "ReferenceSet")),
+                     "owner": rng.choice(("Default", "Both"))} for k in range(2 * n)]
+    return json.dumps({"domainModel": {"name": "Scaling", "entities": entities,
+                                       "associations": associations, "enumerations": enums}})
 
 
 # One column per rung of the type ladder, a text column and a blank one; the

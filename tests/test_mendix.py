@@ -1,9 +1,12 @@
 """Mendix export parsing and the concept mapping to the pivot."""
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpbridge.cli import main
 from lcpbridge.errors import MendixImportError
@@ -14,8 +17,10 @@ from lcpbridge.mendix import (
     parse_mendix_export,
 )
 from lcpbridge.model import validate_model
+from lcpbridge.pipeline import MigrationInputs, execute_migration
+from lcpbridge.planner import plan_migration
 
-from expected import property_names, with_reason
+from expected import property_names, reference_parse_mendix_export, with_reason
 from generators import random_mendix_export
 
 
@@ -80,6 +85,123 @@ def test_unknown_fields_warn_but_parse(mendix_library_path):
     payload["domainModel"]["entities"][0]["documentation"] = "extra"
     export = parse_mendix_export(payload)
     assert any("documentation" in w for w in export.warnings)
+
+
+def test_ignored_fields_reported_as_dropped(tmp_path, mendix_library_path):
+    payload = json.loads(mendix_library_path.read_text(encoding="utf-8"))
+    payload["domainModel"]["entities"][0]["documentation"] = "extra"
+    payload["domainModel"]["associations"][0]["colour"] = "red"
+    source = tmp_path / "export.json"
+    source.write_text(json.dumps(payload), encoding="utf-8")
+    result = execute_migration(plan_migration("mendix", "apex"),
+                               MigrationInputs(files=[source]), tmp_path / "out")
+    entity, assoc = payload["domainModel"]["entities"][0], payload["domainModel"]["associations"][0]
+    expected = [{"element_kind": "model", "element_name": payload["domainModel"]["name"],
+                 "reason": "DROPPED", "severity": "info", "detail": detail} for detail in (
+        f"ignored unknown field 'documentation' in entity {entity['name']}",
+        f"ignored unknown field 'colour' in association {assoc['name']}")]
+    written = json.loads((tmp_path / "out" / "loss-report.json").read_text(encoding="utf-8"))
+    assert [i for i in written["items"] if i["reason"] == "DROPPED"] == expected
+    assert [i.as_dict() for i in with_reason(result.loss, "DROPPED")] == expected
+
+
+# ---------------------------------------------------------------------------
+# The inline field checks against the parser that checks one field at a time
+
+_VALID_EXPORT = {"domainModel": {
+    "name": "Shop",
+    "entities": [
+        {"name": "Item", "attributes": [
+            {"name": "title", "type": "String"},
+            {"name": "state", "type": "Enumeration", "enum_ref": "State"}]},
+        {"name": "Book", "attributes": [{"name": "isbn", "type": "Long"}],
+         "generalization": "Item"}],
+    "associations": [{"name": "Book_Item", "parent": "Item", "child": "Book",
+                      "type": "ReferenceSet", "owner": "Both"}],
+    "enumerations": [{"name": "State", "values": ["OPEN", "CLOSED"]}],
+}}
+
+_MISSING = object()
+# missing, null, empty, non-string, wrong container (and wrong items), unknown fields
+_DEFECTS = (_MISSING, None, "", 5, True, "x", [], {}, [5], [{}], ["s"], {"zeta": 1, "alpha": 2})
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+_FIELD_PATHS = list(_paths(_VALID_EXPORT))
+
+
+def _with_defect(document: dict, path: tuple, defect) -> dict:
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if defect is _MISSING:
+        del parent[path[-1]]
+    elif isinstance(defect, dict) and isinstance(parent[path[-1]], dict):
+        parent[path[-1]].update(defect)  # unknown fields next to the known ones
+    else:
+        parent[path[-1]] = copy.deepcopy(defect)
+    return document
+
+
+def _outcome(parse, document):
+    try:
+        return "ok", parse(document)
+    except MendixImportError as exc:
+        return "error", str(exc)
+
+
+def test_inline_checks_keep_every_single_field_error():
+    assert _outcome(parse_mendix_export, _VALID_EXPORT)[0] == "ok"
+    for path in _FIELD_PATHS:
+        for defect in _DEFECTS:
+            document = _with_defect(_VALID_EXPORT, path, defect)
+            assert _outcome(parse_mendix_export, document) == \
+                _outcome(reference_parse_mendix_export, document), (path, defect)
+            text = json.dumps(document)
+            assert _outcome(parse_mendix_export, text) == \
+                _outcome(reference_parse_mendix_export, text), (path, defect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELD_PATHS), st.sampled_from(_DEFECTS)),
+                min_size=1, max_size=4))
+def test_inline_checks_keep_the_first_error(defects):
+    """Several defects at once: the same error is reported first."""
+    document = _VALID_EXPORT
+    for path, defect in defects:
+        try:
+            document = _with_defect(document, path, defect)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier defect removed or replaced the path
+    assert _outcome(parse_mendix_export, document) == \
+        _outcome(reference_parse_mendix_export, document)
+
+
+def test_string_and_list_subclasses_still_accepted():
+    class Name(str):
+        pass
+
+    class Items(list):
+        pass
+
+    document = copy.deepcopy(_VALID_EXPORT)
+    entity = document["domainModel"]["entities"][0]
+    entity["name"] = Name("Item")
+    entity["attributes"] = Items(entity["attributes"])
+    entity["attributes"][0]["type"] = Name("String")
+    document["domainModel"]["associations"][0]["owner"] = Name("Both")
+    assert _outcome(parse_mendix_export, document) == \
+        _outcome(reference_parse_mendix_export, document)
+    assert _outcome(parse_mendix_export, document)[0] == "ok"
 
 
 def test_duplicate_entity_rejected():

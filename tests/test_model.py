@@ -2,11 +2,14 @@
 
 import random
 import re
+import string
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcpbridge.model
 from lcpbridge.model import (
     RESERVED_WORDS,
     Association,
@@ -19,6 +22,7 @@ from lcpbridge.model import (
     Property,
     empty_model,
     enum_type,
+    is_identifier,
     model_equal,
     primitive_type,
     sanitize_identifier,
@@ -207,6 +211,71 @@ class TestModelEqual:
             # transitive through the twin
             if model_equal(a, b) and model_equal(b, c):
                 assert model_equal(a, c)
+
+
+# model name; classes A, B; properties A.p, A.q (of the enumeration), B.p;
+# enumeration, its two literals; association, its two roles
+_NAME_SLOTS = 12
+
+
+def _model_named(names) -> DomainModel:
+    (model, cls_a, cls_b, prop_ap, prop_aq, prop_bp, enum, lit1, lit2,
+     assoc, role1, role2) = names
+    return DomainModel(
+        model,
+        classes=(Class(cls_a, (Property(prop_ap, primitive_type("str")),
+                               Property(prop_aq, enum_type(enum)))),
+                 Class(cls_b, (Property(prop_bp, primitive_type("int")),))),
+        associations=(_assoc(assoc, cls_a, cls_b, r1=role1, r2=role2),),
+        enumerations=(Enumeration(enum, (lit1, lit2)),))
+
+
+def _per_name_violations(model):
+    """``validate_model`` with each name checked on its own."""
+    with mock.patch.object(lcpbridge.model, "_all_identifiers", lambda _: False):
+        return validate_model(model).violations
+
+
+_VALID_NAMES = ("Shop", "Item", "Book", "title", "state", "isbn", "State", "OPEN",
+                "CLOSED", "Link", "item", "book")
+# NUL inside a name, a trailing newline, non-ASCII letters, empty, a leading digit
+_ADVERSARIAL_NAMES = ("a\0b", "Book\n", "\0", "Caf\u00e9", "\u0660x", "\u00c5ngstr\u00f6m",
+                     "", "1abc", "_x", "a b", "a\0")
+
+
+class TestOneMatchNameCheck:
+    """The joined fullmatch must accept exactly the models whose every name
+    is an identifier, so the per-name check is only skipped when it would
+    report nothing."""
+
+    @pytest.mark.parametrize("bad", _ADVERSARIAL_NAMES)
+    def test_each_slot(self, bad):
+        for slot in range(_NAME_SLOTS):
+            names = list(_VALID_NAMES)
+            names[slot] = bad
+            model = _model_named(names)
+            violations = validate_model(model).violations
+            assert violations == _per_name_violations(model)
+            assert any(v.rule == "BAD_IDENTIFIER" for v in violations), (slot, bad)
+
+    def test_valid_names_take_the_one_match(self):
+        model = _model_named(_VALID_NAMES)
+        assert lcpbridge.model._all_identifiers(model)
+        assert validate_model(model).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(str.__add__, st.sampled_from(string.ascii_letters),
+                              st.text(string.ascii_letters + string.digits + "_", max_size=5)),
+                    min_size=_NAME_SLOTS, max_size=_NAME_SLOTS),
+           st.dictionaries(st.integers(0, _NAME_SLOTS - 1), st.one_of(
+               st.sampled_from(_ADVERSARIAL_NAMES),
+               st.text(st.sampled_from("aZ9_\0\n\u00e9\u0660 "), max_size=4)), max_size=3))
+    def test_same_violations_in_the_same_order(self, names, replaced):
+        for slot, name in replaced.items():
+            names[slot] = name
+        model = _model_named(names)
+        assert lcpbridge.model._all_identifiers(model) == all(map(is_identifier, names))
+        assert validate_model(model).violations == _per_name_violations(model)
 
 
 class TestSanitizer:

@@ -5,6 +5,7 @@ Linear work grows about 8x from 500 to 4,000 classes and quadratic work
 still catching a quadratic step.
 """
 
+import functools
 import sys
 import time
 import tracemalloc
@@ -13,13 +14,14 @@ import pytest
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
 from lcpbridge.llm import merge_models
-from lcpbridge.model import Class, DomainModel
+from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
+from lcpbridge.model import Class, DomainModel, empty_model, validate_model
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model
 from lcpbridge.workbook import plan_workbook
 from lcpbridge.xlsx import read_workbook
 
-from generators import scaling_model, scaling_tables, scaling_workbook
+from generators import scaling_mendix, scaling_model, scaling_tables, scaling_workbook
 
 SMALL, LARGE = 500, 4000
 MAX_GROWTH = 24
@@ -102,17 +104,36 @@ def allocations(layer, arg) -> tuple[int, int]:
     return sum(stat.count_diff for stat in after.compare_to(before, "filename")), peak
 
 
+# Each input of the count guards is built once per module: several guards
+# read the same model or plan.
+counted_model = functools.cache(scaling_model)
+
+
+@functools.cache
+def counted_plan(n: int):
+    return plan_relational(counted_model(n))[0]
+
+
+def import_mendix(text: str):
+    return mendix_to_pivot(parse_mendix_export(text))
+
+
 @pytest.mark.parametrize("layer, make", [
-    (parse_pivot_text, lambda n: print_pivot_text(scaling_model(n))),
-    (plan_relational, scaling_model),
-    (plan_workbook, scaling_model),
+    (parse_pivot_text, lambda n: print_pivot_text(counted_model(n))),
+    (plan_relational, counted_model),
+    (plan_workbook, counted_model),
     (infer_model, scaling_tables),
     (read_workbook, scaling_workbook),
-], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model", "read_workbook"])
+    (import_mendix, scaling_mendix),
+    (validate_model, counted_model),
+    (emit_sql, counted_plan),
+], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model", "read_workbook",
+        "parse_mendix_export+mendix_to_pivot", "validate_model", "emit_sql"])
 def test_counts_grow_linearly(layer, make, tmp_path):
     parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
     infer_column_type(["1"])
     read_workbook(scaling_workbook(2, tmp_path / "warm.xlsx"))
+    validate_model(empty_model())
     if make is scaling_workbook:  # the workbook is read from a file
         make = lambda n: scaling_workbook(n, tmp_path / f"{n}.xlsx")
     small, large = make(COUNT_SMALL), make(COUNT_LARGE)

@@ -181,6 +181,19 @@ def test_phonetic_runs_are_not_text(tmp_path, scan):
     assert _read(path, scan=scan) == [("Data", [["東京", "大阪", "東京"]])]
 
 
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "elementtree"])
+def test_integral_numbers_past_2_53_keep_every_digit(tmp_path, scan):
+    path = tmp_path / "t.xlsx"
+    values = ("12345678901234567890.0", "-9007199254740993", "9007199254740993.5",
+              "9007199254740992.0", "3.0", "1e20")
+    _package(path, _sheet('<row r="1">' + "".join(
+        f'<c r="{letter}1"><v>{value}</v></c>' for letter, value in zip("ABCDEF", values))
+        + "</row>"))
+    assert _read(path, scan=scan) == [("Data", [[
+        "12345678901234567890", "-9007199254740993", "9007199254740993.5",
+        "9007199254740992", "3", "1e20"]])]
+
+
 def test_shared_strings_found_through_their_relationship(tmp_path):
     path = tmp_path / "t.xlsx"
     _package(path, _sheet('<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
