@@ -62,6 +62,16 @@ class CapabilityMatrix:
                 f"unknown platform {platform_id!r}; known: {', '.join(self.displays)}")
 
 
+_TOML_TYPES = {str: "a string", bool: "true or false", list: "an array", dict: "a table"}
+
+
+def typed_value(value, kind: type, where: str):
+    """``value`` if it is a ``kind``, else a ConfigError naming the TOML key."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be {_TOML_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def _check_level(value, where: str) -> str:
     if value not in LEVELS:
         raise ConfigError(f"{where}: support level must be one of {LEVELS}, not {value!r}")
@@ -73,7 +83,7 @@ def load_capabilities(path: str | Path) -> CapabilityMatrix:
     try:
         with open(path, "rb") as handle:
             raw = tomllib.load(handle)
-    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
         raise ConfigError(f"cannot load capabilities from {path}: {exc}") from exc
 
     records = {}
@@ -81,12 +91,15 @@ def load_capabilities(path: str | Path) -> CapabilityMatrix:
     for platform_id, body in raw.items():
         if not isinstance(body, dict):
             raise ConfigError(f"platform {platform_id!r}: expected a table")
-        displays[platform_id] = body.get("display", platform_id)
+        displays[platform_id] = typed_value(body.get("display", platform_id), str,
+                                            f"{platform_id}.display")
         for direction in DIRECTIONS:
+            where = f"{platform_id}.{direction}"
             section = body.get(direction)
             if section is None:
-                raise ConfigError(f"platform {platform_id!r} lacks [{platform_id}.{direction}]")
-            formats = tuple(section.get("formats", []))
+                raise ConfigError(f"platform {platform_id!r} lacks [{where}]")
+            typed_value(section, dict, where)
+            formats = tuple(typed_value(section.get("formats", []), list, f"{where}.formats"))
             for token in formats:
                 if token not in FORMAT_TOKENS:
                     raise ConfigError(
@@ -94,11 +107,11 @@ def load_capabilities(path: str | Path) -> CapabilityMatrix:
             records[(platform_id, direction)] = CapabilityRecord(
                 platform_id=platform_id,
                 direction=direction,
-                data=_check_level(section.get("data", "none"), f"{platform_id}.{direction}.data"),
-                gui=_check_level(section.get("gui", "none"), f"{platform_id}.{direction}.gui"),
-                behavior=_check_level(section.get("behavior", "none"),
-                                      f"{platform_id}.{direction}.behavior"),
-                third_party=bool(section.get("third_party", False)),
+                data=_check_level(section.get("data", "none"), f"{where}.data"),
+                gui=_check_level(section.get("gui", "none"), f"{where}.gui"),
+                behavior=_check_level(section.get("behavior", "none"), f"{where}.behavior"),
+                third_party=typed_value(section.get("third_party", False), bool,
+                                        f"{where}.third_party"),
                 formats=formats,
             )
     return CapabilityMatrix(records=records, displays=displays)

@@ -14,7 +14,13 @@ import sys
 import tomllib
 from pathlib import Path
 
-from .capabilities import DIRECTIONS, CapabilityMatrix, default_matrix, load_capabilities
+from .capabilities import (
+    DIRECTIONS,
+    CapabilityMatrix,
+    default_matrix,
+    load_capabilities,
+    typed_value,
+)
 from .errors import ConfigError, LcpBridgeError
 from .llm import API_KEY_ENV, HttpVisionClient, ReplayVisionClient
 from .pipeline import (
@@ -29,6 +35,7 @@ from .pipeline import (
 from .planner import plan_migration
 
 CONFIG_FILE = "lcpbridge.toml"
+_LLM_KEYS = ("mode", "replay_dir", "endpoint", "model", "api_key")  # all strings
 
 
 def _load_config(path: str | None) -> dict:
@@ -40,9 +47,13 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(candidate, "rb") as handle:
-            return tomllib.load(handle)
-    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError) as exc:
+            config = tomllib.load(handle)
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
         raise ConfigError(f"cannot load {candidate}: {exc}") from exc
+    llm_config = typed_value(config.get("llm", {}), dict, f"{candidate}: llm")
+    for key in _LLM_KEYS:
+        typed_value(llm_config.get(key, ""), str, f"{candidate}: llm.{key}")
+    return config
 
 
 def _matrix_from(args) -> CapabilityMatrix:

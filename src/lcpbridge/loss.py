@@ -24,7 +24,6 @@ REASON_CODES = (
     "RENAMED",                 # identifier sanitized to fit the pivot/target rules
     "DROPPED",                 # element has no representation in the target
     "THIRD_PARTY_REQUIRED",    # capability exists but needs an external tool
-    "REFERENCE_CANDIDATE",     # heuristic many-to-one suggestion, never materialized
     "LLM_INFERRED",            # element recovered from an image by a vision model
 )
 

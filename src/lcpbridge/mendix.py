@@ -159,7 +159,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     if isinstance(document, (str, bytes)):
         try:
             payload = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise MendixImportError(f"malformed JSON: {exc}") from exc
     else:
         payload = document

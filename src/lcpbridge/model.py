@@ -9,6 +9,8 @@ downstream: ``parse_pivot_text`` (a ``.bml`` load, hand-edited or not),
 ``mendix_to_pivot``, ``infer_model``, the ``merge_models`` result, and
 ``pipeline.run_exporter`` for Python API callers only. ``print_pivot_text``,
 the planners and the emitters trust it.
+Both planners read an association's ``kind`` and ``link`` (the end that
+hosts a many-to-one or one-to-one), so they place each link alike.
 
 The model types stay frozen: a validated model is shared by every generator
 of a migration and by the merge, so no step may change what another has
@@ -218,6 +220,19 @@ class Association:
         if many1 or many2:
             return "many-to-one"
         return "one-to-one"
+
+    @property
+    def link(self) -> tuple[AssociationEnd, AssociationEnd]:
+        """(host end, referenced end) of a many-to-one or one-to-one link: the
+        many end hosts a many-to-one, and a one-to-one is hosted by the end
+        that sorts first by (class, role)."""
+        end1, end2 = self.end1, self.end2
+        many1 = end1.multiplicity.is_many
+        if many1 == end2.multiplicity.is_many:
+            if (end2.class_name, end2.role) < (end1.class_name, end1.role):
+                return end2, end1
+            return end1, end2
+        return (end1, end2) if many1 else (end2, end1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -151,6 +151,8 @@ class _Builder:
         existing = {p.name.lower() for p in self.class_props[class_name]}
         if name.lower() in existing:
             self.warnings.append(f"duplicate attribute {class_name}.{name} ignored")
+            self.loss.add("property", f"{class_name}.{name}", "DROPPED", "warning",
+                          "attribute repeated in the class; the first one kept")
             return
         is_id = False
         stereotype = _STEREOTYPE_RE.search(type_token)

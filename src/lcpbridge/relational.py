@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .loss import LossReport
-from .model import DomainModel, Folds, Namespace, fit_name
+from .model import AssociationEnd, Class, DomainModel, Folds, Namespace, fit_name
 
 MAX_NAME = 30  # classic Oracle identifier limit
 
@@ -96,13 +96,15 @@ def _quoted_literal(value: str) -> str:
 def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossReport]:
     """Derive the table layout for a valid pivot model; names are unique as claimed.
 
+    The class tables come parents first (stably, by generalization depth),
+    then the junctions, which is the order ``emit_sql`` creates them in.
     Property and role names repeat across classes and associations, so each
     of them goes through ``sql_name`` once per distinct name in the call.
     """
     loss = LossReport()
-    plan = RelationalSchemaPlan()
 
     table_of_class: dict[str, TablePlan] = {}
+    columns_of: dict[str, Namespace] = {}  # table name -> its columns
     tables = Namespace(MAX_NAME)
     sql_names = Folds(sql_name)
     enum_literals = {e.name: e.literals for e in model.enumerations}
@@ -114,7 +116,7 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
         if table_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"table {table_name}")
         table = TablePlan(table_name, [ColumnPlan("ID", "NUMBER(10)", False)])
-        columns = Namespace(MAX_NAME, ("ID",))  # dropped once the class is placed
+        columns = columns_of[table_name] = Namespace(MAX_NAME, ("ID",))
         for prop in cls.properties:
             folded = sql_names[prop.name]
             col_name = columns.claim(folded)
@@ -134,82 +136,75 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                              "warning", "time stored as 8-char text")
                 table.columns.append(ColumnPlan(
                     col_name, SQL_TYPES[primitive], not prop.is_id, prop.is_id, check))
-        plan.tables.append(table)
         table_of_class[cls.name] = table
 
+    parent_of: dict[str, str] = {}
     for gen in model.generalizations:
+        parent_of[gen.specific] = gen.general
         child = table_of_class[gen.specific]
-        parent = table_of_class[gen.general]
         child.identity_pk = False  # shares the parent's key value
-        child.foreign_keys.append(ForeignKeyPlan("ID", parent.name))
+        child.foreign_keys.append(ForeignKeyPlan("ID", table_of_class[gen.general].name))
         loss.add("generalization", f"{gen.specific}->{gen.general}", "GENERALIZATION_FLATTENED",
                  "info", "class-table inheritance: child key doubles as FK to parent")
 
-    def fk_column(table: TablePlan, ref_class: str, role: str, assoc_name: str,
-                  prefer_role: bool = False) -> str:
+    def fk_column(table: TablePlan, ref_end: AssociationEnd, assoc_name: str,
+                  prefer_role: bool) -> str:
         # self-associations name the column after the role (MANAGER_ID, not
         # PERSON_ID); otherwise the referenced table names it. A column named
         # after neither the first choice nor the role is reported.
-        role_key = fit_name(sql_names[role] + "_ID", MAX_NAME)
-        table_key = fit_name(table_of_class[ref_class].name + "_ID", MAX_NAME)
+        role_key = fit_name(sql_names[ref_end.role] + "_ID", MAX_NAME)
+        table_key = fit_name(table_of_class[ref_end.class_name].name + "_ID", MAX_NAME)
         candidates = (role_key, table_key) if prefer_role else (table_key, role_key)
-        columns = columns_of.get(table.name)
-        if columns is None:  # the table's first foreign key: rebuilt from its columns
-            taken = (c.name for c in table.columns)
-            columns = columns_of[table.name] = Namespace(MAX_NAME, taken)
-        column = columns.claim(*candidates)
+        column = columns_of[table.name].claim(*candidates)
         if column != candidates[0] and column != role_key:
             loss.add("association", assoc_name, "RENAMED", "info",
-                     f"role {role} stored as column {column} in table {table.name}")
+                     f"role {ref_end.role} stored as column {column} in table {table.name}")
         return column
 
-    columns_of: dict[str, Namespace] = {}  # table name -> its columns, for tables given a FK
     junctions: list[TablePlan] = []
     for assoc in model.associations:
-        kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
-        if kind == "many-to-many":
+        same_class = end1.class_name == end2.class_name
+        if assoc.kind == "many-to-many":
             table1, table2 = table_of_class[end1.class_name], table_of_class[end2.class_name]
             base = f"{table1.name}_{table2.name}"
             if len(base) > MAX_NAME:
                 base = sql_name(base)
             junction = TablePlan(name=tables.claim(base, sql_name(f"{base}_{assoc.name}")),
                                  primary_key=[], identity_pk=False)
-            same_class = end1.class_name == end2.class_name
+            columns_of[junction.name] = Namespace(MAX_NAME)
             for end in (end1, end2):
-                col = fk_column(junction, end.class_name, end.role, assoc.name,
-                                prefer_role=same_class)
+                col = fk_column(junction, end, assoc.name, same_class)
                 junction.columns.append(ColumnPlan(col, "NUMBER(10)", False))
                 junction.primary_key.append(col)
                 junction.foreign_keys.append(ForeignKeyPlan(
                     col, table_of_class[end.class_name].name))
             junctions.append(junction)
-            for end in (end1, end2):
-                if end.multiplicity.lower > 0:
-                    loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
-                             f"lower bound {end.multiplicity.lower} on {end.role} not enforced")
-        elif kind == "many-to-one":
-            many_end, one_end = (end1, end2) if end1.multiplicity.is_many else (end2, end1)
-            host = table_of_class[many_end.class_name]
-            col = fk_column(host, one_end.class_name, one_end.role, assoc.name,
-                            prefer_role=many_end.class_name == one_end.class_name)
-            host.columns.append(ColumnPlan(col, "NUMBER(10)", one_end.multiplicity.lower == 0))
-            host.foreign_keys.append(ForeignKeyPlan(col, table_of_class[one_end.class_name].name))
-            if many_end.multiplicity.lower > 0:
-                loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
-                         f"lower bound {many_end.multiplicity.lower} on {many_end.role} "
-                         "not enforced")
-        else:  # one-to-one: host deterministically on the alphabetically-first class
-            first, second = sorted((end1, end2), key=lambda e: (e.class_name, e.role))
-            host = table_of_class[first.class_name]
-            col = fk_column(host, second.class_name, second.role, assoc.name,
-                            prefer_role=first.class_name == second.class_name)
+            relaxed = (end1, end2)
+        else:
+            host_end, ref_end = assoc.link
+            host = table_of_class[host_end.class_name]
+            col = fk_column(host, ref_end, assoc.name, same_class)
+            one_to_one = assoc.kind == "one-to-one"
             host.columns.append(ColumnPlan(
-                col, "NUMBER(10)", second.multiplicity.lower == 0, True))
-            host.foreign_keys.append(ForeignKeyPlan(col, table_of_class[second.class_name].name))
+                col, "NUMBER(10)", ref_end.multiplicity.lower == 0, one_to_one))
+            host.foreign_keys.append(ForeignKeyPlan(col, table_of_class[ref_end.class_name].name))
+            relaxed = () if one_to_one else (host_end,)
+        for end in relaxed:
+            if end.multiplicity.lower > 0:
+                loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
+                         f"lower bound {end.multiplicity.lower} on {end.role} not enforced")
 
-    plan.tables.extend(junctions)
-    return plan, loss
+    def depth(cls: Class) -> int:
+        count, name = 0, cls.name
+        while name in parent_of:
+            name = parent_of[name]
+            count += 1
+        return count
+
+    # sorted() is stable, so classes of equal depth keep the model's order
+    class_tables = [table_of_class[cls.name] for cls in sorted(model.classes, key=depth)]
+    return RelationalSchemaPlan(class_tables + junctions), loss
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +222,12 @@ def _constraint_name(prefix: str, *parts: str) -> str:
     return sql_name(raw)
 
 
-def _emit_table(table: TablePlan, dialect: str, inline_fks: bool) -> str:
+def _emit_table(table: TablePlan, dialect: str) -> str:
     body: list[tuple[str, str]] = []  # (definition, trailing comment)
     for col in table.columns:
         parts = [f'  "{col.name}" {_render_type(col.sql_type, dialect)}']
         comment = ""
-        if col.name == "ID" and len(table.primary_key) == 1 \
-                and table.primary_key[0] == "ID" and table.identity_pk:
+        if col.name == "ID" and table.identity_pk:
             if dialect == "oracle":
                 parts.append("GENERATED BY DEFAULT AS IDENTITY")
             else:
@@ -254,7 +248,7 @@ def _emit_table(table: TablePlan, dialect: str, inline_fks: bool) -> str:
         if col.check:
             body.append((f'  CONSTRAINT "{_constraint_name("CK", table.name, col.name)}" '
                          f"CHECK ({col.check})", ""))
-    if inline_fks:
+    if dialect == "ansi":  # foreign keys inline; oracle adds them by ALTER TABLE
         for fk in table.foreign_keys:
             name = _constraint_name("FK", table.name, fk.column)
             body.append((f'  CONSTRAINT "{name}" FOREIGN KEY ("{fk.column}") '
@@ -269,47 +263,24 @@ def _emit_table(table: TablePlan, dialect: str, inline_fks: bool) -> str:
     return "\n".join(lines)
 
 
-def _table_order(plan: RelationalSchemaPlan) -> list[TablePlan]:
-    """Parents before children, junctions (no identity, composite PK) last."""
-    class_tables = [t for t in plan.tables if t.primary_key == ["ID"]]
-    junction_tables = [t for t in plan.tables if t.primary_key != ["ID"]]
-
-    parent_of = {}
-    for table in class_tables:
-        for fk in table.foreign_keys:
-            if fk.column == "ID":
-                parent_of[table.name] = fk.ref_table
-
-    def depth(table: TablePlan) -> int:
-        d = 0
-        node = table.name
-        while node in parent_of:
-            node = parent_of[node]
-            d += 1
-        return d
-
-    # sorted() is stable, so tables of equal depth keep their plan order
-    return sorted(class_tables, key=depth) + junction_tables
-
-
 def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     """Deterministic DDL script for the plan.
 
-    oracle: CREATE TABLEs followed by ALTER TABLE ... ADD CONSTRAINT for
-    every foreign key (safe for cycles). ansi: foreign keys are inlined in
-    the CREATE statements because the embedded verification engine does not
-    support adding constraints afterwards. The plan is trusted as built:
-    ``plan_relational`` claims every name from a ``Namespace``.
+    The tables are created in plan order, which ``plan_relational`` makes
+    parents first, junctions last. oracle: CREATE TABLEs followed by ALTER
+    TABLE ... ADD CONSTRAINT for every foreign key (safe for cycles). ansi:
+    foreign keys are inlined in the CREATE statements because the embedded
+    verification engine does not support adding constraints afterwards. The
+    plan is trusted as built: ``plan_relational`` claims every name from a
+    ``Namespace``.
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
     if not plan.tables:
         return ""
-    inline = dialect == "ansi"
-    ordered = _table_order(plan)
-    statements = [_emit_table(t, dialect, inline) for t in ordered]
-    if not inline:
-        for table in ordered:
+    statements = [_emit_table(t, dialect) for t in plan.tables]
+    if dialect == "oracle":
+        for table in plan.tables:
             for fk in table.foreign_keys:
                 name = _constraint_name("FK", table.name, fk.column)
                 statements.append(

@@ -32,24 +32,12 @@ from .model import (
 SAMPLE_LIMIT = 1000  # data rows read per table; the rest of the file is not read
 
 # The date and datetime rungs accept exactly what the stdlib's strptime
-# accepts with "%d/%m/%Y" or "%Y-%m-%d", alone or followed by " %H:%M" or
-# " %H:%M:%S". The field patterns are strptime's own (Lib/_strptime.py), so
-# 1-digit fields, a space-padded day, any run of whitespace before the time
-# and Unicode decimal digits where strptime has \d all match as they do
-# there; datetime(...) then rejects what the patterns let through (30/02,
-# 29/02 in a common year, year 0, seconds 60 and 61).
-_DAY = r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
-_MONTH = r"(?P<m>1[0-2]|0[1-9]|[1-9])"
-_YEAR = r"(?P<Y>\d\d\d\d)"
-_TIME = (r"(?:\s+(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d)"
-         r"(?::(?P<S>6[0-1]|[0-5]\d|\d))?)?\Z")
-
-
-@functools.cache
-def _temporal_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """D/M/Y and Y-M-D with their named fields, compiled on first use."""
-    return (re.compile(f"{_DAY}/{_MONTH}/{_YEAR}{_TIME}"),
-            re.compile(f"{_YEAR}-{_MONTH}-{_DAY}{_TIME}"))
+# accepts with these formats: 1-digit fields, a space-padded day, any run of
+# whitespace before the time and Unicode decimal digits where strptime has
+# \d, but not 30/02, 29/02 in a common year, year 0 or seconds 60 and 61.
+_TEMPORAL_FORMATS = tuple((date + time, "datetime" if time else "date")
+                          for date in ("%d/%m/%Y", "%Y-%m-%d")
+                          for time in ("", " %H:%M", " %H:%M:%S"))
 
 
 @functools.cache
@@ -59,10 +47,11 @@ def _column_rungs() -> tuple[tuple[str, re.Pattern], ...]:
 
     No value pattern matches NUL, so each repetition reads exactly one value
     and the possessive ``++`` never has to give one back. The temporal
-    patterns are the calendar: the strptime fields above without \\d's
-    Unicode digits, days 29 and 30 in every month but February, 31 only in
-    the long months, 29 February only in a leap year, no year 0 and no
-    seconds 60 or 61. They hold for ASCII columns only.
+    patterns are strptime's fields for ``_TEMPORAL_FORMATS`` (see
+    Lib/_strptime.py) without \\d's Unicode digits, held to the calendar:
+    days 29 and 30 in every month but February, 31 only in the long months,
+    29 February only in a leap year, no year 0 and no seconds 60 or 61.
+    They hold for ASCII columns only.
     """
     year = r"(?!0000)[0-9]{4}"
     leap = r"(?!0000)(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
@@ -177,17 +166,13 @@ def load_tabular(paths) -> TabularSource:
 
 def _temporal_kind(value: str) -> str | None:
     """"date" or "datetime" for a stripped value the ladder accepts as one."""
-    dmy, ymd = _temporal_patterns()
-    found = dmy.match(value) or ymd.match(value)
-    if found is None:
-        return None
-    day, month, year, hour, minute, second = found.group("d", "m", "Y", "H", "M", "S")
-    try:
-        datetime(int(year), int(month), int(day),
-                 int(hour or 0), int(minute or 0), int(second or 0))
-    except ValueError:
-        return None
-    return "date" if hour is None else "datetime"
+    for fmt, kind in _TEMPORAL_FORMATS:
+        try:
+            datetime.strptime(value, fmt)
+        except ValueError:
+            continue
+        return kind
+    return None
 
 
 def infer_column_type(values) -> tuple[str, bool]:
@@ -215,27 +200,22 @@ def infer_column_type(values) -> tuple[str, bool]:
     return "str", False
 
 
-def infer_model(source: TabularSource, name: str = "Imported",
-                suggest_references: bool = False) -> tuple[DomainModel, LossReport]:
+def infer_model(source: TabularSource, name: str = "Imported") -> tuple[DomainModel, LossReport]:
     """One class per table, one property per column, types from the ladder.
 
-    No associations are ever fabricated. With ``suggest_references`` on, a
-    column whose header matches another table's name yields a
-    REFERENCE_CANDIDATE suggestion in the loss report, nothing more.
+    No associations are ever fabricated.
     """
     loss = LossReport()
-    classes = _infer_classes(source, loss, suggest_references)
+    classes = _infer_classes(source, loss)
     loss.add("model", name, "ASSOCIATIONS_UNKNOWN", "warning",
              "tabular sources carry no explicit relationships between classes")
     model = DomainModel(name=sanitize_identifier(name), classes=classes)
     return require_valid(model, "inferred tabular model"), loss
 
 
-def _infer_classes(source: TabularSource, loss: LossReport,
-                   suggest_references: bool) -> tuple[Class, ...]:
+def _infer_classes(source: TabularSource, loss: LossReport) -> tuple[Class, ...]:
     """The classes of ``infer_model``; its name sets are gone before the
     model is validated."""
-    table_names = {t.name.lower() for t in source.tables} if suggest_references else ()
     class_names = Namespace()
     classes = []
     for table in source.tables:
@@ -254,9 +234,5 @@ def _infer_classes(source: TabularSource, loss: LossReport,
                 loss.add("property", f"{table.name}.{column.header}", "TYPE_DEFAULTED",
                          "warning", "no values to sample; str assumed")
             properties.append(Property(name=prop_name, type=primitive_type(primitive)))
-            if suggest_references and column.header.strip().lower() in table_names \
-                    and column.header.strip().lower() != table.name.lower():
-                loss.add("property", f"{table.name}.{column.header}", "REFERENCE_CANDIDATE",
-                         "info", "header matches another table; possible many-to-one")
         classes.append(Class(name=class_name, properties=tuple(properties)))
     return tuple(classes)

@@ -137,8 +137,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         sheet_name = sheets.claim(cls.name)
         if sheet_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"sheet {sheet_name}")
-        sheet = ManifestSheet(name=sheet_name, kind="class",
-                              sample_row=[] if include_sample_row else None)
+        sheet = ManifestSheet(name=sheet_name, kind="class", sample_row=[])
         sheet_of_class[cls.name] = sheet
         for prop in effective_properties(cls.name):
             if prop.type.kind == "enumeration":
@@ -154,8 +153,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                                         validation=validation)
                 sample = SAMPLE_VALUES[primitive]
             sheet.columns.append(column)
-            if include_sample_row:
-                sheet.sample_row.append(sample)
+            sheet.sample_row.append(sample)
         manifest.sheets.append(sheet)
         headers_of[cls.name] = Namespace(taken=(c.header for c in sheet.columns))
         if cls.name in parents:
@@ -164,28 +162,13 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
 
     bridge_sheets: list[ManifestSheet] = []
     dropdown_samples: list[tuple[ManifestSheet, ManifestSheet]] = []  # (host, source)
-
-    def add_dropdown(host_class: str, target_class: str, header: str):
-        host_sheet, target_sheet = sheet_of_class[host_class], sheet_of_class[target_class]
-        unique = headers_of[host_class].claim(header)
-        if unique != header:
-            loss.add("association", header, "RENAMED", "info",
-                     f"dropdown column stored as {unique!r} on sheet {host_sheet.name}")
-        host_sheet.columns.append(ManifestColumn(
-            header=unique, cell_format="General",
-            validation=SheetDropdown(target_sheet.name)))
-        if include_sample_row:
-            dropdown_samples.append((host_sheet, target_sheet))
-
     for assoc in model.associations:
-        kind = assoc.kind
         end1, end2 = assoc.end1, assoc.end2
-        if kind == "many-to-many":
+        if assoc.kind == "many-to-many":
             base = f"{sheet_of_class[end1.class_name].name}_" \
                    f"{sheet_of_class[end2.class_name].name}".upper()
             name = sheets.claim(base, f"{base}_{assoc.name}".upper())
-            bridge = ManifestSheet(name=name, kind="bridge",
-                                   sample_row=[] if include_sample_row else None)
+            bridge = ManifestSheet(name=name, kind="bridge", sample_row=[])
             same_class = end1.class_name == end2.class_name
             headers = Namespace()
             for end in (end1, end2):
@@ -200,33 +183,36 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                 bridge.columns.append(ManifestColumn(
                     header=header, cell_format="General",
                     validation=SheetDropdown(source.name)))
-                if include_sample_row:
-                    dropdown_samples.append((bridge, source))
+                dropdown_samples.append((bridge, source))
             bridge_sheets.append(bridge)
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
                      f"survives only as bridge sheet {name}; the platform must "
                      "infer it from the sample data")
-        elif kind == "many-to-one":
-            many_end, one_end = (end1, end2) if end1.multiplicity.is_many else (end2, end1)
-            add_dropdown(many_end.class_name, one_end.class_name, one_end.role)
+        else:
+            host_end, ref_end = assoc.link
+            host = sheet_of_class[host_end.class_name]
+            source = sheet_of_class[ref_end.class_name]
+            header = headers_of[host_end.class_name].claim(ref_end.role)
+            if header != ref_end.role:
+                loss.add("association", ref_end.role, "RENAMED", "info",
+                         f"dropdown column stored as {header!r} on sheet {host.name}")
+            host.columns.append(ManifestColumn(
+                header=header, cell_format="General", validation=SheetDropdown(source.name)))
+            dropdown_samples.append((host, source))
+            if assoc.kind == "one-to-one":
+                loss.add("association", assoc.name, "ONE_TO_ONE_FLATTENED", "warning",
+                         "encoded like many-to-one; uniqueness of the link is not conveyed")
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
-                     f"survives only as dropdown column {one_end.role!r} on sheet "
-                     f"{sheet_of_class[many_end.class_name].name}")
-        else:  # one-to-one, hosted on the alphabetically-first class
-            first, second = sorted((end1, end2), key=lambda e: (e.class_name, e.role))
-            add_dropdown(first.class_name, second.class_name, second.role)
-            loss.add("association", assoc.name, "ONE_TO_ONE_FLATTENED", "warning",
-                     "encoded like many-to-one; uniqueness of the link is not conveyed")
-            loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
-                     f"survives only as dropdown column {second.role!r} on sheet "
-                     f"{sheet_of_class[first.class_name].name}")
+                     f"survives only as dropdown column {ref_end.role!r} on sheet {host.name}")
 
     manifest.sheets.extend(bridge_sheets)
 
     # dropdown samples point at the referenced sheet's first sample value
-    for host_sheet, source in dropdown_samples:
-        value = source.sample_row[0] if source.sample_row else ""
-        host_sheet.sample_row.append(value)
+    for host, source in dropdown_samples:
+        host.sample_row.append(source.sample_row[0] if source.sample_row else "")
+    if not include_sample_row:
+        for sheet in manifest.sheets:
+            sheet.sample_row = None
     return manifest, loss
 
 

@@ -1,9 +1,10 @@
 """What the generators must produce for a pivot model, counted from the model
-alone, the checks their plans pass by construction, lookups by name into the
-models, reports and plans they build, the tabular type ladder a value at a
-time, the `.bml` token parser that the declaration scanner and the error
-reporter are held to, and the Mendix export parser that checks one field at
-a time, which the inline checks of ``parse_mendix_export`` are held to."""
+alone, the checks their plans pass by construction, the DDL table order the
+emitter once derived, lookups by name into the models, reports and plans
+they build, the tabular type ladder a value at a time, the `.bml` token
+parser that the declaration scanner and the error reporter are held to, and
+the Mendix export parser that checks one field at a time, which the inline
+checks of ``parse_mendix_export`` are held to."""
 
 from __future__ import annotations
 
@@ -93,6 +94,31 @@ def plan_problems(plan: RelationalSchemaPlan) -> list[str]:
                 problems.append(f"FK {table.name}.{fk.column} references absent "
                                 f"column {fk.ref_table}.ID")
     return problems
+
+
+def reference_table_order(plan: RelationalSchemaPlan) -> list[TablePlan]:
+    """The order ``emit_sql`` once worked out from a plan listed in model
+    order: parents before children, junctions (no identity, composite PK)
+    last. ``plan_relational`` now returns its tables in this order."""
+    class_tables = [t for t in plan.tables if t.primary_key == ["ID"]]
+    junction_tables = [t for t in plan.tables if t.primary_key != ["ID"]]
+
+    parent_of = {}
+    for table in class_tables:
+        for fk in table.foreign_keys:
+            if fk.column == "ID":
+                parent_of[table.name] = fk.ref_table
+
+    def depth(table: TablePlan) -> int:
+        d = 0
+        node = table.name
+        while node in parent_of:
+            node = parent_of[node]
+            d += 1
+        return d
+
+    # sorted() is stable, so tables of equal depth keep their plan order
+    return sorted(class_tables, key=depth) + junction_tables
 
 
 def manifest_problems(manifest: WorkbookManifest) -> list[str]:

@@ -167,6 +167,30 @@ def test_non_utf8_input_file_is_coded_error(tmp_path, capsys, name, argv, error)
     assert f"error [{error}]" in err
 
 
+_REGISTRY = '[p.import]\ndata = "full"\nformats = ["SQL"]\n[p.export]\ndata = "full"\n'
+
+
+@pytest.mark.parametrize("name, text, argv, key", [
+    ("lcpbridge.toml", 'llm = "x"\n', "import image-llm --out {tmp}/out --config {file}",
+     "llm must be a table"),
+    ("lcpbridge.toml", 'llm = "x"\n', "plan --from mendix --to apex --config {file}",
+     "llm must be a table"),
+    ("caps.toml", '[p]\nexport = "x"\n[p.import]\n', "plan --from p --to p --capabilities {file}",
+     "p.export must be a table"),
+    ("caps.toml", _REGISTRY + 'formats = "SQL"\n', "capabilities --capabilities {file}",
+     "p.export.formats must be an array"),
+    ("caps.toml", _REGISTRY + 'third_party = "no"\n', "capabilities --capabilities {file}",
+     "p.export.third_party must be true or false"),
+], ids=["llm-not-a-table-import", "llm-not-a-table-plan", "section-not-a-table",
+        "formats-not-an-array", "third-party-not-a-boolean"])
+def test_mistyped_config_is_config_error(tmp_path, capsys, name, text, argv, key):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, *argv.format(file=path, tmp=tmp_path).split())
+    assert code == 1
+    assert err.startswith("error [CONFIG_ERROR]: ") and key in err, err
+
+
 def test_failing_step_is_named_on_its_own_line(tmp_path, capsys):
     path = tmp_path / "Book.csv"
     path.write_text("")

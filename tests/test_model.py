@@ -149,6 +149,31 @@ class TestValidation:
             assert validate_model(random_model(rng)).ok
 
 
+class TestLink:
+    """``Association.link``: (host end, referenced end)."""
+
+    ONE = Multiplicity(0, 1)
+
+    def test_many_end_hosts_a_many_to_one(self):
+        # in both, the class that sorts first is the one end
+        many_first = _assoc("L", "Order", "Customer", Multiplicity(0, None), self.ONE)
+        assert many_first.link == (many_first.end1, many_first.end2)
+        many_second = _assoc("L", "Customer", "Order", self.ONE, Multiplicity(1, 3))
+        assert many_second.link == (many_second.end2, many_second.end1)
+
+    @pytest.mark.parametrize("c1, r1, c2, r2, host", [
+        ("Passport", "passport", "Citizen", "holder", 2),  # the class decides
+        ("Citizen", "holder", "Passport", "passport", 1),
+        ("Person", "zeta", "Personal", "alpha", 1),  # before the role
+        ("Person", "spouse", "Person", "partner", 2),  # same class: the role decides
+        ("Person", "partner", "Person", "spouse", 1),
+    ])
+    def test_one_to_one_hosted_by_the_first_end_by_class_then_role(self, c1, r1, c2, r2, host):
+        assoc = _assoc("L", c1, c2, self.ONE, Multiplicity(1, 1), r1, r2)
+        ends = (assoc.end1, assoc.end2) if host == 1 else (assoc.end2, assoc.end1)
+        assert assoc.link == ends
+
+
 class TestModelEqual:
     def test_reflexive(self, library_model):
         assert model_equal(library_model, library_model)

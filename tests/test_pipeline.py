@@ -14,6 +14,7 @@ from lcpbridge.pipeline import (
     ExecutionOptions,
     MigrationInputs,
     execute_from_pivot,
+    execute_import,
     execute_migration,
 )
 from lcpbridge.planner import plan_migration
@@ -287,6 +288,20 @@ class TestReviewHook:
                 plan, MigrationInputs(files=[mendix_library_path]), tmp_path,
                 ExecutionOptions(review_hook=break_model))
         assert any(v.rule == "DUPLICATE_CLASS_NAME" for v in err.value.violations)
+
+
+class TestPlantUmlImport:
+    def test_repeated_attribute_reported_as_dropped(self, tmp_path):
+        source = tmp_path / "book.puml"
+        source.write_text("@startuml\nclass Book {\n  title : str\n  title : int\n}\n@enduml\n",
+                          encoding="utf-8")
+        result = execute_import(["plantuml"], MigrationInputs(files=[source]), "plantuml",
+                                tmp_path / "out")
+        book = class_named(result.model, "Book")
+        assert [(p.name, p.type.primitive) for p in book.properties] == [("title", "str")]
+        report = json.loads((tmp_path / "out" / "loss-report.json").read_text())
+        assert [(i["element_kind"], i["element_name"], i["reason"]) for i in report["items"]] \
+            == [("property", "Book.title", "DROPPED")]
 
 
 class TestCsvFallbackExporter:

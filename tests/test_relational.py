@@ -1,5 +1,6 @@
 """Relational planning and DDL emission, verified on an embedded engine."""
 
+import dataclasses
 import random
 import sqlite3
 
@@ -15,6 +16,7 @@ from lcpbridge.model import (
     Class,
     DomainModel,
     Enumeration,
+    Generalization,
     Multiplicity,
     Property,
     empty_model,
@@ -37,10 +39,11 @@ from expected import (
     expected_table_count,
     manifest_problems,
     plan_problems,
+    reference_table_order,
     table_named,
     with_reason,
 )
-from generators import random_model
+from generators import adversarial_name, fresh_name, random_model
 
 
 def run_script(script: str) -> sqlite3.Connection:
@@ -113,6 +116,18 @@ class TestPlan:
         assert junction is not None
         assert junction.primary_key == ["BOOK_ID", "AUTHOR_ID"]
         assert len(junction.foreign_keys) == 2
+
+    @pytest.mark.parametrize("m1, m2, relaxed", [
+        (Multiplicity(1, None), Multiplicity(1, 1), ["lower bound 1 on left not enforced"]),
+        (Multiplicity(2, None), Multiplicity(1, None),
+         ["lower bound 2 on left not enforced", "lower bound 1 on right not enforced"]),
+        (Multiplicity(1, 1), Multiplicity(1, 1), []),
+    ], ids=["many-to-one", "many-to-many", "one-to-one"])
+    def test_unenforced_lower_bounds_reported(self, m1, m2, relaxed):
+        model = DomainModel("M", classes=(Class("A"), Class("B")),
+                            associations=(_m("A", "B", m1, m2),))
+        _, loss = plan_relational(model)
+        assert [i.detail for i in with_reason(loss, "MULTIPLICITY_RELAXED")] == relaxed
 
     def test_one_to_one_unique_fk(self):
         model = DomainModel("M", classes=(Class("Person"), Class("Passport")),
@@ -368,6 +383,47 @@ class TestEmit:
         plan, _ = plan_relational(library_model)
         with pytest.raises(ValueError):
             emit_sql(plan, dialect="postgres")
+
+
+@st.composite
+def models_with_generalizations(draw):
+    """Valid models with up to 9 generalizations (chains included), fresh or
+    adversarial names, and the classes in any order, so a child may come
+    before its parent."""
+    model = random_model(random.Random(draw(st.integers(0, 2**31))),
+                         max_generalizations=draw(st.integers(0, 9)),
+                         names=draw(st.sampled_from((fresh_name, adversarial_name))))
+    order = draw(st.permutations(range(len(model.classes))))
+    return dataclasses.replace(model, classes=tuple(model.classes[i] for i in order))
+
+
+class TestTableOrder:
+    def test_parents_first_then_junctions(self):
+        model = DomainModel("M", classes=(Class("Manager"), Class("Person"), Class("Employee"),
+                                          Class("Team")),
+                            associations=(_m("Team", "Person", Multiplicity(0, None),
+                                             Multiplicity(0, None)),),
+                            generalizations=(Generalization("Employee", "Manager"),
+                                             Generalization("Person", "Employee")))
+        plan, _ = plan_relational(model)
+        assert [t.name for t in plan.tables] == \
+            ["PERSON", "TEAM", "EMPLOYEE", "MANAGER", "TEAM_PERSON"]
+        script = emit_sql(plan, dialect="ansi")
+        assert script.index('"PERSON" (') < script.index('"EMPLOYEE" (') \
+            < script.index('"MANAGER" (')
+        assert_runs_on_sqlite(plan, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(models_with_generalizations())
+    def test_plan_order_is_the_emitters_former_order(self, model):
+        plan, _ = plan_relational(model)
+        # a plan without generalizations lists the same table names in model
+        # order, the order the plan used to have before emit_sql sorted it
+        model_order = [t.name for t in plan_relational(
+            dataclasses.replace(model, generalizations=()))[0].tables]
+        as_listed = sorted(plan.tables, key=lambda t: model_order.index(t.name))
+        expected = reference_table_order(RelationalSchemaPlan(as_listed))
+        assert [t.name for t in plan.tables] == [t.name for t in expected]
 
 
 class TestEngineOracle:

@@ -437,14 +437,6 @@ class TestInference:
         assert model.associations == ()
         assert with_reason(loss, "ASSOCIATIONS_UNKNOWN")
 
-    def test_reference_suggestion_off_by_default(self):
-        source = _source(Book={"author": ["x"]}, Author={"name": ["y"]})
-        _, loss = infer_model(source)
-        assert not with_reason(loss, "REFERENCE_CANDIDATE")
-        _, loss_on = infer_model(source, suggest_references=True)
-        suggestions = with_reason(loss_on, "REFERENCE_CANDIDATE")
-        assert suggestions and suggestions[0].element_name == "Book.author"
-
     def test_inferred_model_validates(self, csv_paths):
         model, _ = infer_model(load_tabular(csv_paths))
         assert validate_model(model).ok

@@ -7,6 +7,8 @@ from datetime import datetime
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpbridge.model import (
     Association,
@@ -28,7 +30,7 @@ from lcpbridge.workbook import (
 )
 
 from expected import class_named, expected_dropdown_count, property_names, sheet_named, with_reason
-from generators import random_model
+from generators import adversarial_name, fresh_name, random_model
 
 NS = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
 
@@ -86,6 +88,17 @@ class TestPlanRules:
     def test_sample_row_suppression(self, library_model):
         manifest, _ = plan_workbook(library_model, include_sample_row=False)
         assert all(s.sample_row is None for s in manifest.sheets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from((fresh_name, adversarial_name)))
+    def test_sample_row_suppression_only_drops_the_rows(self, seed, names):
+        model = random_model(random.Random(seed), max_generalizations=6, names=names)
+        manifest, loss = plan_workbook(model)
+        bare, bare_loss = plan_workbook(model, include_sample_row=False)
+        for sheet in manifest.sheets:
+            sheet.sample_row = None
+        assert bare == manifest
+        assert bare_loss == loss
 
     def test_bool_and_enum_become_list_dropdowns(self, library_model):
         model = DomainModel(
