@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .capabilities import default_matrix
@@ -28,6 +29,7 @@ from .errors import (
     TransportError,
     UnknownPlatformError,
 )
+from .loss import close_json_list, json_string_list
 from .model import (
     Association,
     AssociationEnd,
@@ -253,6 +255,28 @@ class MergeReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    def to_json(self) -> str:
+        """``json.dumps(self.as_dict(), indent=2, sort_keys=True)`` plus a
+        newline, written directly: the schema is five lists of strings and
+        one of conflicts, and ``indent`` sends ``json.dumps`` down its
+        pure-Python encoder before 3.13. The writer can go once 3.11 and
+        3.12 are dropped."""
+        q = encode_basestring_ascii
+        out = [f'{{\n  "added_associations": {json_string_list(self.added_associations, 2)},'
+               f'\n  "added_classes": {json_string_list(self.added_classes, 2)},'
+               f'\n  "added_enumerations": {json_string_list(self.added_enumerations, 2)},'
+               f'\n  "added_generalizations": {json_string_list(self.added_generalizations, 2)},'
+               f'\n  "added_properties": {json_string_list(self.added_properties, 2)},'
+               '\n  "conflicts": [']
+        for c in self.conflicts:
+            out.append(f'\n    {{\n      "element": {q(c.element)},'
+                       f'\n      "inferred_value": {q(c.inferred_value)},'
+                       f'\n      "partial_value": {q(c.partial_value)},'
+                       f'\n      "resolution": {q(c.resolution)}\n    }},')
+        close_json_list(out, self.conflicts, 2)
+        out.append("\n}\n")
+        return "".join(out)
 
 
 def _assoc_pair(assoc: Association) -> frozenset:

@@ -8,7 +8,6 @@ functions of that file, which is what makes re-runs byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -156,7 +155,9 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
     context = load_prompt_context(source_platform, matrix)
     loss = LossReport()
 
-    attempt_error: Exception | None = None
+    # the message only: the exception's traceback would hold this frame,
+    # and with it the screenshots, until a full garbage collection
+    attempt_error: str | None = None
     completion = ""
     for attempt in range(1 + REPROMPT_LIMIT):
         prompt = build_prompt(context, partial)
@@ -169,7 +170,7 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
         try:
             result = extract_model(completion)
         except LcpBridgeError as exc:
-            attempt_error = exc
+            attempt_error = str(exc)
             continue
         loss.extend(result.loss)
         for warning in result.warnings:
@@ -302,8 +303,7 @@ def _write_reports(out_dir: Path, loss: LossReport,
     if merge_report is None:
         return [loss_path]
     merge_path = out_dir / "merge-report.json"
-    merge_path.write_text(json.dumps(merge_report.as_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    merge_path.write_text(merge_report.to_json(), encoding="utf-8")
     return [loss_path, merge_path]
 
 

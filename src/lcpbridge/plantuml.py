@@ -106,8 +106,10 @@ def parse_multiplicity(token: str) -> Multiplicity:
 
 class _Builder:
     def __init__(self):
-        self.class_props: dict[str, list[Property]] = {}
-        self.enum_literals: dict[str, list[str]] = {}
+        # class -> its properties, and enum -> its literals (as keys), in
+        # declaration order; properties keyed by lowercase name
+        self.class_props: dict[str, dict[str, Property]] = {}
+        self.enum_literals: dict[str, dict[str, None]] = {}
         self.associations: list[Association] = []
         self.parents: dict[str, str] = {}  # specific -> general
         self.assoc_names = Namespace()
@@ -121,13 +123,11 @@ class _Builder:
         if clean != name:
             self.loss.add(kind, name, "RENAMED", "info", f"sanitized to {clean}")
         table = self.class_props if kind == "class" else self.enum_literals
-        table.setdefault(clean, [])
+        table.setdefault(clean, {})
         return clean
 
     def add_literal(self, enum: str, text: str):
-        literal = sanitize_identifier(text.strip(","))
-        if literal not in self.enum_literals[enum]:
-            self.enum_literals[enum].append(literal)
+        self.enum_literals[enum].setdefault(sanitize_identifier(text.strip(",")))
 
     def resolve_type(self, token: str, owner: str, prop: str):
         token = token.strip()
@@ -148,8 +148,8 @@ class _Builder:
         if name != raw_name:
             self.loss.add("property", f"{class_name}.{raw_name}", "RENAMED", "info",
                           f"sanitized to {name}")
-        existing = {p.name.lower() for p in self.class_props[class_name]}
-        if name.lower() in existing:
+        props = self.class_props[class_name]
+        if name.lower() in props:
             self.warnings.append(f"duplicate attribute {class_name}.{name} ignored")
             self.loss.add("property", f"{class_name}.{name}", "DROPPED", "warning",
                           "attribute repeated in the class; the first one kept")
@@ -159,9 +159,8 @@ class _Builder:
         if stereotype:
             is_id = stereotype.group(1).lower() in ("id", "pk", "key", "unique")
             type_token = _STEREOTYPE_RE.sub("", type_token).strip()
-        self.class_props[class_name].append(
-            Property(name=name, type=self.resolve_type(type_token, class_name, name),
-                     is_id=is_id))
+        props[name.lower()] = Property(
+            name=name, type=self.resolve_type(type_token, class_name, name), is_id=is_id)
 
     def add_generalization(self, general: str, specific: str):
         general = self.declare("class", general)
@@ -203,7 +202,7 @@ class _Builder:
     def build(self, name: str) -> DomainModel:
         return DomainModel(
             name=name,
-            classes=tuple(Class(name=c, properties=tuple(props))
+            classes=tuple(Class(name=c, properties=tuple(props.values()))
                           for c, props in self.class_props.items()),
             associations=tuple(self.associations),
             generalizations=tuple(Generalization(general=g, specific=s)

@@ -12,7 +12,6 @@ import csv
 import functools
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -32,12 +31,11 @@ from .model import (
 SAMPLE_LIMIT = 1000  # data rows read per table; the rest of the file is not read
 
 # The date and datetime rungs accept exactly what the stdlib's strptime
-# accepts with these formats: 1-digit fields, a space-padded day, any run of
-# whitespace before the time and Unicode decimal digits where strptime has
-# \d, but not 30/02, 29/02 in a common year, year 0 or seconds 60 and 61.
-_TEMPORAL_FORMATS = tuple((date + time, "datetime" if time else "date")
-                          for date in ("%d/%m/%Y", "%Y-%m-%d")
-                          for time in ("", " %H:%M", " %H:%M:%S"))
+# accepts with the temporal formats: "%d/%m/%Y" and "%Y-%m-%d", alone (date)
+# or followed by " %H:%M" or " %H:%M:%S" (datetime). That takes 1-digit
+# fields, a space-padded day, any run of whitespace before the time and
+# Unicode decimal digits where strptime has \d, but not 30/02, 29/02 in a
+# common year, year 0 or seconds 60 and 61.
 
 
 @functools.cache
@@ -47,11 +45,12 @@ def _column_rungs() -> tuple[tuple[str, re.Pattern], ...]:
 
     No value pattern matches NUL, so each repetition reads exactly one value
     and the possessive ``++`` never has to give one back. The temporal
-    patterns are strptime's fields for ``_TEMPORAL_FORMATS`` (see
+    patterns are strptime's fields for the temporal formats (see
     Lib/_strptime.py) without \\d's Unicode digits, held to the calendar:
     days 29 and 30 in every month but February, 31 only in the long months,
     29 February only in a leap year, no year 0 and no seconds 60 or 61.
-    They hold for ASCII columns only.
+    A column that is not ASCII reaches them with its digits mapped to
+    ASCII (``_temporal_rung``).
     """
     year = r"(?!0000)[0-9]{4}"
     leap = r"(?!0000)(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
@@ -71,6 +70,20 @@ def _column_rungs() -> tuple[tuple[str, re.Pattern], ...]:
         ("datetime", date + time),
     )
     return tuple((kind, re.compile(f"(?:{value}\0)++")) for kind, value in values)
+
+
+@functools.cache
+def _strptime_shapes() -> dict[str, re.Pattern]:
+    """strptime's patterns for the temporal formats (Lib/_strptime.py, the
+    same in 3.11 to 3.13) as column patterns like the rungs, by kind.
+    Where they have \\d they take any Unicode decimal digit; the calendar is
+    left to the rungs."""
+    day = r"(?:3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+    month = r"(?:1[0-2]|0[1-9]|[1-9])"
+    date = rf"(?:{day}/{month}/\d{{4}}|\d{{4}}-{month}-{day})"
+    time = r"\s+(?:2[0-3]|[01]\d|\d):(?:[0-5]\d|\d)(?::(?:6[01]|[0-5]\d|\d))?"
+    return {"date": re.compile(f"(?:{date}\0)++"),
+            "datetime": re.compile(f"(?:{date}{time}\0)++")}
 
 
 @dataclass(frozen=True)
@@ -166,12 +179,26 @@ def load_tabular(paths) -> TabularSource:
 
 def _temporal_kind(value: str) -> str | None:
     """"date" or "datetime" for a stripped value the ladder accepts as one."""
-    for fmt, kind in _TEMPORAL_FORMATS:
-        try:
-            datetime.strptime(value, fmt)
-        except ValueError:
-            continue
-        return kind
+    return _temporal_rung(value + "\0")
+
+
+def _temporal_rung(joined: str) -> str | None:
+    """"date" or "datetime" for a column, joined as ``infer_column_type``
+    joins it, whose every value strptime reads with a format of that kind.
+
+    On a column that is not ASCII, strptime reads any Unicode decimal
+    digit where its patterns have \\d, and int() reads the digit's value.
+    So the calendar rungs judge the column with its digits mapped to
+    ASCII, and strptime's own patterns check that each digit sits where
+    strptime takes one. Both are regex calls over the whole column.
+    """
+    ascii_only = joined.isascii()
+    digits = joined if ascii_only else joined.translate(
+        {ord(c): str(int(c)) for c in set(joined) if c.isdecimal()})
+    for kind, pattern in _column_rungs()[3:]:
+        if pattern.fullmatch(digits) and (ascii_only
+                                          or _strptime_shapes()[kind].fullmatch(joined)):
+            return kind
     return None
 
 
@@ -179,10 +206,7 @@ def infer_column_type(values) -> tuple[str, bool]:
     """Apply the precedence ladder; returns (primitive name, defaulted flag).
 
     Empty cells are ignored. A column with no usable values defaults to str.
-    Each rung tests the whole column with one regex call. A column that is
-    not ASCII takes the temporal rungs a value at a time through
-    ``_temporal_kind``, since strptime reads any Unicode digit and a regex
-    cannot check the calendar on those.
+    Each rung tests the whole column with one regex call.
     """
     usable = [v for v in map(str.strip, values) if v]
     if not usable:
@@ -190,14 +214,10 @@ def infer_column_type(values) -> tuple[str, bool]:
     joined = "\0".join(usable) + "\0"
     if joined.count("\0") != len(usable):
         return "str", False  # a value holds NUL, which no rung accepts
-    calendar_exact = joined.isascii()
-    for kind, pattern in _column_rungs():
-        if kind in ("bool", "int", "float") or calendar_exact:
-            if pattern.fullmatch(joined):
-                return kind, False
-        elif all(_temporal_kind(v) == kind for v in usable):
+    for kind, pattern in _column_rungs()[:3]:
+        if pattern.fullmatch(joined):
             return kind, False
-    return "str", False
+    return _temporal_rung(joined) or "str", False
 
 
 def infer_model(source: TabularSource, name: str = "Imported") -> tuple[DomainModel, LossReport]:

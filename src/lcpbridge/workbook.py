@@ -9,12 +9,12 @@ generated and is what tests verify; the xlsx container realizes it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import xlsx
-from .loss import LossReport
+from .loss import LossReport, close_json_list, json_string_list
 from .model import DomainModel, Namespace, Property
 
 SHEET_NAME_MAX = 31  # hard container limit
@@ -101,7 +101,36 @@ class WorkbookManifest:
                 "sheets": [s.as_dict() for s in self.sheets]}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.as_dict(), indent=2, sort_keys=True)`` plus a
+        newline, written directly into one list of small pieces: the schema
+        is fixed (manifest, sheets, columns, dropdowns), and ``indent``
+        sends ``json.dumps`` down its pure-Python encoder before 3.13. The
+        writer can go once 3.11 and 3.12 are dropped."""
+        q = encode_basestring_ascii
+        out = ['{\n  "sheets": [']
+        for sheet in self.sheets:
+            out.append('\n    {\n      "columns": [')
+            for column in sheet.columns:
+                validation = column.validation
+                if validation is None:
+                    validation_json = "null"
+                elif type(validation) is SheetDropdown:
+                    validation_json = ('{\n            "kind": "sheet",\n            '
+                                       f'"source_sheet": {q(validation.source_sheet)}\n          }}')
+                else:
+                    validation_json = ('{\n            "kind": "list",\n            "options": '
+                                       f'{json_string_list(validation.options, 12)}\n          }}')
+                out.append(f'\n        {{\n          "cell_format": {q(column.cell_format)},'
+                           f'\n          "header": {q(column.header)},'
+                           f'\n          "validation": {validation_json}\n        }},')
+            close_json_list(out, sheet.columns, 6)
+            sample_row = ("null" if sheet.sample_row is None
+                          else json_string_list(sheet.sample_row, 6))
+            out.append(f',\n      "kind": {q(sheet.kind)},\n      "name": {q(sheet.name)},'
+                       f'\n      "sample_row": {sample_row}\n    }},')
+        close_json_list(out, self.sheets, 2)
+        out.append(f',\n  "workbook_name": {q(self.workbook_name)}\n}}\n')
+        return "".join(out)
 
 
 def plan_workbook(model: DomainModel, include_sample_row: bool = True

@@ -216,12 +216,17 @@ def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
     for i, sheet in enumerate(sheets, start=1):
         parts.append((f"xl/worksheets/sheet{i}.xml", _sheet_xml(sheet)))
 
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    # assembled in memory and written once: on a file, ZipFile seeks back to
+    # each member's header, and every seek flushes the write buffer
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, data in parts:
             info = zipfile.ZipInfo(name, date_time=_EPOCH)
             info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o600 << 16
             zf.writestr(info, data.encode("utf-8"))
+    with open(path, "wb") as handle:
+        handle.write(buffer.getbuffer())
 
 
 # ---------------------------------------------------------------------------

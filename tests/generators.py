@@ -26,7 +26,15 @@ from lcpbridge.model import (
     primitive_type,
     validate_model,
 )
+from lcpbridge.llm import MergeConflict, MergeReport
 from lcpbridge.tabular import Table, TableColumn, TabularSource
+from lcpbridge.workbook import (
+    ListDropdown,
+    ManifestColumn,
+    ManifestSheet,
+    SheetDropdown,
+    WorkbookManifest,
+)
 
 PRIMITIVE_MENU = ("str", "int", "float", "bool", "date", "datetime", "time", "binary")
 MULTIPLICITY_MENU = (
@@ -247,6 +255,51 @@ def random_merge_pair(rng: random.Random) -> tuple[DomainModel, DomainModel]:
     return partial, inferred
 
 
+# characters JSON escapes: quotes, backslashes, control characters,
+# non-ASCII and astral-plane characters
+_JSON_HOSTILE = '"\\/\b\f\n\r\t\x00\x1f\x7f é\U0001f600'
+
+
+def report_text(rng: random.Random, taken: set) -> str:
+    """A string for a report field: an adversarial name, or up to 8 of the
+    characters JSON escapes."""
+    if rng.random() < 0.5:
+        return adversarial_name(rng, taken)
+    return "".join(rng.choice(_JSON_HOSTILE) for _ in range(rng.randint(0, 8)))
+
+
+def random_manifest(rng: random.Random) -> WorkbookManifest:
+    """Any manifest, not only one ``plan_workbook`` lays out: 0-3 sheets of
+    0-3 columns, each with no, a sheet or a list validation (of 0-3
+    options), and no sample row or one of 0-3 values."""
+    taken: set = set()
+
+    def text() -> str:
+        return report_text(rng, taken)
+
+    def column() -> ManifestColumn:
+        validation = rng.choice((None, SheetDropdown(text()), ListDropdown(
+            tuple(text() for _ in range(rng.randint(0, 3))))))
+        return ManifestColumn(text(), text(), validation)
+
+    return WorkbookManifest(text(), [
+        ManifestSheet(text(), text(), [column() for _ in range(rng.randint(0, 3))],
+                      rng.choice((None, [text() for _ in range(rng.randint(0, 3))])))
+        for _ in range(rng.randint(0, 3))])
+
+
+def random_merge_report(rng: random.Random) -> MergeReport:
+    """A merge report of 0-3 entries in each list, conflicts included."""
+    taken: set = set()
+
+    def texts() -> list[str]:
+        return [report_text(rng, taken) for _ in range(rng.randint(0, 3))]
+
+    return MergeReport(texts(), texts(), texts(), texts(), texts(), [
+        MergeConflict(*(report_text(rng, taken) for _ in range(4)))
+        for _ in range(rng.randint(0, 3))])
+
+
 def scaling_model(n: int) -> DomainModel:
     """The size ladder of the scaling tests: ``n`` classes of 6 properties,
     2n associations between random classes and n/10 generalizations."""
@@ -267,6 +320,20 @@ def scaling_model(n: int) -> DomainModel:
                             for k in range(0, n - 1, 10))
     return DomainModel("Scaling", classes=classes, associations=associations,
                        generalizations=generalizations)
+
+
+def scaling_merge_report(n: int) -> MergeReport:
+    """The size ladder of the merge-report writer: each list of the report
+    filled from ``scaling_model(n)``, with one conflict per class."""
+    model = scaling_model(n)
+    return MergeReport(
+        added_classes=[c.name for c in model.classes],
+        added_properties=[f"{c.name}.{p.name}" for c in model.classes for p in c.properties],
+        added_associations=[a.name for a in model.associations],
+        added_enumerations=[e.name for e in model.enumerations],
+        added_generalizations=[g.specific for g in model.generalizations],
+        conflicts=[MergeConflict(f"class {c.name}", "6 properties", "7 properties")
+                   for c in model.classes])
 
 
 def scaling_mendix(n: int) -> str:

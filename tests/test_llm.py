@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpbridge.errors import (
     MissingFixtureError,
@@ -16,6 +18,7 @@ from lcpbridge.llm import (
     HttpVisionClient,
     ImagePayload,
     MergeConflict,
+    MergeReport,
     PromptContext,
     ReplayVisionClient,
     VisionRequest,
@@ -43,7 +46,7 @@ from lcpbridge.model import (
 )
 
 from expected import class_named, is_empty
-from generators import random_merge_pair
+from generators import random_merge_pair, random_merge_report
 
 IMAGE = ImagePayload(data=b"\x89PNG fake", media_type="image/png")
 
@@ -393,3 +396,26 @@ class TestMerge:
             assert set(report.added_classes) == expected_added
             for conflict in report.conflicts:
                 assert conflict.resolution == "PARTIAL_WINS"
+
+
+class TestMergeReportJson:
+    """``MergeReport.to_json`` against the standard library's encoder."""
+
+    @staticmethod
+    def standard(report: MergeReport) -> str:
+        return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+
+    def test_empty_report(self):
+        assert MergeReport().to_json() == self.standard(MergeReport())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_any_report(self, rng):
+        report = random_merge_report(rng)
+        assert report.to_json() == self.standard(report)
+
+    def test_merged_reports(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            _, report = merge_models(*random_merge_pair(rng))
+            assert report.to_json() == self.standard(report)

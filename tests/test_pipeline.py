@@ -1,7 +1,9 @@
 """End-to-end execution of both demonstrated migration scenarios."""
 
+import gc
 import json
 import sqlite3
+import types
 
 import pytest
 
@@ -160,6 +162,29 @@ class TestScenarioPowerAppsToApex:
         result = execute_migration(plan, inputs, tmp_path / "out",
                                    ExecutionOptions(dialect="ansi"))
         assert result.merge_report.added_associations == ["Book_Library"]
+
+    def test_reprompt_leaves_no_cycle_through_the_image_step(self, tmp_path, csv_paths,
+                                                             screenshot_path):
+        """A malformed answer's exception must not tie the image step's frame,
+        and the screenshots it holds, into a cycle only the collector frees."""
+        bad = '@startuml\nBook "x..y" -- "1" Library\n@enduml'
+        good = ('@startuml\nBook "0..*" -- "0..1" Library : Book_Library\n@enduml')
+        store = tmp_path / "store"
+        self._seed_retry_store(store, csv_paths, [bad, good])
+        plan = plan_migration("powerapps", "apex")
+        inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
+                                 llm_client=ReplayVisionClient(store))
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            execute_migration(plan, inputs, tmp_path / "out")
+            gc.collect()
+            frames = [o.f_code.co_name for o in gc.garbage if isinstance(o, types.FrameType)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert "_import_image" not in frames
 
     def test_exhausted_retries_save_raw_completion(self, tmp_path, csv_paths,
                                                    screenshot_path):

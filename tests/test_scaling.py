@@ -13,15 +13,22 @@ import tracemalloc
 import pytest
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
-from lcpbridge.llm import merge_models
+from lcpbridge.llm import MergeReport, merge_models
 from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
 from lcpbridge.model import Class, DomainModel, empty_model, validate_model
+from lcpbridge.plantuml import parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model
-from lcpbridge.workbook import plan_workbook
+from lcpbridge.workbook import emit_workbook, plan_workbook
 from lcpbridge.xlsx import read_workbook
 
-from generators import scaling_mendix, scaling_model, scaling_tables, scaling_workbook
+from generators import (
+    scaling_merge_report,
+    scaling_mendix,
+    scaling_model,
+    scaling_tables,
+    scaling_workbook,
+)
 
 SMALL, LARGE = 500, 4000
 MAX_GROWTH = 24
@@ -64,6 +71,18 @@ def half_known(model):
 def test_layer_grows_at_most_linearly(layer, prepare):
     ratio = growth(layer, prepare(scaling_model(SMALL)), prepare(scaling_model(LARGE)))
     assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
+
+
+def wide_class(n: int) -> str:
+    """PlantUML text of one class with ``n`` attributes."""
+    attributes = "".join(f"  a{i} : int\n" for i in range(n))
+    return f"@startuml\nclass Wide {{\n{attributes}}}\n@enduml\n"
+
+
+def test_wide_class_parse_grows_at_most_linearly():
+    """Attributes of one class, which ``scaling_model`` keeps at six."""
+    ratio = growth(parse_plantuml, wide_class(SMALL), wide_class(LARGE))
+    assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} attributes"
 
 
 # Counts repeat exactly from run to run, so they can bear the tight bound of
@@ -114,8 +133,22 @@ def counted_plan(n: int):
     return plan_relational(counted_model(n))[0]
 
 
+@functools.cache
+def counted_manifest(n: int):
+    return plan_workbook(counted_model(n))[0]
+
+
 def import_mendix(text: str):
     return mendix_to_pivot(parse_mendix_export(text))
+
+
+def count_ratios(layer, small, large) -> dict[str, float]:
+    """Large over small for calls, blocks still allocated and peak bytes."""
+    calls = python_calls(layer, large) / python_calls(layer, small)
+    (blocks_small, peak_small), (blocks_large, peak_large) = \
+        allocations(layer, small), allocations(layer, large)
+    return {"calls": calls, "blocks": blocks_large / blocks_small,
+            "peak bytes": peak_large / peak_small}
 
 
 @pytest.mark.parametrize("layer, make", [
@@ -127,8 +160,11 @@ def import_mendix(text: str):
     (import_mendix, scaling_mendix),
     (validate_model, counted_model),
     (emit_sql, counted_plan),
+    (emit_workbook, counted_manifest),
+    (MergeReport.to_json, scaling_merge_report),
 ], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model", "read_workbook",
-        "parse_mendix_export+mendix_to_pivot", "validate_model", "emit_sql"])
+        "parse_mendix_export+mendix_to_pivot", "validate_model", "emit_sql", "emit_workbook",
+        "MergeReport.to_json"])
 def test_counts_grow_linearly(layer, make, tmp_path):
     parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
     infer_column_type(["1"])
@@ -136,11 +172,14 @@ def test_counts_grow_linearly(layer, make, tmp_path):
     validate_model(empty_model())
     if make is scaling_workbook:  # the workbook is read from a file
         make = lambda n: scaling_workbook(n, tmp_path / f"{n}.xlsx")
-    small, large = make(COUNT_SMALL), make(COUNT_LARGE)
-    calls = python_calls(layer, large) / python_calls(layer, small)
-    (blocks_small, peak_small), (blocks_large, peak_large) = \
-        allocations(layer, small), allocations(layer, large)
-    ratios = {"calls": calls, "blocks": blocks_large / blocks_small,
-              "peak bytes": peak_large / peak_small}
+    if layer is emit_workbook:  # the workbook and its manifest go to files
+        layer = lambda manifest: emit_workbook(manifest, tmp_path / "model.xlsx")
+    ratios = count_ratios(layer, make(COUNT_SMALL), make(COUNT_LARGE))
     assert max(ratios.values()) <= MAX_COUNT_GROWTH, \
         f"{ratios} from {COUNT_SMALL} to {COUNT_LARGE} classes"
+
+
+def test_wide_class_parse_grows_linearly():
+    parse_plantuml(wide_class(2))  # first-use set-up stays out of the counts
+    ratios = count_ratios(parse_plantuml, wide_class(2000), wide_class(4000))
+    assert max(ratios.values()) <= MAX_COUNT_GROWTH, f"{ratios} from 2,000 to 4,000 attributes"

@@ -24,13 +24,15 @@ from lcpbridge.model import (
 from lcpbridge.tabular import infer_model, load_tabular
 from lcpbridge.workbook import (
     ListDropdown,
+    ManifestSheet,
     SheetDropdown,
+    WorkbookManifest,
     emit_workbook,
     plan_workbook,
 )
 
 from expected import class_named, expected_dropdown_count, property_names, sheet_named, with_reason
-from generators import adversarial_name, fresh_name, random_model
+from generators import adversarial_name, fresh_name, random_manifest, random_model
 
 NS = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
 
@@ -177,6 +179,40 @@ class TestPlanRules:
                     if isinstance(column.validation, ListDropdown) \
                             and column.validation.options:
                         assert value in column.validation.options
+
+
+def standard_json(manifest: WorkbookManifest) -> str:
+    return json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestManifestJson:
+    """``to_json`` against the standard library's encoder."""
+
+    @pytest.mark.parametrize("manifest", [
+        WorkbookManifest("M"),
+        WorkbookManifest("M", [ManifestSheet("Empty", "class")]),
+        WorkbookManifest("M", [ManifestSheet("Empty", "class", sample_row=[])]),
+    ], ids=["zero sheets", "zero columns", "zero columns, empty sample row"])
+    def test_empty_parts(self, manifest):
+        assert manifest.to_json() == standard_json(manifest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_planned_manifest(self, rng, include_sample_row):
+        manifest, _ = plan_workbook(random_model(rng, names=adversarial_name),
+                                    include_sample_row=include_sample_row)
+        assert manifest.to_json() == standard_json(manifest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_any_manifest(self, rng):
+        manifest = random_manifest(rng)
+        assert manifest.to_json() == standard_json(manifest)
+
+    def test_emitted_manifest_file(self, tmp_path, library_model):
+        manifest, _ = plan_workbook(library_model)
+        _, manifest_path = emit_workbook(manifest, tmp_path / "m.xlsx")
+        assert manifest_path.read_text(encoding="utf-8") == standard_json(manifest)
 
 
 class TestEmit:
