@@ -1,8 +1,9 @@
 """Adapter-chain execution: runs a migration plan against concrete inputs.
 
-The intermediate pivot model is always persisted as ``model.bml`` so it can
-be reviewed, edited and re-used; generator outputs are deterministic
-functions of that file, which is what makes re-runs byte-identical.
+The import leg persists its pivot model as ``model.bml`` so it can be
+reviewed, edited and re-used; the export leg reads that model, or a pivot
+file from an earlier run, and writes deterministic functions of it, which is
+what makes re-runs byte-identical. One runner owns the output directory.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def _load_image(path: Path) -> ImagePayload:
 # tokens plus PIVOT (the in-memory pivot model) and IMG (a screenshot). Each
 # ``run`` is a module-level function that reaches the layers through this
 # module's globals (load_mendix_export, emit_sql, ...), so a caller can swap
-# those names at run time and see every call.
+# those names at run time and see every call. An importer returns a model and
+# writes nothing; a generator writes only its own files into ``out_dir``.
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def _import_plantuml(inputs: MigrationInputs, **_):
     return result.model, result.loss, None
 
 
-def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Path,
+def _import_image(inputs: MigrationInputs, *, source_platform: str,
                   partial: DomainModel | None, matrix: CapabilityMatrix | None):
     if not inputs.images:
         raise MissingInputError("step 'image-llm' needs at least one screenshot")
@@ -158,7 +160,6 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
     # the message only: the exception's traceback would hold this frame,
     # and with it the screenshots, until a full garbage collection
     attempt_error: str | None = None
-    completion = ""
     for attempt in range(1 + REPROMPT_LIMIT):
         prompt = build_prompt(context, partial)
         if attempt_error is not None:
@@ -175,19 +176,14 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str, out_dir: Pat
         loss.extend(result.loss)
         for warning in result.warnings:
             loss.add("model", source_platform, "LLM_INFERRED", "info", warning)
-        inferred = result.model
-        if partial is not None:
-            merged, merge_report = merge_models(partial, inferred)
-            return merged, loss, merge_report
-        return inferred, loss, None
+        if partial is None:
+            return result.model, loss, None
+        merged, merge_report = merge_models(partial, result.model)
+        return merged, loss, merge_report
 
-    # all attempts failed: keep the raw completion for manual repair
-    raw_path = out_dir / "llm-completion.txt"
-    with _writing_to(out_dir):
-        raw_path.write_text(completion, encoding="utf-8")
-    raise LcpBridgeError(
-        f"step 'image-llm' failed after {REPROMPT_LIMIT} re-prompts: {attempt_error}; "
-        f"raw completion saved to {raw_path} for manual repair")
+    # all attempts failed: the runner keeps the raw completion for manual repair
+    raise LcpBridgeError(f"step 'image-llm' failed after {REPROMPT_LIMIT} re-prompts: "
+                         f"{attempt_error}", completion=completion)
 
 
 def _export_sql(model: DomainModel, out_dir: Path, options: ExecutionOptions):
@@ -238,126 +234,102 @@ EXPORTERS = {a.id: a for a in (
 )}
 
 
-def run_importer(adapter_id: str, inputs: MigrationInputs, source_platform: str,
-                 out_dir: Path, partial: DomainModel | None = None,
-                 matrix: CapabilityMatrix | None = None,
-                 ) -> tuple[DomainModel, LossReport, MergeReport | None]:
-    """Run one import adapter to a pivot model; ``matrix`` names the source
-    platform in the image-llm prompt (default: the shipped registry)."""
-    adapter = IMPORTERS.get(adapter_id)
-    if adapter is None:
-        raise LcpBridgeError(f"unknown import adapter {adapter_id!r}")
-    return adapter.run(inputs, source_platform=source_platform, out_dir=out_dir,
-                       partial=partial, matrix=matrix)
-
-
-def _generate(adapter_id: str, model: DomainModel, out_dir: Path,
-              options: ExecutionOptions) -> tuple[list[Path], LossReport]:
-    """Run one generator on a valid model; its errors name the step."""
-    adapter = EXPORTERS.get(adapter_id)
-    if adapter is None:
-        raise LcpBridgeError(f"unknown export adapter {adapter_id!r}")
+@contextmanager
+def _step(adapter_id: str) -> Iterator[None]:
+    """Name ``adapter_id`` as the step of a coded error raised in the block."""
     try:
-        with _writing_to(out_dir):
-            return adapter.run(model, out_dir, options)
+        yield
     except LcpBridgeError as exc:
         exc.details["step"] = adapter_id
         raise
 
 
+def _adapter(table: dict[str, Adapter], kind: str, adapter_id: str) -> Adapter:
+    if adapter_id not in table:
+        raise LcpBridgeError(f"unknown {kind} adapter {adapter_id!r}")
+    return table[adapter_id]
+
+
 def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
                  options: ExecutionOptions) -> tuple[list[Path], LossReport]:
-    """Run one generator on a model from an API caller, checked here first;
-    returns written files."""
+    """Run one generator on an API caller's model, validated here first."""
+    adapter = _adapter(EXPORTERS, "export", adapter_id)
     require_valid(model, "model for export")
-    return _generate(adapter_id, model, out_dir, options)
+    with _step(adapter_id), _writing_to(out_dir):
+        return adapter.run(model, out_dir, options)
 
 
-def _import_leg(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
-                out_dir: Path, matrix: CapabilityMatrix | None,
-                ) -> tuple[DomainModel, LossReport, MergeReport | None]:
-    """Run an importer chain, each step refining the previous step's model."""
-    loss = LossReport()
-    model: DomainModel | None = None
-    merge_report: MergeReport | None = None
-    for adapter_id in importer_ids:
-        try:
-            model, step_loss, step_merge = run_importer(
-                adapter_id, inputs, source_platform, out_dir, partial=model, matrix=matrix)
-        except LcpBridgeError as exc:
-            exc.details["step"] = adapter_id
-            raise
-        loss.extend(step_loss)
-        if step_merge is not None:
-            merge_report = step_merge
-    if model is None:
-        raise MissingInputError("plan has no import step; nothing to migrate")
-    return model, loss, merge_report
+def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Path,
+         options: ExecutionOptions, inputs: MigrationInputs | None = None, source: str = "",
+         matrix: CapabilityMatrix | None = None, pivot_path: str | Path | None = None,
+         expected: LossReport | None = None) -> ExecutionResult:
+    """The one execution path, every adapter looked up first: the import chain
+    (then ``model.bml``, the review hook and a re-load that checks its edits)
+    or the model in ``pivot_path``; the generator, if any; then the reports."""
+    importers = [_adapter(IMPORTERS, "import", i) for i in importer_ids]
+    generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
+    out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []
+    if pivot_path is not None:
+        model = load_pivot_file(pivot_path)
+    else:
+        model = None
+        for adapter in importers:
+            with _step(adapter.id):
+                try:
+                    model, step_loss, step_merge = adapter.run(
+                        inputs, source_platform=source, partial=model, matrix=matrix)
+                except LcpBridgeError as exc:
+                    if "completion" not in exc.details:
+                        raise
+                    raw_path = out_dir / "llm-completion.txt"
+                    with _writing_to(out_dir):
+                        raw_path.write_text(exc.details["completion"], encoding="utf-8")
+                    raise LcpBridgeError(f"{exc}; raw completion saved to {raw_path} "
+                                         "for manual repair") from exc
+            loss.extend(step_loss)
+            merge_report = step_merge or merge_report
+        if model is None:
+            raise MissingInputError("plan has no import step; nothing to migrate")
+        pivot_path = out_dir / "model.bml"
 
-
-def _write_reports(out_dir: Path, loss: LossReport,
-                   merge_report: MergeReport | None) -> list[Path]:
-    """Write loss-report.json, and merge-report.json when a merge ran."""
-    loss_path = out_dir / "loss-report.json"
-    loss_path.write_text(loss.to_json(), encoding="utf-8")
-    if merge_report is None:
-        return [loss_path]
-    merge_path = out_dir / "merge-report.json"
-    merge_path.write_text(merge_report.to_json(), encoding="utf-8")
-    return [loss_path, merge_path]
+    with _writing_to(out_dir):
+        if importers:
+            save_pivot_file(model, pivot_path)
+            outputs.append(pivot_path)
+            if options.review_hook is not None:
+                options.review_hook(pivot_path)
+                model = load_pivot_file(pivot_path)
+        if generator:
+            with _step(generator.id), _writing_to(out_dir):
+                files, export_loss = generator.run(model, out_dir, options)
+            outputs += files
+            loss.extend(export_loss)
+        loss = loss if expected is None else expected.union(loss)
+        for name, report in (("loss-report.json", loss), ("merge-report.json", merge_report)):
+            if report is not None:
+                path = out_dir / name
+                path.write_text(report.to_json(), encoding="utf-8")
+                outputs.append(path)
+    return ExecutionResult(model, Path(pivot_path), outputs, loss, merge_report)
 
 
 def execute_import(importer_ids: Sequence[str], inputs: MigrationInputs, source_platform: str,
                    out_dir: str | Path, matrix: CapabilityMatrix | None = None,
                    ) -> ExecutionResult:
     """Run only the import leg: the importer chain, model.bml and the reports."""
-    out_dir = Path(out_dir)
-    model, loss, merge_report = _import_leg(
-        importer_ids, inputs, source_platform, out_dir, matrix)
-    pivot_path = out_dir / "model.bml"
-    with _writing_to(out_dir):
-        save_pivot_file(model, pivot_path)
-        outputs = [pivot_path] + _write_reports(out_dir, loss, merge_report)
-    return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
-                           loss=loss, merge_report=merge_report)
+    return _run(importer_ids, None, out_dir, ExecutionOptions(), inputs, source_platform, matrix)
 
 
 def execute_migration(plan: MigrationPlan, inputs: MigrationInputs, out_dir: str | Path,
                       options: ExecutionOptions | None = None) -> ExecutionResult:
     """Run the plan's chain end to end, persisting every artifact in out_dir."""
-    options = options or ExecutionOptions()
-    out_dir = Path(out_dir)
-
     if not plan.chain or plan.chain[-1] not in EXPORTERS:
         raise MissingInputError(f"plan chain {plan.chain!r} does not end in a generator")
-    exporter_id = plan.chain[-1]
-    model, actual_loss, merge_report = _import_leg(
-        plan.chain[:-1], inputs, plan.source, out_dir, plan.matrix)
-
-    pivot_path = out_dir / "model.bml"
-    with _writing_to(out_dir):
-        save_pivot_file(model, pivot_path)
-        if options.review_hook is not None:
-            options.review_hook(pivot_path)
-            model = load_pivot_file(pivot_path)  # re-validate after human edits
-
-        outputs, export_loss = _generate(exporter_id, model, out_dir, options)
-        actual_loss.extend(export_loss)
-
-        final_loss = plan.expected_losses.union(actual_loss)
-        outputs = [pivot_path] + outputs + _write_reports(out_dir, final_loss, merge_report)
-    return ExecutionResult(model=model, pivot_path=pivot_path, outputs=outputs,
-                           loss=final_loss, merge_report=merge_report)
+    return _run(plan.chain[:-1], plan.chain[-1], out_dir, options or ExecutionOptions(),
+                inputs, plan.source, plan.matrix, expected=plan.expected_losses)
 
 
 def execute_from_pivot(pivot_path: str | Path, exporter_id: str, out_dir: str | Path,
                        options: ExecutionOptions | None = None) -> ExecutionResult:
     """Re-run only the generation leg from a persisted pivot file."""
-    options = options or ExecutionOptions()
-    out_dir = Path(out_dir)
-    model = load_pivot_file(pivot_path)
-    with _writing_to(out_dir):
-        outputs, loss = _generate(exporter_id, model, out_dir, options)
-        outputs += _write_reports(out_dir, loss, None)
-    return ExecutionResult(model=model, pivot_path=Path(pivot_path), outputs=outputs,
-                           loss=loss)
+    return _run((), exporter_id, out_dir, options or ExecutionOptions(), pivot_path=pivot_path)

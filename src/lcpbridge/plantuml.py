@@ -17,6 +17,7 @@ from .errors import PlantUmlError
 from .loss import LossReport
 from .model import (
     PRIMITIVES,
+    RESERVED_WORDS,
     Association,
     AssociationEnd,
     Class,
@@ -27,6 +28,7 @@ from .model import (
     Namespace,
     Property,
     enum_type,
+    is_identifier,
     primitive_type,
     require_valid,
     sanitize_identifier,
@@ -104,6 +106,14 @@ def parse_multiplicity(token: str) -> Multiplicity:
     return Multiplicity(exact, exact if exact > 0 else None)
 
 
+def _clean(name: str) -> str:
+    """``name`` itself where it is a valid, unreserved pivot identifier, so an
+    emitted ``Item__x`` or ``Name_`` parses back unchanged; else sanitized."""
+    if is_identifier(name) and name.lower() not in RESERVED_WORDS:
+        return name
+    return sanitize_identifier(name)
+
+
 class _Builder:
     def __init__(self):
         # class -> its properties, and enum -> its literals (as keys), in
@@ -119,7 +129,7 @@ class _Builder:
 
     def declare(self, kind: str, name: str) -> str:
         """Declare a ``class`` or an ``enumeration`` under its sanitized name."""
-        clean = sanitize_identifier(name)
+        clean = _clean(name)
         if clean != name:
             self.loss.add(kind, name, "RENAMED", "info", f"sanitized to {clean}")
         table = self.class_props if kind == "class" else self.enum_literals
@@ -127,7 +137,7 @@ class _Builder:
         return clean
 
     def add_literal(self, enum: str, text: str):
-        self.enum_literals[enum].setdefault(sanitize_identifier(text.strip(",")))
+        self.enum_literals[enum].setdefault(_clean(text.strip(",")))
 
     def resolve_type(self, token: str, owner: str, prop: str):
         token = token.strip()
@@ -144,7 +154,7 @@ class _Builder:
         return primitive_type("str")
 
     def add_property(self, class_name: str, raw_name: str, type_token: str):
-        name = sanitize_identifier(raw_name)
+        name = _clean(raw_name)
         if name != raw_name:
             self.loss.add("property", f"{class_name}.{raw_name}", "RENAMED", "info",
                           f"sanitized to {name}")
@@ -179,13 +189,13 @@ class _Builder:
         left = self.declare("class", left)
         right = self.declare("class", right)
         if label:
-            base = sanitize_identifier(label.strip().strip("<>").strip())
+            base = _clean(label.strip().strip("<>").strip())
         else:
             base = f"{left}_{right}"
         name = self.assoc_names.claim(base)
         roles = Namespace()
-        role1 = roles.claim(sanitize_identifier(left.lower()))
-        role2 = roles.claim(sanitize_identifier(right.lower()))
+        role1 = roles.claim(_clean(left.lower()))
+        role2 = roles.claim(_clean(right.lower()))
         core = arrow.strip("o*")
         nav1 = core.startswith("<")
         nav2 = core.endswith(">")

@@ -189,6 +189,19 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             loss.add("class", cls.name, "GENERALIZATION_FLATTENED", "warning",
                      f"columns of {parents[cls.name]} repeated on sheet {sheet_name}")
 
+    # a dropdown that lists a sheet with no property column offers nothing to pick
+    empty_sheets = {s.name for s in manifest.sheets if not s.columns}
+
+    def link_loss(assoc, place: str, sources: list[ManifestSheet], note: str = ""):
+        empty = [s.name for s in sources if s.name in empty_sheets]
+        if empty:
+            loss.add("association", assoc.name, "DROPPED", "warning",
+                     f"{place} lists sheet {empty[0]}, which has no property column, "
+                     "so no row can be linked")
+        else:
+            loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
+                     f"survives only as {place}{note}")
+
     bridge_sheets: list[ManifestSheet] = []
     dropdown_samples: list[tuple[ManifestSheet, ManifestSheet]] = []  # (host, source)
     for assoc in model.associations:
@@ -214,9 +227,9 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                     validation=SheetDropdown(source.name)))
                 dropdown_samples.append((bridge, source))
             bridge_sheets.append(bridge)
-            loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
-                     f"survives only as bridge sheet {name}; the platform must "
-                     "infer it from the sample data")
+            link_loss(assoc, f"bridge sheet {name}",
+                      [sheet_of_class[end1.class_name], sheet_of_class[end2.class_name]],
+                      "; the platform must infer it from the sample data")
         else:
             host_end, ref_end = assoc.link
             host = sheet_of_class[host_end.class_name]
@@ -231,8 +244,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             if assoc.kind == "one-to-one":
                 loss.add("association", assoc.name, "ONE_TO_ONE_FLATTENED", "warning",
                          "encoded like many-to-one; uniqueness of the link is not conveyed")
-            loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",
-                     f"survives only as dropdown column {ref_end.role!r} on sheet {host.name}")
+            link_loss(assoc, f"dropdown column {ref_end.role!r} on sheet {host.name}", [source])
 
     manifest.sheets.extend(bridge_sheets)
 

@@ -56,11 +56,12 @@ def test_every_valid_model_generates(workbook_path, seed):
     with one table per class and per many-to-many association, and reload
     from their workbook with one class per sheet.
 
-    The PlantUML round trip is not a leg yet: a class named like a reserved
-    word (``Class``) comes back with the ``_`` suffix that ``parse_plantuml``
-    gives foreign names, and a ``__`` run comes back as one ``_``. The
-    generator keeps drawing both so that leg can join once the PlantUML
-    syntax carries them.
+    The PlantUML round trip is not a leg here: only reserved words still
+    block it. A class named like a reserved word (``Class``) comes back with
+    the ``_`` suffix that ``parse_plantuml`` gives foreign names; every other
+    valid name keeps its spelling, which
+    ``test_plantuml.py::TestEmit::test_round_trip_on_adversarial_models``
+    checks on these models without the reserved words.
     """
     model = random_model(random.Random(seed), names=adversarial_name)
 

@@ -421,3 +421,45 @@ class TestValidateOnce:
         assert err.value.code == "INVALID_MODEL"
         assert [v.rule for v in err.value.violations] == ["DUPLICATE_CLASS_NAME"]
         assert not (tmp_path / "model.sql").exists()
+
+
+class TestRunner:
+    """The one execution path behind execute_import, execute_migration and
+    execute_from_pivot."""
+
+    def test_unknown_importer_fails_before_any_step(self, tmp_path):
+        # mendix-json would fail for want of a .json file if it ran first
+        out_dir = tmp_path / "out"
+        with pytest.raises(LcpBridgeError) as err:
+            execute_import(["mendix-json", "nope"], MigrationInputs(), "mendix", out_dir)
+        assert type(err.value) is LcpBridgeError
+        assert str(err.value) == "unknown import adapter 'nope'"
+        assert not out_dir.exists()
+
+    def test_unknown_exporter_fails_before_the_pivot_loads(self, tmp_path, monkeypatch):
+        import lcpbridge.pipeline
+
+        loaded = []
+        monkeypatch.setattr(lcpbridge.pipeline, "load_pivot_file", loaded.append)
+        out_dir = tmp_path / "out"
+        with pytest.raises(LcpBridgeError) as err:
+            execute_from_pivot(tmp_path / "model.bml", "nope", out_dir)
+        assert type(err.value) is LcpBridgeError
+        assert str(err.value) == "unknown export adapter 'nope'"
+        assert loaded == [] and not out_dir.exists()
+
+    def test_exhausted_reprompts_on_import_save_raw_completion(self, tmp_path,
+                                                              screenshot_path):
+        bad = '@startuml\nBook "x..y" -- "1" Library\n@enduml'
+        inputs = MigrationInputs(images=[screenshot_path],
+                                 llm_client=TestValidateOnce.Scripted([bad] * 3))
+        out_dir = tmp_path / "out"
+        with pytest.raises(LcpBridgeError) as err:
+            execute_import(["image-llm"], inputs, "powerapps", out_dir)
+        raw_path = out_dir / "llm-completion.txt"
+        assert str(err.value).startswith("step 'image-llm' failed after 2 re-prompts: ")
+        assert str(err.value).endswith(
+            f"; raw completion saved to {raw_path} for manual repair")
+        assert err.value.details == {"step": "image-llm"}
+        assert raw_path.read_text() == bad
+        assert sorted(p.name for p in out_dir.iterdir()) == ["llm-completion.txt"]

@@ -8,18 +8,49 @@ from hypothesis import strategies as st
 
 from lcpbridge.errors import PlantUmlError
 from lcpbridge.model import (
+    RESERVED_WORDS,
     Association,
     AssociationEnd,
     Class,
     DomainModel,
+    Enumeration,
     Generalization,
     Multiplicity,
+    Property,
+    enum_type,
     model_equal,
+    primitive_type,
 )
 from lcpbridge.plantuml import emit_plantuml, parse_multiplicity, parse_plantuml
 
 from expected import class_named, enum_named, property_names, with_reason
-from generators import random_model
+from generators import adversarial_name, random_model
+
+
+def unreserved_name(rng, taken, capitalize=False):
+    """``adversarial_name`` without the reserved words, which the PlantUML
+    leg gives a ``_`` suffix as it does any foreign name."""
+    while True:
+        name = adversarial_name(rng, taken, capitalize)
+        if name.lower() not in RESERVED_WORDS:
+            return name
+
+
+# valid names that sanitizing would fold: a ``__`` run next to its ``_``
+# twin, and a trailing ``_``, on every kind of emitted name
+UNDERSCORE_MODELS = [
+    DomainModel("M", classes=(Class("Item__x"), Class("Item_X"))),
+    DomainModel("M", classes=(Class("Name_"),)),
+    DomainModel("M", classes=(
+        Class("Item__x", properties=(Property("code__a", primitive_type("str")),
+                                     Property("code_", enum_type("Kind__")))),
+        Class("Item_X"), Class("Name_")),
+        enumerations=(Enumeration("Kind__", ("A__B", "C_")),),
+        associations=(Association("Has__x_",
+                                  AssociationEnd("a", "Item__x", Multiplicity(0, 1)),
+                                  AssociationEnd("b", "Item_X", Multiplicity(0, None))),),
+        generalizations=(Generalization("Name_", "Item_X"),)),
+]
 
 
 class TestParse:
@@ -226,4 +257,16 @@ class TestEmit:
     @given(st.integers(0, 2**31))
     def test_round_trip_on_random_models(self, seed):
         model = random_model(random.Random(seed))
+        assert model_equal(parse_plantuml(emit_plantuml(model)).model, model)
+
+    @pytest.mark.parametrize("model", UNDERSCORE_MODELS)
+    def test_valid_names_keep_their_spelling(self, model):
+        result = parse_plantuml(emit_plantuml(model))
+        assert model_equal(result.model, model)
+        assert result.loss.items == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_round_trip_on_adversarial_models(self, seed):
+        model = random_model(random.Random(seed), names=unreserved_name)
         assert model_equal(parse_plantuml(emit_plantuml(model)).model, model)

@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from lcpbridge import pipeline
-from lcpbridge.pipeline import MigrationInputs, execute_migration
+from lcpbridge.pipeline import (
+    ExecutionOptions,
+    MigrationInputs,
+    execute_from_pivot,
+    execute_import,
+    execute_migration,
+)
 from lcpbridge.planner import plan_migration
 
 
@@ -39,3 +45,39 @@ def test_execute_migration_calls_the_swapped_names(monkeypatch, tmp_path, csv_pa
     assert plan.chain == ("tabular", "apex-sql")
     execute_migration(plan, MigrationInputs(files=list(csv_paths)), tmp_path)
     assert calls == ["load_tabular", "plan_relational"]
+
+
+FORMAL_LAYERS = ("load_mendix_export", "mendix_to_pivot", "save_pivot_file",
+                 "load_pivot_file", "plan_relational", "emit_sql")
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Swap ``FORMAL_LAYERS`` on the pipeline, as the benchmark does; the
+    returned list records each call through a swapped name."""
+    calls = []
+    for name in FORMAL_LAYERS:
+        def spy(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, spy)
+    return calls
+
+
+def test_reviewed_migration_calls_the_swapped_names(spied, tmp_path, mendix_library_path):
+    reviewed = []
+    plan = plan_migration("mendix", "apex")
+    assert plan.chain == ("mendix-json", "apex-sql")
+    execute_migration(plan, MigrationInputs(files=[mendix_library_path]), tmp_path,
+                      ExecutionOptions(review_hook=reviewed.append))
+    assert reviewed == [tmp_path / "model.bml"]
+    assert spied == list(FORMAL_LAYERS)
+
+
+def test_execute_from_pivot_calls_the_swapped_names(spied, tmp_path, mendix_library_path):
+    execute_import(["mendix-json"], MigrationInputs(files=[mendix_library_path]), "mendix",
+                   tmp_path / "work")
+    assert spied == ["load_mendix_export", "mendix_to_pivot", "save_pivot_file"]
+    spied.clear()
+    execute_from_pivot(tmp_path / "work" / "model.bml", "apex-sql", tmp_path / "out")
+    assert spied == ["load_pivot_file", "plan_relational", "emit_sql"]

@@ -146,6 +146,53 @@ class TestPlanRules:
         warnings = with_reason(loss, "ASSOCIATIONS_UNKNOWN")
         assert len(warnings) == len(library_model.associations)
 
+    def test_link_to_a_sheet_without_columns_is_dropped(self):
+        """``Tag`` has no property, so a dropdown on its sheet's column A
+        lists nothing: the report says the link is lost, in a host sheet and
+        in a bridge sheet alike, and the dropdowns stay as they were."""
+        many, optional = Multiplicity(0, None), Multiplicity(0, 1)
+        model = DomainModel("M", classes=(
+            Class("Post", (Property("title", primitive_type("str")),)), Class("Tag")),
+            associations=(
+                Association("Labels", AssociationEnd("post", "Post", many),
+                            AssociationEnd("tag", "Tag", optional)),
+                Association("Tagged", AssociationEnd("posts", "Post", many),
+                            AssociationEnd("tags", "Tag", many))))
+        manifest, loss = plan_workbook(model)
+        assert [(i.element_name, i.reason, i.detail) for i in loss] == [
+            ("Labels", "DROPPED", "dropdown column 'tag' on sheet Post lists sheet Tag, "
+                                  "which has no property column, so no row can be linked"),
+            ("Tagged", "DROPPED", "bridge sheet POST_TAG lists sheet Tag, "
+                                  "which has no property column, so no row can be linked")]
+        assert [c.validation.source_sheet for _, c in sheet_dropdowns(manifest)] \
+            == ["Tag", "Post", "Tag"]
+
+    def test_every_link_is_reported_once(self):
+        """Each association gets one entry: DROPPED where a sheet it lists
+        has no property column (its own or an inherited one), else
+        ASSOCIATIONS_UNKNOWN."""
+        rng = random.Random(29)
+        for _ in range(60):
+            model = random_model(rng, names=adversarial_name)
+            parents = {g.specific: g.general for g in model.generalizations}
+            props = {c.name: bool(c.properties) for c in model.classes}
+
+            def has_column(name):
+                while name is not None and not props[name]:
+                    name = parents.get(name)
+                return name is not None
+
+            _, loss = plan_workbook(model)
+            entries = [(i.element_name, i.reason) for i in loss
+                       if i.reason in ("DROPPED", "ASSOCIATIONS_UNKNOWN")]
+            reported = dict(entries)
+            assert len(entries) == len(reported) == len(model.associations)
+            for assoc in model.associations:
+                listed = (assoc.end1, assoc.end2) if assoc.kind == "many-to-many" \
+                    else assoc.link[1:]
+                lost = not all(has_column(end.class_name) for end in listed)
+                assert reported[assoc.name] == ("DROPPED" if lost else "ASSOCIATIONS_UNKNOWN")
+
     def test_rules_hold_on_random_models(self):
         rng = random.Random(17)
         for _ in range(40):
