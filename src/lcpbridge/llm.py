@@ -16,6 +16,7 @@ import base64
 import hashlib
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -45,6 +46,9 @@ from .model import (
 from .plantuml import END_MARKER, START_MARKER, PlantUmlImport, emit_plantuml, parse_plantuml
 
 API_KEY_ENV = "LCPB_LLM_API_KEY"
+MAX_RETRIES = 2  # requests sent again after HTTP 429 or 5xx, at most
+RETRY_WAIT_S = 1.0  # the wait before a retry when the answer has no integer Retry-After
+RETRY_AFTER_CAP_S = 30  # the longest Retry-After honoured
 
 _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 
@@ -149,7 +153,12 @@ class ReplayVisionClient(VisionModelClient):
 
 
 class HttpVisionClient(VisionModelClient):
-    """Live chat-completion client (OpenAI-style image message payload)."""
+    """Live chat-completion client (OpenAI-style image message payload).
+
+    An answer of HTTP 429 or 5xx is retried at most ``MAX_RETRIES`` times,
+    after its integer ``Retry-After`` (capped) or ``RETRY_WAIT_S``; a
+    rejected credential and a transport failure are not.
+    """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
                  timeout: float = 120.0, record_dir: str | Path | None = None):
@@ -180,18 +189,26 @@ class HttpVisionClient(VisionModelClient):
             self.endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
             headers={"Authorization": f"Bearer {self.api_key}",
                      "Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code in (401, 403):
-                raise AuthenticationError(
-                    f"provider rejected credentials (HTTP {exc.code})") from exc
-            text = exc.read().decode("utf-8", errors="replace")
-            raise TransportError(f"provider error HTTP {exc.code}: {text[:200]}") from exc
-        except (OSError, ValueError, http.client.HTTPException) as exc:
-            # URLError, a timeout, a dropped connection, a malformed URL
-            raise TransportError(f"vision endpoint unreachable: {exc}") from exc
+        for attempt in range(MAX_RETRIES + 1):
+            try:
+                with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
+                    body = response.read()
+                break
+            except urllib.error.HTTPError as exc:
+                if exc.code in (401, 403):
+                    raise AuthenticationError(
+                        f"provider rejected credentials (HTTP {exc.code})") from exc
+                with exc:
+                    text = exc.read().decode("utf-8", errors="replace")
+                if attempt == MAX_RETRIES or not (exc.code == 429 or exc.code >= 500):
+                    raise TransportError(
+                        f"provider error HTTP {exc.code}: {text[:200]}") from exc
+                after = (exc.headers.get("Retry-After") or "").strip()
+                time.sleep(min(int(after), RETRY_AFTER_CAP_S) if after.isdecimal()
+                           else RETRY_WAIT_S)
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                # URLError, a timeout, a dropped connection, a malformed URL
+                raise TransportError(f"vision endpoint unreachable: {exc}") from exc
         try:
             completion = json.loads(body)["choices"][0]["message"]["content"]
             if not isinstance(completion, str):

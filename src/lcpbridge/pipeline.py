@@ -30,7 +30,7 @@ from .llm import (
 from .loss import LossReport
 from .mendix import load_mendix_export, mendix_to_pivot
 from .model import DomainModel, require_valid
-from .plantuml import emit_plantuml, parse_plantuml
+from .plantuml import UNNAMED_MODEL, association_roles, emit_plantuml, parse_plantuml
 from .relational import emit_sql, plan_relational
 from .tabular import infer_model, load_tabular
 from .workbook import plan_workbook, emit_workbook
@@ -217,7 +217,18 @@ def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
 def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOptions):
     path = out_dir / "model.puml"
     path.write_text(emit_plantuml(model), encoding="utf-8")
-    return [path], LossReport()
+    loss = LossReport()
+    if model.name != UNNAMED_MODEL:
+        loss.add("model", model.name, "DROPPED", "warning",
+                 f"the text names no model; it parses back as {UNNAMED_MODEL}")
+    for assoc in model.associations:
+        roles = association_roles(assoc.end1.class_name, assoc.end2.class_name)
+        for end, role in zip((assoc.end1, assoc.end2), roles):
+            if end.role != role:
+                loss.add("association", assoc.name, "DROPPED", "warning",
+                         f"role {end.role} of {end.class_name}: the text names no role; "
+                         f"it parses back as {role}")
+    return [path], loss
 
 
 IMPORTERS = {a.id: a for a in (

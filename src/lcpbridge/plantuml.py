@@ -36,6 +36,7 @@ from .model import (
 
 START_MARKER = "@startuml"
 END_MARKER = "@enduml"
+UNNAMED_MODEL = "Model"  # the name of a model whose @startuml line names none
 
 # Frozen token table; anything not listed (and not a declared enum) becomes
 # str with a TYPE_COERCED entry. Pivot primitive names map to themselves so
@@ -112,6 +113,13 @@ def _clean(name: str) -> str:
     if is_identifier(name) and name.lower() not in RESERVED_WORDS:
         return name
     return sanitize_identifier(name)
+
+
+def association_roles(left: str, right: str) -> tuple[str, str]:
+    """The roles the parser gives the ends of an association between classes
+    ``left`` and ``right``: PlantUML text carries none of its own."""
+    roles = Namespace()
+    return roles.claim(_clean(left.lower())), roles.claim(_clean(right.lower()))
 
 
 class _Builder:
@@ -193,9 +201,7 @@ class _Builder:
         else:
             base = f"{left}_{right}"
         name = self.assoc_names.claim(base)
-        roles = Namespace()
-        role1 = roles.claim(_clean(left.lower()))
-        role2 = roles.claim(_clean(right.lower()))
+        role1, role2 = association_roles(left, right)
         core = arrow.strip("o*")
         nav1 = core.startswith("<")
         nav2 = core.endswith(">")
@@ -231,7 +237,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
     start = text.index(START_MARKER)
     end = text.index(END_MARKER, start)
     header = text[start + len(START_MARKER):].split("\n", 1)[0].strip()
-    model_name = sanitize_identifier(header) if header else "Model"
+    model_name = sanitize_identifier(header) if header else UNNAMED_MODEL
     body = text[start:end].split("\n")[1:]
 
     builder = _Builder()

@@ -189,14 +189,22 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             loss.add("class", cls.name, "GENERALIZATION_FLATTENED", "warning",
                      f"columns of {parents[cls.name]} repeated on sheet {sheet_name}")
 
-    # a dropdown that lists a sheet with no property column offers nothing to pick
-    empty_sheets = {s.name for s in manifest.sheets if not s.columns}
+    # a dropdown lists its source sheet's column A: nothing to pick where the
+    # sheet has no property column, only TRUE/FALSE or an enumeration's
+    # literals where column A has a list dropdown of its own
+    unlinkable = {}
+    for sheet in manifest.sheets:
+        if not sheet.columns:
+            unlinkable[sheet.name] = "which has no property column"
+        elif type(sheet.columns[0].validation) is ListDropdown:
+            unlinkable[sheet.name] = (f"whose column A {sheet.columns[0].header!r} "
+                                      "holds only the values of a list")
 
     def link_loss(assoc, place: str, sources: list[ManifestSheet], note: str = ""):
-        empty = [s.name for s in sources if s.name in empty_sheets]
-        if empty:
+        lost = [s.name for s in sources if s.name in unlinkable]
+        if lost:
             loss.add("association", assoc.name, "DROPPED", "warning",
-                     f"{place} lists sheet {empty[0]}, which has no property column, "
+                     f"{place} lists sheet {lost[0]}, {unlinkable[lost[0]]}, "
                      "so no row can be linked")
         else:
             loss.add("association", assoc.name, "ASSOCIATIONS_UNKNOWN", "warning",

@@ -17,13 +17,13 @@ Excel documents them: rows and cells with those attributes, ``<v>``
 values, inline and shared strings with rich and phonetic runs, the five
 predefined entities and numeric character references. No workbook saved
 by a spreadsheet app is in the repository, so how much of one the scan
-reads is not known. ElementTree checks the markup around the rows. From
-the first row, or chunk of shared strings, holding anything else (a
-formula, a comment, CDATA, a processing instruction, a prefixed or
-foreign element, another entity, a CR in text, an unknown attribute or
-child), ElementTree reads the rest of the part. A part whose markup before its
-rows or strings fails the check it reads whole. That reader is also the reference the
-tests hold the scan to. Both feed ``_fill``, which places the cells.
+reads is not known. ElementTree checks the markup around the rows. Where
+the scan meets anything else (a formula, a comment, CDATA, a processing
+instruction, a prefixed or foreign element, another entity, a CR in text,
+an unknown attribute or child), it drops what it read of that part, and
+ElementTree reads the part from its start: each part has one reader. That
+reader is also the reference the tests hold the scan to. Both feed
+``_fill``, which places the cells.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import functools
 import io
-import itertools
 import re
 import zipfile
 from dataclasses import dataclass, field
@@ -256,7 +255,7 @@ class SheetContent:
 
 
 class _Unread(Exception):
-    """The scan met markup it does not read; ElementTree reads on from there."""
+    """The scan met markup it does not read; ElementTree reads the part from its start."""
 
 
 class _Patterns(NamedTuple):
@@ -446,25 +445,10 @@ def _fill(grid: list[list], rows, max_rows: int | None, wanted: set[int]) -> boo
     return False
 
 
-def _chunks(head: bytes, part):
-    """``head``, then the rest of ``part`` a chunk at a time."""
-    return itertools.chain((head,), iter(functools.partial(part.read, _CHUNK), b""))
-
-
-def _tree_events(chunks, events=None):
-    """ElementTree's (event, element) pairs for the XML in ``chunks``."""
-    parser = ET.XMLPullParser(events)
-    for chunk in chunks:
-        parser.feed(chunk)
-        yield from parser.read_events()
-    parser.close()
-    yield from parser.read_events()
-
-
-def _tree_rows(chunks):
+def _tree_rows(part):
     """(r, cells) for each row of sheet XML through ElementTree: the reader
     of what the scan does not read, and the scan's reference."""
-    for _, elem in _tree_events(chunks):
+    for _, elem in ET.iterparse(part):
         if elem.tag == _ROW:
             cells = []
             for cell in elem.iter(_CELL):
@@ -478,13 +462,13 @@ def _tree_rows(chunks):
             elem.clear()
 
 
-def _tree_shared_strings(chunks, wanted: set[int], found: dict[int, str], index: int) -> None:
+def _tree_shared_strings(part, wanted: set[int], found: dict[int, str]) -> None:
     """Put the shared strings at the ``wanted`` indices into ``found``
-    through ElementTree, streamed up to the last one; the first item of
-    ``chunks`` has number ``index``."""
+    through ElementTree, streamed up to the last one."""
     last = max(wanted)
-    events = _tree_events(chunks, ("start", "end"))
+    events = ET.iterparse(part, ("start", "end"))
     _, root = next(events)
+    index = 0
     for event, elem in events:
         if event == "end" and elem.tag == _SHARED_ITEM:
             if index in wanted:
@@ -508,19 +492,19 @@ def _inflate(part, buf: bytearray, end: bytes) -> bool:
             return False
 
 
-def _take(buf: bytearray, end: bytes, at_end: bool) -> str | None:
+def _take(buf: bytearray, end: bytes, at_end: bool) -> str:
     """Cut from ``buf`` and decode its text up to the last ``end``, or all of
-    it at the part's end. None, with ``buf`` left whole, on a character XML
-    does not allow, and on ``]]>``, which XML text never holds."""
+    it at the part's end. Raises _Unread on a character XML does not allow,
+    and on ``]]>``, which XML text never holds."""
     cut = len(buf) if at_end else buf.rfind(end) + len(end)
     data = buf[:cut]
     if (len(data.translate(None, _CONTROLS)) != len(data) or b"]]>" in data
             or b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data):  # U+FFFE, U+FFFF
-        return None
+        raise _Unread
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        return None
+        raise _Unread from None
     del buf[:cut]
     return text
 
@@ -556,23 +540,18 @@ def _outline(doc: str, marker: str) -> bool:
 
 def _scanned_rows(segments: list[str], pattern: re.Pattern):
     """(r, cells) for each row of ``segments``, the text between row ends, as
-    ``_tree_rows`` gives them. Raises _Unread(i) at ``segments[i]``, the
-    first one not read, before yielding any of its rows."""
+    ``_tree_rows`` gives them; raises _Unread at a segment it does not read."""
     cells = _patterns().cells
-    for index, segment in enumerate(segments):
+    for segment in segments:
         match = pattern.fullmatch(segment)
         if match is None:
-            raise _Unread(index)
-        found = cells.findall(segment)
-        if "&" in segment or "<is" in segment:
-            try:
-                found = [(letters, kind, _unescape(value),
-                          _scanned_text(inline) if inline else "")
-                         for letters, kind, value, inline in found]
-            except _Unread:
-                raise _Unread(index) from None
+            raise _Unread
         if match["empty"]:
             yield from _empty_rows(match["empty"])
+        found = cells.findall(segment)
+        if "&" in segment or "<is" in segment:
+            found = [(letters, kind, _unescape(value), _scanned_text(inline) if inline else "")
+                     for letters, kind, value, inline in found]
         yield match["r"], found
 
 
@@ -580,17 +559,13 @@ def _empty_rows(markup: str):
     return ((match[1], ()) for match in re.finditer(r'<row(?: r="([^"]*)")?', markup))
 
 
-def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) -> bytes | None:
+def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) -> None:
     """Read a sheet part into ``grid`` by the compiled scan, a chunk at a
-    time, until a row numbered past ``max_rows`` or the part's end: then
-    return None. At the first row the scan does not read, return the part's
-    head and the bytes inflated from that row on, for ElementTree to read on.
-    """
+    time, until a row numbered past ``max_rows`` or the part's end. Raises
+    _Unread at the first markup the scan does not read."""
     buf = bytearray()
     at_end = _inflate(part, buf, b"</row>")
     text = _take(buf, b"</row>", at_end)
-    if text is None:
-        return bytes(buf)
     start = text.find("<sheetData")
     head = text[:start]
     if text.startswith("<sheetData>", start):
@@ -598,114 +573,92 @@ def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) 
     elif text.startswith("<sheetData/>", start):
         body = "</sheetData>" + text[start + len("<sheetData/>"):]
     else:
-        return text.encode() + buf
-    try:
-        x14ac = _outline(head + "<sheetData/></worksheet>", "sheetData")
-    except _Unread:
-        return text.encode() + buf
+        raise _Unread
+    x14ac = _outline(head + "<sheetData/></worksheet>", "sheetData")
     rows, ends = _patterns().rows[x14ac], _patterns().ends[x14ac]
     while True:
         segments = body.split("</row>")
         body = segments.pop()
-        try:
-            if _fill(grid, _scanned_rows(segments, rows), max_rows, wanted):
-                return None
-        except _Unread as unread:
-            body = "</row>".join([*segments[unread.args[0]:], body])
-            break
+        if _fill(grid, _scanned_rows(segments, rows), max_rows, wanted):
+            return
         if at_end:
-            match = ends.match(body)
-            try:
-                if match is None:
-                    raise _Unread
-                _outline(head + "<sheetData/>" + body[match.end():], "sheetData")
-            except _Unread:
-                break
-            _fill(grid, _empty_rows(match["empty"]), max_rows, wanted)
-            return None
-        at_end = _inflate(part, buf, b"</row>")
-        text = _take(buf, b"</row>", at_end)
-        if text is None:
             break
-        body += text
-    return (head + "<sheetData>" + body).encode() + buf
+        at_end = _inflate(part, buf, b"</row>")
+        body += _take(buf, b"</row>", at_end)
+    match = ends.match(body)
+    if match is None:
+        raise _Unread
+    _outline(head + "<sheetData/>" + body[match.end():], "sheetData")
+    _fill(grid, _empty_rows(match["empty"]), max_rows, wanted)
 
 
-def _scan_shared_strings(part, wanted: list[int], found: dict[int, str]
-                         ) -> tuple[int, bytes] | None:
+def _scan_shared_strings(part, wanted: list[int], found: dict[int, str]) -> None:
     """Put the shared strings at the sorted ``wanted`` indices into ``found``
-    by the compiled scan, a chunk at a time, up to the last of them: then
-    return None. At the first chunk of items the scan does not read, return
-    the number of its first item, and the part's head and the bytes
-    inflated from that item on, for ElementTree to read on.
-    """
+    by the compiled scan, a chunk at a time, up to the last of them. Raises
+    _Unread at the first markup the scan does not read."""
     patterns = _patterns()
     buf = bytearray()
     at_end = _inflate(part, buf, b"</si>")
-    text = _take(buf, b"</si>", at_end)
-    if text is None:
-        return 0, bytes(buf)
-    start = text.find("<si")
+    body = _take(buf, b"</si>", at_end)
+    start = body.find("<si")
     if start < 0:
-        return 0, text.encode() + buf
-    head, body = text[:start], text[start:]
-    try:
-        _outline(head + "<si/></sst>", "si")
-    except _Unread:
-        return 0, text.encode() + buf
+        raise _Unread
+    head, body = body[:start], body[start:]
+    _outline(head + "<si/></sst>", "si")
     index, pick = 0, 0  # the number of the chunk's first item; wanted[pick] is the next
     while True:
         items = body
-        try:
-            if at_end:
-                stop = body.rfind("</sst>")
-                if stop < 0:
-                    raise _Unread
-                items = body[:stop]
-                _outline(head + "<si/>" + body[stop:], "si")
-            if patterns.items.fullmatch(items) is None:
+        if at_end:
+            stop = body.rfind("</sst>")
+            if stop < 0:
                 raise _Unread
-            texts = patterns.item_texts.findall(items)
-            end = bisect.bisect_left(wanted, index + len(texts), pick)
-            for number in wanted[pick:end]:
-                plain, rich = texts[number - index]
-                found[number] = _scanned_text(rich) if rich else _unescape(plain)
-        except _Unread:
-            break
+            items = body[:stop]
+            _outline(head + "<si/>" + body[stop:], "si")
+        if patterns.items.fullmatch(items) is None:
+            raise _Unread
+        texts = patterns.item_texts.findall(items)
+        end = bisect.bisect_left(wanted, index + len(texts), pick)
+        for number in wanted[pick:end]:
+            plain, rich = texts[number - index]
+            found[number] = _scanned_text(rich) if rich else _unescape(plain)
+        if at_end or end == len(wanted):
+            return
         index, pick = index + len(texts), end
-        if at_end or pick == len(wanted):
-            return None
         at_end = _inflate(part, buf, b"</si>")
         body = _take(buf, b"</si>", at_end)
-        if body is None:
-            body = ""
-            break
-    return index, (head + body).encode() + buf
 
 
 def _read_sheet(zf: zipfile.ZipFile, name: str, max_rows: int | None,
                 wanted: set[int]) -> list[list]:
-    """A sheet part's grid: read by the scan, and through ElementTree from
-    the first row the scan does not read."""
+    """A sheet part's grid, read by the scan or, where the scan meets markup
+    it does not read, through ElementTree from the part's start."""
     grid: list[list] = []
-    with zf.open(name) as part:
-        rest = _scan_sheet(part, max_rows, grid, wanted)
-        if rest is not None:
-            _fill(grid, _tree_rows(_chunks(rest, part)), max_rows, wanted)
+    indices: set[int] = set()  # the shared strings the grid holds
+    try:
+        with zf.open(name) as part:
+            _scan_sheet(part, max_rows, grid, indices)
+    except _Unread:
+        grid, indices = [], set()
+        with zf.open(name) as part:
+            _fill(grid, _tree_rows(part), max_rows, indices)
+    wanted |= indices
     return grid
 
 
 def _shared_strings(zf: zipfile.ZipFile, name: str, wanted: set[int]) -> dict[int, str]:
-    """The shared strings at the ``wanted`` indices: read by the scan, and
-    through ElementTree from the first chunk of items the scan does not read."""
+    """The shared strings at the ``wanted`` indices, read by the scan or,
+    where the scan meets markup it does not read, through ElementTree from
+    the part's start."""
     found: dict[int, str] = {}
     if not wanted or name not in zf.namelist():
         return found
-    with zf.open(name) as part:
-        rest = _scan_shared_strings(part, sorted(wanted), found)
-        if rest is not None:
-            index, head = rest
-            _tree_shared_strings(_chunks(head, part), wanted, found, index)
+    try:
+        with zf.open(name) as part:
+            _scan_shared_strings(part, sorted(wanted), found)
+    except _Unread:
+        found = {}
+        with zf.open(name) as part:
+            _tree_shared_strings(part, wanted, found)
     return found
 
 

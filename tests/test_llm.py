@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcpbridge import llm
 from lcpbridge.errors import (
     MissingFixtureError,
     NoCredentialsError,
@@ -120,46 +121,35 @@ class TestClients:
             client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
 
     def test_auth_failure_distinguished(self):
-        import http.server
-        import threading
-
         from lcpbridge.errors import AuthenticationError
 
-        class Reject(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                self.send_response(401)
-                self.end_headers()
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Reject)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            port = server.server_address[1]
-            client = HttpVisionClient(endpoint=f"http://127.0.0.1:{port}/v1/chat",
-                                      model="m", api_key="wrong", timeout=5)
+        seen = []
+        with self.stub_server(401, b"", seen) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="wrong", timeout=5)
             with pytest.raises(AuthenticationError):
                 client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert len(seen) == 1  # not retried
 
     @staticmethod
     @contextlib.contextmanager
-    def stub_server(status, body, seen=None):
-        """Serve one fixed answer on 127.0.0.1; yield the endpoint URL."""
+    def stub_server(status, body, seen=None, headers=()):
+        """Serve fixed answers on 127.0.0.1; yield the endpoint URL. ``status``
+        is one code, or a list of codes answered in turn, the last repeated;
+        each answer carries ``headers``."""
         import http.server
         import threading
+
+        statuses = [status] if isinstance(status, int) else list(status)
 
         class Answer(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 if seen is not None:
                     seen.append((self.headers.get("Authorization"), payload))
-                self.send_response(status)
+                self.send_response(statuses.pop(0) if len(statuses) > 1 else statuses[0])
                 self.send_header("Content-Type", "application/json")
+                for name, value in headers:
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -189,15 +179,42 @@ class TestClients:
         assert payload["messages"][0]["content"][0] == {"type": "text", "text": "x"}
         assert ReplayVisionClient(tmp_path / "rec").complete(request) == "@startuml\n@enduml"
 
-    def test_server_error_is_transport_failure_with_body(self):
+    def test_server_error_is_transport_failure_with_body(self, monkeypatch):
         from lcpbridge.errors import TransportError
 
+        monkeypatch.setattr(llm, "RETRY_WAIT_S", 0)
         with self.stub_server(500, b"overloaded" + b"!" * 300) as endpoint:
             client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
             with pytest.raises(TransportError) as err:
                 client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
         assert str(err.value).endswith("provider error HTTP 500: overloaded" + "!" * 190)
         assert err.value.code == "TRANSPORT_FAILURE"
+
+    def test_unavailable_once_then_answered(self):
+        body = json.dumps({"choices": [{"message": {"content": "@startuml\n@enduml"}}]})
+        seen = []
+        with self.stub_server([503, 200], body.encode(), seen,
+                              headers=[("Retry-After", "0")]) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
+            assert client.complete(VisionRequest(prompt_text="x", images=(IMAGE,))) \
+                == "@startuml\n@enduml"
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("retry_after, wait", [
+        ("0", 0), ("7", 7), ("3600", llm.RETRY_AFTER_CAP_S),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", llm.RETRY_WAIT_S), (None, llm.RETRY_WAIT_S)])
+    def test_rate_limit_retried_at_most_twice(self, monkeypatch, retry_after, wait):
+        from lcpbridge.errors import TransportError
+
+        seen, waits = [], []
+        monkeypatch.setattr(llm.time, "sleep", waits.append)
+        headers = [] if retry_after is None else [("Retry-After", retry_after)]
+        with self.stub_server(429, b"slow down", seen, headers) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
+            with pytest.raises(TransportError, match="provider error HTTP 429: slow down$"):
+                client.complete(VisionRequest(prompt_text="x", images=(IMAGE,)))
+        assert len(seen) == 1 + llm.MAX_RETRIES == 3
+        assert waits == [wait, wait]
 
     @pytest.mark.parametrize("body", [
         b"not json",

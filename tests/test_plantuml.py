@@ -21,6 +21,7 @@ from lcpbridge.model import (
     model_equal,
     primitive_type,
 )
+from lcpbridge.pipeline import ExecutionOptions, run_exporter
 from lcpbridge.plantuml import emit_plantuml, parse_multiplicity, parse_plantuml
 
 from expected import class_named, enum_named, property_names, with_reason
@@ -270,3 +271,47 @@ class TestEmit:
     def test_round_trip_on_adversarial_models(self, seed):
         model = random_model(random.Random(seed), names=unreserved_name)
         assert model_equal(parse_plantuml(emit_plantuml(model)).model, model)
+
+
+class TestExportLoss:
+    """The generator's loss report names what the text cannot carry: the
+    model's name and each role the parser would not derive."""
+
+    def test_model_name_and_roles_reported(self, tmp_path):
+        model = DomainModel("Library", classes=(Class("Person"), Class("Book")), associations=(
+            Association("Borrows", AssociationEnd("borrower", "Person", Multiplicity(0, 1)),
+                        AssociationEnd("loans", "Book", Multiplicity(0, None))),))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert back.name == "Model"
+        assert [(e.role, e.class_name) for e in (back.associations[0].end1,
+                                                 back.associations[0].end2)] \
+            == [("person", "Person"), ("book", "Book")]
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in loss] == [
+            ("model", "Library", "DROPPED", "the text names no model; it parses back as Model"),
+            ("association", "Borrows", "DROPPED",
+             "role borrower of Person: the text names no role; it parses back as person"),
+            ("association", "Borrows", "DROPPED",
+             "role loans of Book: the text names no role; it parses back as book")]
+
+    def test_nothing_reported_where_the_text_carries_all(self, tmp_path):
+        model = DomainModel("Model", classes=(Class("Node"),), associations=(
+            Association("Links", AssociationEnd("node", "Node", Multiplicity(0, 1)),
+                        AssociationEnd("node_2", "Node", Multiplicity(0, None))),))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        assert loss.items == []
+        assert parse_plantuml(path.read_text(encoding="utf-8")).model == model
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_each_role_the_parser_changes_is_reported(self, tmp_path, seed):
+        model = random_model(random.Random(seed), names=unreserved_name)
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        changed = [(assoc.name, end.role, parsed.role)
+                   for assoc, parsed_assoc in zip(model.associations, back.associations)
+                   for end, parsed in zip((assoc.end1, assoc.end2),
+                                          (parsed_assoc.end1, parsed_assoc.end2))
+                   if end.role != parsed.role]
+        reported = [(i.element_name, i.detail.split()[1], i.detail.rsplit(" ", 1)[1])
+                    for i in loss if i.element_kind == "association"]
+        assert reported == changed

@@ -167,20 +167,51 @@ class TestPlanRules:
         assert [c.validation.source_sheet for _, c in sheet_dropdowns(manifest)] \
             == ["Tag", "Post", "Tag"]
 
+    def test_link_to_a_sheet_whose_column_a_is_a_list_is_dropped(self):
+        """``Tag``'s first property is ``active: bool``, so a dropdown on its
+        sheet's column A lists only TRUE and FALSE: the report says the link
+        is lost, in a host sheet and in a bridge sheet alike."""
+        many, optional = Multiplicity(0, None), Multiplicity(0, 1)
+        model = DomainModel("M", classes=(
+            Class("Post", (Property("title", primitive_type("str")),)),
+            Class("Tag", (Property("active", primitive_type("bool")),
+                          Property("label", primitive_type("str"))))),
+            associations=(
+                Association("Labels", AssociationEnd("post", "Post", many),
+                            AssociationEnd("tag", "Tag", optional)),
+                Association("Tagged", AssociationEnd("posts", "Post", many),
+                            AssociationEnd("tags", "Tag", many))))
+        manifest, loss = plan_workbook(model)
+        assert sheet_named(manifest, "Tag").columns[0].validation == ListDropdown(("TRUE", "FALSE"))
+        lost = "whose column A 'active' holds only the values of a list, so no row can be linked"
+        assert [(i.element_name, i.reason, i.detail) for i in loss] == [
+            ("Labels", "DROPPED", f"dropdown column 'tag' on sheet Post lists sheet Tag, {lost}"),
+            ("Tagged", "DROPPED", f"bridge sheet POST_TAG lists sheet Tag, {lost}")]
+
     def test_every_link_is_reported_once(self):
         """Each association gets one entry: DROPPED where a sheet it lists
-        has no property column (its own or an inherited one), else
-        ASSOCIATIONS_UNKNOWN."""
+        has no property column (its own or an inherited one) or a bool or
+        enumeration one in column A, else ASSOCIATIONS_UNKNOWN."""
         rng = random.Random(29)
         for _ in range(60):
             model = random_model(rng, names=adversarial_name)
             parents = {g.specific: g.general for g in model.generalizations}
-            props = {c.name: bool(c.properties) for c in model.classes}
+            props = {c.name: c.properties for c in model.classes}
 
-            def has_column(name):
-                while name is not None and not props[name]:
+            def linkable(name):
+                """Column A of the class's sheet holds a property without a
+                list: the first of the root-first chain, as its nearest
+                class declares it."""
+                chain = []
+                while name is not None:
+                    chain.append(name)
                     name = parents.get(name)
-                return name is not None
+                columns = [p for ancestor in reversed(chain) for p in props[ancestor]]
+                if not columns:
+                    return False
+                first = next(p for p in reversed(columns)
+                             if p.name.lower() == columns[0].name.lower())
+                return first.type.kind != "enumeration" and first.type.primitive != "bool"
 
             _, loss = plan_workbook(model)
             entries = [(i.element_name, i.reason) for i in loss
@@ -190,7 +221,7 @@ class TestPlanRules:
             for assoc in model.associations:
                 listed = (assoc.end1, assoc.end2) if assoc.kind == "many-to-many" \
                     else assoc.link[1:]
-                lost = not all(has_column(end.class_name) for end in listed)
+                lost = not all(linkable(end.class_name) for end in listed)
                 assert reported[assoc.name] == ("DROPPED" if lost else "ASSOCIATIONS_UNKNOWN")
 
     def test_rules_hold_on_random_models(self):

@@ -152,7 +152,8 @@ def _read(path, max_rows=None, scan=True, chunk=xlsx._CHUNK):
     """read_workbook's sheets as (name, rows), or "error", inflating ``chunk``
     bytes at a time; without ``scan`` every part goes to the ElementTree reader."""
     with contextlib.nullcontext() if scan else mock.patch.multiple(
-            xlsx, _scan_sheet=lambda *_: b"", _scan_shared_strings=lambda *_: (0, b"")), \
+            xlsx, _scan_sheet=mock.Mock(side_effect=xlsx._Unread),
+            _scan_shared_strings=mock.Mock(side_effect=xlsx._Unread)), \
             mock.patch.object(xlsx, "_CHUNK", chunk):
         try:
             return [(sheet.name, sheet.rows) for sheet in read_workbook(path, max_rows)]
@@ -254,50 +255,44 @@ def test_scan_reads_the_writers_and_the_shared_strings_layout(tmp_path):
     assert _read(saved) == _read(saved, scan=False)
 
 
-def _spy(name, calls):
-    """Patch an ElementTree reader of ``xlsx`` to add (its arguments, what it
-    gave) to ``calls``: the rows taken from ``_tree_rows``."""
-    reader = getattr(xlsx, name)
-
-    def spy(*args):
-        calls.append((args, []))
-        if name == "_tree_shared_strings":
-            return reader(*args)
-        return (calls[-1][1].append(row) or row for row in reader(*args))
-    return mock.patch.object(xlsx, name, spy)
-
-
-def test_elementtree_reads_on_from_the_first_row_not_read(tmp_path):
-    """A formula in row 900 of 1,200: the scan reads the rows before it, and
-    ElementTree the rows from it on; the grid is the one ElementTree reads."""
+def test_elementtree_reads_a_sheet_from_its_first_row(tmp_path):
+    """A formula in row 900 of 1,200: the scan gives the sheet up, and
+    ElementTree reads it from row 1; the grid is the one ElementTree reads."""
     path = tmp_path / "t.xlsx"
     _package(path, _sheet("".join(
         f'<row r="{r}"><c r="A{r}" t="s"><v>{r % 7}</v></c><c r="B{r}">'
         f'{"<f>A1*2</f>" if r == 900 else ""}<v>{r}</v></c></row>' for r in range(1, 1201))),
         _strings("".join(f"<si><t>s{i}</t></si>" for i in range(7))))
+    tree_rows = xlsx._tree_rows
     for max_rows, last in ((None, 1200), (1001, 1002)):
         expected = _read(path, max_rows, scan=False)
-        calls = []
-        with _spy("_tree_rows", calls):
+        assert expected[0][1][899] == ["s4", "900"]
+        rows = []
+        with mock.patch.object(xlsx, "_tree_rows", lambda part: (
+                rows.append(row) or row for row in tree_rows(part))):
             assert _read(path, max_rows) == expected
-        (_, rows), = calls
-        assert [int(r) for r, _ in rows] == list(range(900, last + 1))
+        assert [int(r) for r, _ in rows] == list(range(1, last + 1))
 
 
-def test_elementtree_reads_on_from_the_first_chunk_of_strings_not_read(tmp_path):
-    """A comment after shared string 3,000 of 4,000: ElementTree reads on
-    from the start of the chunk that holds it."""
+def test_elementtree_reads_shared_strings_from_the_first_item(tmp_path):
+    """A comment after shared string 3,000 of 4,000: the scan gives the part
+    up, and ElementTree fills every wanted string counting from item 0."""
     path = tmp_path / "t.xlsx"
     items = [f"<si><t>text {i}</t></si>" for i in range(4000)]
     items[3000:3000] = ["<!-- note -->"]
     _package(path, _sheet("".join(f'<row r="{r}"><c r="A{r}" t="s"><v>{r * 3}</v></c></row>'
                                   for r in range(1, 1300))), _strings("".join(items)))
     expected = _read(path, scan=False)
-    calls = []
-    with _spy("_tree_shared_strings", calls):
+    assert expected == [("Data", [[f"text {r * 3}"] for r in range(1, 1300)])]
+    tree_strings, calls = xlsx._tree_shared_strings, []
+
+    def spy(part, wanted, found):
+        calls.append(dict(found))
+        tree_strings(part, wanted, found)
+        calls.append(dict(found))
+    with mock.patch.object(xlsx, "_tree_shared_strings", spy):
         assert _read(path) == expected
-    ((_, _, found, index), _), = calls
-    assert 1000 < index <= 3000 and min(found) == 3 and max(found) == 3 * 1299
+    assert calls == [{}, {i: f"text {i}" for i in range(3, 3 * 1300, 3)}]
 
 
 # Markup for the equivalence test. Text pieces are XML text as written, with
