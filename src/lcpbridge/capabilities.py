@@ -23,6 +23,8 @@ _DEFAULT_PATH = Path(__file__).parent / "assets" / "capabilities.toml"
 
 @dataclass(frozen=True)
 class CapabilityRecord:
+    """What one platform supports in one direction: levels per model kind and formats."""
+
     platform_id: str
     direction: str
     data: str
@@ -43,6 +45,8 @@ class CapabilityRecord:
 
 @dataclass(frozen=True)
 class CapabilityMatrix:
+    """The capability records of every platform, and each platform's display name."""
+
     records: dict  # (platform_id, direction) -> CapabilityRecord
     displays: dict  # platform_id -> display name
 

@@ -135,6 +135,12 @@ class MissingFixtureError(LlmClientError):
         self.digest = digest
 
 
+class UnreadableFixtureError(LlmClientError):
+    """A replay fixture exists for the request digest but is not readable UTF-8 text."""
+
+    code = "UNREADABLE_FIXTURE"
+
+
 class ConfigError(LcpBridgeError):
     """CLI or file configuration is unusable."""
 

@@ -12,8 +12,6 @@ keyed by a digest of the exact request.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
 import time
@@ -29,6 +27,7 @@ from .errors import (
     NoPlantUmlBlockError,
     TransportError,
     UnknownPlatformError,
+    UnreadableFixtureError,
 )
 from .loss import close_json_list, json_string_list
 from .model import (
@@ -55,6 +54,8 @@ _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 
 @dataclass(frozen=True)
 class PromptContext:
+    """How the prompt names a platform and describes its diagrams."""
+
     display_name: str
     syntax_description: str
 
@@ -79,12 +80,16 @@ def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
 
 @dataclass(frozen=True)
 class ImagePayload:
+    """One screenshot's bytes and media type, as sent to the vision model."""
+
     data: bytes
     media_type: str = "image/png"
 
 
 @dataclass(frozen=True)
 class VisionRequest:
+    """One vision-model request: the prompt text and at least one image."""
+
     prompt_text: str
     images: tuple[ImagePayload, ...]
 
@@ -116,6 +121,8 @@ def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> 
 
 def request_digest(request: VisionRequest) -> str:
     """Stable key for replay lookup: prompt text plus raw image bytes."""
+    import hashlib  # replay and record only: imported here to keep it out of start-up
+
     hasher = hashlib.sha256()
     hasher.update(request.prompt_text.encode("utf-8"))
     for image in request.images:
@@ -140,9 +147,13 @@ class ReplayVisionClient(VisionModelClient):
     def complete(self, request: VisionRequest) -> str:
         digest = request_digest(request)
         fixture = self.directory / f"{digest}.txt"
-        if not fixture.exists():
-            raise MissingFixtureError(digest)
-        return fixture.read_text(encoding="utf-8")
+        try:
+            return fixture.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise MissingFixtureError(digest) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnreadableFixtureError(f"cannot read replay fixture {fixture}: {exc}",
+                                         digest=digest) from exc
 
     def store(self, request: VisionRequest, completion: str) -> Path:
         """Save a completion under the request's digest (fixture authoring)."""
@@ -172,6 +183,7 @@ class HttpVisionClient(VisionModelClient):
         if not self.api_key:
             raise NoCredentialsError(
                 f"no API key configured (set {API_KEY_ENV} or the config file)")
+        import base64
         import http.client
         import urllib.error
         import urllib.request
@@ -255,6 +267,8 @@ def extract_model(completion: str) -> PlantUmlImport:
 
 @dataclass(frozen=True)
 class MergeConflict:
+    """A value the partial model and the vision answer disagree on."""
+
     element: str
     partial_value: str
     inferred_value: str
@@ -263,6 +277,8 @@ class MergeConflict:
 
 @dataclass
 class MergeReport:
+    """What ``merge_models`` added to the partial model, and the conflicts it kept."""
+
     added_classes: list[str] = field(default_factory=list)
     added_properties: list[str] = field(default_factory=list)  # "Class.prop", existing classes only
     added_associations: list[str] = field(default_factory=list)

@@ -49,6 +49,8 @@ def close_json_list(out: list[str], items, indent: int) -> None:
 
 @dataclass(frozen=True)
 class LossItem:
+    """One element that a step dropped, renamed or coerced, with its reason code."""
+
     element_kind: str
     element_name: str
     reason: str
@@ -67,6 +69,8 @@ class LossItem:
 
 @dataclass
 class LossReport:
+    """Loss items in the order they were added: a step's, a plan's or a migration's."""
+
     items: list[LossItem] = field(default_factory=list)
 
     def add(self, element_kind: str, element_name: str, reason: str,

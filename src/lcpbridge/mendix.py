@@ -62,6 +62,8 @@ CARDINALITY_TABLE = {
 
 @dataclass(slots=True)
 class MendixAttribute:
+    """An entity attribute as exported: its Mendix type and enumeration, if any."""
+
     name: str
     type: str
     enum_ref: str | None = None
@@ -69,6 +71,8 @@ class MendixAttribute:
 
 @dataclass(slots=True)
 class MendixEntity:
+    """An exported entity: its attributes and the entity it generalizes, if any."""
+
     name: str
     attributes: tuple[MendixAttribute, ...] = ()
     generalization: str | None = None
@@ -76,6 +80,8 @@ class MendixEntity:
 
 @dataclass(slots=True)
 class MendixAssociation:
+    """An exported association from ``parent`` to ``child``, with its type and owner."""
+
     name: str
     parent: str
     child: str
@@ -85,12 +91,16 @@ class MendixAssociation:
 
 @dataclass(slots=True)
 class MendixEnumeration:
+    """An exported enumeration and its values."""
+
     name: str
     values: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
 class MendixExport:
+    """The export's domain model as read, plus the reader's warnings."""
+
     name: str
     entities: tuple[MendixEntity, ...] = ()
     associations: tuple[MendixAssociation, ...] = ()

@@ -24,7 +24,6 @@ dataclass's ``__init__`` costs about three times a plain one's.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -68,6 +67,8 @@ def fit_name(name: str, limit: int | None) -> str:
     names stay distinct)."""
     if limit is None or len(name) <= limit:
         return name
+    import hashlib  # only long names need it: imported here to keep it out of start-up
+
     return name[:limit - 6] + hashlib.sha1(name.encode("utf-8")).hexdigest()[:6].upper()
 
 
@@ -162,6 +163,8 @@ def enum_type(name: str) -> TypeRef:
 
 @dataclass(frozen=True, slots=True)
 class Property:
+    """A class attribute: its name, its type and whether it is the class's id."""
+
     name: str
     type: TypeRef
     is_id: bool = False
@@ -169,12 +172,16 @@ class Property:
 
 @dataclass(frozen=True, slots=True)
 class Class:
+    """A named class and its properties, in declaration order."""
+
     name: str
     properties: tuple[Property, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Multiplicity:
+    """The bounds of an association end; ``upper`` None is unbounded (``*``)."""
+
     lower: int
     upper: int | None  # None = unbounded (*)
 
@@ -194,6 +201,8 @@ EXACTLY_ONE = Multiplicity(1, 1)
 
 @dataclass(frozen=True, slots=True)
 class AssociationEnd:
+    """One end of an association: its role, its class, multiplicity and navigability."""
+
     role: str
     class_name: str
     multiplicity: Multiplicity = MANY
@@ -202,6 +211,8 @@ class AssociationEnd:
 
 @dataclass(frozen=True, slots=True)
 class Association:
+    """A binary association between the classes of its two ends."""
+
     name: str
     end1: AssociationEnd
     end2: AssociationEnd
@@ -237,18 +248,24 @@ class Association:
 
 @dataclass(frozen=True, slots=True)
 class Generalization:
+    """``specific`` inherits from ``general``; both are class names."""
+
     general: str  # parent class name
     specific: str  # child class name
 
 
 @dataclass(frozen=True, slots=True)
 class Enumeration:
+    """A named enumeration and its literals, in declaration order."""
+
     name: str
     literals: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class DomainModel:
+    """The pivot model: its name, classes, associations, generalizations and enumerations."""
+
     name: str
     classes: tuple[Class, ...] = ()
     associations: tuple[Association, ...] = ()
@@ -266,6 +283,8 @@ def empty_model(name: str = "Model") -> DomainModel:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
+    """One broken well-formedness rule: its code, the element and why."""
+
     rule: str
     element: str
     message: str
@@ -276,6 +295,8 @@ class Violation:
 
 @dataclass
 class ValidationResult:
+    """The violations ``validate_model`` found; true when there are none."""
+
     violations: list[Violation] = field(default_factory=list)
 
     @property

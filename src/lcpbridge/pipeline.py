@@ -8,7 +8,6 @@ what makes re-runs byte-identical. One runner owns the output directory.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,6 +45,8 @@ _MEDIA_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg"
 
 @dataclass
 class MigrationInputs:
+    """The files and screenshots a migration reads, and its vision-model client."""
+
     files: list[Path] = field(default_factory=list)
     images: list[Path] = field(default_factory=list)
     llm_client: object | None = None
@@ -53,6 +54,8 @@ class MigrationInputs:
 
 @dataclass
 class ExecutionOptions:
+    """Per-run settings: the SQL dialect, the workbook sample row and a review hook."""
+
     dialect: str = "oracle"
     include_sample_row: bool = True
     review_hook: object | None = None  # callable(path) -> None, pauses for edits
@@ -60,6 +63,8 @@ class ExecutionOptions:
 
 @dataclass
 class ExecutionResult:
+    """What a run produced: the model, its pivot file, the artifacts and the reports."""
+
     model: DomainModel
     pivot_path: Path
     outputs: list[Path]
@@ -199,6 +204,8 @@ def _export_workbook(model: DomainModel, out_dir: Path, options: ExecutionOption
 
 
 def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    import csv  # only this generator writes CSV: imported here to keep it out of start-up
+
     manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
     loss.add("model", model.name, "DROPPED", "warning",
              "CSV fallback cannot carry dropdown validations between tables")

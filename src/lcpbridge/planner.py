@@ -24,6 +24,8 @@ FORMAL_IMPORT_FORMATS = ("SQL",)
 
 @dataclass
 class MigrationPlan:
+    """The chain of steps from a source to a target platform, and its expected losses."""
+
     source: str
     target: str
     export_method: str  # "formal" | "alternative"

@@ -10,6 +10,7 @@ to an equal model.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -52,25 +53,33 @@ _TYPE_TABLE = {
 }
 _TYPE_TABLE.update({p: p for p in PRIMITIVES})
 
-_CLASS_RE = re.compile(
-    r'^(?:abstract\s+)?class\s+(?:"([^"]+)"\s+as\s+(\w+)|"([^"]+)"|([\w.]+))\s*(\{)?\s*(.*)$'
-)
-_ENUM_RE = re.compile(r'^enum\s+(?:"([^"]+)"|([\w.]+))\s*(\{)?\s*(.*)$')
-_GEN_RE = re.compile(r'^([\w."]+)\s+(<\|-+|-+\|>)\s+([\w."]+)\s*$')
-_ASSOC_RE = re.compile(
-    r'^([\w."]+)\s+(?:"([^"]*)"\s+)?([o*]?(?:<-+|-+>|-+)[o*]?)\s+(?:"([^"]*)"\s+)?([\w."]+)'
-    r'\s*(?::\s*(.+))?$'
-)
-_ATTR_RE = re.compile(r"^[+\-#~]?\s*([\w ]+?)\s*:\s*(.+?)\s*$")
-_STEREOTYPE_RE = re.compile(r"<<\s*(\w+)\s*>>")
-# Lines the subset skips: a comment, a preprocessor line, or one of these
-# keywords as a whole word, so a class named ``notebook`` is still read.
-_SKIP_RE = re.compile(r"'|!|(?:skinparam|title|note|legend|hide|show|scale"
-                      r"|left to right|top to bottom)\b")
+@functools.cache
+def _patterns() -> dict[str, re.Pattern]:
+    """The parser's line patterns, compiled on first use rather than at import.
+
+    ``skip`` matches the lines the subset skips: a comment, a preprocessor
+    line, or one of its keywords as a whole word, so a class named
+    ``notebook`` is still read.
+    """
+    patterns = {
+        "class": r'^(?:abstract\s+)?class\s+(?:"([^"]+)"\s+as\s+(\w+)|"([^"]+)"|([\w.]+))'
+                 r'\s*(\{)?\s*(.*)$',
+        "enum": r'^enum\s+(?:"([^"]+)"|([\w.]+))\s*(\{)?\s*(.*)$',
+        "generalization": r'^([\w."]+)\s+(<\|-+|-+\|>)\s+([\w."]+)\s*$',
+        "association": r'^([\w."]+)\s+(?:"([^"]*)"\s+)?([o*]?(?:<-+|-+>|-+)[o*]?)\s+'
+                       r'(?:"([^"]*)"\s+)?([\w."]+)\s*(?::\s*(.+))?$',
+        "attribute": r"^[+\-#~]?\s*([\w ]+?)\s*:\s*(.+?)\s*$",
+        "stereotype": r"<<\s*(\w+)\s*>>",
+        "skip": r"'|!|(?:skinparam|title|note|legend|hide|show|scale"
+                r"|left to right|top to bottom)\b",
+    }
+    return {key: re.compile(pattern) for key, pattern in patterns.items()}
 
 
 @dataclass
 class SkippedLine:
+    """A line the parser set aside, with its 1-based line number in the block."""
+
     line_no: int
     text: str
 
@@ -173,10 +182,11 @@ class _Builder:
                           "attribute repeated in the class; the first one kept")
             return
         is_id = False
-        stereotype = _STEREOTYPE_RE.search(type_token)
+        stereotype_re = _patterns()["stereotype"]
+        stereotype = stereotype_re.search(type_token)
         if stereotype:
             is_id = stereotype.group(1).lower() in ("id", "pk", "key", "unique")
-            type_token = _STEREOTYPE_RE.sub("", type_token).strip()
+            type_token = stereotype_re.sub("", type_token).strip()
         props[name.lower()] = Property(
             name=name, type=self.resolve_type(type_token, class_name, name), is_id=is_id)
 
@@ -240,6 +250,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
     model_name = sanitize_identifier(header) if header else UNNAMED_MODEL
     body = text[start:end].split("\n")[1:]
 
+    patterns = _patterns()
     builder = _Builder()
     current_class: str | None = None
     current_enum: str | None = None
@@ -270,21 +281,21 @@ def parse_plantuml(text: str) -> PlantUmlImport:
             if "(" in line or ")" in line:
                 skip(offset, line)  # method, not a structural attribute
                 continue
-            attr = _ATTR_RE.match(line)
+            attr = patterns["attribute"].match(line)
             if attr:
                 builder.add_property(current_class, attr.group(1), attr.group(2))
             else:
                 skip(offset, line)
             continue
 
-        keyword = _SKIP_RE.match(line)
+        keyword = patterns["skip"].match(line)
         if keyword:
             skip(offset, line)
             if keyword.group() == "note" and ":" not in line:
                 skip_until = "end note"  # multi-line note body
             continue
 
-        match = _ENUM_RE.match(line)
+        match = patterns["enum"].match(line)
         if match:
             name = builder.declare("enumeration", match.group(1) or match.group(2))
             rest = match.group(4).strip()
@@ -295,20 +306,20 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                 current_enum = name
             continue
 
-        match = _CLASS_RE.match(line)
+        match = patterns["class"].match(line)
         if match:
             name = match.group(2) or match.group(1) or match.group(3) or match.group(4)
             name = builder.declare("class", name)
             rest = match.group(6).strip()
             for chunk in re.split(r"[;,]", rest.rstrip("}")):
-                attr = _ATTR_RE.match(chunk.strip())
+                attr = patterns["attribute"].match(chunk.strip())
                 if attr:
                     builder.add_property(name, attr.group(1), attr.group(2))
             if match.group(5) and not rest.endswith("}"):
                 current_class = name
             continue
 
-        match = _GEN_RE.match(line)
+        match = patterns["generalization"].match(line)
         if match:
             left, arrow, right = match.groups()
             left, right = left.strip('"'), right.strip('"')
@@ -318,7 +329,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                 builder.add_generalization(general=right, specific=left)
             continue
 
-        match = _ASSOC_RE.match(line)
+        match = patterns["association"].match(line)
         if match:
             left, m_left, arrow, m_right, right, label = match.groups()
             left, right = left.strip('"'), right.strip('"')
@@ -339,7 +350,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
 
 def _leading(name: str) -> str:
     """``name`` as the first word of a line: quoted where it is a skip word."""
-    return f'"{name}"' if _SKIP_RE.match(name) else name
+    return f'"{name}"' if _patterns()["skip"].match(name) else name
 
 
 def emit_plantuml(model: DomainModel) -> str:

@@ -62,6 +62,8 @@ def sql_name(name: str) -> str:
 
 @dataclass(slots=True)
 class ColumnPlan:
+    """One column: its SQL name and type, nullability, uniqueness and check."""
+
     name: str
     sql_type: str
     nullable: bool = True
@@ -71,12 +73,16 @@ class ColumnPlan:
 
 @dataclass(slots=True)
 class ForeignKeyPlan:
+    """A column that references another table's ``ID`` key."""
+
     column: str  # references the "ID" key of ref_table
     ref_table: str
 
 
 @dataclass(slots=True)
 class TablePlan:
+    """One table: its columns, primary key and foreign keys."""
+
     name: str
     columns: list[ColumnPlan] = field(default_factory=list)
     primary_key: list[str] = field(default_factory=lambda: ["ID"])
@@ -86,6 +92,8 @@ class TablePlan:
 
 @dataclass(slots=True)
 class RelationalSchemaPlan:
+    """The tables of a schema, in the order ``emit_sql`` creates them."""
+
     tables: list[TablePlan] = field(default_factory=list)
 
 

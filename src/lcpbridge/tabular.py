@@ -8,7 +8,6 @@ the loss report always flags them as unknown.
 
 from __future__ import annotations
 
-import csv
 import functools
 import re
 from dataclasses import dataclass
@@ -88,18 +87,24 @@ def _strptime_shapes() -> dict[str, re.Pattern]:
 
 @dataclass(frozen=True)
 class TableColumn:
+    """One column of a table: its header and its sampled values."""
+
     header: str
     values: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Table:
+    """One CSV file or XLSX sheet: its name and its columns."""
+
     name: str
     columns: tuple[TableColumn, ...]
 
 
 @dataclass(frozen=True)
 class TabularSource:
+    """The tables of one tabular export."""
+
     tables: tuple[Table, ...]
 
 
@@ -133,6 +138,8 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
 
 
 def _load_csv(path: Path) -> Table:
+    import csv  # only CSV input needs it: imported here to keep it out of start-up
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(islice(csv.reader(handle), SAMPLE_LIMIT + 1))

@@ -47,6 +47,8 @@ DATA_ROWS = 1000  # rows covered by each dropdown validation
 
 @dataclass(frozen=True, slots=True)
 class SheetDropdown:
+    """A column whose cells pick from the first column of another sheet."""
+
     source_sheet: str
 
     def as_dict(self):
@@ -55,6 +57,8 @@ class SheetDropdown:
 
 @dataclass(frozen=True, slots=True)
 class ListDropdown:
+    """A column whose cells pick from a fixed list of options."""
+
     options: tuple[str, ...]
 
     def as_dict(self):
@@ -63,6 +67,8 @@ class ListDropdown:
 
 @dataclass(frozen=True, slots=True)
 class ManifestColumn:
+    """One header of a sheet: its cell format and its dropdown, if any."""
+
     header: str
     cell_format: str = "General"
     validation: SheetDropdown | ListDropdown | None = None
@@ -77,6 +83,8 @@ class ManifestColumn:
 
 @dataclass(slots=True)
 class ManifestSheet:
+    """One sheet of the workbook: a class or a bridge, its columns, its sample row."""
+
     name: str
     kind: str  # "class" | "bridge"
     columns: list[ManifestColumn] = field(default_factory=list)
@@ -93,6 +101,8 @@ class ManifestSheet:
 
 @dataclass(slots=True)
 class WorkbookManifest:
+    """The layout of a generated workbook, written next to it as JSON."""
+
     workbook_name: str
     sheets: list[ManifestSheet] = field(default_factory=list)
 

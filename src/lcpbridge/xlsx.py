@@ -5,7 +5,8 @@ The writer emits the subset the toolkit needs: sheets with
 inline-string/number/boolean cells, per-cell number formats and list data
 validations. Its output is byte-deterministic (fixed zip timestamps, no
 compression entropy sources), which the migration determinism guarantee
-relies on.
+relies on. ``zipfile`` and ``xml.etree.ElementTree`` are imported by the
+functions that read or write, so ``import lcpbridge`` does not load them.
 
 The reader gives each sheet's cells as display strings. A compiled scan
 reads the sheet and shared-strings parts a chunk at a time, only as far
@@ -32,11 +33,13 @@ import bisect
 import functools
 import io
 import re
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
-from xml.etree import ElementTree as ET
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    import zipfile
+    from xml.etree import ElementTree as ET
 
 NS_MAIN = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
 NS_REL = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
@@ -97,6 +100,8 @@ class CellValue:
 
 @dataclass
 class ListValidation:
+    """A list data validation over one column's rows, for the writer."""
+
     column: int  # 1-based
     first_row: int
     last_row: int
@@ -105,6 +110,8 @@ class ListValidation:
 
 @dataclass
 class SheetData:
+    """A sheet for the writer: its name, its rows of cells and its validations."""
+
     name: str
     rows: list[list[CellValue]] = field(default_factory=list)
     validations: list[ListValidation] = field(default_factory=list)
@@ -155,6 +162,8 @@ def _sheet_xml(sheet: SheetData) -> str:
 
 def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
     """Write the sheets as an .xlsx file; at least one sheet is emitted."""
+    import zipfile
+
     if not sheets:
         sheets = [SheetData(name="Sheet1", rows=[])]
 
@@ -250,6 +259,8 @@ _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 @dataclass
 class SheetContent:
+    """A sheet as read: its name and its cells as display strings."""
+
     name: str
     rows: list[list[str]]
 
@@ -448,6 +459,8 @@ def _fill(grid: list[list], rows, max_rows: int | None, wanted: set[int]) -> boo
 def _tree_rows(part):
     """(r, cells) for each row of sheet XML through ElementTree: the reader
     of what the scan does not read, and the scan's reference."""
+    from xml.etree import ElementTree as ET
+
     for _, elem in ET.iterparse(part):
         if elem.tag == _ROW:
             cells = []
@@ -465,6 +478,8 @@ def _tree_rows(part):
 def _tree_shared_strings(part, wanted: set[int], found: dict[int, str]) -> None:
     """Put the shared strings at the ``wanted`` indices into ``found``
     through ElementTree, streamed up to the last one."""
+    from xml.etree import ElementTree as ET
+
     last = max(wanted)
     events = ET.iterparse(part, ("start", "end"))
     _, root = next(events)
@@ -519,6 +534,8 @@ def _outline(doc: str, marker: str) -> bool:
     with the root's end tag right after the marker first: so the marker is
     a child of the root, and the main namespace is the root's default.
     """
+    from xml.etree import ElementTree as ET
+
     if "<!" in doc or _patterns().foreign_encoding.search(doc):
         raise _Unread
     prefixes, found, started = set(), [], False
@@ -668,6 +685,9 @@ def read_workbook(path: str | Path, max_rows: int | None = None) -> list[SheetCo
     With ``max_rows`` set, each sheet is read only up to that row number,
     which relies on rows coming in ascending order, as OOXML requires.
     """
+    import zipfile
+    from xml.etree import ElementTree as ET
+
     with zipfile.ZipFile(path) as zf:
         workbook = ET.fromstring(zf.read("xl/workbook.xml"))
         rels = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))

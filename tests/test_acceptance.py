@@ -72,7 +72,10 @@ def test_criterion_2_pivot_round_trips():
         for _ in range(200):
             model = random_model(rng, max_classes=10, max_associations=15,
                                  max_enums=3, max_generalizations=3)
-            assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
+            text = print_pivot_text(model)
+            parsed = parse_pivot_text(text)
+            assert model_equal(parsed, model)
+            assert print_pivot_text(parsed) == text
             assert model_equal(parse_plantuml(emit_plantuml(model)).model, model)
         assert time.perf_counter() - started < 30.0
 

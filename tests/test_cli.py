@@ -281,3 +281,28 @@ replay_dir = "{replay_dir}"
     assert code == 0
     assert (out_dir / "model.sql").exists()
     assert (out_dir / "merge-report.json").exists()
+
+
+@pytest.mark.parametrize("fixture_kind", ["not-utf8", "directory"])
+def test_unreadable_replay_fixture_is_coded_error(tmp_path, capsys, csv_paths, screenshot_path,
+                                                  fixture_kind):
+    """A replay fixture at the request's digest that is not UTF-8 text, or
+    is a directory, ends in a coded error naming the step, not a traceback."""
+    store = tmp_path / "replay"
+    store.mkdir()
+    argv = ["migrate", "--from", "powerapps", "--to", "apex", "--input",
+            *map(str, csv_paths), "--image", str(screenshot_path), "--llm-mode", "replay",
+            "--replay-dir", str(store), "--out", str(tmp_path / "out")]
+    _, _, err = run_cli(capsys, *argv)
+    digest = err.split("no replay fixture for request digest ")[1].split()[0]
+    fixture = store / f"{digest}.txt"
+    if fixture_kind == "directory":
+        fixture.mkdir()
+    else:
+        fixture.write_bytes(b"@startuml\nclass \xff\n@enduml\n")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    message, step = err.splitlines()[-2:]
+    assert message.startswith(
+        f"error [UNREADABLE_FIXTURE]: cannot read replay fixture {fixture}: "), message
+    assert step == "  in step 'image-llm'"

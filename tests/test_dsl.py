@@ -221,7 +221,10 @@ class TestRoundTrip:
     @given(st.integers(0, 2**31))
     def test_round_trip_on_random_models(self, seed):
         model = random_model(random.Random(seed))
-        assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
+        text = print_pivot_text(model)
+        parsed = parse_pivot_text(text)
+        assert model_equal(parsed, model)
+        assert print_pivot_text(parsed) == text
 
 
 # ---------------------------------------------------------------------------

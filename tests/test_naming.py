@@ -51,10 +51,10 @@ def workbook_path(tmp_path_factory):
 @given(st.integers(0, 2**31))
 def test_every_valid_model_generates(workbook_path, seed):
     """Adversarially named valid models (see ``generators.adversarial_name``)
-    round-trip through the DSL, plan to a relational schema and a workbook
-    that pass the test-side checks of ``expected``, run as ANSI DDL on sqlite
-    with one table per class and per many-to-many association, and reload
-    from their workbook with one class per sheet.
+    round-trip through the DSL to the same text, plan to a relational schema
+    and a workbook that pass the test-side checks of ``expected``, run as
+    ANSI DDL on sqlite with one table per class and per many-to-many
+    association, and reload from their workbook with one class per sheet.
 
     The PlantUML round trip is not a leg here: only reserved words still
     block it. A class named like a reserved word (``Class``) comes back with
@@ -65,7 +65,10 @@ def test_every_valid_model_generates(workbook_path, seed):
     """
     model = random_model(random.Random(seed), names=adversarial_name)
 
-    assert model_equal(parse_pivot_text(print_pivot_text(model)), model)
+    text = print_pivot_text(model)
+    parsed = parse_pivot_text(text)
+    assert model_equal(parsed, model)
+    assert print_pivot_text(parsed) == text  # roles, navigability and the model name too
 
     plan, _ = plan_relational(model)
     assert plan_problems(plan) == []
