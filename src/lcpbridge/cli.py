@@ -22,7 +22,6 @@ from .capabilities import (
     typed_value,
 )
 from .errors import ConfigError, LcpBridgeError
-from .llm import API_KEY_ENV, HttpVisionClient, ReplayVisionClient
 from .pipeline import (
     EXPORTERS,
     IMPORTERS,
@@ -63,6 +62,8 @@ def _matrix_from(args) -> CapabilityMatrix:
 
 
 def _llm_client(args, config: dict):
+    from .llm import API_KEY_ENV, HttpVisionClient, ReplayVisionClient
+
     llm_config = config.get("llm", {})
     mode = getattr(args, "llm_mode", None) or llm_config.get("mode", "replay")
     if mode == "replay":

@@ -22,6 +22,7 @@ from pathlib import Path
 from .capabilities import default_matrix
 from .errors import (
     AuthenticationError,
+    LlmClientError,
     MissingFixtureError,
     NoCredentialsError,
     NoPlantUmlBlockError,
@@ -156,10 +157,17 @@ class ReplayVisionClient(VisionModelClient):
                                          digest=digest) from exc
 
     def store(self, request: VisionRequest, completion: str) -> Path:
-        """Save a completion under the request's digest (fixture authoring)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Save a completion under the request's digest (fixture authoring).
+
+        A failed write is an ``LlmClientError`` that carries the completion,
+        so a run that recorded a live answer still keeps it for repair."""
         fixture = self.directory / f"{request_digest(request)}.txt"
-        fixture.write_text(completion, encoding="utf-8")
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fixture.write_text(completion, encoding="utf-8")
+        except OSError as exc:
+            raise LlmClientError(f"cannot record the answer in {fixture}: "
+                                 f"{exc.strerror or exc}", completion=completion) from exc
         return fixture
 
 

@@ -8,34 +8,21 @@ what makes re-runs byte-identical. One runner owns the output directory.
 
 from __future__ import annotations
 
+import importlib
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .dsl import load_pivot_file, save_pivot_file
 from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError
-from .llm import (
-    ImagePayload,
-    MergeReport,
-    VisionRequest,
-    build_prompt,
-    extract_model,
-    invoke_vision_model,
-    load_prompt_context,
-    merge_models,
-)
 from .loss import LossReport
-from .mendix import load_mendix_export, mendix_to_pivot
-from .model import DomainModel, require_valid
-from .plantuml import UNNAMED_MODEL, association_roles, emit_plantuml, parse_plantuml
-from .relational import emit_sql, plan_relational
-from .tabular import infer_model, load_tabular
-from .workbook import plan_workbook, emit_workbook
 
 if TYPE_CHECKING:
     from .capabilities import CapabilityMatrix
+    from .llm import MergeReport
+    from .model import DomainModel
     from .planner import MigrationPlan
 
 REPROMPT_LIMIT = 2  # re-asks after a malformed completion, then manual repair
@@ -97,25 +84,63 @@ def _files_with_suffix(inputs: MigrationInputs, suffixes: tuple[str, ...],
     return matches
 
 
-def _load_image(path: Path) -> ImagePayload:
+def _read_image(path: Path) -> tuple[bytes, str]:
+    """A screenshot's bytes and media type."""
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
     if media_type is None:
         raise MissingInputError(f"unsupported image type {path.suffix!r} for {path}")
     try:
-        data = path.read_bytes()
+        return path.read_bytes(), media_type
     except OSError as exc:
         raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return ImagePayload(data=data, media_type=media_type)
 
 
 # ---------------------------------------------------------------------------
 # The adapter table: one row per import adapter and generator, read by the
 # planner and the CLI. ``accepts``/``produces`` are capability-registry format
-# tokens plus PIVOT (the in-memory pivot model) and IMG (a screenshot). Each
-# ``run`` is a module-level function that reaches the layers through this
-# module's globals (load_mendix_export, emit_sql, ...), so a caller can swap
-# those names at run time and see every call. An importer returns a model and
-# writes nothing; a generator writes only its own files into ``out_dir``.
+# tokens plus PIVOT (the in-memory pivot model) and IMG (a screenshot). An
+# importer returns a model and writes nothing; a generator writes only its own
+# files into ``out_dir``.
+#
+# Each ``run`` calls a layer as an attribute of this module (``_layers.emit_sql``),
+# and no layer module is imported here at load time. The first lookup of a name
+# in ``_LAYER_FUNCTIONS`` goes to ``__getattr__``, which imports the layer and
+# keeps the function as a module global, so importing and planning load no
+# layer and a run loads only the layers its chain calls. A name a caller sets
+# on this module (a test's monkeypatch, a benchmark's span wrapper) is found
+# before ``__getattr__`` and so sees every call, whether or not its layer was
+# loaded yet.
+
+_LAYER_FUNCTIONS = {
+    "require_valid": "model",
+    "load_pivot_file": "dsl",
+    "save_pivot_file": "dsl",
+    "load_mendix_export": "mendix",
+    "mendix_to_pivot": "mendix",
+    "parse_plantuml": "plantuml",
+    "emit_plantuml": "plantuml",
+    "load_tabular": "tabular",
+    "infer_model": "tabular",
+    "load_prompt_context": "llm",
+    "build_prompt": "llm",
+    "invoke_vision_model": "llm",
+    "extract_model": "llm",
+    "merge_models": "llm",
+    "plan_relational": "relational",
+    "emit_sql": "relational",
+    "plan_workbook": "workbook",
+    "emit_workbook": "workbook",
+}
+_layers = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import the layer that defines ``name`` on its first lookup (PEP 562)."""
+    if name not in _LAYER_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAYER_FUNCTIONS[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -130,13 +155,13 @@ class Adapter:
 
 def _import_mendix(inputs: MigrationInputs, **_):
     files = _files_with_suffix(inputs, (".json",), "mendix-json")
-    model, loss = mendix_to_pivot(load_mendix_export(files[0]))
+    model, loss = _layers.mendix_to_pivot(_layers.load_mendix_export(files[0]))
     return model, loss, None
 
 
 def _import_tabular(inputs: MigrationInputs, **_):
     files = _files_with_suffix(inputs, (".csv", ".xlsx"), "tabular")
-    model, loss = infer_model(load_tabular(files), name="Imported")
+    model, loss = _layers.infer_model(_layers.load_tabular(files), name="Imported")
     return model, loss, None
 
 
@@ -148,7 +173,7 @@ def _import_plantuml(inputs: MigrationInputs, **_):
         raise MissingInputError(f"cannot read {files[0]}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise PlantUmlError(f"{files[0]} is not UTF-8 text: {exc}") from exc
-    result = parse_plantuml(text)
+    result = _layers.parse_plantuml(text)
     return result.model, result.loss, None
 
 
@@ -158,23 +183,25 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str,
         raise MissingInputError("step 'image-llm' needs at least one screenshot")
     if inputs.llm_client is None:
         raise MissingInputError("step 'image-llm' needs a configured vision-model client")
-    images = tuple(_load_image(p) for p in inputs.images)
-    context = load_prompt_context(source_platform, matrix)
+    from .llm import ImagePayload, VisionRequest
+
+    images = tuple(ImagePayload(*_read_image(p)) for p in inputs.images)
+    context = _layers.load_prompt_context(source_platform, matrix)
     loss = LossReport()
 
     # the message only: the exception's traceback would hold this frame,
     # and with it the screenshots, until a full garbage collection
     attempt_error: str | None = None
     for attempt in range(1 + REPROMPT_LIMIT):
-        prompt = build_prompt(context, partial)
+        prompt = _layers.build_prompt(context, partial)
         if attempt_error is not None:
             prompt += ("\nThe previous answer could not be parsed as PlantUML: "
                        f"{attempt_error}\nPlease answer again with one corrected "
                        "@startuml block.\n")
         request = VisionRequest(prompt_text=prompt, images=images)
-        completion = invoke_vision_model(request, inputs.llm_client)
+        completion = _layers.invoke_vision_model(request, inputs.llm_client)
         try:
-            result = extract_model(completion)
+            result = _layers.extract_model(completion)
         except LcpBridgeError as exc:
             attempt_error = str(exc)
             continue
@@ -183,7 +210,7 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str,
             loss.add("model", source_platform, "LLM_INFERRED", "info", warning)
         if partial is None:
             return result.model, loss, None
-        merged, merge_report = merge_models(partial, result.model)
+        merged, merge_report = _layers.merge_models(partial, result.model)
         return merged, loss, merge_report
 
     # all attempts failed: the runner keeps the raw completion for manual repair
@@ -192,21 +219,23 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str,
 
 
 def _export_sql(model: DomainModel, out_dir: Path, options: ExecutionOptions):
-    plan, loss = plan_relational(model)
+    plan, loss = _layers.plan_relational(model)
     path = out_dir / "model.sql"
-    path.write_text(emit_sql(plan, dialect=options.dialect), encoding="utf-8")
+    path.write_text(_layers.emit_sql(plan, dialect=options.dialect), encoding="utf-8")
     return [path], loss
 
 
 def _export_workbook(model: DomainModel, out_dir: Path, options: ExecutionOptions):
-    manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
-    return list(emit_workbook(manifest, out_dir / "model.xlsx")), loss
+    manifest, loss = _layers.plan_workbook(model,
+                                           include_sample_row=options.include_sample_row)
+    return list(_layers.emit_workbook(manifest, out_dir / "model.xlsx")), loss
 
 
 def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
     import csv  # only this generator writes CSV: imported here to keep it out of start-up
 
-    manifest, loss = plan_workbook(model, include_sample_row=options.include_sample_row)
+    manifest, loss = _layers.plan_workbook(model,
+                                           include_sample_row=options.include_sample_row)
     loss.add("model", model.name, "DROPPED", "warning",
              "CSV fallback cannot carry dropdown validations between tables")
     paths = []
@@ -222,8 +251,10 @@ def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
 
 
 def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOptions):
+    from .plantuml import UNNAMED_MODEL, association_roles
+
     path = out_dir / "model.puml"
-    path.write_text(emit_plantuml(model), encoding="utf-8")
+    path.write_text(_layers.emit_plantuml(model), encoding="utf-8")
     loss = LossReport()
     if model.name != UNNAMED_MODEL:
         loss.add("model", model.name, "DROPPED", "warning",
@@ -272,7 +303,7 @@ def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
                  options: ExecutionOptions) -> tuple[list[Path], LossReport]:
     """Run one generator on an API caller's model, validated here first."""
     adapter = _adapter(EXPORTERS, "export", adapter_id)
-    require_valid(model, "model for export")
+    _layers.require_valid(model, "model for export")
     with _step(adapter_id), _writing_to(out_dir):
         return adapter.run(model, out_dir, options)
 
@@ -288,7 +319,7 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
     generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
     out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []
     if pivot_path is not None:
-        model = load_pivot_file(pivot_path)
+        model = _layers.load_pivot_file(pivot_path)
     else:
         model = None
         for adapter in importers:
@@ -312,11 +343,11 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
 
     with _writing_to(out_dir):
         if importers:
-            save_pivot_file(model, pivot_path)
+            _layers.save_pivot_file(model, pivot_path)
             outputs.append(pivot_path)
             if options.review_hook is not None:
                 options.review_hook(pivot_path)
-                model = load_pivot_file(pivot_path)
+                model = _layers.load_pivot_file(pivot_path)
         if generator:
             with _step(generator.id), _writing_to(out_dir):
                 files, export_loss = generator.run(model, out_dir, options)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 
-from . import xlsx
 from .errors import TabularError
 from .loss import LossReport
 from .model import (
@@ -167,6 +166,8 @@ def load_tabular(paths) -> TabularSource:
         if suffix == ".csv":
             add(_load_csv(path))
         elif suffix == ".xlsx":
+            from . import xlsx  # only workbook input needs it: kept out of a CSV run
+
             try:
                 sheets = xlsx.read_workbook(path, max_rows=SAMPLE_LIMIT + 1)
             except Exception as exc:

@@ -2,11 +2,15 @@
 
 ``perfbench/spans.py`` swaps the layer functions named in ``LAYER_CALLS`` on
 ``lcpbridge.pipeline`` at run time. That only works while the pipeline looks
-those names up in its module globals on every call; an adapter table that
+those names up on its own module on every call; an adapter table that
 captured the function objects would leave the traced run reporting zeros.
+A layer loads on its first call, so a name swapped before then must still
+be the one called.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,32 @@ def test_execute_from_pivot_calls_the_swapped_names(spied, tmp_path, mendix_libr
     spied.clear()
     execute_from_pivot(tmp_path / "work" / "model.bml", "apex-sql", tmp_path / "out")
     assert spied == ["load_pivot_file", "plan_relational", "emit_sql"]
+
+
+# argv: src, the Mendix export, the output directory
+SWAP_BEFORE_LOAD = """\
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from lcpbridge import pipeline
+from lcpbridge.planner import plan_migration
+assert "lcpbridge.relational" not in sys.modules
+calls = []
+def emit_sql(plan, dialect):
+    calls.append(dialect)
+    return "-- swapped\\n"
+pipeline.emit_sql = emit_sql
+plan = plan_migration("mendix", "apex")
+pipeline.execute_migration(plan, pipeline.MigrationInputs(files=[Path(sys.argv[2])]), sys.argv[3])
+print(calls, "lcpbridge.relational" in sys.modules)
+"""
+
+
+def test_a_name_swapped_before_its_layer_loads_is_the_one_called(tmp_path, mendix_library_path):
+    src = Path(pipeline.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", SWAP_BEFORE_LOAD, str(src),
+                           str(mendix_library_path), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["['oracle']", "True"]  # plan_relational still loads it
+    assert (tmp_path / "model.sql").read_text(encoding="utf-8") == "-- swapped\n"
