@@ -20,7 +20,11 @@ between the import and generation legs of a migration::
     }
 
 `#` starts a line comment. Parsing and printing are pure and inverse of each
-other up to declaration ordering.
+other. A class head names the class's parent, so a parse lists generalizations
+in the order of their specific classes; every importer builds its model in
+that order too, and so the printed text of an imported model parses back to
+an equal model (dataclass ``==``). Any other model comes back equal up to the
+order of its generalizations.
 
 Well-formed text is read one declaration at a time, each with one regex
 match. Text the scanner cannot read is malformed: it is walked once more,
@@ -279,7 +283,10 @@ def print_pivot_text(model: DomainModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_pivot_file(path) -> DomainModel:
+def read_pivot_text(path) -> str:
+    """The text of a pivot file, with newlines as text mode reads them: \\r\\n
+    and a lone \\r become \\n. Raises MissingInputError if the file cannot be
+    read and DslSyntaxError at the first byte that is not UTF-8."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -290,10 +297,16 @@ def load_pivot_file(path) -> DomainModel:
         line = data.count(b"\n", 0, exc.start) + 1
         column = exc.start - data.rfind(b"\n", 0, exc.start)
         raise DslSyntaxError(f"{path} is not UTF-8 text", line, column) from exc
-    # newlines as text mode reads them: \r\n and a lone \r become \n
-    return parse_pivot_text(text.replace("\r\n", "\n").replace("\r", "\n"))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def save_pivot_file(model: DomainModel, path) -> None:
+def load_pivot_file(path) -> DomainModel:
+    return parse_pivot_text(read_pivot_text(path))
+
+
+def save_pivot_file(model: DomainModel, path) -> str:
+    """Write ``model`` to ``path`` and return the text written."""
+    text = print_pivot_text(model)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(print_pivot_text(model))
+        handle.write(text)
+    return text

@@ -474,6 +474,9 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
         fingerprints.add(association_key(normalized))
         report.added_associations.append(normalized.name)
 
+    # in the order of their specific classes, as the DSL lists them
+    position = {low: i for i, low in enumerate(classes)}
+    generalizations.sort(key=lambda g: position[g.specific.lower()])
     merged = DomainModel(
         name=partial.name,
         classes=tuple(classes.values()),

@@ -4,11 +4,14 @@ All model types are immutable plain data. Construction never raises;
 ``validate_model`` is the single well-formedness gate and reports violations
 as data. Platform adapters build these types and generators consume them.
 It runs once, where a model is built from outside input, and nowhere
-downstream: ``parse_pivot_text`` (a ``.bml`` load, hand-edited or not),
+downstream: ``parse_pivot_text`` (a ``.bml`` load: a pivot file from an
+earlier run, or a reviewed ``model.bml`` whose text the review changed),
 ``parse_plantuml`` (a bad vision-model answer is re-prompted),
 ``mendix_to_pivot``, ``infer_model``, the ``merge_models`` result, and
 ``pipeline.run_exporter`` for Python API callers only. ``print_pivot_text``,
-the planners and the emitters trust it.
+the planners and the emitters trust it, and so does a review that gives
+``model.bml`` back unchanged: its text parses back to the model it was
+printed from.
 Both planners read an association's ``kind`` and ``link`` (the end that
 hosts a many-to-one or one-to-one), so they place each link alike.
 

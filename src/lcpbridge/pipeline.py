@@ -1,9 +1,12 @@
 """Adapter-chain execution: runs a migration plan against concrete inputs.
 
 The import leg persists its pivot model as ``model.bml`` so it can be
-reviewed, edited and re-used; the export leg reads that model, or a pivot
-file from an earlier run, and writes deterministic functions of it, which is
-what makes re-runs byte-identical. One runner owns the output directory.
+reviewed, edited and re-used. After a review the file is parsed and validated
+again only if its text changed: the printed text of a model parses back to
+that same model, which its importer validated already. The export leg reads
+that model, or a pivot file from an earlier run, and writes deterministic
+functions of it, which is what makes re-runs byte-identical. One runner owns
+the output directory.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ def _read_image(path: Path) -> tuple[bytes, str]:
 _LAYER_FUNCTIONS = {
     "require_valid": "model",
     "load_pivot_file": "dsl",
+    "read_pivot_text": "dsl",
     "save_pivot_file": "dsl",
     "load_mendix_export": "mendix",
     "mendix_to_pivot": "mendix",
@@ -313,8 +317,9 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
          matrix: CapabilityMatrix | None = None, pivot_path: str | Path | None = None,
          expected: LossReport | None = None) -> ExecutionResult:
     """The one execution path, every adapter looked up first: the import chain
-    (then ``model.bml``, the review hook and a re-load that checks its edits)
-    or the model in ``pivot_path``; the generator, if any; then the reports."""
+    (then ``model.bml``, the review hook and, if the hook changed the file's
+    text, a re-load that checks the edits) or the model in ``pivot_path``; the
+    generator, if any; then the reports."""
     importers = [_adapter(IMPORTERS, "import", i) for i in importer_ids]
     generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
     out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []
@@ -343,11 +348,13 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
 
     with _writing_to(out_dir):
         if importers:
-            _layers.save_pivot_file(model, pivot_path)
+            printed = _layers.save_pivot_file(model, pivot_path)
             outputs.append(pivot_path)
             if options.review_hook is not None:
                 options.review_hook(pivot_path)
-                model = _layers.load_pivot_file(pivot_path)
+                # unchanged text parses back to the model it was printed from
+                if _layers.read_pivot_text(pivot_path) != printed:
+                    model = _layers.load_pivot_file(pivot_path)
         if generator:
             with _step(generator.id), _writing_to(out_dir):
                 files, export_loss = generator.run(model, out_dir, options)

@@ -231,8 +231,9 @@ class _Builder:
             classes=tuple(Class(name=c, properties=tuple(props.values()))
                           for c, props in self.class_props.items()),
             associations=tuple(self.associations),
-            generalizations=tuple(Generalization(general=g, specific=s)
-                                  for s, g in self.parents.items()),
+            # in class order, as the DSL lists them in its class heads
+            generalizations=tuple(Generalization(general=self.parents[c], specific=c)
+                                  for c in self.class_props if c in self.parents),
             enumerations=tuple(Enumeration(name=e, literals=tuple(literals))
                                for e, literals in self.enum_literals.items()))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import xlsx
 from .loss import LossReport, close_json_list, json_string_list
 from .model import DomainModel, Namespace, Property
 
@@ -283,6 +282,8 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
     keeps the true zero-sheet description. The manifest is trusted as built:
     ``plan_workbook`` claims every sheet name and header from a ``Namespace``.
     """
+    from . import xlsx  # only this writer needs it: the CSV generator plans without it
+
     path = Path(path)
 
     sheets: list[xlsx.SheetData] = []

@@ -3,11 +3,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.dsl import _scan, load_pivot_file, parse_pivot_text, print_pivot_text
 from lcpbridge.errors import DslSyntaxError, InvalidModelError, LcpBridgeError
+from lcpbridge.llm import merge_models
+from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
 from lcpbridge.model import (
     Association,
     AssociationEnd,
@@ -20,9 +22,16 @@ from lcpbridge.model import (
     model_equal,
     require_valid,
 )
+from lcpbridge.plantuml import emit_plantuml, parse_plantuml
 
 from expected import _Parser, _tokenize, class_named, property_names
-from generators import random_model
+from generators import (
+    adversarial_name,
+    fresh_name,
+    random_mendix_export,
+    random_merge_pair,
+    random_model,
+)
 
 LIBRARY_DSL = """\
 # hand-written library fixture
@@ -225,6 +234,38 @@ class TestRoundTrip:
         parsed = parse_pivot_text(text)
         assert model_equal(parsed, model)
         assert print_pivot_text(parsed) == text
+
+
+class TestImportedModelsRoundTripExactly:
+    """An importer's model is the model its ``model.bml`` parses back to, by
+    dataclass ``==`` and so in declaration order too: a review that leaves the
+    file as written can keep the model instead of parsing the file again."""
+
+    @staticmethod
+    def assert_exact(model: DomainModel) -> None:
+        assert parse_pivot_text(print_pivot_text(model)) == model
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mendix_import(self, seed):
+        export = parse_mendix_export(random_mendix_export(random.Random(seed)))
+        self.assert_exact(mendix_to_pivot(export)[0])
+
+    @pytest.mark.parametrize("names", [fresh_name, adversarial_name], ids=["plain", "adversarial"])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_plantuml_import(self, names, seed):
+        text = emit_plantuml(random_model(random.Random(seed), names=names))
+        try:
+            model = parse_plantuml(text).model
+        except LcpBridgeError:
+            assume(False)  # only what parses is imported
+        self.assert_exact(model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_merge(self, seed):
+        self.assert_exact(merge_models(*random_merge_pair(random.Random(seed)))[0])
 
 
 # ---------------------------------------------------------------------------

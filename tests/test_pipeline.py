@@ -9,7 +9,12 @@ import pytest
 
 from lcpbridge.capabilities import load_capabilities
 from lcpbridge.dsl import load_pivot_file
-from lcpbridge.errors import InvalidModelError, LcpBridgeError, MissingInputError
+from lcpbridge.errors import (
+    DslSyntaxError,
+    InvalidModelError,
+    LcpBridgeError,
+    MissingInputError,
+)
 from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
 from lcpbridge.pipeline import (
@@ -18,6 +23,7 @@ from lcpbridge.pipeline import (
     execute_from_pivot,
     execute_import,
     execute_migration,
+    run_exporter,
 )
 from lcpbridge.planner import plan_migration
 from lcpbridge.workbook import SheetDropdown
@@ -314,6 +320,26 @@ class TestReviewHook:
                 ExecutionOptions(review_hook=break_model))
         assert any(v.rule == "DUPLICATE_CLASS_NAME" for v in err.value.violations)
 
+    def test_deleted_pivot_file_is_missing_input(self, tmp_path, mendix_library_path):
+        with pytest.raises(MissingInputError) as err:
+            execute_migration(
+                plan_migration("mendix", "apex"), MigrationInputs(files=[mendix_library_path]),
+                tmp_path, ExecutionOptions(review_hook=lambda pivot_path: pivot_path.unlink()))
+        assert err.value.code == "MISSING_INPUT"
+        assert not (tmp_path / "model.sql").exists()
+
+    def test_non_utf8_edit_is_a_syntax_error(self, tmp_path, mendix_library_path):
+        def garble(pivot_path):
+            pivot_path.write_bytes(pivot_path.read_bytes() + b"class Caf\xe9 {}\n")
+
+        with pytest.raises(DslSyntaxError) as err:
+            execute_migration(
+                plan_migration("mendix", "apex"), MigrationInputs(files=[mendix_library_path]),
+                tmp_path, ExecutionOptions(review_hook=garble))
+        assert err.value.code == "SYNTAX_ERROR"
+        assert "is not UTF-8 text" in str(err.value)
+        assert not (tmp_path / "model.sql").exists()
+
 
 class TestPlantUmlImport:
     def test_repeated_attribute_reported_as_dropped(self, tmp_path):
@@ -328,11 +354,25 @@ class TestPlantUmlImport:
         assert [(i["element_kind"], i["element_name"], i["reason"]) for i in report["items"]] \
             == [("property", "Book.title", "DROPPED")]
 
+    def test_generalizations_out_of_class_order_export_as_from_the_pivot(self, tmp_path):
+        """The imported model lists its generalizations as ``model.bml``
+        does, so exporting it gives what exporting the written file gives."""
+        source = tmp_path / "shapes.puml"
+        source.write_text("@startuml\nclass Shape\nclass Circle\nclass Square\n"
+                          "Shape <|-- Square\nShape <|-- Circle\n@enduml\n", encoding="utf-8")
+        result = execute_import(["plantuml"], MigrationInputs(files=[source]), "plantuml",
+                                tmp_path / "import")
+        _, loss = run_exporter("apex-sql", result.model, tmp_path / "a", ExecutionOptions())
+        from_pivot = execute_from_pivot(result.pivot_path, "apex-sql", tmp_path / "b")
+        assert (tmp_path / "a" / "model.sql").read_bytes() == \
+            (tmp_path / "b" / "model.sql").read_bytes()
+        assert loss.to_json() == (tmp_path / "b" / "loss-report.json").read_text(encoding="utf-8")
+        assert [i.element_name for i in with_reason(from_pivot.loss, "GENERALIZATION_FLATTENED")] \
+            == ["Circle->Shape", "Square->Shape"]
+
 
 class TestCsvFallbackExporter:
     def test_csv_exporter_writes_per_class_files(self, tmp_path, library_model):
-        from lcpbridge.pipeline import run_exporter
-
         paths, loss = run_exporter("csv", library_model, tmp_path, ExecutionOptions())
         names = {p.name for p in paths}
         assert names == {"Library.csv", "Book.csv", "Author.csv", "BOOK_AUTHOR.csv"}
@@ -369,7 +409,8 @@ class TestValidateOnce:
         return calls
 
     @pytest.mark.parametrize("path, expected", [
-        ("mendix-apex-review", 2),  # Mendix mapping, .bml re-load
+        ("mendix-apex-review", 1),  # Mendix mapping; model.bml comes back unchanged
+        ("mendix-apex-review-edited", 2),  # Mendix mapping, re-load of the edited model.bml
         ("outsystems-csv-apex", 1),  # inference
         ("powerapps-screenshot-outsystems", 3),  # inference, PlantUML, merge
         ("powerapps-malformed-first-answer", 3),  # a re-prompt adds no check
@@ -377,10 +418,14 @@ class TestValidateOnce:
     def test_validations_per_migration(self, tmp_path, mendix_library_path, csv_paths,
                                        screenshot_path, validations, path, expected):
         options = ExecutionOptions()
-        if path == "mendix-apex-review":
+        if path.startswith("mendix-apex-review"):
+            def review(pivot_path):
+                if path.endswith("edited"):
+                    pivot_path.write_text(pivot_path.read_text() + "\nclass Addendum {}\n")
+
             plan = plan_migration("mendix", "apex")
             inputs = MigrationInputs(files=[mendix_library_path])
-            options = ExecutionOptions(review_hook=lambda pivot_path: None)
+            options = ExecutionOptions(review_hook=review)
         elif path == "outsystems-csv-apex":
             plan = plan_migration("outsystems", "apex")
             inputs = MigrationInputs(files=list(csv_paths))
@@ -392,6 +437,22 @@ class TestValidateOnce:
                                      llm_client=self.Scripted(answers))
         execute_migration(plan, inputs, tmp_path, options)
         assert len(validations) == expected, validations
+
+    def test_crlf_only_review_is_no_edit(self, tmp_path, mendix_library_path, validations):
+        """Newlines as text mode reads them: a rewrite to \\r\\n changes no text."""
+        def to_crlf(pivot_path):
+            pivot_path.write_bytes(pivot_path.read_bytes().replace(b"\n", b"\r\n"))
+
+        plan = plan_migration("mendix", "apex")
+        inputs = MigrationInputs(files=[mendix_library_path])
+        execute_migration(plan, inputs, tmp_path / "plain")
+        validations.clear()
+        execute_migration(plan, inputs, tmp_path / "crlf", ExecutionOptions(review_hook=to_crlf))
+        assert len(validations) == 1, validations
+        plain, crlf = ({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+                       for run in ("plain", "crlf"))
+        assert crlf.pop("model.bml") == plain.pop("model.bml").replace(b"\n", b"\r\n")
+        assert crlf == plain and "model.sql" in plain
 
     def test_consumers_trust_their_model(self, tmp_path, library_model, validations):
         from lcpbridge.dsl import print_pivot_text, save_pivot_file
@@ -413,8 +474,6 @@ class TestValidateOnce:
 
     def test_run_exporter_checks_the_api_callers_model(self, tmp_path):
         from lcpbridge.model import Class, DomainModel
-        from lcpbridge.pipeline import run_exporter
-
         broken = DomainModel("M", classes=(Class("A"), Class("A")))
         with pytest.raises(InvalidModelError) as err:
             run_exporter("apex-sql", broken, tmp_path, ExecutionOptions())

@@ -16,7 +16,7 @@ from lcpbridge.dsl import parse_pivot_text, print_pivot_text
 from lcpbridge.llm import MergeReport, merge_models
 from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
 from lcpbridge.model import Class, DomainModel, empty_model, validate_model
-from lcpbridge.plantuml import parse_plantuml
+from lcpbridge.plantuml import emit_plantuml, parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model
 from lcpbridge.workbook import emit_workbook, plan_workbook
@@ -153,6 +153,8 @@ def count_ratios(layer, small, large) -> dict[str, float]:
 
 @pytest.mark.parametrize("layer, make", [
     (parse_pivot_text, lambda n: print_pivot_text(counted_model(n))),
+    (print_pivot_text, counted_model),
+    (parse_plantuml, lambda n: emit_plantuml(counted_model(n))),
     (plan_relational, counted_model),
     (plan_workbook, counted_model),
     (infer_model, scaling_tables),
@@ -162,11 +164,12 @@ def count_ratios(layer, small, large) -> dict[str, float]:
     (emit_sql, counted_plan),
     (emit_workbook, counted_manifest),
     (MergeReport.to_json, scaling_merge_report),
-], ids=["parse_pivot_text", "plan_relational", "plan_workbook", "infer_model", "read_workbook",
-        "parse_mendix_export+mendix_to_pivot", "validate_model", "emit_sql", "emit_workbook",
-        "MergeReport.to_json"])
+], ids=["parse_pivot_text", "print_pivot_text", "parse_plantuml", "plan_relational",
+        "plan_workbook", "infer_model", "read_workbook", "parse_mendix_export+mendix_to_pivot",
+        "validate_model", "emit_sql", "emit_workbook", "MergeReport.to_json"])
 def test_counts_grow_linearly(layer, make, tmp_path):
     parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
+    parse_plantuml(wide_class(2))
     infer_column_type(["1"])
     read_workbook(scaling_workbook(2, tmp_path / "warm.xlsx"))
     validate_model(empty_model())

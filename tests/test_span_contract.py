@@ -69,12 +69,23 @@ def spied(monkeypatch):
 
 
 def test_reviewed_migration_calls_the_swapped_names(spied, tmp_path, mendix_library_path):
+    """A review that leaves ``model.bml`` as written re-loads nothing."""
     reviewed = []
     plan = plan_migration("mendix", "apex")
     assert plan.chain == ("mendix-json", "apex-sql")
     execute_migration(plan, MigrationInputs(files=[mendix_library_path]), tmp_path,
                       ExecutionOptions(review_hook=reviewed.append))
     assert reviewed == [tmp_path / "model.bml"]
+    assert spied == [name for name in FORMAL_LAYERS if name != "load_pivot_file"]
+
+
+def test_edited_review_calls_every_swapped_name(spied, tmp_path, mendix_library_path):
+    def edit(pivot_path):
+        pivot_path.write_text(pivot_path.read_text() + "\nclass Addendum {}\n")
+
+    execute_migration(plan_migration("mendix", "apex"),
+                      MigrationInputs(files=[mendix_library_path]), tmp_path,
+                      ExecutionOptions(review_hook=edit))
     assert spied == list(FORMAL_LAYERS)
 
 

@@ -71,6 +71,26 @@ def test_formal_migration_loads_no_tabular_llm_or_workbook_layer(tmp_path):
         assert f"lcpbridge.{layer}" not in loaded
 
 
+# argv: src, model.bml, output directory
+CSV_EXPORT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import lcpbridge
+lcpbridge.execute_from_pivot(sys.argv[2], "csv", sys.argv[3])
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_csv_export_loads_no_xlsx_writer(tmp_path, library_model):
+    from lcpbridge.dsl import save_pivot_file
+
+    save_pivot_file(library_model, tmp_path / "model.bml")
+    loaded = _fresh_process(CSV_EXPORT, tmp_path / "model.bml", tmp_path / "out")
+    assert (tmp_path / "out" / "Book.csv").is_file()
+    assert "lcpbridge.workbook" in loaded
+    assert "lcpbridge.xlsx" not in loaded
+
+
 def test_csv_migration_loads_no_xlsx_reader(tmp_path):
     loaded = _fresh_process(MIGRATE, "outsystems", tmp_path, *sorted((DATA / "csv").glob("*.csv")))
     assert (tmp_path / "model.sql").is_file()
