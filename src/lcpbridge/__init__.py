@@ -8,7 +8,8 @@ information loss.
 
 Each public name below is imported from its module on first use, so
 ``import lcpbridge`` loads no layer and planning loads only the registry,
-the planner and the adapter table.
+the planner and the adapter table. ``_EXPORTS`` is the one table of where
+each name lives; ``pipeline`` takes its layer functions from here.
 """
 
 import importlib
@@ -18,14 +19,16 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "capabilities": ("CapabilityMatrix", "load_capabilities", "query_capabilities"),
-    "dsl": ("load_pivot_file", "parse_pivot_text", "print_pivot_text", "save_pivot_file"),
+    "dsl": ("load_pivot_file", "parse_pivot_text", "print_pivot_text", "read_pivot_text",
+            "save_pivot_file"),
     "llm": ("HttpVisionClient", "PromptContext", "ReplayVisionClient", "VisionRequest",
-            "build_prompt", "extract_model", "invoke_vision_model", "merge_models"),
+            "build_prompt", "extract_model", "invoke_vision_model", "load_prompt_context",
+            "merge_models"),
     "loss": ("LossItem", "LossReport"),
     "mendix": ("load_mendix_export", "mendix_to_pivot", "parse_mendix_export"),
     "model": ("Association", "AssociationEnd", "Class", "DomainModel", "Enumeration",
               "Generalization", "Multiplicity", "Property", "TypeRef", "enum_type",
-              "model_equal", "primitive_type", "validate_model"),
+              "model_equal", "primitive_type", "require_valid", "validate_model"),
     "pipeline": ("ExecutionOptions", "ExecutionResult", "MigrationInputs",
                  "execute_from_pivot", "execute_import", "execute_migration"),
     "planner": ("MigrationPlan", "plan_migration"),

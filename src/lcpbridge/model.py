@@ -47,7 +47,7 @@ def is_identifier(name: str) -> bool:
     return bool(_IDENT_RE.match(name))
 
 
-def sanitize_identifier(name: str, fallback: str = "Unnamed") -> str:
+def sanitize_identifier(name: str) -> str:
     """Coerce a foreign name into a pivot identifier.
 
     Each run of spaces, punctuation and underscores becomes one underscore,
@@ -56,7 +56,7 @@ def sanitize_identifier(name: str, fallback: str = "Unnamed") -> str:
     repeated runs rename identically. Callers record a RENAMED loss entry
     when the result differs from the input.
     """
-    cleaned = _NOT_ALNUM_RE.sub("_", name).strip("_") or fallback
+    cleaned = _NOT_ALNUM_RE.sub("_", name).strip("_") or "Unnamed"
     if not cleaned[0].isalpha():
         cleaned = "X" + cleaned
     if cleaned.lower() in RESERVED_WORDS:
@@ -198,8 +198,6 @@ class Multiplicity:
 
 
 MANY = Multiplicity(0, None)
-OPTIONAL_ONE = Multiplicity(0, 1)
-EXACTLY_ONE = Multiplicity(1, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,9 +316,9 @@ class ValidationResult:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _check_name(value: str, kind: str, out: list[Violation], rule: str = "BAD_IDENTIFIER"):
+def _check_name(value: str, kind: str, out: list[Violation]):
     if not is_identifier(value):
-        out.append(Violation(rule, value or f"<empty {kind}>",
+        out.append(Violation("BAD_IDENTIFIER", value or f"<empty {kind}>",
                              f"{kind} name must start with a letter and use letters/digits/underscore"))
 
 
@@ -539,12 +537,3 @@ def model_equal(a: DomainModel, b: DomainModel) -> bool:
     enums_b = sorted((e.name, frozenset(e.literals)) for e in b.enumerations)
     return enums_a == enums_b
 
-
-__all__ = [
-    "PRIMITIVES", "RESERVED_WORDS", "MANY", "OPTIONAL_ONE", "EXACTLY_ONE",
-    "TypeRef", "primitive_type", "enum_type", "Property", "Class", "Multiplicity",
-    "AssociationEnd", "Association", "Generalization", "Enumeration", "DomainModel",
-    "empty_model", "Violation", "ValidationResult", "validate_model", "require_valid",
-    "model_equal", "association_key", "is_identifier", "sanitize_identifier", "fit_name",
-    "Namespace", "Folds",
-]

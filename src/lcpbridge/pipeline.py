@@ -11,7 +11,6 @@ the output directory.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _PUBLIC
 from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError
 from .loss import LossReport
 
@@ -106,44 +106,24 @@ def _read_image(path: Path) -> tuple[bytes, str]:
 # files into ``out_dir``.
 #
 # Each ``run`` calls a layer as an attribute of this module (``_layers.emit_sql``),
-# and no layer module is imported here at load time. The first lookup of a name
-# in ``_LAYER_FUNCTIONS`` goes to ``__getattr__``, which imports the layer and
-# keeps the function as a module global, so importing and planning load no
-# layer and a run loads only the layers its chain calls. A name a caller sets
-# on this module (a test's monkeypatch, a benchmark's span wrapper) is found
-# before ``__getattr__`` and so sees every call, whether or not its layer was
-# loaded yet.
+# and no layer module is imported here at load time. The first lookup of a
+# public name of the package goes to ``__getattr__``, which takes it from the
+# package (whose own hook imports the defining module) and keeps it as a
+# module global, so importing and planning load no layer and a run loads only
+# the layers its chain calls. A name a caller sets on this module (a test's
+# monkeypatch, a benchmark's span wrapper) is found before ``__getattr__`` and
+# so sees every call, whether or not its layer was loaded yet.
 
-_LAYER_FUNCTIONS = {
-    "require_valid": "model",
-    "load_pivot_file": "dsl",
-    "read_pivot_text": "dsl",
-    "save_pivot_file": "dsl",
-    "load_mendix_export": "mendix",
-    "mendix_to_pivot": "mendix",
-    "parse_plantuml": "plantuml",
-    "emit_plantuml": "plantuml",
-    "load_tabular": "tabular",
-    "infer_model": "tabular",
-    "load_prompt_context": "llm",
-    "build_prompt": "llm",
-    "invoke_vision_model": "llm",
-    "extract_model": "llm",
-    "merge_models": "llm",
-    "plan_relational": "relational",
-    "emit_sql": "relational",
-    "plan_workbook": "workbook",
-    "emit_workbook": "workbook",
-}
 _layers = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Import the layer that defines ``name`` on its first lookup (PEP 562)."""
-    if name not in _LAYER_FUNCTIONS:
+    """Take the package's public ``name`` on its first lookup (PEP 562). Any
+    other name, dunders included, is missing: ``__path__`` or ``__all__``
+    from the package would make this module pass for a package."""
+    if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAYER_FUNCTIONS[name]}", __package__)
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -190,19 +170,18 @@ def _import_image(inputs: MigrationInputs, *, source_platform: str,
     from .llm import ImagePayload, VisionRequest
 
     images = tuple(ImagePayload(*_read_image(p)) for p in inputs.images)
-    context = _layers.load_prompt_context(source_platform, matrix)
+    prompt = _layers.build_prompt(_layers.load_prompt_context(source_platform, matrix),
+                                  partial)
     loss = LossReport()
 
     # the message only: the exception's traceback would hold this frame,
     # and with it the screenshots, until a full garbage collection
     attempt_error: str | None = None
-    for attempt in range(1 + REPROMPT_LIMIT):
-        prompt = _layers.build_prompt(context, partial)
-        if attempt_error is not None:
-            prompt += ("\nThe previous answer could not be parsed as PlantUML: "
-                       f"{attempt_error}\nPlease answer again with one corrected "
-                       "@startuml block.\n")
-        request = VisionRequest(prompt_text=prompt, images=images)
+    for _ in range(1 + REPROMPT_LIMIT):
+        note = "" if attempt_error is None else (
+            f"\nThe previous answer could not be parsed as PlantUML: {attempt_error}"
+            "\nPlease answer again with one corrected @startuml block.\n")
+        request = VisionRequest(prompt_text=prompt + note, images=images)
         completion = _layers.invoke_vision_model(request, inputs.llm_client)
         try:
             result = _layers.extract_model(completion)

@@ -169,6 +169,29 @@ class TestScenarioPowerAppsToApex:
                                    ExecutionOptions(dialect="ansi"))
         assert result.merge_report.added_associations == ["Book_Library"]
 
+    def test_two_reprompts_build_the_prompt_once(self, tmp_path, csv_paths, screenshot_path,
+                                                 monkeypatch):
+        """A re-prompt appends its note to the prompt the step built first."""
+        import lcpbridge.pipeline
+
+        bad = '@startuml\nBook "x..y" -- "1" Library\n@enduml'
+        good = ('@startuml\nBook "0..*" -- "0..1" Library : Book_Library\n@enduml')
+        store = tmp_path / "store"
+        self._seed_retry_store(store, csv_paths, [bad, bad, good])
+        built = []
+
+        def build_prompt(*args, _original=lcpbridge.pipeline.build_prompt):
+            built.append(args)
+            return _original(*args)
+        monkeypatch.setattr(lcpbridge.pipeline, "build_prompt", build_prompt)
+
+        plan = plan_migration("powerapps", "apex")
+        inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
+                                 llm_client=ReplayVisionClient(store))
+        result = execute_migration(plan, inputs, tmp_path / "out")
+        assert result.merge_report.added_associations == ["Book_Library"]
+        assert len(built) == 1
+
     def test_reprompt_leaves_no_cycle_through_the_image_step(self, tmp_path, csv_paths,
                                                              screenshot_path):
         """A malformed answer's exception must not tie the image step's frame,

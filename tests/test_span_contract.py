@@ -37,6 +37,23 @@ def test_every_traced_name_is_a_pipeline_function(spans):
         assert callable(getattr(pipeline, name, None)), name
 
 
+def test_every_traced_name_is_a_public_name_of_the_package(spans):
+    """``pipeline`` takes only the package's public names, so a layer
+    missing from the package's table fails here, not only in a traced run."""
+    import lcpbridge
+
+    assert sorted(set(spans.LAYER_CALLS) - set(lcpbridge._PUBLIC)) == []
+
+
+def test_pipeline_takes_no_other_name_from_the_package():
+    """The package's ``__path__`` or ``__all__`` would make ``pipeline``
+    pass for a package and ``import *`` from it pull in every public name."""
+    assert not hasattr(pipeline, "__path__")
+    assert not hasattr(pipeline, "__all__")
+    with pytest.raises(AttributeError, match="'lcpbridge.pipeline'"):
+        pipeline.no_such_name
+
+
 def test_execute_migration_calls_the_swapped_names(monkeypatch, tmp_path, csv_paths):
     calls = []
     for name in ("plan_relational", "load_tabular"):
