@@ -7,11 +7,20 @@ that same model, which its importer validated already. The export leg reads
 that model, or a pivot file from an earlier run, and writes deterministic
 functions of it, which is what makes re-runs byte-identical. One runner owns
 the output directory.
+
+The cyclic garbage collector is paused while a run lasts. A migration builds
+and walks tens of thousands of small records but leaves no cycle behind
+(``tests/test_pipeline.py::TestCollectorPause`` holds each benchmarked chain to
+that), so the collections it would trigger find nothing to free. Cycles made
+during a run, by a caller's review hook or a failure's traceback, wait for
+the first collection after it.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -76,6 +85,33 @@ def _writing_to(out_dir: Path) -> Iterator[None]:
     except OSError as exc:
         raise OutputError(f"cannot write {exc.filename or out_dir}: "
                           f"{exc.strerror or exc}") from exc
+
+
+_pause_lock = threading.Lock()
+_pause_depth = 0  # runs under way, in any thread
+_pause_restore = False  # whether the first of them found the collector on
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic collector until the last overlapping run ends, then
+    enable it again if the first one found it on. One save and restore per
+    run would not do: when two runs overlap, the second saves "off", the
+    first turns the collector on again, and the second then leaves it off
+    for the rest of the process."""
+    global _pause_depth, _pause_restore
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_restore = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_restore:
+                gc.enable()
 
 
 def _files_with_suffix(inputs: MigrationInputs, suffixes: tuple[str, ...],
@@ -291,6 +327,7 @@ def run_exporter(adapter_id: str, model: DomainModel, out_dir: Path,
         return adapter.run(model, out_dir, options)
 
 
+@_collector_paused()
 def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Path,
          options: ExecutionOptions, inputs: MigrationInputs | None = None, source: str = "",
          matrix: CapabilityMatrix | None = None, pivot_path: str | Path | None = None,
@@ -298,7 +335,7 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
     """The one execution path, every adapter looked up first: the import chain
     (then ``model.bml``, the review hook and, if the hook changed the file's
     text, a re-load that checks the edits) or the model in ``pivot_path``; the
-    generator, if any; then the reports."""
+    generator, if any; then the reports. The collector is paused throughout."""
     importers = [_adapter(IMPORTERS, "import", i) for i in importer_ids]
     generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
     out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []

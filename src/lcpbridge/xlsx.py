@@ -533,14 +533,20 @@ def _outline(doc: str, marker: str) -> bool:
     item and is in the main namespace. The callers check the part's head
     with the root's end tag right after the marker first: so the marker is
     a child of the root, and the main namespace is the root's default.
+
+    A pull parser, not ``iterparse``: in Python 3.11 each ``iterparse``
+    call defines a class, which is cyclic garbage.
     """
     from xml.etree import ElementTree as ET
 
     if "<!" in doc or _patterns().foreign_encoding.search(doc):
         raise _Unread
     prefixes, found, started = set(), [], False
+    parser = ET.XMLPullParser(("start-ns", "start"))
     try:
-        for event, item in ET.iterparse(io.BytesIO(doc.encode()), ("start-ns", "start")):
+        parser.feed(doc.encode())
+        parser.close()
+        for event, item in parser.read_events():
             if event == "start-ns":
                 if not started:  # declared on the root
                     prefixes.add(item[0])

@@ -388,6 +388,24 @@ def scaling_tables(n: int) -> TabularSource:
         for i in range(n)))
 
 
+def scaling_csv(n: int, directory: Path) -> list[Path]:
+    """``scaling_tables(n)`` as CSV files: ``n`` files of the columns above,
+    three rows each, written to ``directory``."""
+    import csv
+
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = list(zip(*(values for _, values in SCALING_COLUMNS)))
+    paths = []
+    for i in range(n):
+        path = directory / f"Table{i}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header for header, _ in SCALING_COLUMNS)
+            writer.writerows(rows)
+        paths.append(path)
+    return paths
+
+
 def scaling_workbook(n: int, path: Path) -> Path:
     """The size ladder of the workbook read: one sheet of ``n`` rows in the
     shared-strings layout, with number, boolean and inline string cells,

@@ -3,6 +3,8 @@
 import gc
 import json
 import sqlite3
+import sys
+import threading
 import types
 
 import pytest
@@ -545,3 +547,158 @@ class TestRunner:
         assert err.value.details == {"step": "image-llm"}
         assert raw_path.read_text() == bad
         assert sorted(p.name for p in out_dir.iterdir()) == ["llm-completion.txt"]
+
+
+class TestCollectorPause:
+    """``_run`` pauses the cyclic collector and gives back the state it found."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("source, target, chain", [
+        ("mendix", "apex", ("mendix-json", "apex-sql")),
+        ("powerapps", "outsystems", ("tabular", "image-llm", "workbook")),
+        ("outsystems", "apex", ("tabular", "apex-sql")),
+    ], ids=["mendix-json>apex-sql", "csv+image-llm>workbook", "xlsx>apex-sql"])
+    def test_a_migration_leaves_no_cyclic_garbage(self, source, target, chain, tmp_path,
+                                                  mendix_library_path, csv_paths,
+                                                  screenshot_path):
+        """The invariant the pause rests on: no chain the benchmark runs makes
+        a cycle, so the collections a run would trigger have nothing to free.
+        Each garbage cycle found here would instead be held until the run
+        ends. The XLSX chain guards ``xlsx._outline``, where each
+        ``ElementTree.iterparse`` call left a class behind (Python 3.11)."""
+        from generators import scaling_workbook
+
+        plan = plan_migration(source, target)
+        assert plan.chain == chain
+        if source == "mendix":
+            inputs = MigrationInputs(files=[mendix_library_path])
+        elif source == "powerapps":  # one re-prompt
+            bad = '@startuml\nBook "x..y" -- "1" Library\n@enduml'
+            good = '@startuml\nBook "0..*" -- "0..1" Library : Book_Library\n@enduml'
+            store = tmp_path / "store"
+            TestScenarioPowerAppsToApex()._seed_retry_store(store, csv_paths, [bad, good])
+            inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
+                                     llm_client=ReplayVisionClient(store))
+        else:
+            inputs = MigrationInputs(files=[scaling_workbook(50, tmp_path / "rows.xlsx")])
+        # a first run loads the layers: module set-up stays out of the count
+        execute_migration(plan, inputs, tmp_path / "warm")
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            execute_migration(plan, inputs, tmp_path / "out")
+            gc.collect()
+            garbage = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+
+    def test_the_collector_is_off_during_a_run(self, tmp_path, mendix_library_path):
+        seen = []
+        execute_migration(plan_migration("mendix", "apex"),
+                          MigrationInputs(files=[mendix_library_path]), tmp_path,
+                          ExecutionOptions(review_hook=lambda path: seen.append(gc.isenabled())))
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "coded-failure"])
+    def test_a_run_gives_back_the_state_it_found(self, enabled, fails, tmp_path,
+                                                 mendix_library_path):
+        (gc.enable if enabled else gc.disable)()
+        inputs = MigrationInputs(files=[] if fails else [mendix_library_path])
+        if fails:
+            with pytest.raises(MissingInputError):
+                execute_migration(plan_migration("mendix", "apex"), inputs, tmp_path)
+        else:
+            execute_migration(plan_migration("mendix", "apex"), inputs, tmp_path)
+        assert gc.isenabled() is enabled
+
+    def test_a_nested_run_keeps_the_pause(self, tmp_path, mendix_library_path):
+        """A review hook that runs a migration of its own: the collector stays
+        off until the outer run ends."""
+        plan, inputs = plan_migration("mendix", "apex"), MigrationInputs(
+            files=[mendix_library_path])
+        seen = []
+
+        def nested(path):
+            execute_migration(plan, inputs, tmp_path / "inner")
+            seen.append(gc.isenabled())
+
+        gc.enable()
+        execute_migration(plan, inputs, tmp_path / "outer", ExecutionOptions(review_hook=nested))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_overlapping_runs_leave_the_collector_enabled(self, tmp_path, mendix_library_path):
+        """Run B starts while run A is paused and ends after it. A save and
+        restore per run would have B save "off" and restore it."""
+        plan, inputs = plan_migration("mendix", "apex"), MigrationInputs(
+            files=[mendix_library_path])
+        a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+        seen, errors = [], []
+
+        def hook_a(path):
+            a_inside.set()
+            assert b_inside.wait(30)
+
+        def hook_b(path):
+            b_inside.set()
+            assert a_done.wait(30)
+            seen.append(gc.isenabled())  # A has ended; B still runs
+
+        def run(name, hook, done=None):
+            try:
+                execute_migration(plan, inputs, tmp_path / name,
+                                  ExecutionOptions(review_hook=hook))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+            finally:
+                if done is not None:
+                    done.set()
+
+        gc.enable()
+        a = threading.Thread(target=run, args=("a", hook_a, a_done))
+        b = threading.Thread(target=run, args=("b", hook_b))
+        a.start()
+        assert a_inside.wait(30)
+        b.start()
+        a.join(60)
+        b.join(60)
+        assert not a.is_alive() and not b.is_alive()
+        assert errors == [] and seen == [False]
+        assert gc.isenabled()
+
+    def test_many_threads_pausing_at_once_leave_the_collector_enabled(self):
+        """More threads than cores enter and leave the pause with a short
+        switch interval: a lost update of the run count would leave the
+        collector off, or turn it on inside a run."""
+        from lcpbridge.pipeline import _collector_paused
+
+        inside_enabled, interval = [], sys.getswitchinterval()
+
+        def pause_often():
+            for _ in range(2000):
+                with _collector_paused():
+                    if gc.isenabled():
+                        inside_enabled.append(True)
+
+        gc.enable()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pause_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside_enabled == []
+        assert gc.isenabled()

@@ -18,11 +18,12 @@ from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
 from lcpbridge.model import Class, DomainModel, empty_model, validate_model
 from lcpbridge.plantuml import emit_plantuml, parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
-from lcpbridge.tabular import infer_column_type, infer_model
+from lcpbridge.tabular import infer_column_type, infer_model, load_tabular
 from lcpbridge.workbook import emit_workbook, plan_workbook
 from lcpbridge.xlsx import read_workbook
 
 from generators import (
+    scaling_csv,
     scaling_merge_report,
     scaling_mendix,
     scaling_model,
@@ -164,17 +165,24 @@ def count_ratios(layer, small, large) -> dict[str, float]:
     (emit_sql, counted_plan),
     (emit_workbook, counted_manifest),
     (MergeReport.to_json, scaling_merge_report),
+    (emit_plantuml, counted_model),
+    (lambda pair: merge_models(*pair), lambda n: half_known(counted_model(n))),
+    (load_tabular, scaling_csv),
 ], ids=["parse_pivot_text", "print_pivot_text", "parse_plantuml", "plan_relational",
         "plan_workbook", "infer_model", "read_workbook", "parse_mendix_export+mendix_to_pivot",
-        "validate_model", "emit_sql", "emit_workbook", "MergeReport.to_json"])
+        "validate_model", "emit_sql", "emit_workbook", "MergeReport.to_json", "emit_plantuml",
+        "merge_models", "load_tabular(csv)"])
 def test_counts_grow_linearly(layer, make, tmp_path):
     parse_pivot_text("model Warm")  # first-use set-up stays out of the counts
     parse_plantuml(wide_class(2))
     infer_column_type(["1"])
     read_workbook(scaling_workbook(2, tmp_path / "warm.xlsx"))
     validate_model(empty_model())
+    load_tabular(scaling_csv(2, tmp_path / "warm"))
     if make is scaling_workbook:  # the workbook is read from a file
         make = lambda n: scaling_workbook(n, tmp_path / f"{n}.xlsx")
+    if make is scaling_csv:  # one CSV file per table
+        make = lambda n: scaling_csv(n, tmp_path / str(n))
     if layer is emit_workbook:  # the workbook and its manifest go to files
         layer = lambda manifest: emit_workbook(manifest, tmp_path / "model.xlsx")
     ratios = count_ratios(layer, make(COUNT_SMALL), make(COUNT_LARGE))
