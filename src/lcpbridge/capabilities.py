@@ -82,14 +82,19 @@ def _check_level(value, where: str) -> str:
     return value
 
 
-def load_capabilities(path: str | Path) -> CapabilityMatrix:
-    """Parse a capability file; validates levels and format tokens."""
+def load_toml(path: str | Path, what: str) -> dict:
+    """The tables of a TOML file; a file that cannot be read or parsed is a
+    ConfigError that says it cannot load ``what``."""
     try:
         with open(path, "rb") as handle:
-            raw = tomllib.load(handle)
+            return tomllib.load(handle)
     except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
-        raise ConfigError(f"cannot load capabilities from {path}: {exc}") from exc
+        raise ConfigError(f"cannot load {what}: {exc}") from exc
 
+
+def load_capabilities(path: str | Path) -> CapabilityMatrix:
+    """Parse a capability file; validates levels and format tokens."""
+    raw = load_toml(path, f"capabilities from {path}")
     records = {}
     displays = {}
     for platform_id, body in raw.items():

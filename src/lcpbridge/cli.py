@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tomllib
 from pathlib import Path
 
 from .capabilities import (
@@ -19,6 +18,7 @@ from .capabilities import (
     CapabilityMatrix,
     default_matrix,
     load_capabilities,
+    load_toml,
     typed_value,
 )
 from .errors import ConfigError, LcpBridgeError
@@ -44,11 +44,7 @@ def _load_config(path: str | None) -> dict:
         if path:
             raise ConfigError(f"config file {candidate} not found")
         return {}
-    try:
-        with open(candidate, "rb") as handle:
-            config = tomllib.load(handle)
-    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
-        raise ConfigError(f"cannot load {candidate}: {exc}") from exc
+    config = load_toml(candidate, str(candidate))
     llm_config = typed_value(config.get("llm", {}), dict, f"{candidate}: llm")
     for key in _LLM_KEYS:
         typed_value(llm_config.get(key, ""), str, f"{candidate}: llm.{key}")
@@ -115,11 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capabilities", help="show a platform's export/import support")
     p.add_argument("--platform", help="platform id (omit to list all)")
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_capabilities)
 
     p = sub.add_parser("plan", help="plan a migration path between two platforms")
     p.add_argument("--from", dest="source", required=True, metavar="PLATFORM")
     p.add_argument("--to", dest="target", required=True, metavar="PLATFORM")
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_plan)
 
     p = sub.add_parser("migrate", help="plan and execute a migration")
     p.add_argument("--from", dest="source", required=True, metavar="PLATFORM")
@@ -136,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the example data row from generated workbooks")
     _add_llm_flags(p)
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_migrate)
 
     p = sub.add_parser("import", help="run a single import adapter to a pivot model")
     p.add_argument("adapter", choices=sorted(IMPORTERS))
@@ -146,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_llm_flags(p)
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_import)
 
     p = sub.add_parser("export", help="run a single generator from a pivot model")
     p.add_argument("adapter", choices=sorted(EXPORTERS))
@@ -154,15 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialect", choices=("oracle", "ansi"), default="oracle")
     p.add_argument("--no-sample-row", action="store_true")
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_export)
 
     p = sub.add_parser("validate", help="check a pivot model file")
     p.add_argument("--model", required=True, help="pivot model file (.bml)")
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_validate)
 
     return parser
 
 
-def _cmd_capabilities(args) -> int:
+def _cmd_capabilities(args, config: dict) -> int:
     matrix = _matrix_from(args)
     platforms = [args.platform] if args.platform else list(matrix.platform_ids())
     for platform_id in platforms:
@@ -172,7 +174,7 @@ def _cmd_capabilities(args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args, config: dict) -> int:
     matrix = _matrix_from(args)
     plan = plan_migration(args.source, args.target, matrix=matrix)
     print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
@@ -217,7 +219,7 @@ def _cmd_import(args, config: dict) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args, config: dict) -> int:
     options = ExecutionOptions(dialect=args.dialect,
                                include_sample_row=not args.no_sample_row)
     result = execute_from_pivot(args.model, args.adapter, args.out, options)
@@ -227,7 +229,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, config: dict) -> int:
     from .dsl import load_pivot_file
     from .errors import InvalidModelError
 
@@ -243,29 +245,14 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-        if args.command == "capabilities":
-            return _cmd_capabilities(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "migrate":
-            return _cmd_migrate(args, config)
-        if args.command == "import":
-            return _cmd_import(args, config)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, _load_config(args.config))
     except LcpBridgeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         if "step" in exc.details:
             print(f"  in step '{exc.details['step']}'", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import functools
 import re
-from pathlib import Path
 from typing import NoReturn
 
-from .errors import DslSyntaxError, MissingInputError
+from .errors import DslSyntaxError, input_file
 from .model import (
     PRIMITIVES,
     Association,
@@ -287,10 +286,8 @@ def read_pivot_text(path) -> str:
     """The text of a pivot file, with newlines as text mode reads them: \\r\\n
     and a lone \\r become \\n. Raises MissingInputError if the file cannot be
     read and DslSyntaxError at the first byte that is not UTF-8."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with input_file(path) as handle:
+        data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and ``input_file``, the
+one rule for an input file that cannot be read.
 
 Every error carries a stable ``code`` so CLI output and tests can match on
 it without parsing message text.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class LcpBridgeError(Exception):
@@ -93,6 +96,18 @@ class MissingInputError(LcpBridgeError):
     """The migration plan requires an input artifact that was not supplied."""
 
     code = "MISSING_INPUT"
+
+
+@contextmanager
+def input_file(path, mode: str = "rb", **open_args):
+    """``path`` opened for reading: an ``OSError`` raised while it is opened
+    or read in the ``with`` block becomes a MissingInputError. What the file
+    holds is the caller's to judge."""
+    try:
+        with open(path, mode, **open_args) as handle:
+            yield handle
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 class OutputError(LcpBridgeError):

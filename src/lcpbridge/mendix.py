@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import MendixImportError, MissingInputError
+from .errors import MendixImportError, input_file
 from .loss import LossReport
 from .model import (
     Association,
@@ -250,9 +250,8 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
 
 def load_mendix_export(path: str | Path) -> MendixExport:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        with input_file(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise MendixImportError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_mendix_export(text)

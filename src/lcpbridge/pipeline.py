@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _PUBLIC
-from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError
+from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError, input_file
 from .loss import LossReport
 
 if TYPE_CHECKING:
@@ -128,10 +128,8 @@ def _read_image(path: Path) -> tuple[bytes, str]:
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
     if media_type is None:
         raise MissingInputError(f"unsupported image type {path.suffix!r} for {path}")
-    try:
-        return path.read_bytes(), media_type
-    except OSError as exc:
-        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with input_file(path) as handle:
+        return handle.read(), media_type
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +186,8 @@ def _import_tabular(inputs: MigrationInputs, **_):
 def _import_plantuml(inputs: MigrationInputs, **_):
     files = _files_with_suffix(inputs, (".puml", ".plantuml", ".txt"), "plantuml")
     try:
-        text = files[0].read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MissingInputError(f"cannot read {files[0]}: {exc.strerror or exc}") from exc
+        with input_file(files[0], "r", encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise PlantUmlError(f"{files[0]} is not UTF-8 text: {exc}") from exc
     result = _layers.parse_plantuml(text)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 
-from .errors import TabularError
+from .errors import TabularError, input_file
 from .loss import LossReport
 from .model import (
     Class,
@@ -139,11 +139,11 @@ def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
 def _load_csv(path: Path) -> Table:
     import csv  # only CSV input needs it: imported here to keep it out of start-up
 
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
+    with input_file(path, "r", newline="", encoding="utf-8-sig") as handle:
+        try:
             rows = list(islice(csv.reader(handle), SAMPLE_LIMIT + 1))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise TabularError(f"cannot read {path}: {exc}") from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise TabularError(f"cannot read {path}: {exc}") from exc
     return _table_from_rows(path.stem, rows, str(path))
 
 
@@ -160,18 +160,17 @@ def load_tabular(paths) -> TabularSource:
 
     for raw_path in paths:
         path = Path(raw_path)
-        if not path.exists():
-            raise TabularError(f"cannot read {path}: no such file")
         suffix = path.suffix.lower()
         if suffix == ".csv":
             add(_load_csv(path))
         elif suffix == ".xlsx":
             from . import xlsx  # only workbook input needs it: kept out of a CSV run
 
-            try:
-                sheets = xlsx.read_workbook(path, max_rows=SAMPLE_LIMIT + 1)
-            except Exception as exc:
-                raise TabularError(f"cannot read workbook {path}: {exc}") from exc
+            with input_file(path) as handle:
+                try:  # once open, any failure is the workbook's: a bad zip offset is an OSError
+                    sheets = xlsx.read_workbook(handle, max_rows=SAMPLE_LIMIT + 1)
+                except Exception as exc:
+                    raise TabularError(f"cannot read workbook {path}: {exc}") from exc
             for sheet in sheets:
                 if not sheet.rows:
                     continue  # blank placeholder sheet

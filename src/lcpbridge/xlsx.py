@@ -23,8 +23,9 @@ the scan meets anything else (a formula, a comment, CDATA, a processing
 instruction, a prefixed or foreign element, another entity, a CR in text,
 an unknown attribute or child), it drops what it read of that part, and
 ElementTree reads the part from its start: each part has one reader. That
-reader is also the reference the tests hold the scan to. Both feed
-``_fill``, which places the cells.
+reader is also the reference the tests hold the scan to. The scan reads
+text pieces cut at row or item ends (``_chunks``), ElementTree the events of
+one pull parser (``_events``); both feed ``_fill``, which places the cells.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from __future__ import annotations
 import bisect
 import functools
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 if TYPE_CHECKING:
     import zipfile
@@ -286,7 +288,7 @@ def _patterns() -> _Patterns:
 
     The fullmatched ones account for every character of the rows or items
     they read. Text holds no CR and no reference but the five predefined
-    entities and numeric ones (``_take`` has checked that every character
+    entities and numeric ones (``_chunks`` has checked that every character
     is one XML allows). Attributes are quoted with ``"`` and come in the
     order Excel documents them; lcpbridge writes ``t`` before ``s``. A cell
     reference is one to three letters and a row number, as the row's ``r``
@@ -456,12 +458,25 @@ def _fill(grid: list[list], rows, max_rows: int | None, wanted: set[int]) -> boo
     return False
 
 
+def _events(source, events: tuple[str, ...]):
+    """The ElementTree ``events`` of the XML in the binary file ``source``,
+    fed to one pull parser ``_CHUNK`` bytes at a time: ElementTree's own
+    streaming reader defines a class per call in Python 3.11, which is
+    cyclic garbage."""
+    from xml.etree import ElementTree as ET
+
+    parser = ET.XMLPullParser(events)
+    while data := source.read(_CHUNK):
+        parser.feed(data)
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()
+
+
 def _tree_rows(part):
     """(r, cells) for each row of sheet XML through ElementTree: the reader
     of what the scan does not read, and the scan's reference."""
-    from xml.etree import ElementTree as ET
-
-    for _, elem in ET.iterparse(part):
+    for _, elem in _events(part, ("end",)):
         if elem.tag == _ROW:
             cells = []
             for cell in elem.iter(_CELL):
@@ -478,10 +493,8 @@ def _tree_rows(part):
 def _tree_shared_strings(part, wanted: set[int], found: dict[int, str]) -> None:
     """Put the shared strings at the ``wanted`` indices into ``found``
     through ElementTree, streamed up to the last one."""
-    from xml.etree import ElementTree as ET
-
     last = max(wanted)
-    events = ET.iterparse(part, ("start", "end"))
+    events = _events(part, ("start", "end"))
     _, root = next(events)
     index = 0
     for event, elem in events:
@@ -494,34 +507,33 @@ def _tree_shared_strings(part, wanted: set[int], found: dict[int, str]) -> None:
             root.clear()  # drop the items read so far: memory stays flat
 
 
-def _inflate(part, buf: bytearray, end: bytes) -> bool:
-    """Grow ``buf`` by a chunk of ``part``, and by more until it holds
-    ``end``; True once the part is used up."""
-    while True:
+def _chunks(part, end: bytes):
+    """The text of ``part``, inflated ``_CHUNK`` bytes at a time and decoded a
+    piece at a time: each piece but the last ends with the last ``end`` read
+    so far, and the last, which holds no ``end``, is what follows it.
+
+    Raises _Unread on a character XML does not allow, and on ``]]>``, which
+    XML text never holds.
+    """
+    buf = bytearray()
+    while chunk := part.read(_CHUNK):
         start = max(len(buf) - len(end) + 1, 0)
-        chunk = part.read(_CHUNK)
-        if not chunk:
-            return True
         buf += chunk
-        if buf.find(end, start) >= 0:
-            return False
+        cut = buf.rfind(end, start) + len(end)
+        if cut >= len(end):
+            yield _decoded(buf[:cut])
+            del buf[:cut]
+    yield _decoded(buf)
 
 
-def _take(buf: bytearray, end: bytes, at_end: bool) -> str:
-    """Cut from ``buf`` and decode its text up to the last ``end``, or all of
-    it at the part's end. Raises _Unread on a character XML does not allow,
-    and on ``]]>``, which XML text never holds."""
-    cut = len(buf) if at_end else buf.rfind(end) + len(end)
-    data = buf[:cut]
+def _decoded(data: bytearray) -> str:
     if (len(data.translate(None, _CONTROLS)) != len(data) or b"]]>" in data
             or b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data):  # U+FFFE, U+FFFF
         raise _Unread
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         raise _Unread from None
-    del buf[:cut]
-    return text
 
 
 def _outline(doc: str, marker: str) -> bool:
@@ -533,20 +545,14 @@ def _outline(doc: str, marker: str) -> bool:
     item and is in the main namespace. The callers check the part's head
     with the root's end tag right after the marker first: so the marker is
     a child of the root, and the main namespace is the root's default.
-
-    A pull parser, not ``iterparse``: in Python 3.11 each ``iterparse``
-    call defines a class, which is cyclic garbage.
     """
     from xml.etree import ElementTree as ET
 
     if "<!" in doc or _patterns().foreign_encoding.search(doc):
         raise _Unread
     prefixes, found, started = set(), [], False
-    parser = ET.XMLPullParser(("start-ns", "start"))
     try:
-        parser.feed(doc.encode())
-        parser.close()
-        for event, item in parser.read_events():
+        for event, item in _events(io.BytesIO(doc.encode()), ("start-ns", "start")):
             if event == "start-ns":
                 if not started:  # declared on the root
                     prefixes.add(item[0])
@@ -586,9 +592,8 @@ def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) 
     """Read a sheet part into ``grid`` by the compiled scan, a chunk at a
     time, until a row numbered past ``max_rows`` or the part's end. Raises
     _Unread at the first markup the scan does not read."""
-    buf = bytearray()
-    at_end = _inflate(part, buf, b"</row>")
-    text = _take(buf, b"</row>", at_end)
+    pieces = _chunks(part, b"</row>")
+    text = next(pieces)
     start = text.find("<sheetData")
     head = text[:start]
     if text.startswith("<sheetData>", start):
@@ -599,15 +604,11 @@ def _scan_sheet(part, max_rows: int | None, grid: list[list], wanted: set[int]) 
         raise _Unread
     x14ac = _outline(head + "<sheetData/></worksheet>", "sheetData")
     rows, ends = _patterns().rows[x14ac], _patterns().ends[x14ac]
-    while True:
-        segments = body.split("</row>")
+    for piece in itertools.chain(("",), pieces):
+        segments = (body + piece).split("</row>")
         body = segments.pop()
         if _fill(grid, _scanned_rows(segments, rows), max_rows, wanted):
             return
-        if at_end:
-            break
-        at_end = _inflate(part, buf, b"</row>")
-        body += _take(buf, b"</row>", at_end)
     match = ends.match(body)
     if match is None:
         raise _Unread
@@ -620,23 +621,21 @@ def _scan_shared_strings(part, wanted: list[int], found: dict[int, str]) -> None
     by the compiled scan, a chunk at a time, up to the last of them. Raises
     _Unread at the first markup the scan does not read."""
     patterns = _patterns()
-    buf = bytearray()
-    at_end = _inflate(part, buf, b"</si>")
-    body = _take(buf, b"</si>", at_end)
-    start = body.find("<si")
+    pieces = _chunks(part, b"</si>")
+    text = next(pieces)
+    start = text.find("<si")
     if start < 0:
         raise _Unread
-    head, body = body[:start], body[start:]
+    head = text[:start]
     _outline(head + "<si/></sst>", "si")
-    index, pick = 0, 0  # the number of the chunk's first item; wanted[pick] is the next
-    while True:
-        items = body
-        if at_end:
-            stop = body.rfind("</sst>")
+    index, pick = 0, 0  # the number of the piece's first item; wanted[pick] is the next
+    for items in itertools.chain((text[start:],), pieces):
+        if not items.endswith("</si>"):  # the part's last piece: the root ends in it
+            stop = items.rfind("</sst>")
             if stop < 0:
                 raise _Unread
-            items = body[:stop]
-            _outline(head + "<si/>" + body[stop:], "si")
+            _outline(head + "<si/>" + items[stop:], "si")
+            items = items[:stop]
         if patterns.items.fullmatch(items) is None:
             raise _Unread
         texts = patterns.item_texts.findall(items)
@@ -644,11 +643,9 @@ def _scan_shared_strings(part, wanted: list[int], found: dict[int, str]) -> None
         for number in wanted[pick:end]:
             plain, rich = texts[number - index]
             found[number] = _scanned_text(rich) if rich else _unescape(plain)
-        if at_end or end == len(wanted):
+        if end == len(wanted):
             return
         index, pick = index + len(texts), end
-        at_end = _inflate(part, buf, b"</si>")
-        body = _take(buf, b"</si>", at_end)
 
 
 def _read_sheet(zf: zipfile.ZipFile, name: str, max_rows: int | None,
@@ -685,8 +682,9 @@ def _shared_strings(zf: zipfile.ZipFile, name: str, wanted: set[int]) -> dict[in
     return found
 
 
-def read_workbook(path: str | Path, max_rows: int | None = None) -> list[SheetContent]:
-    """Read sheet names and cell grids, as display strings.
+def read_workbook(path: str | Path | BinaryIO, max_rows: int | None = None) -> list[SheetContent]:
+    """Read sheet names and cell grids, as display strings, from a path or an
+    open binary file.
 
     With ``max_rows`` set, each sheet is read only up to that row number,
     which relies on rows coming in ascending order, as OOXML requires.

@@ -139,9 +139,13 @@ def test_missing_input_is_domain_error(tmp_path, capsys):
     "import plantuml --input {tmp}/missing.puml --out {tmp}/out",
     "import image-llm --image {tmp}/missing.png --llm-mode replay --replay-dir {tmp} "
     "--out {tmp}/out",
+    "import tabular --input {tmp}/missing.csv --out {tmp}/out",
+    "import tabular --input {tmp}/missing.xlsx --out {tmp}/out",
+    "import tabular --input {tmp}/d.csv --out {tmp}/out",
 ], ids=["validate", "validate-directory", "export", "migrate-mendix", "import-plantuml",
-        "import-image"])
+        "import-image", "import-csv", "import-xlsx", "import-csv-directory"])
 def test_unreadable_input_file_is_missing_input(tmp_path, capsys, argv):
+    (tmp_path / "d.csv").mkdir()
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
     assert code == 1
     assert "error [MISSING_INPUT]: cannot read" in err

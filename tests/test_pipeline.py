@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import sqlite3
 import sys
 import threading
@@ -20,6 +21,7 @@ from lcpbridge.errors import (
 from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
 from lcpbridge.pipeline import (
+    IMPORTERS,
     ExecutionOptions,
     MigrationInputs,
     execute_from_pivot,
@@ -548,6 +550,23 @@ class TestRunner:
         assert raw_path.read_text() == bad
         assert sorted(p.name for p in out_dir.iterdir()) == ["llm-completion.txt"]
 
+    @pytest.mark.parametrize("importer, token", [
+        (adapter.id, token) for adapter in IMPORTERS.values() for token in adapter.accepts
+        if token != "IMG"])
+    @pytest.mark.parametrize("blocker", ["missing", "directory"])
+    def test_an_unreadable_input_file_is_missing_input(self, importer, token, blocker,
+                                                       tmp_path):
+        """Every importer that reads ``inputs.files`` meets a file it cannot
+        open with the same coded error. A format missing from the suffix
+        table below fails here, so a new importer joins the rule."""
+        suffix = {"JSON": ".json", "PUML": ".puml", "CSV": ".csv", "XLSX": ".xlsx"}[token]
+        path = tmp_path / f"input{suffix}"
+        if blocker == "directory":
+            path.mkdir()
+        with pytest.raises(MissingInputError, match=f"^{re.escape(f'cannot read {path}: ')}"):
+            execute_import([importer], MigrationInputs(files=[path]), "powerapps",
+                           tmp_path / "out")
+
 
 class TestCollectorPause:
     """``_run`` pauses the cyclic collector and gives back the state it found."""
@@ -558,19 +577,24 @@ class TestCollectorPause:
         yield
         (gc.enable if enabled else gc.disable)()
 
-    @pytest.mark.parametrize("source, target, chain", [
-        ("mendix", "apex", ("mendix-json", "apex-sql")),
-        ("powerapps", "outsystems", ("tabular", "image-llm", "workbook")),
-        ("outsystems", "apex", ("tabular", "apex-sql")),
-    ], ids=["mendix-json>apex-sql", "csv+image-llm>workbook", "xlsx>apex-sql"])
-    def test_a_migration_leaves_no_cyclic_garbage(self, source, target, chain, tmp_path,
-                                                  mendix_library_path, csv_paths,
+    @pytest.mark.parametrize("source, target, chain, sheet_markup", [
+        ("mendix", "apex", ("mendix-json", "apex-sql"), None),
+        ("powerapps", "outsystems", ("tabular", "image-llm", "workbook"), None),
+        ("outsystems", "apex", ("tabular", "apex-sql"), b""),
+        ("outsystems", "apex", ("tabular", "apex-sql"), b"<!-- c -->"),
+    ], ids=["mendix-json>apex-sql", "csv+image-llm>workbook", "xlsx>apex-sql",
+            "xlsx-read-by-elementtree>apex-sql"])
+    def test_a_migration_leaves_no_cyclic_garbage(self, source, target, chain, sheet_markup,
+                                                  tmp_path, mendix_library_path, csv_paths,
                                                   screenshot_path):
         """The invariant the pause rests on: no chain the benchmark runs makes
         a cycle, so the collections a run would trigger have nothing to free.
         Each garbage cycle found here would instead be held until the run
-        ends. The XLSX chain guards ``xlsx._outline``, where each
+        ends. The XLSX chains guard the compiled scan and, with a comment
+        after ``<sheetData>``, the ElementTree reader it falls back to: each
         ``ElementTree.iterparse`` call left a class behind (Python 3.11)."""
+        import zipfile
+
         from generators import scaling_workbook
 
         plan = plan_migration(source, target)
@@ -585,7 +609,16 @@ class TestCollectorPause:
             inputs = MigrationInputs(files=list(csv_paths), images=[screenshot_path],
                                      llm_client=ReplayVisionClient(store))
         else:
-            inputs = MigrationInputs(files=[scaling_workbook(50, tmp_path / "rows.xlsx")])
+            book = scaling_workbook(50, tmp_path / "rows.xlsx")
+            if sheet_markup:
+                with zipfile.ZipFile(book) as zf:
+                    parts = {name: zf.read(name) for name in zf.namelist()}
+                sheet = "xl/worksheets/sheet1.xml"
+                parts[sheet] = parts[sheet].replace(b"<sheetData>", b"<sheetData>" + sheet_markup)
+                with zipfile.ZipFile(book, "w") as zf:
+                    for name, data in parts.items():
+                        zf.writestr(name, data)
+            inputs = MigrationInputs(files=[book])
         # a first run loads the layers: module set-up stays out of the count
         execute_migration(plan, inputs, tmp_path / "warm")
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcpbridge.errors import TabularError
+from lcpbridge.errors import MissingInputError, TabularError
 from lcpbridge.model import validate_model
 from lcpbridge.tabular import (
     SAMPLE_LIMIT,
@@ -121,7 +121,7 @@ class TestLoad:
         assert "no header row" in str(err.value)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TabularError):
+        with pytest.raises(MissingInputError):
             load_tabular([tmp_path / "nope.csv"])
 
     def test_rfc4180_quoting(self, tmp_path):
