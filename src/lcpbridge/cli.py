@@ -25,6 +25,7 @@ from .errors import ConfigError, LcpBridgeError
 from .pipeline import (
     EXPORTERS,
     IMPORTERS,
+    INPUT_SUFFIXES,
     ExecutionOptions,
     MigrationInputs,
     execute_from_pivot,
@@ -52,18 +53,16 @@ def _load_config(path: str | None) -> dict:
 
 
 def _matrix_from(args) -> CapabilityMatrix:
-    if getattr(args, "capabilities", None):
-        return load_capabilities(args.capabilities)
-    return default_matrix()
+    return load_capabilities(args.capabilities) if args.capabilities else default_matrix()
 
 
 def _llm_client(args, config: dict):
     from .llm import API_KEY_ENV, HttpVisionClient, ReplayVisionClient
 
     llm_config = config.get("llm", {})
-    mode = getattr(args, "llm_mode", None) or llm_config.get("mode", "replay")
+    mode = args.llm_mode or llm_config.get("mode", "replay")
     if mode == "replay":
-        replay_dir = getattr(args, "replay_dir", None) or llm_config.get("replay_dir")
+        replay_dir = args.replay_dir or llm_config.get("replay_dir")
         if not replay_dir:
             return None
         replay_path = Path(replay_dir)
@@ -71,8 +70,8 @@ def _llm_client(args, config: dict):
             raise ConfigError(f"replay directory {replay_path} does not exist")
         return ReplayVisionClient(replay_path)
     if mode == "live":
-        endpoint = getattr(args, "endpoint", None) or llm_config.get("endpoint")
-        model_id = getattr(args, "model_id", None) or llm_config.get("model")
+        endpoint = args.endpoint or llm_config.get("endpoint")
+        model_id = args.model_id or llm_config.get("model")
         api_key = os.environ.get(API_KEY_ENV) or llm_config.get("api_key", "")
         if not endpoint or not model_id:
             raise ConfigError("live LLM mode needs --endpoint and --model-id "
@@ -83,17 +82,29 @@ def _llm_client(args, config: dict):
     raise ConfigError(f"unknown llm mode {mode!r} (expected live or replay)")
 
 
-def _add_llm_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--llm-mode", choices=("live", "replay"),
-                        help="vision model backend (default: replay)")
-    parser.add_argument("--replay-dir", help="directory of <digest>.txt completions")
-    parser.add_argument("--endpoint", help="live chat-completions endpoint URL")
-    parser.add_argument("--model-id", help="live model identifier")
+def _inputs(args, config: dict, chain) -> MigrationInputs:
+    """The run's files and screenshots, with a vision-model client only when
+    the chain holds the image-llm step, which cannot run without one."""
+    client = None
+    if "image-llm" in chain:
+        client = _llm_client(args, config)
+        if client is None:
+            raise ConfigError("step 'image-llm' needs a vision-model client: configure "
+                              "--llm-mode/--replay-dir or the [llm] config section")
+    return MigrationInputs(files=[Path(p) for p in args.input],
+                           images=[Path(p) for p in args.image], llm_client=client)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--capabilities", help="override the capability registry file")
-    parser.add_argument("--config", help=f"config file (default ./{CONFIG_FILE})")
+def _options(args, review: bool = False) -> ExecutionOptions:
+    return ExecutionOptions(dialect=args.dialect, include_sample_row=not args.no_sample_row,
+                            review_hook=_review_hook if review else None)
+
+
+def _report(paths, loss) -> int:
+    for path in paths:
+        print(path)
+    print(loss.summary(), file=sys.stderr)
+    return 0
 
 
 def _review_hook(pivot_path: Path):
@@ -107,58 +118,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lcpbridge",
         description="Migrate structural data models between low-code platforms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands, through ``parents=``
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--capabilities", help="override the capability registry file")
+    common.add_argument("--config", help=f"config file (default ./{CONFIG_FILE})")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--from", dest="source", required=True, metavar="PLATFORM")
+    pair.add_argument("--to", dest="target", required=True, metavar="PLATFORM")
+    inputs = argparse.ArgumentParser(add_help=False)
+    suffixes = "/".join(s for group in INPUT_SUFFIXES.values() for s in group)
+    inputs.add_argument("--input", nargs="*", default=[], metavar="FILE",
+                        help=f"export files from the source platform ({suffixes})")
+    inputs.add_argument("--image", nargs="*", default=[], metavar="FILE",
+                        help="screenshot(s) of the source data model (.png/.jpg)")
+    inputs.add_argument("--llm-mode", choices=("live", "replay"),
+                        help="vision model backend (default: replay)")
+    inputs.add_argument("--replay-dir", help="directory of <digest>.txt completions")
+    inputs.add_argument("--endpoint", help="live chat-completions endpoint URL")
+    inputs.add_argument("--model-id", help="live model identifier")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    outputs = argparse.ArgumentParser(add_help=False, parents=[out])
+    outputs.add_argument("--dialect", choices=("oracle", "ansi"), default="oracle")
+    outputs.add_argument("--no-sample-row", action="store_true",
+                         help="omit the example data row from generated workbooks")
 
-    p = sub.add_parser("capabilities", help="show a platform's export/import support")
+    p = sub.add_parser("capabilities", parents=[common],
+                       help="show a platform's export/import support")
     p.add_argument("--platform", help="platform id (omit to list all)")
-    _add_common_flags(p)
     p.set_defaults(run=_cmd_capabilities)
 
-    p = sub.add_parser("plan", help="plan a migration path between two platforms")
-    p.add_argument("--from", dest="source", required=True, metavar="PLATFORM")
-    p.add_argument("--to", dest="target", required=True, metavar="PLATFORM")
-    _add_common_flags(p)
+    p = sub.add_parser("plan", parents=[pair, common],
+                       help="plan a migration path between two platforms")
     p.set_defaults(run=_cmd_plan)
 
-    p = sub.add_parser("migrate", help="plan and execute a migration")
-    p.add_argument("--from", dest="source", required=True, metavar="PLATFORM")
-    p.add_argument("--to", dest="target", required=True, metavar="PLATFORM")
-    p.add_argument("--input", nargs="*", default=[], metavar="FILE",
-                   help="export files from the source platform (.json/.csv/.xlsx)")
-    p.add_argument("--image", nargs="*", default=[], metavar="FILE",
-                   help="screenshot(s) of the source data model (.png/.jpg)")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("migrate", parents=[pair, inputs, outputs, common],
+                       help="plan and execute a migration")
     p.add_argument("--review", action="store_true",
                    help="pause after writing model.bml so it can be edited")
-    p.add_argument("--dialect", choices=("oracle", "ansi"), default="oracle")
-    p.add_argument("--no-sample-row", action="store_true",
-                   help="omit the example data row from generated workbooks")
-    _add_llm_flags(p)
-    _add_common_flags(p)
     p.set_defaults(run=_cmd_migrate)
 
-    p = sub.add_parser("import", help="run a single import adapter to a pivot model")
+    p = sub.add_parser("import", parents=[inputs, out, common],
+                       help="run a single import adapter to a pivot model")
     p.add_argument("adapter", choices=sorted(IMPORTERS))
-    p.add_argument("--input", nargs="*", default=[], metavar="FILE")
-    p.add_argument("--image", nargs="*", default=[], metavar="FILE")
     p.add_argument("--platform", default="powerapps",
                    help="source platform (for the image-llm prompt context)")
-    p.add_argument("--out", required=True)
-    _add_llm_flags(p)
-    _add_common_flags(p)
     p.set_defaults(run=_cmd_import)
 
-    p = sub.add_parser("export", help="run a single generator from a pivot model")
+    p = sub.add_parser("export", parents=[outputs, common],
+                       help="run a single generator from a pivot model")
     p.add_argument("adapter", choices=sorted(EXPORTERS))
     p.add_argument("--model", required=True, help="pivot model file (.bml)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--dialect", choices=("oracle", "ansi"), default="oracle")
-    p.add_argument("--no-sample-row", action="store_true")
-    _add_common_flags(p)
     p.set_defaults(run=_cmd_export)
 
-    p = sub.add_parser("validate", help="check a pivot model file")
+    p = sub.add_parser("validate", parents=[common], help="check a pivot model file")
     p.add_argument("--model", required=True, help="pivot model file (.bml)")
-    _add_common_flags(p)
     p.set_defaults(run=_cmd_validate)
 
     return parser
@@ -175,8 +189,7 @@ def _cmd_capabilities(args, config: dict) -> int:
 
 
 def _cmd_plan(args, config: dict) -> int:
-    matrix = _matrix_from(args)
-    plan = plan_migration(args.source, args.target, matrix=matrix)
+    plan = plan_migration(args.source, args.target, matrix=_matrix_from(args))
     print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
     print(f"export: {plan.export_method} / import: {plan.import_method} "
           f"via {' -> '.join(plan.chain)}", file=sys.stderr)
@@ -184,49 +197,21 @@ def _cmd_plan(args, config: dict) -> int:
 
 
 def _cmd_migrate(args, config: dict) -> int:
-    matrix = _matrix_from(args)
-    plan = plan_migration(args.source, args.target, matrix=matrix)
-    inputs = MigrationInputs(
-        files=[Path(p) for p in args.input],
-        images=[Path(p) for p in args.image],
-        llm_client=_llm_client(args, config) if "image-llm" in plan.chain else None,
-    )
-    if "image-llm" in plan.chain and inputs.llm_client is None:
-        raise ConfigError("this migration needs the vision-model path: configure "
-                          "--llm-mode/--replay-dir or the [llm] config section")
-    options = ExecutionOptions(
-        dialect=args.dialect,
-        include_sample_row=not args.no_sample_row,
-        review_hook=_review_hook if args.review else None,
-    )
-    result = execute_migration(plan, inputs, Path(args.out), options)
-    for path in result.outputs:
-        print(path)
-    print(result.loss.summary(), file=sys.stderr)
-    return 0
+    plan = plan_migration(args.source, args.target, matrix=_matrix_from(args))
+    result = execute_migration(plan, _inputs(args, config, plan.chain), Path(args.out),
+                               _options(args, args.review))
+    return _report(result.outputs, result.loss)
 
 
 def _cmd_import(args, config: dict) -> int:
-    inputs = MigrationInputs(
-        files=[Path(p) for p in args.input],
-        images=[Path(p) for p in args.image],
-        llm_client=_llm_client(args, config),
-    )
-    result = execute_import([args.adapter], inputs, args.platform, args.out,
-                            matrix=_matrix_from(args))
-    print(result.pivot_path)
-    print(result.loss.summary(), file=sys.stderr)
-    return 0
+    result = execute_import([args.adapter], _inputs(args, config, [args.adapter]),
+                            args.platform, args.out, matrix=_matrix_from(args))
+    return _report([result.pivot_path], result.loss)
 
 
 def _cmd_export(args, config: dict) -> int:
-    options = ExecutionOptions(dialect=args.dialect,
-                               include_sample_row=not args.no_sample_row)
-    result = execute_from_pivot(args.model, args.adapter, args.out, options)
-    for path in result.outputs:
-        print(path)
-    print(result.loss.summary(), file=sys.stderr)
-    return 0
+    result = execute_from_pivot(args.model, args.adapter, args.out, _options(args))
+    return _report(result.outputs, result.loss)
 
 
 def _cmd_validate(args, config: dict) -> int:

@@ -114,15 +114,6 @@ def _collector_paused() -> Iterator[None]:
                 gc.enable()
 
 
-def _files_with_suffix(inputs: MigrationInputs, suffixes: tuple[str, ...],
-                       step: str) -> list[Path]:
-    matches = [p for p in inputs.files if p.suffix.lower() in suffixes]
-    if not matches:
-        raise MissingInputError(
-            f"step {step!r} needs an input file with suffix {' or '.join(suffixes)}")
-    return matches
-
-
 def _read_image(path: Path) -> tuple[bytes, str]:
     """A screenshot's bytes and media type."""
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
@@ -133,11 +124,12 @@ def _read_image(path: Path) -> tuple[bytes, str]:
 
 
 # ---------------------------------------------------------------------------
-# The adapter table: one row per import adapter and generator, read by the
-# planner and the CLI. ``accepts``/``produces`` are capability-registry format
-# tokens plus PIVOT (the in-memory pivot model) and IMG (a screenshot). An
-# importer returns a model and writes nothing; a generator writes only its own
-# files into ``out_dir``.
+# The adapter tables: one row per import adapter and generator, read by the
+# planner and the CLI. ``formats`` are the capability-registry tokens an
+# importer reads or a generator writes, plus IMG (a screenshot). The runner
+# picks an importer's files from ``inputs.files`` by the suffixes of its
+# formats; image-llm reads ``inputs.images``. An importer returns a model and
+# writes nothing; a generator writes only its own files into ``out_dir``.
 #
 # Each ``run`` calls a layer as an attribute of this module (``_layers.emit_sql``),
 # and no layer module is imported here at load time. The first lookup of a
@@ -163,38 +155,55 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class Adapter:
-    """One import adapter (produces PIVOT) or generator (accepts PIVOT)."""
+    """One import adapter or generator, as its table says."""
 
     id: str
-    accepts: tuple[str, ...]
-    produces: tuple[str, ...]
+    formats: tuple[str, ...]
     run: Callable
 
 
-def _import_mendix(inputs: MigrationInputs, **_):
-    files = _files_with_suffix(inputs, (".json",), "mendix-json")
-    model, loss = _layers.mendix_to_pivot(_layers.load_mendix_export(files[0]))
+# format token -> the suffixes of the input files an importer of it reads
+INPUT_SUFFIXES = {"JSON": (".json",), "PUML": (".puml", ".plantuml", ".txt"),
+                  "CSV": (".csv",), "XLSX": (".xlsx",)}
+_ONE_DOCUMENT = ("JSON", "PUML")  # one file holds the whole model
+
+
+def _input_files(adapter: Adapter, inputs: MigrationInputs) -> list[Path]:
+    """The files of ``inputs`` that ``adapter`` reads, chosen by suffix."""
+    suffixes = [s for token in adapter.formats for s in INPUT_SUFFIXES.get(token, ())]
+    files = [p for p in inputs.files if p.suffix.lower() in suffixes]
+    if suffixes and not files:
+        raise MissingInputError(f"step {adapter.id!r} needs an input file with suffix "
+                                f"{' or '.join(suffixes)}", step=adapter.id)
+    if len(files) > 1 and any(token in _ONE_DOCUMENT for token in adapter.formats):
+        raise MissingInputError(f"step {adapter.id!r} reads one input file, not "
+                                f"{len(files)}: {', '.join(map(str, files))}", step=adapter.id)
+    return files
+
+
+def _import_mendix(files: list[Path], **_):
+    (path,) = files
+    model, loss = _layers.mendix_to_pivot(_layers.load_mendix_export(path))
     return model, loss, None
 
 
-def _import_tabular(inputs: MigrationInputs, **_):
-    files = _files_with_suffix(inputs, (".csv", ".xlsx"), "tabular")
+def _import_tabular(files: list[Path], **_):
     model, loss = _layers.infer_model(_layers.load_tabular(files), name="Imported")
     return model, loss, None
 
 
-def _import_plantuml(inputs: MigrationInputs, **_):
-    files = _files_with_suffix(inputs, (".puml", ".plantuml", ".txt"), "plantuml")
+def _import_plantuml(files: list[Path], **_):
+    (path,) = files
     try:
-        with input_file(files[0], "r", encoding="utf-8") as handle:
+        with input_file(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise PlantUmlError(f"{files[0]} is not UTF-8 text: {exc}") from exc
+        raise PlantUmlError(f"{path} is not UTF-8 text: {exc}") from exc
     result = _layers.parse_plantuml(text)
     return result.model, result.loss, None
 
 
-def _import_image(inputs: MigrationInputs, *, source_platform: str,
+def _import_image(_, *, inputs: MigrationInputs, source_platform: str,
                   partial: DomainModel | None, matrix: CapabilityMatrix | None):
     if not inputs.images:
         raise MissingInputError("step 'image-llm' needs at least one screenshot")
@@ -286,16 +295,16 @@ def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOption
 
 
 IMPORTERS = {a.id: a for a in (
-    Adapter("mendix-json", ("JSON",), ("PIVOT",), _import_mendix),
-    Adapter("plantuml", ("PUML",), ("PIVOT",), _import_plantuml),
-    Adapter("tabular", ("CSV", "XLSX"), ("PIVOT",), _import_tabular),
-    Adapter("image-llm", ("IMG",), ("PIVOT",), _import_image),
+    Adapter("mendix-json", ("JSON",), _import_mendix),
+    Adapter("plantuml", ("PUML",), _import_plantuml),
+    Adapter("tabular", ("CSV", "XLSX"), _import_tabular),
+    Adapter("image-llm", ("IMG",), _import_image),
 )}
 EXPORTERS = {a.id: a for a in (
-    Adapter("apex-sql", ("PIVOT",), ("SQL",), _export_sql),
-    Adapter("workbook", ("PIVOT",), ("XLSX",), _export_workbook),
-    Adapter("csv", ("PIVOT",), ("CSV",), _export_csv),
-    Adapter("plantuml", ("PIVOT",), ("PUML",), _export_plantuml),
+    Adapter("apex-sql", ("SQL",), _export_sql),
+    Adapter("workbook", ("XLSX",), _export_workbook),
+    Adapter("csv", ("CSV",), _export_csv),
+    Adapter("plantuml", ("PUML",), _export_plantuml),
 )}
 
 
@@ -329,30 +338,33 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
          options: ExecutionOptions, inputs: MigrationInputs | None = None, source: str = "",
          matrix: CapabilityMatrix | None = None, pivot_path: str | Path | None = None,
          expected: LossReport | None = None) -> ExecutionResult:
-    """The one execution path, every adapter looked up first: the import chain
-    (then ``model.bml``, the review hook and, if the hook changed the file's
-    text, a re-load that checks the edits) or the model in ``pivot_path``; the
-    generator, if any; then the reports. The collector is paused throughout."""
+    """The one execution path, every adapter looked up and every importer's
+    files picked first: the import chain (then ``model.bml``, the review hook
+    and, if the hook changed the file's text, a re-load that checks the edits)
+    or the model in ``pivot_path``; the generator, if any; then the reports.
+    The collector is paused throughout."""
     importers = [_adapter(IMPORTERS, "import", i) for i in importer_ids]
     generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
     out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []
     if pivot_path is not None:
         model = _layers.load_pivot_file(pivot_path)
     else:
-        model = None
-        for adapter in importers:
+        model, chosen = None, [_input_files(adapter, inputs) for adapter in importers]
+        for adapter, files in zip(importers, chosen):
             with _step(adapter.id):
                 try:
                     model, step_loss, step_merge = adapter.run(
-                        inputs, source_platform=source, partial=model, matrix=matrix)
+                        files, inputs=inputs, source_platform=source, partial=model,
+                        matrix=matrix)
                 except LcpBridgeError as exc:
                     if "completion" not in exc.details:
                         raise
                     raw_path = out_dir / "llm-completion.txt"
                     with _writing_to(out_dir):
-                        raw_path.write_text(exc.details["completion"], encoding="utf-8")
-                    raise LcpBridgeError(f"{exc}; raw completion saved to {raw_path} "
-                                         "for manual repair") from exc
+                        raw_path.write_text(exc.details.pop("completion"), encoding="utf-8")
+                    exc.args = (f"{exc.args[0]}; raw completion saved to {raw_path} "
+                                "for manual repair",)
+                    raise
             loss.extend(step_loss)
             merge_report = step_merge or merge_report
         if model is None:

@@ -64,7 +64,7 @@ def plan_migration(source: str, target: str,
 
     # --- export leg -------------------------------------------------------
     formal_importer = next((a.id for token in source_cap.formats
-                            for a in IMPORTERS.values() if token in a.accepts), None)
+                            for a in IMPORTERS.values() if token in a.formats), None)
 
     if source_cap.data == "full" and formal_importer is not None:
         export_method = "formal"
@@ -76,7 +76,7 @@ def plan_migration(source: str, target: str,
     else:
         export_method = "alternative"
         if source_cap.data == "partial" and any(
-                t in IMPORTERS["tabular"].accepts for t in source_cap.formats):
+                t in IMPORTERS["tabular"].formats for t in source_cap.formats):
             chain.append("tabular")
             losses.add("model", source, "ASSOCIATIONS_UNKNOWN", "warning",
                        "partial export lacks relationships; recovered from the image")
@@ -95,7 +95,7 @@ def plan_migration(source: str, target: str,
 
     formal_exporter = next((a.id for token in target_cap.formats
                             if token in FORMAL_IMPORT_FORMATS
-                            for a in EXPORTERS.values() if token in a.produces), None)
+                            for a in EXPORTERS.values() if token in a.formats), None)
 
     if target_cap.data == "full" and formal_exporter is not None:
         import_method = "formal"

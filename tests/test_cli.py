@@ -151,6 +151,59 @@ def test_unreadable_input_file_is_missing_input(tmp_path, capsys, argv):
     assert "error [MISSING_INPUT]: cannot read" in err
 
 
+@pytest.mark.parametrize("argv, step, suffix", [
+    ("migrate --from mendix --to apex --out {tmp}/out --input", "mendix-json", ".json"),
+    ("import plantuml --out {tmp}/out --input", "plantuml", ".puml"),
+], ids=["migrate-mendix", "import-plantuml"])
+@pytest.mark.parametrize("order", ["ab", "ba"])
+def test_a_second_file_for_a_one_document_step_is_missing_input(tmp_path, capsys,
+                                                                 mendix_library_path, argv,
+                                                                 step, suffix, order):
+    """A Mendix export or a PlantUML text holds a whole model: a second file
+    of that format is refused whichever comes first, and nothing is read."""
+    good = mendix_library_path.read_text(encoding="utf-8") if suffix == ".json" \
+        else "@startuml\nclass Book\n@enduml\n"
+    (tmp_path / f"a{suffix}").write_text(good, encoding="utf-8")
+    (tmp_path / f"b{suffix}").write_text("{bad", encoding="utf-8")
+    paths = [str(tmp_path / f"{name}{suffix}") for name in order]
+    code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split(), *paths)
+    assert code == 1
+    assert err.splitlines()[-2:] == [
+        f"error [MISSING_INPUT]: step '{step}' reads one input file, not 2: "
+        f"{', '.join(paths)}", f"  in step '{step}'"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_chain_without_image_llm_builds_no_vision_client(tmp_path, capsys, csv_paths,
+                                                          monkeypatch):
+    """Live mode with no endpoint is a configuration error only for a chain
+    that asks a vision model."""
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "import", "tabular", "--input", *map(str, csv_paths),
+                             "--llm-mode", "live", "--out", str(out_dir))
+    assert code == 0, err
+    assert out.splitlines() == [str(out_dir / "model.bml")]
+    assert (out_dir / "model.bml").exists()
+
+
+def test_image_llm_without_a_client_is_the_same_config_error_for_each_command(
+        tmp_path, capsys, csv_paths, screenshot_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    image = ["--image", str(screenshot_path), "--out", str(tmp_path / "out")]
+    errors = []
+    for argv in (["migrate", "--from", "powerapps", "--to", "apex",
+                  "--input", *map(str, csv_paths), *image],
+                 ["import", "image-llm", *image]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        errors.append(err)
+    assert errors[0] == errors[1] == (
+        "error [CONFIG_ERROR]: step 'image-llm' needs a vision-model client: configure "
+        "--llm-mode/--replay-dir or the [llm] config section\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, argv, error", [
     ("m.bml", "validate --model {file}", "SYNTAX_ERROR"),
     ("m.bml", "export apex-sql --model {file} --out {tmp}/out", "SYNTAX_ERROR"),

@@ -204,7 +204,7 @@ class TestClients:
             inputs = MigrationInputs(images=[screenshot], llm_client=client)
             with pytest.raises(LcpBridgeError) as err:
                 execute_import(["image-llm"], inputs, "powerapps", out_dir)
-        assert isinstance(err.value.__cause__, LlmClientError)
+        assert err.value.code == "LLM_ERROR"
         assert "raw completion saved to" in str(err.value)
         assert (out_dir / "llm-completion.txt").read_text(encoding="utf-8") == answer
 

@@ -20,8 +20,10 @@ from lcpbridge.errors import (
 )
 from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
+from lcpbridge import pipeline
 from lcpbridge.pipeline import (
     IMPORTERS,
+    INPUT_SUFFIXES,
     ExecutionOptions,
     MigrationInputs,
     execute_from_pivot,
@@ -551,21 +553,54 @@ class TestRunner:
         assert sorted(p.name for p in out_dir.iterdir()) == ["llm-completion.txt"]
 
     @pytest.mark.parametrize("importer, token", [
-        (adapter.id, token) for adapter in IMPORTERS.values() for token in adapter.accepts
-        if token != "IMG"])
+        (adapter.id, token) for adapter in IMPORTERS.values() for token in adapter.formats
+        if token in INPUT_SUFFIXES])
     @pytest.mark.parametrize("blocker", ["missing", "directory"])
     def test_an_unreadable_input_file_is_missing_input(self, importer, token, blocker,
                                                        tmp_path):
         """Every importer that reads ``inputs.files`` meets a file it cannot
-        open with the same coded error. A format missing from the suffix
-        table below fails here, so a new importer joins the rule."""
-        suffix = {"JSON": ".json", "PUML": ".puml", "CSV": ".csv", "XLSX": ".xlsx"}[token]
-        path = tmp_path / f"input{suffix}"
-        if blocker == "directory":
-            path.mkdir()
-        with pytest.raises(MissingInputError, match=f"^{re.escape(f'cannot read {path}: ')}"):
-            execute_import([importer], MigrationInputs(files=[path]), "powerapps",
-                           tmp_path / "out")
+        open with the same coded error, under each suffix the runner picks
+        for its format, so a new importer and a new suffix join the rule."""
+        for suffix in INPUT_SUFFIXES[token]:
+            path = tmp_path / f"input{suffix}"
+            if blocker == "directory":
+                path.mkdir()
+            with pytest.raises(MissingInputError,
+                               match=f"^{re.escape(f'cannot read {path}: ')}"):
+                execute_import([importer], MigrationInputs(files=[path]), "powerapps",
+                               tmp_path / "out")
+
+    @pytest.mark.parametrize("importer", [
+        adapter.id for adapter in IMPORTERS.values()
+        if any(token in INPUT_SUFFIXES for token in adapter.formats)])
+    def test_a_file_importer_with_no_file_of_its_suffix_is_missing_input(self, importer,
+                                                                           tmp_path):
+        suffixes = [s for t in IMPORTERS[importer].formats for s in INPUT_SUFFIXES[t]]
+        with pytest.raises(MissingInputError) as err:
+            execute_import([importer], MigrationInputs(files=[tmp_path / "x.bml"]),
+                           "powerapps", tmp_path / "out")
+        assert str(err.value) == (f"step {importer!r} needs an input file with suffix "
+                                  f"{' or '.join(suffixes)}")
+        assert err.value.details == {"step": importer}
+
+    @pytest.mark.parametrize("importer, first, second", [
+        ("mendix-json", "a.json", "b.json"), ("plantuml", "a.puml", "b.txt")])
+    def test_a_one_document_importer_given_two_files_reads_neither(self, importer, first,
+                                                                   second, tmp_path,
+                                                                   monkeypatch):
+        """JSON and PlantUML files each hold a whole model, so a second one
+        is refused before any importer runs, not dropped."""
+        ran = []
+        monkeypatch.setattr(pipeline, "load_tabular", lambda files: ran.append(files))
+        files = [tmp_path / first, tmp_path / second]
+        out_dir = tmp_path / "out"
+        with pytest.raises(MissingInputError) as err:
+            execute_import(["tabular", importer], MigrationInputs(files=files + [
+                tmp_path / "c.csv"]), "powerapps", out_dir)
+        assert str(err.value) == (f"step {importer!r} reads one input file, not 2: "
+                                  f"{files[0]}, {files[1]}")
+        assert err.value.details == {"step": importer}
+        assert ran == [] and not out_dir.exists()
 
 
 class TestCollectorPause:
