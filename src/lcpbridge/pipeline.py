@@ -128,8 +128,10 @@ def _read_image(path: Path) -> tuple[bytes, str]:
 # planner and the CLI. ``formats`` are the capability-registry tokens an
 # importer reads or a generator writes, plus IMG (a screenshot). The runner
 # picks an importer's files from ``inputs.files`` by the suffixes of its
-# formats; image-llm reads ``inputs.images``. An importer returns a model and
-# writes nothing; a generator writes only its own files into ``out_dir``.
+# formats, and a format missing from ``INPUT_SUFFIXES`` is a KeyError, not an
+# importer given no files; image-llm reads ``inputs.images``. An importer
+# returns a model and writes nothing; a generator writes only its own files
+# into ``out_dir``.
 #
 # Each ``run`` calls a layer as an attribute of this module (``_layers.emit_sql``),
 # and no layer module is imported here at load time. The first lookup of a
@@ -170,7 +172,7 @@ _ONE_DOCUMENT = ("JSON", "PUML")  # one file holds the whole model
 
 def _input_files(adapter: Adapter, inputs: MigrationInputs) -> list[Path]:
     """The files of ``inputs`` that ``adapter`` reads, chosen by suffix."""
-    suffixes = [s for token in adapter.formats for s in INPUT_SUFFIXES.get(token, ())]
+    suffixes = [s for token in adapter.formats if token != "IMG" for s in INPUT_SUFFIXES[token]]
     files = [p for p in inputs.files if p.suffix.lower() in suffixes]
     if suffixes and not files:
         raise MissingInputError(f"step {adapter.id!r} needs an input file with suffix "
