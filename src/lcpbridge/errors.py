@@ -98,6 +98,12 @@ class MissingInputError(LcpBridgeError):
     code = "MISSING_INPUT"
 
 
+class UnusedInputError(LcpBridgeError):
+    """An input file or screenshot was supplied that no step of the chain reads."""
+
+    code = "UNUSED_INPUT"
+
+
 @contextmanager
 def input_file(path, mode: str = "rb", **open_args):
     """``path`` opened for reading: an ``OSError`` raised while it is opened

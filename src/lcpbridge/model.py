@@ -80,9 +80,9 @@ class Namespace:
     a table's columns, a sheet's headers, an imported model's classes.
 
     Names compare case-insensitively, as in ``validate_model``, XLSX sheet
-    names and ``load_tabular``. The caller applies its own fold first
-    (``sanitize_identifier``, ``sql_name``...) and records a RENAMED loss
-    entry when the claimed name differs from what it asked for.
+    names and the table names of ``infer_model``. The caller applies its
+    own fold first (``sanitize_identifier``, ``sql_name``...) and records a
+    RENAMED loss entry when the claimed name differs from what it asked for.
     """
 
     __slots__ = ("limit", "_taken")

@@ -6,7 +6,12 @@ again only if its text changed: the printed text of a model parses back to
 that same model, which its importer validated already. The export leg reads
 that model, or a pivot file from an earlier run, and writes deterministic
 functions of it, which is what makes re-runs byte-identical. One runner owns
-the output directory.
+the output directory, and refuses any input file or screenshot that no step
+of its chain reads before the first import runs.
+
+The tabular step loads its files one at a time and infers each file's tables
+before the next file is read, so it holds about one input file's sample at a
+time (``tabular.SAMPLE_LIMIT`` rows per table), not the sample of every file.
 
 The cyclic garbage collector is paused while a run lasts. A migration builds
 and walks tens of thousands of small records but leaves no cycle behind
@@ -28,7 +33,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _PUBLIC
-from .errors import LcpBridgeError, MissingInputError, OutputError, PlantUmlError, input_file
+from .errors import (
+    LcpBridgeError,
+    MissingInputError,
+    OutputError,
+    PlantUmlError,
+    UnusedInputError,
+    input_file,
+)
 from .loss import LossReport
 
 if TYPE_CHECKING:
@@ -183,6 +195,20 @@ def _input_files(adapter: Adapter, inputs: MigrationInputs) -> list[Path]:
     return files
 
 
+def _refuse_unread(importers: list[Adapter], generator: Adapter | None,
+                   chosen: list[list[Path]], inputs: MigrationInputs) -> None:
+    """Refuse the files no importer picked, and the screenshots when no
+    importer reads images: a supplied input either shapes the result or
+    stops the run before any import."""
+    picked = {path for files in chosen for path in files}
+    unread = [path for path in inputs.files if path not in picked]
+    if not any("IMG" in adapter.formats for adapter in importers):
+        unread += inputs.images
+    if unread:
+        chain = " -> ".join(adapter.id for adapter in (*importers, generator) if adapter)
+        raise UnusedInputError(f"no step of {chain} reads {', '.join(map(str, unread))}")
+
+
 def _import_mendix(files: list[Path], **_):
     (path,) = files
     model, loss = _layers.mendix_to_pivot(_layers.load_mendix_export(path))
@@ -190,7 +216,9 @@ def _import_mendix(files: list[Path], **_):
 
 
 def _import_tabular(files: list[Path], **_):
-    model, loss = _layers.infer_model(_layers.load_tabular(files), name="Imported")
+    # one load per file, each table inferred before the next file is read
+    tables = (table for path in files for table in _layers.load_tabular([path]))
+    model, loss = _layers.infer_model(tables, name="Imported")
     return model, loss, None
 
 
@@ -340,11 +368,12 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
          options: ExecutionOptions, inputs: MigrationInputs | None = None, source: str = "",
          matrix: CapabilityMatrix | None = None, pivot_path: str | Path | None = None,
          expected: LossReport | None = None) -> ExecutionResult:
-    """The one execution path, every adapter looked up and every importer's
-    files picked first: the import chain (then ``model.bml``, the review hook
-    and, if the hook changed the file's text, a re-load that checks the edits)
-    or the model in ``pivot_path``; the generator, if any; then the reports.
-    The collector is paused throughout."""
+    """The one execution path, every adapter looked up, every importer's
+    files picked and every unread input refused first: the import chain
+    (then ``model.bml``, the review hook and, if the hook changed the file's
+    text, a re-load that checks the edits) or the model in ``pivot_path``;
+    the generator, if any; then the reports. The collector is paused
+    throughout."""
     importers = [_adapter(IMPORTERS, "import", i) for i in importer_ids]
     generator = exporter_id and _adapter(EXPORTERS, "export", exporter_id)
     out_dir, loss, merge_report, outputs = Path(out_dir), LossReport(), None, []
@@ -352,6 +381,7 @@ def _run(importer_ids: Sequence[str], exporter_id: str | None, out_dir: str | Pa
         model = _layers.load_pivot_file(pivot_path)
     else:
         model, chosen = None, [_input_files(adapter, inputs) for adapter in importers]
+        _refuse_unread(importers, generator, chosen, inputs)
         for adapter, files in zip(importers, chosen):
             with _step(adapter.id):
                 try:

@@ -4,12 +4,19 @@ Mirrors what low-code platforms do when initializing a project from a data
 source: each table becomes a class, each column a property, and the cell
 values drive type detection. Associations cannot be observed this way, so
 the loss report always flags them as unknown.
+
+Memory is bounded by the sample, not by the export. A reader keeps the
+header and ``SAMPLE_LIMIT`` data rows of each table, and ``infer_model``
+takes any iterable of tables, turning each into a class before it asks for
+the next. The pipeline feeds it one input file at a time, so an import holds
+about one file's sample at once, however many files it reads.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -102,9 +109,12 @@ class Table:
 
 @dataclass(frozen=True)
 class TabularSource:
-    """The tables of one tabular export."""
+    """The tables of one tabular export; iterating it yields them in order."""
 
     tables: tuple[Table, ...]
+
+    def __iter__(self) -> Iterator[Table]:
+        return iter(self.tables)
 
 
 def _check_headers(headers: list[str], where: str) -> None:
@@ -148,21 +158,14 @@ def _load_csv(path: Path) -> Table:
 
 
 def load_tabular(paths) -> TabularSource:
-    """Load CSV files and/or workbooks; one table per file or sheet."""
+    """Load CSV files and/or workbooks; one table per file or sheet. Table
+    names are checked against each other by ``infer_model``."""
     tables: list[Table] = []
-    names: set[str] = set()
-
-    def add(table: Table):
-        if table.name.lower() in names:
-            raise TabularError(f"duplicate table name {table.name!r}")
-        names.add(table.name.lower())
-        tables.append(table)
-
     for raw_path in paths:
         path = Path(raw_path)
         suffix = path.suffix.lower()
         if suffix == ".csv":
-            add(_load_csv(path))
+            tables.append(_load_csv(path))
         elif suffix == ".xlsx":
             from . import xlsx  # only workbook input needs it: kept out of a CSV run
 
@@ -174,7 +177,7 @@ def load_tabular(paths) -> TabularSource:
             for sheet in sheets:
                 if not sheet.rows:
                     continue  # blank placeholder sheet
-                add(_table_from_rows(sheet.name, sheet.rows, f"{path}:{sheet.name}"))
+                tables.append(_table_from_rows(sheet.name, sheet.rows, f"{path}:{sheet.name}"))
         else:
             raise TabularError(f"unsupported tabular input {path} (expected .csv or .xlsx)")
     return TabularSource(tables=tuple(tables))
@@ -227,10 +230,13 @@ def infer_column_type(values) -> tuple[str, bool]:
     return _temporal_rung(joined) or "str", False
 
 
-def infer_model(source: TabularSource, name: str = "Imported") -> tuple[DomainModel, LossReport]:
+def infer_model(source: Iterable[Table],
+                name: str = "Imported") -> tuple[DomainModel, LossReport]:
     """One class per table, one property per column, types from the ladder.
 
-    No associations are ever fabricated.
+    ``source`` is a ``TabularSource`` or any iterable of tables: each table
+    is inferred and let go before the next is asked for. No associations
+    are ever fabricated.
     """
     loss = LossReport()
     classes = _infer_classes(source, loss)
@@ -240,12 +246,17 @@ def infer_model(source: TabularSource, name: str = "Imported") -> tuple[DomainMo
     return require_valid(model, "inferred tabular model"), loss
 
 
-def _infer_classes(source: TabularSource, loss: LossReport) -> tuple[Class, ...]:
+def _infer_classes(source: Iterable[Table], loss: LossReport) -> tuple[Class, ...]:
     """The classes of ``infer_model``; its name sets are gone before the
-    model is validated."""
+    model is validated. Every table name of an import meets here, so this
+    is where two that differ only in case are refused."""
+    table_names: set[str] = set()
     class_names = Namespace()
     classes = []
-    for table in source.tables:
+    for table in source:
+        if table.name.lower() in table_names:
+            raise TabularError(f"duplicate table name {table.name!r}")
+        table_names.add(table.name.lower())
         class_name = class_names.claim(sanitize_identifier(table.name))
         if class_name != table.name:
             loss.add("class", table.name, "RENAMED", "info", f"sanitized to {class_name}")

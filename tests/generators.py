@@ -406,6 +406,26 @@ def scaling_csv(n: int, directory: Path) -> list[Path]:
     return paths
 
 
+def row_csv_files(count: int, rows: int, directory: Path) -> list[Path]:
+    """``count`` CSV files of a header and ``rows`` data rows of five
+    columns, every text distinct across the files, written to ``directory``:
+    the ladder of the tabular import's memory, which grows with files."""
+    import csv
+
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(count):
+        path = directory / f"T{i}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("id", "name", "count", "note", "when"))
+            writer.writerows((f"r{i}.{r}", f"name {i}.{r} & co", (i * rows + r) % 9973,
+                              f"note <{i}.{r}>", f"2024-01-{1 + r % 28:02d}")
+                             for r in range(rows))
+        paths.append(path)
+    return paths
+
+
 def scaling_workbook(n: int, path: Path) -> Path:
     """The size ladder of the workbook read: one sheet of ``n`` rows in the
     shared-strings layout, with number, boolean and inline string cells,

@@ -187,6 +187,38 @@ def test_a_chain_without_image_llm_builds_no_vision_client(tmp_path, capsys, csv
     assert (out_dir / "model.bml").exists()
 
 
+@pytest.mark.parametrize("argv, unread", [
+    ("migrate --from mendix --to apex --out {tmp}/out --input {library} {tmp}/extra.csv "
+     "--image {tmp}/nothere.png", "{tmp}/extra.csv, {tmp}/nothere.png"),
+    ("import tabular --out {tmp}/out --input {tmp}/Book.csv --image {tmp}/nothere.png",
+     "{tmp}/nothere.png"),
+], ids=["migrate-mendix", "import-tabular"])
+def test_an_input_no_step_reads_is_refused(tmp_path, capsys, mendix_library_path, argv,
+                                           unread):
+    """No file is silently left out: the run stops before any import, and
+    the error names each unread input and the chain."""
+    (tmp_path / "Book.csv").write_text("title\nDune\n", encoding="utf-8")
+    fill = {"tmp": tmp_path, "library": mendix_library_path}
+    code, out, err = run_cli(capsys, *argv.format(**fill).split())
+    chain = "mendix-json -> apex-sql" if argv.startswith("migrate") else "tabular"
+    assert (code, out) == (1, "")
+    assert err == f"error [UNUSED_INPUT]: no step of {chain} reads {unread.format(**fill)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_tables_of_one_name_is_tabular_error(tmp_path, capsys):
+    paths = [tmp_path / "a" / "Book.csv", tmp_path / "b" / "book.csv"]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("title\nDune\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "import", "tabular", "--input", *map(str, paths),
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.splitlines() == ["error [TABULAR_ERROR]: duplicate table name 'book'",
+                                "  in step 'tabular'"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_image_llm_without_a_client_is_the_same_config_error_for_each_command(
         tmp_path, capsys, csv_paths, screenshot_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 """End-to-end execution of both demonstrated migration scenarios."""
 
+import dataclasses
 import gc
 import json
 import re
@@ -17,6 +18,8 @@ from lcpbridge.errors import (
     InvalidModelError,
     LcpBridgeError,
     MissingInputError,
+    TabularError,
+    UnusedInputError,
 )
 from lcpbridge.llm import ReplayVisionClient, VisionModelClient
 from lcpbridge.model import validate_model
@@ -612,6 +615,79 @@ class TestRunner:
                                   f"{files[0]}, {files[1]}")
         assert err.value.details == {"step": importer}
         assert ran == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("importer, leftover", [
+        *[(adapter.id, "file") for adapter in IMPORTERS.values()],
+        *[(adapter.id, "image") for adapter in IMPORTERS.values()
+          if "IMG" not in adapter.formats]])
+    def test_an_input_no_step_reads_is_refused_before_any_import(self, importer, leftover,
+                                                                 tmp_path, monkeypatch):
+        """A file whose suffix no importer of the chain picks, and a
+        screenshot when no importer reads images, end the run before any
+        step runs; the error names each such input and the chain."""
+        ran = []
+        for adapter in IMPORTERS.values():
+            monkeypatch.setitem(IMPORTERS, adapter.id, dataclasses.replace(
+                adapter, run=lambda files, _id=adapter.id, **_: ran.append(_id)))
+        formats = IMPORTERS[importer].formats
+        inputs = MigrationInputs(files=[tmp_path / f"in{INPUT_SUFFIXES[t][0]}"
+                                        for t in formats if t != "IMG"],
+                                 images=[tmp_path / "in.png"] if "IMG" in formats else [])
+        if leftover == "file":
+            other = next(t for t in INPUT_SUFFIXES if t not in formats)
+            unread = tmp_path / f"extra{INPUT_SUFFIXES[other][0]}"
+            inputs.files.append(unread)
+        else:
+            unread = tmp_path / "extra.png"
+            inputs.images.append(unread)
+        out_dir = tmp_path / "out"
+        with pytest.raises(UnusedInputError) as err:
+            execute_import([importer], inputs, "powerapps", out_dir)
+        assert str(err.value) == f"no step of {importer} reads {unread}"
+        assert ran == [] and not out_dir.exists()
+
+
+class TestTabularImport:
+    """The tabular step infers each file's tables before it reads the next
+    file, and still sees every table name of the import."""
+
+    @pytest.mark.parametrize("first, second", [("a/Book.csv", "b/book.csv"),
+                                               ("a/Book.csv", "b/Book.csv")])
+    def test_two_tables_whose_names_differ_only_in_case_are_refused(self, first, second,
+                                                                     tmp_path):
+        paths = [tmp_path / first, tmp_path / second]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text("title\nDune\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        with pytest.raises(TabularError) as err:
+            execute_import(["tabular"], MigrationInputs(files=paths), "outsystems", out_dir)
+        assert str(err.value) == f"duplicate table name {paths[1].stem!r}"
+        assert err.value.details == {"step": "tabular"}
+        assert not out_dir.exists()
+
+    def test_a_bad_second_file_fails_after_the_first_was_inferred(self, tmp_path,
+                                                                  monkeypatch):
+        from lcpbridge import tabular
+
+        events = []
+        load, infer = pipeline.load_tabular, tabular.infer_column_type
+        monkeypatch.setattr(pipeline, "load_tabular",
+                            lambda paths: events.append(("load", *paths)) or load(paths))
+        monkeypatch.setattr(tabular, "infer_column_type",
+                            lambda values: events.append(("infer", values)) or infer(values))
+        good, bad = tmp_path / "Book.csv", tmp_path / "Author.csv"
+        good.write_text("title,pages\nDune,412\n", encoding="utf-8")
+        bad.write_bytes(b"name\n\xff\n")
+        out_dir = tmp_path / "out"
+        with pytest.raises(TabularError) as err:
+            execute_import(["tabular"], MigrationInputs(files=[good, bad]), "outsystems",
+                           out_dir)
+        assert err.value.code == "TABULAR_ERROR"
+        assert err.value.details == {"step": "tabular"}
+        assert events == [("load", good), ("infer", ("Dune",)), ("infer", ("412",)),
+                          ("load", bad)]
+        assert not (out_dir / "model.bml").exists()
 
 
 class TestCollectorPause:

@@ -55,17 +55,21 @@ def test_pipeline_takes_no_other_name_from_the_package():
 
 
 def test_execute_migration_calls_the_swapped_names(monkeypatch, tmp_path, csv_paths):
+    """The tabular import loads one file per ``load_tabular`` call, each a
+    one-file list, all of them before the export leg plans anything."""
     calls = []
     for name in ("plan_relational", "load_tabular"):
         def spy(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
-            calls.append(_name)
+            calls.append((_name, list(args[0]) if _name == "load_tabular" else None))
             return _original(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, spy)
 
     plan = plan_migration("outsystems", "apex")
     assert plan.chain == ("tabular", "apex-sql")
+    assert len(csv_paths) > 1
     execute_migration(plan, MigrationInputs(files=list(csv_paths)), tmp_path)
-    assert calls == ["load_tabular", "plan_relational"]
+    assert calls == [("load_tabular", [path]) for path in csv_paths] + [
+        ("plan_relational", None)]
 
 
 FORMAL_LAYERS = ("load_mendix_export", "mendix_to_pivot", "save_pivot_file",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lcpbridge.errors import MissingInputError, TabularError
 from lcpbridge.model import validate_model
+from lcpbridge.pipeline import MigrationInputs, execute_import
 from lcpbridge.tabular import (
     SAMPLE_LIMIT,
     Table,
@@ -27,6 +28,7 @@ from lcpbridge.tabular import (
 from lcpbridge.xlsx import read_workbook
 
 from expected import class_named, reference_column_type, with_reason
+from generators import row_csv_files
 from test_scaling import python_calls
 
 
@@ -270,6 +272,24 @@ class TestBoundedRead:
         if kind == "xlsx":  # nor does the work: the Python calls of the capped read
             small, large = (python_calls(load_tabular, [write(rows)]) for rows in (2_500, 5_000))
             assert abs(large - small) <= 0.05 * small, (small, large)
+
+    def test_import_memory_does_not_grow_with_files(self, tmp_path):
+        """The tabular import infers each file's tables before it reads the
+        next file, so it holds about one file's sample however many it reads."""
+        def peak(count: int) -> int:
+            paths = row_csv_files(count, 1_000, tmp_path / str(count))
+            tracemalloc.start()
+            try:
+                execute_import(["tabular"], MigrationInputs(files=paths), "outsystems",
+                               tmp_path / f"out{count}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        execute_import(["tabular"], MigrationInputs(files=row_csv_files(1, 50, tmp_path / "w")),
+                       "outsystems", tmp_path / "warm")  # imports and caches, unmeasured
+        small, large = peak(4), peak(32)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestXlsxFuzz:
