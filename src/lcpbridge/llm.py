@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,6 +30,7 @@ from .errors import (
     TransportError,
     UnknownPlatformError,
     UnreadableFixtureError,
+    input_file,
 )
 from .loss import close_json_list, json_string_list
 from .model import (
@@ -49,6 +51,7 @@ API_KEY_ENV = "LCPB_LLM_API_KEY"
 MAX_RETRIES = 2  # requests sent again after HTTP 429 or 5xx, at most
 RETRY_WAIT_S = 1.0  # the wait before a retry when the answer has no integer Retry-After
 RETRY_AFTER_CAP_S = 30  # the longest Retry-After honoured
+CHUNK_BYTES = 64 * 1024  # the most of a screenshot file a request reads at once
 
 _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 
@@ -81,10 +84,20 @@ def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
 
 @dataclass(frozen=True)
 class ImagePayload:
-    """One screenshot's bytes and media type, as sent to the vision model."""
+    """One screenshot and its media type, as sent to the vision model:
+    ``data`` is its bytes, or a file read a chunk at a time by each hash of
+    the request (one chunk held at most; the live client joins it whole)."""
 
-    data: bytes
+    data: bytes | Path
     media_type: str = "image/png"
+
+    def chunks(self) -> Iterator[bytes]:
+        """``data`` as it is, or the file's bytes a chunk at a time."""
+        if isinstance(self.data, bytes):
+            yield self.data
+        else:
+            with input_file(self.data) as handle:
+                yield from iter(lambda: handle.read(CHUNK_BYTES), b"")
 
 
 @dataclass(frozen=True)
@@ -121,14 +134,15 @@ def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> 
 
 
 def request_digest(request: VisionRequest) -> str:
-    """Stable key for replay lookup: prompt text plus raw image bytes."""
+    """Stable key for replay lookup: prompt text plus raw image bytes, a chunk at a time."""
     import hashlib  # replay and record only: imported here to keep it out of start-up
 
     hasher = hashlib.sha256()
     hasher.update(request.prompt_text.encode("utf-8"))
     for image in request.images:
         hasher.update(b"\x00")
-        hasher.update(image.data)
+        for chunk in image.chunks():
+            hasher.update(chunk)
     return hasher.hexdigest()
 
 
@@ -198,7 +212,7 @@ class HttpVisionClient(VisionModelClient):
 
         content: list[dict] = [{"type": "text", "text": request.prompt_text}]
         for image in request.images:
-            encoded = base64.b64encode(image.data).decode("ascii")
+            encoded = base64.b64encode(b"".join(image.chunks())).decode("ascii")
             content.append({
                 "type": "image_url",
                 "image_url": {"url": f"data:{image.media_type};base64,{encoded}"},

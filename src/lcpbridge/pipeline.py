@@ -126,13 +126,14 @@ def _collector_paused() -> Iterator[None]:
                 gc.enable()
 
 
-def _read_image(path: Path) -> tuple[bytes, str]:
-    """A screenshot's bytes and media type."""
+def _read_image(path: Path) -> tuple[Path, str]:
+    """A screenshot's path and media type, once the file opens: a request
+    reads it a chunk at a time, so the step holds one chunk at most."""
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
     if media_type is None:
         raise MissingInputError(f"unsupported image type {path.suffix!r} for {path}")
-    with input_file(path) as handle:
-        return handle.read(), media_type
+    with input_file(path):
+        return path, media_type
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def _import_image(_, *, inputs: MigrationInputs, source_platform: str,
     loss = LossReport()
 
     # the message only: the exception's traceback would hold this frame,
-    # and with it the screenshots, until a full garbage collection
+    # and with it the prompt and the last answer, until a full garbage collection
     attempt_error: str | None = None
     for _ in range(1 + REPROMPT_LIMIT):
         note = "" if attempt_error is None else (

@@ -426,6 +426,19 @@ def row_csv_files(count: int, rows: int, directory: Path) -> list[Path]:
     return paths
 
 
+def screenshot_files(count: int, size: int, directory: Path) -> list[Path]:
+    """``count`` PNG-signed files of ``size`` seeded random bytes each,
+    written to ``directory``: the ladder of the image step's memory, which
+    would grow with screenshots if it held them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(count):
+        path = directory / f"screen{i}.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + random.Random(i).randbytes(size - 8))
+        paths.append(path)
+    return paths
+
+
 def scaling_workbook(n: int, path: Path) -> Path:
     """The size ladder of the workbook read: one sheet of ``n`` rows in the
     shared-strings layout, with number, boolean and inline string cells,

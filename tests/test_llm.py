@@ -1,5 +1,6 @@
 """Prompt building, replay client, block extraction, and the merge laws."""
 
+import base64
 import contextlib
 import json
 import random
@@ -263,6 +264,63 @@ class TestClients:
     def test_request_needs_an_image(self):
         with pytest.raises(ValueError):
             VisionRequest(prompt_text="x", images=())
+
+    def test_live_body_of_a_screenshot_file_is_that_of_its_bytes(self, tmp_path):
+        data = random.Random(7).randbytes(2 * llm.CHUNK_BYTES + 5)
+        path = tmp_path / "shot.png"
+        path.write_bytes(data)
+        body = json.dumps({"choices": [{"message": {"content": "@startuml\n@enduml"}}]})
+        seen = []
+        with self.stub_server(200, body.encode(), seen) as endpoint:
+            client = HttpVisionClient(endpoint=endpoint, model="m", api_key="k", timeout=5)
+            for payload in (ImagePayload(data, "image/jpeg"), ImagePayload(path, "image/jpeg")):
+                client.complete(VisionRequest(prompt_text="x", images=(payload,)))
+        from_bytes, from_path = (payload["messages"][0]["content"] for _, payload in seen)
+        assert from_path == from_bytes
+        assert from_path[1]["image_url"]["url"] == (
+            "data:image/jpeg;base64," + base64.b64encode(data).decode("ascii"))
+
+
+class TestStreamedScreenshot:
+    """A screenshot given as a path is read a chunk at a time, and its
+    request has the digest of the same bytes held whole, so replay fixtures
+    stored from bytes serve a run that reads the file."""
+
+    @staticmethod
+    def pair(tmp_path, name: str, size: int) -> tuple[ImagePayload, ImagePayload]:
+        data = random.Random(size).randbytes(size)
+        path = tmp_path / name
+        path.write_bytes(data)
+        return ImagePayload(data), ImagePayload(path)
+
+    @pytest.mark.parametrize("size", [
+        0, 1, 3 * llm.CHUNK_BYTES + 17, 2 * llm.CHUNK_BYTES, llm.CHUNK_BYTES - 1])
+    def test_a_file_has_the_digest_of_its_bytes(self, tmp_path, size):
+        held, streamed = self.pair(tmp_path, "shot.png", size)
+        chunks = list(streamed.chunks())
+        assert b"".join(chunks) == held.data
+        assert all(0 < len(chunk) <= llm.CHUNK_BYTES for chunk in chunks)
+        assert len(chunks) == -(-size // llm.CHUNK_BYTES)
+        assert request_digest(VisionRequest("p", (streamed,))) == \
+            request_digest(VisionRequest("p", (held,)))
+
+    def test_two_images_keep_their_order_and_separators(self, tmp_path):
+        first = self.pair(tmp_path, "a.png", 2 * llm.CHUNK_BYTES + 3)
+        second = self.pair(tmp_path, "b.png", llm.CHUNK_BYTES)
+        held = VisionRequest("p", (first[0], second[0]))
+        digests = {request_digest(VisionRequest("p", (a, b))) for a in first for b in second}
+        assert digests == {request_digest(held)}
+        assert request_digest(VisionRequest("p", (second[1], first[1]))) != request_digest(held)
+        # the separator keeps a byte from moving between two images unseen
+        moved = (ImagePayload(first[0].data + second[0].data[:1]),
+                 ImagePayload(second[0].data[1:]))
+        assert request_digest(VisionRequest("p", moved)) != request_digest(held)
+
+    def test_a_fixture_stored_from_bytes_replays_for_the_file(self, tmp_path):
+        held, streamed = self.pair(tmp_path, "shot.png", 3 * llm.CHUNK_BYTES)
+        client = ReplayVisionClient(tmp_path / "store")
+        client.store(VisionRequest("p", (held,)), "canned answer")
+        assert client.complete(VisionRequest("p", (streamed,))) == "canned answer"
 
 
 class TestExtract:

@@ -7,6 +7,7 @@ import re
 import sqlite3
 import sys
 import threading
+import tracemalloc
 import types
 
 import pytest
@@ -688,6 +689,85 @@ class TestTabularImport:
         assert events == [("load", good), ("infer", ("Dune",)), ("infer", ("412",)),
                           ("load", bad)]
         assert not (out_dir / "model.bml").exists()
+
+
+class TestScreenshotRead:
+    """The image step opens every screenshot before the first vision call,
+    and each request reads them a chunk at a time when it is hashed."""
+
+    class Recording(VisionModelClient):
+        """Answers in turn, storing each exchange for replay; counts the calls."""
+
+        def __init__(self, answers, store):
+            self.answers, self.replay, self.calls = list(answers), ReplayVisionClient(store), 0
+
+        def complete(self, request):
+            self.calls += 1
+            answer = self.answers.pop(0)
+            self.replay.store(request, answer)
+            return answer
+
+    @pytest.mark.parametrize("blocker", ["missing", "directory"])
+    def test_an_unreadable_screenshot_is_missing_input_before_any_call(self, blocker,
+                                                                       screenshot_path,
+                                                                       tmp_path):
+        path = tmp_path / "x.png"
+        if blocker == "directory":
+            path.mkdir()
+        client = self.Recording([TestValidateOnce.GOOD], tmp_path / "store")
+        out_dir = tmp_path / "out"
+        with pytest.raises(MissingInputError) as err:
+            execute_import(["image-llm"], MigrationInputs(
+                images=[screenshot_path, path], llm_client=client), "powerapps", out_dir)
+        assert str(err.value).startswith(f"cannot read {path}: ")
+        assert err.value.code == "MISSING_INPUT"
+        assert err.value.details == {"step": "image-llm"}
+        assert client.calls == 0 and not out_dir.exists()
+
+    def test_a_screenshot_gone_before_the_client_reads_it_is_missing_input(self, tmp_path,
+                                                                           screenshot_path):
+        path = tmp_path / "gone.png"
+        path.write_bytes(screenshot_path.read_bytes())
+
+        class Vanishing(VisionModelClient):
+            def complete(self, request):
+                path.unlink()
+                return ReplayVisionClient(tmp_path / "store").complete(request)
+
+        with pytest.raises(MissingInputError) as err:
+            execute_import(["image-llm"], MigrationInputs(
+                images=[screenshot_path, path], llm_client=Vanishing()), "powerapps",
+                tmp_path / "out")
+        assert str(err.value) == f"cannot read {path}: No such file or directory"
+        assert err.value.details == {"step": "image-llm"}
+
+    def test_import_memory_does_not_grow_with_screenshots(self, tmp_path):
+        """A replayed request hashes each screenshot a chunk at a time, so the
+        step holds about one chunk however many screenshots it sends, through
+        a re-prompt too."""
+        from generators import screenshot_files
+
+        def run(images, client, out):
+            execute_import(["image-llm"], MigrationInputs(images=images, llm_client=client),
+                           "powerapps", tmp_path / out)
+
+        def peak(count: int) -> int:
+            images = screenshot_files(count, 2**20, tmp_path / str(count))
+            store = tmp_path / f"store{count}"
+            recording = self.Recording([TestValidateOnce.BAD, TestValidateOnce.GOOD], store)
+            run(images, recording, f"record{count}")
+            assert recording.calls == 2 and len(list(store.iterdir())) == 2
+            tracemalloc.start()
+            try:
+                run(images, ReplayVisionClient(store), f"out{count}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        warm = screenshot_files(1, 100, tmp_path / "warm")  # imports and caches, unmeasured
+        run(warm, self.Recording([TestValidateOnce.GOOD], tmp_path / "warm-store"), "warm-out")
+        small, large = peak(1), peak(8)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestCollectorPause:
