@@ -432,6 +432,8 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
 
     generalizations = list(partial.generalizations)
     parent_of = {g.specific.lower(): g.general for g in generalizations}
+    # an ancestor of each class with a parent, moved up to the root as walks pass
+    above = {child: general.lower() for child, general in parent_of.items()}
     for gen in inferred.generalizations:
         existing_parent = parent_of.get(gen.specific.lower())
         if existing_parent is not None and existing_parent.lower() == gen.general.lower():
@@ -446,11 +448,15 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
             continue
         general = classes[gen.general.lower()].name
         specific = classes[gen.specific.lower()].name
-        # reject edges that would close a cycle through existing ones
-        node = general.lower()
-        while node in parent_of and node != specific.lower():
-            node = parent_of[node].lower()
-        if node == specific.lower():
+        # reject edges that would close a cycle through existing ones: the
+        # specific class has no parent yet, so one closes where it is the
+        # root above the general class
+        root, path = general.lower(), []
+        while root in above:
+            path.append(root)
+            root = above[root]
+        above.update(dict.fromkeys(path, root))
+        if root == specific.lower():
             report.conflicts.append(MergeConflict(
                 element=f"generalization of {specific}",
                 partial_value="(acyclic hierarchy preserved)",
@@ -458,6 +464,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
             continue
         generalizations.append(Generalization(general=general, specific=specific))
         parent_of[specific.lower()] = general
+        above[specific.lower()] = root
         report.added_generalizations.append(f"{specific}->{general}")
 
     def end(e: AssociationEnd) -> AssociationEnd:

@@ -475,16 +475,17 @@ def validate_model(model: DomainModel) -> ValidationResult:
             children_seen[gen.specific] = gen.general
             edges[gen.specific] = gen.general
 
+    # settled once per class: a walk up the parents meeting a class twice is in or below a cycle
+    cyclic: dict[str, bool] = {}
     for start in edges:
-        seen = {start}
-        node = edges.get(start)
-        while node is not None:
-            if node in seen:
-                out.append(Violation("GENERALIZATION_CYCLE", start,
-                                     "generalization graph contains a cycle"))
-                break
-            seen.add(node)
-            node = edges.get(node)
+        path, node = {}, start
+        while node in edges and node not in cyclic and node not in path:
+            path[node] = None
+            node = edges[node]
+        cyclic.update(dict.fromkeys(path, node in path or cyclic.get(node, False)))
+        if cyclic[start]:
+            out.append(Violation("GENERALIZATION_CYCLE", start,
+                                 "generalization graph contains a cycle"))
 
     return ValidationResult(out)
 

@@ -203,12 +203,16 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
                 loss.add("association", assoc.name, "MULTIPLICITY_RELAXED", "info",
                          f"lower bound {end.multiplicity.lower} on {end.role} not enforced")
 
+    depth_of: dict[str, int] = {}  # each class's depth, settled once
+
     def depth(cls: Class) -> int:
-        count, name = 0, cls.name
-        while name in parent_of:
+        path, name = [], cls.name
+        while name in parent_of and name not in depth_of:
+            path.append(name)
             name = parent_of[name]
-            count += 1
-        return count
+        for count, name in enumerate(reversed(path), start=depth_of.get(name, 0) + 1):
+            depth_of[name] = count
+        return depth_of.get(cls.name, 0)
 
     # sorted() is stable, so classes of equal depth keep the model's order
     class_tables = [table_of_class[cls.name] for cls in sorted(model.classes, key=depth)]

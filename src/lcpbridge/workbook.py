@@ -5,6 +5,9 @@ for many-to-one ends, a bridge sheet per many-to-many association, and one
 sample data row so the importing platform can detect types and links. The
 sibling ``.manifest.json`` is the canonical description of what was
 generated and is what tests verify; the xlsx container realizes it.
+``emit_workbook`` renders each sheet of the manifest straight to its sheet
+part XML, with the column letters computed once per call, and hands the
+parts to ``xlsx.write_workbook``, which deflates each as it comes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ SAMPLE_VALUES = {
 }
 
 BOOL_OPTIONS = ("TRUE", "FALSE")
+LIST_MAX = 255  # characters of a list validation typed as literals, commas included
 DATA_ROWS = 1000  # rows covered by each dropdown validation
 
 
@@ -62,6 +66,9 @@ class ListDropdown:
 
     def as_dict(self):
         return {"kind": "list", "options": list(self.options)}
+
+
+_BOOL_LIST = ListDropdown(BOOL_OPTIONS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,19 +162,22 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
     parents = {g.specific: g.general for g in model.generalizations}
     classes_by_name = {c.name: c for c in model.classes}
 
+    effective: dict[str, dict[str, Property]] = {}  # each class's columns, settled once
+
     def effective_properties(class_name: str) -> list[Property]:
-        chain = []
-        node = class_name
-        while node is not None:
-            chain.append(node)
+        path, node = [], class_name
+        while node is not None and node not in effective:
+            path.append(node)
             node = parents.get(node)
         # root-first column order; a redeclared name keeps its slot but the
         # nearer class's version wins
-        props: dict[str, Property] = {}
-        for ancestor in reversed(chain):
+        props = effective.get(node, {})
+        for ancestor in reversed(path):
+            props = dict(props)
             for prop in classes_by_name[ancestor].properties:
                 props[prop.name.lower()] = prop
-        return list(props.values())
+            effective[ancestor] = props
+        return list(effective[class_name].values())
 
     sheet_of_class: dict[str, ManifestSheet] = {}
     headers_of: dict[str, Namespace] = {}  # class -> headers of its sheet
@@ -180,12 +190,17 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         for prop in effective_properties(cls.name):
             if prop.type.kind == "enumeration":
                 literals = enum_literals[prop.type.enum_name]
-                column = ManifestColumn(header=prop.name, cell_format="General",
-                                        validation=ListDropdown(tuple(literals)))
+                listed = len(",".join(literals))
+                validation = ListDropdown(tuple(literals)) if listed <= LIST_MAX else None
+                if validation is None:
+                    loss.add("property", f"{cls.name}.{prop.name}", "DROPPED", "warning",
+                             f"dropdown of column {prop.name!r} on sheet {sheet_name}: its list "
+                             f"is {listed} characters, past the {LIST_MAX} a spreadsheet holds")
+                column = ManifestColumn(header=prop.name, validation=validation)
                 sample = literals[0]
             else:
                 primitive = prop.type.primitive
-                validation = ListDropdown(BOOL_OPTIONS) if primitive == "bool" else None
+                validation = _BOOL_LIST if primitive == "bool" else None
                 column = ManifestColumn(header=prop.name,
                                         cell_format=CELL_FORMATS[primitive],
                                         validation=validation)
@@ -274,6 +289,50 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
     return manifest, loss
 
 
+def _sheet_parts(sheets: list[ManifestSheet]):
+    """(name, sheet part XML) of each sheet: a header row, the sample row, whose
+    cells a number format makes numbers and a ``TRUE,FALSE`` list booleans,
+    and a list validation over rows 2 to ``DATA_ROWS + 1`` of each dropdown."""
+    from .xlsx import SHEET_HEAD, STYLE_OF, column_letter, escape
+
+    style = {fmt: f' s="{index}"' if index else "" for fmt, index in STYLE_OF.items()}
+    width = max((len(sheet.columns) for sheet in sheets), default=0)
+    letters = [column_letter(i) for i in range(1, width + 1)]
+    last = DATA_ROWS + 1
+    for sheet in sheets:
+        header, checks = [], []
+        for letter, column in zip(letters, sheet.columns):
+            header.append(f'<c r="{letter}1" t="inlineStr"><is><t xml:space="preserve">'
+                          f"{escape(column.header)}</t></is></c>")
+            validation = column.validation
+            if validation is None:
+                continue
+            if type(validation) is SheetDropdown:
+                formula = f"'{escape(validation.source_sheet)}'!$A$2:$A${last}"
+            else:
+                formula = f'"{escape(",".join(validation.options))}"'
+            checks.append(f'<dataValidation type="list" allowBlank="1" showDropDown="0" '
+                          f'sqref="{letter}2:{letter}{last}"><formula1>{formula}</formula1>'
+                          "</dataValidation>")
+        rows = f'<row r="1">{"".join(header)}</row>'
+        if sheet.sample_row is not None and sheet.columns:
+            cells = []
+            for letter, column, value in zip(letters, sheet.columns, sheet.sample_row):
+                fmt = column.cell_format
+                if fmt == "0" or fmt == "0.00":
+                    cells.append(f'<c r="{letter}2"{style[fmt]}><v>{escape(value)}</v></c>')
+                elif column.validation == _BOOL_LIST:
+                    flag = "1" if value.strip().upper() in ("TRUE", "1") else "0"
+                    cells.append(f'<c r="{letter}2" t="b"{style[fmt]}><v>{flag}</v></c>')
+                else:
+                    cells.append(f'<c r="{letter}2" t="inlineStr"{style[fmt]}><is>'
+                                 f'<t xml:space="preserve">{escape(value)}</t></is></c>')
+            rows += f'<row r="2">{"".join(cells)}</row>'
+        validations = (f'<dataValidations count="{len(checks)}">{"".join(checks)}'
+                       "</dataValidations>") if checks else ""
+        yield sheet.name, f"{SHEET_HEAD}{rows}</sheetData>{validations}</worksheet>"
+
+
 def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, Path]:
     """Write the xlsx container and its canonical manifest JSON.
 
@@ -282,40 +341,10 @@ def emit_workbook(manifest: WorkbookManifest, path: str | Path) -> tuple[Path, P
     keeps the true zero-sheet description. The manifest is trusted as built:
     ``plan_workbook`` claims every sheet name and header from a ``Namespace``.
     """
-    from . import xlsx  # only this writer needs it: the CSV generator plans without it
+    from .xlsx import write_workbook  # only this writer needs it: the CSV generator does not
 
     path = Path(path)
-
-    sheets: list[xlsx.SheetData] = []
-    for sheet in manifest.sheets:
-        data = xlsx.SheetData(name=sheet.name)
-        header_row = [xlsx.CellValue(text=c.header) for c in sheet.columns]
-        data.rows.append(header_row)
-        if sheet.sample_row is not None and sheet.columns:
-            cells = []
-            for column, value in zip(sheet.columns, sheet.sample_row):
-                fmt = column.cell_format
-                if fmt == "0" or fmt == "0.00":
-                    cells.append(xlsx.CellValue(text=value, kind="number", number_format=fmt))
-                elif isinstance(column.validation, ListDropdown) \
-                        and tuple(column.validation.options) == BOOL_OPTIONS:
-                    cells.append(xlsx.CellValue(text=value, kind="bool", number_format=fmt))
-                else:
-                    cells.append(xlsx.CellValue(text=value, number_format=fmt))
-            data.rows.append(cells)
-        for index, column in enumerate(sheet.columns, start=1):
-            if isinstance(column.validation, SheetDropdown):
-                formula = f"'{column.validation.source_sheet}'!$A$2:$A${DATA_ROWS + 1}"
-                data.validations.append(xlsx.ListValidation(
-                    column=index, first_row=2, last_row=DATA_ROWS + 1, formula=formula))
-            elif isinstance(column.validation, ListDropdown):
-                options = ",".join(column.validation.options)
-                data.validations.append(xlsx.ListValidation(
-                    column=index, first_row=2, last_row=DATA_ROWS + 1,
-                    formula=f'"{options}"'))
-        sheets.append(data)
-
-    xlsx.write_workbook(path, sheets)
+    write_workbook(path, _sheet_parts(manifest.sheets))
     manifest_path = Path(str(path) + ".manifest.json")
     manifest_path.write_text(manifest.to_json(), encoding="utf-8")
     return path, manifest_path

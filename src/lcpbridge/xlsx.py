@@ -1,11 +1,13 @@
 """Minimal OOXML spreadsheet container support (no third-party writer).
 
 An ``.xlsx`` file is a zip of XML parts (SpreadsheetML, ECMA-376 Part 1).
-The writer emits the subset the toolkit needs: sheets with
-inline-string/number/boolean cells, per-cell number formats and list data
-validations. Its output is byte-deterministic (fixed zip timestamps, no
-compression entropy sources), which the migration determinism guarantee
-relies on. ``zipfile`` and ``xml.etree.ElementTree`` are imported by the
+The writer takes each sheet as its name and its sheet part, rendered by the
+workbook generator in the styles of ``STYLE_OF``, and writes the zip itself:
+each part is deflated once and its local header packed once. The bytes are
+the ones ``zipfile`` writes for the same members (the tests hold it to
+that), byte-deterministic with fixed zip timestamps and no compression
+entropy sources, which the migration determinism guarantee relies on.
+``zipfile``, ``zlib`` and ``xml.etree.ElementTree`` are imported by the
 functions that read or write, so ``import lcpbridge`` does not load them.
 
 The reader gives each sheet's cells as display strings. A compiled scan
@@ -31,16 +33,18 @@ one pull parser (``_events``); both feed ``_fill``, which places the cells.
 from __future__ import annotations
 
 import bisect
+import errno
 import functools
 import io
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 if TYPE_CHECKING:
     import zipfile
+    from collections.abc import Iterable
     from xml.etree import ElementTree as ET
 
 NS_MAIN = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
@@ -64,10 +68,16 @@ _STYLES_XML = (
               for i in (1, 2, 164, 165))
     + "</cellXfs></styleSheet>"
 )
-_STYLE_OF = {"General": 0, "0": 1, "0.00": 2, "DD/MM/YYYY": 3, "DD/MM/YYYY HH:MM": 4}
+STYLE_OF = {"General": 0, "0": 1, "0.00": 2, "DD/MM/YYYY": 3, "DD/MM/YYYY HH:MM": 4}
+
+# A sheet part up to its rows, which ``</sheetData>`` and the validations follow
+SHEET_HEAD = ('<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
+              f'<worksheet xmlns="{NS_MAIN}"><sheetData>')
 
 _CELL_REF_RE = re.compile(r"([A-Z]+)(\d+)")
-_EPOCH = (1980, 1, 1, 0, 0, 0)
+_DOS_DATE = 1 << 5 | 1  # 1980-01-01, the first day a zip header can hold; the time is 0
+_ZIP64_LIMIT = (1 << 31) - 1  # zipfile's limits, past which it writes ZIP64 records
+_ZIP_FILECOUNT_LIMIT = (1 << 16) - 1
 
 
 def escape(text: str, entities: dict[str, str] | None = None) -> str:
@@ -91,152 +101,98 @@ def column_letter(index: int) -> str:
     return letters
 
 
-@dataclass
-class CellValue:
-    """A typed cell for the writer."""
-
-    text: str
-    kind: str = "inline"  # inline | number | bool
-    number_format: str = "General"
-
-
-@dataclass
-class ListValidation:
-    """A list data validation over one column's rows, for the writer."""
-
-    column: int  # 1-based
-    first_row: int
-    last_row: int
-    formula: str  # e.g. "'Library'!$A$2:$A$1000" or "\"TRUE,FALSE\""
-
-
-@dataclass
-class SheetData:
-    """A sheet for the writer: its name, its rows of cells and its validations."""
-
-    name: str
-    rows: list[list[CellValue]] = field(default_factory=list)
-    validations: list[ListValidation] = field(default_factory=list)
-
-
-def _sheet_xml(sheet: SheetData) -> str:
-    rows_xml = []
-    for r, row in enumerate(sheet.rows, start=1):
-        cells = []
-        for c, cell in enumerate(row, start=1):
-            ref = f"{column_letter(c)}{r}"
-            style = _STYLE_OF[cell.number_format]
-            style_attr = f' s="{style}"' if style else ""
-            if cell.kind == "number":
-                cells.append(f'<c r="{ref}"{style_attr}><v>{escape(cell.text)}</v></c>')
-            elif cell.kind == "bool":
-                value = "1" if cell.text.strip().upper() in ("TRUE", "1") else "0"
-                cells.append(f'<c r="{ref}" t="b"{style_attr}><v>{value}</v></c>')
-            else:
-                cells.append(
-                    f'<c r="{ref}" t="inlineStr"{style_attr}>'
-                    f"<is><t xml:space=\"preserve\">{escape(cell.text)}</t></is></c>"
-                )
-        rows_xml.append(f'<row r="{r}">{"".join(cells)}</row>')
-
-    validations = ""
-    if sheet.validations:
-        items = []
-        for v in sheet.validations:
-            col = column_letter(v.column)
-            sqref = f"{col}{v.first_row}:{col}{v.last_row}"
-            items.append(
-                f'<dataValidation type="list" allowBlank="1" showDropDown="0" sqref="{sqref}">'
-                f"<formula1>{escape(v.formula)}</formula1></dataValidation>"
-            )
-        validations = (
-            f'<dataValidations count="{len(sheet.validations)}">{"".join(items)}</dataValidations>'
-        )
-
-    return (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<worksheet xmlns="{NS_MAIN}">'
-        f'<sheetData>{"".join(rows_xml)}</sheetData>'
-        f"{validations}"
-        "</worksheet>"
-    )
-
-
-def write_workbook(path: str | Path, sheets: list[SheetData]) -> None:
-    """Write the sheets as an .xlsx file; at least one sheet is emitted."""
-    import zipfile
-
-    if not sheets:
-        sheets = [SheetData(name="Sheet1", rows=[])]
-
-    sheet_entries = []
-    rel_entries = []
-    for i, sheet in enumerate(sheets, start=1):
-        safe_name = escape(sheet.name, {'"': "&quot;"})
-        sheet_entries.append(
-            f'<sheet name="{safe_name}" sheetId="{i}" r:id="rId{i}"/>')
-        rel_entries.append(
-            f'<Relationship Id="rId{i}" '
-            f'Type="{NS_REL}/worksheet" Target="worksheets/sheet{i}.xml"/>')
-    styles_rid = len(sheets) + 1
-    rel_entries.append(
-        f'<Relationship Id="rId{styles_rid}" Type="{NS_REL}/styles" Target="styles.xml"/>')
-
-    content_types = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
-        '<Default Extension="rels" '
-        'ContentType="application/vnd.openxmlformats-package.relationships+xml"/>'
-        '<Default Extension="xml" ContentType="application/xml"/>'
-        '<Override PartName="/xl/workbook.xml" ContentType="application/vnd.'
-        'openxmlformats-officedocument.spreadsheetml.sheet.main+xml"/>'
-        + "".join(
-            f'<Override PartName="/xl/worksheets/sheet{i}.xml" ContentType="application/vnd.'
-            "openxmlformats-officedocument.spreadsheetml.worksheet+xml\"/>"
-            for i in range(1, len(sheets) + 1)
-        )
-        + '<Override PartName="/xl/styles.xml" ContentType="application/vnd.'
-        'openxmlformats-officedocument.spreadsheetml.styles+xml"/>'
-        "</Types>"
-    )
-    root_rels = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<Relationships xmlns="{NS_PKG_REL}">'
-        f'<Relationship Id="rId1" Type="{NS_REL}/officeDocument" Target="xl/workbook.xml"/>'
-        "</Relationships>"
-    )
-    workbook_xml = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<workbook xmlns="{NS_MAIN}" xmlns:r="{NS_REL}">'
-        f'<sheets>{"".join(sheet_entries)}</sheets>'
-        "</workbook>"
-    )
-    workbook_rels = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<Relationships xmlns="{NS_PKG_REL}">{"".join(rel_entries)}</Relationships>'
-    )
-
-    parts: list[tuple[str, str]] = [
-        ("[Content_Types].xml", content_types),
-        ("_rels/.rels", root_rels),
-        ("xl/workbook.xml", workbook_xml),
-        ("xl/_rels/workbook.xml.rels", workbook_rels),
+def _package_parts(names: list[str]) -> list[tuple[str, str]]:
+    """The parts before the sheets: content types, relationships, the
+    workbook naming each sheet, and the styles."""
+    head = '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
+    office = "application/vnd.openxmlformats-officedocument.spreadsheetml"
+    numbers = range(1, len(names) + 1)
+    quoted = (escape(name, {'"': "&quot;"}) for name in names)
+    sheets = "".join(f'<sheet name="{name}" sheetId="{i}" r:id="rId{i}"/>'
+                     for i, name in zip(numbers, quoted))
+    rels = "".join(f'<Relationship Id="rId{i}" Type="{NS_REL}/worksheet" '
+                   f'Target="worksheets/sheet{i}.xml"/>' for i in numbers)
+    overrides = "".join(f'<Override PartName="/xl/worksheets/sheet{i}.xml" '
+                        f'ContentType="{office}.worksheet+xml"/>' for i in numbers)
+    return [
+        ("[Content_Types].xml",
+         f'{head}<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
+         '<Default Extension="rels" '
+         'ContentType="application/vnd.openxmlformats-package.relationships+xml"/>'
+         '<Default Extension="xml" ContentType="application/xml"/>'
+         f'<Override PartName="/xl/workbook.xml" ContentType="{office}.sheet.main+xml"/>'
+         f'{overrides}<Override PartName="/xl/styles.xml" ContentType="{office}.styles+xml"/>'
+         "</Types>"),
+        ("_rels/.rels",
+         f'{head}<Relationships xmlns="{NS_PKG_REL}"><Relationship Id="rId1" '
+         f'Type="{NS_REL}/officeDocument" Target="xl/workbook.xml"/></Relationships>'),
+        ("xl/workbook.xml",
+         f'{head}<workbook xmlns="{NS_MAIN}" xmlns:r="{NS_REL}"><sheets>{sheets}</sheets>'
+         "</workbook>"),
+        ("xl/_rels/workbook.xml.rels",
+         f'{head}<Relationships xmlns="{NS_PKG_REL}">{rels}<Relationship '
+         f'Id="rId{len(names) + 1}" Type="{NS_REL}/styles" Target="styles.xml"/>'
+         "</Relationships>"),
         ("xl/styles.xml", _STYLES_XML),
     ]
-    for i, sheet in enumerate(sheets, start=1):
-        parts.append((f"xl/worksheets/sheet{i}.xml", _sheet_xml(sheet)))
 
-    # assembled in memory and written once: on a file, ZipFile seeks back to
-    # each member's header, and every seek flushes the write buffer
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name, data in parts:
-            info = zipfile.ZipInfo(name, date_time=_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            info.external_attr = 0o600 << 16
-            zf.writestr(info, data.encode("utf-8"))
+
+def _deflated(name: str, text: str) -> tuple[str, int, int, bytes]:
+    """(name, CRC-32, size, deflated bytes) of ``text`` as UTF-8. The stream
+    is the one ``zipfile`` feeds a ``compressobj`` at the default level:
+    deflate reads all of the input either way, and one ``zlib.compress``
+    takes less than half the time on a small part."""
+    import zlib
+
+    data = text.encode("utf-8")
+    return name, zlib.crc32(data), len(data), zlib.compress(data, -1, -15)
+
+
+def _zip(members: list[tuple[str, int, int, bytes]]) -> list[bytes]:
+    """The zip file of ``_deflated`` members, as the pieces ``zipfile``
+    writes for each ``writestr`` of a ``ZipInfo`` dated 1980-01-01, deflated,
+    with mode 0600 (version 2.0, made on Unix), each local header packed
+    once. Past 65,535 members the end record is ZIP64's, as there; past
+    2 GiB, where ``zipfile`` writes ZIP64 fields, OSError (EFBIG)."""
+    import struct
+
+    pieces, directory, offset = [], [], 0
+    for name, crc, size, data in members:
+        encoded, flags = name.encode("utf-8"), 0 if name.isascii() else 0x800
+        header = struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, flags, 8, 0, _DOS_DATE,
+                             crc, len(data), size, len(encoded), 0)
+        pieces += (header, encoded, data)
+        directory += (struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, flags, 8, 0,
+                                  _DOS_DATE, crc, len(data), size, len(encoded), 0, 0, 0, 0,
+                                  0o600 << 16, offset), encoded)
+        offset += len(header) + len(encoded) + len(data)
+    count, size = len(members), sum(map(len, directory))
+    if max(offset, size, *(m[2] * 1.05 for m in members)) > _ZIP64_LIMIT:
+        raise OSError(errno.EFBIG, "a workbook past 2 GiB needs ZIP64 fields")
+    if count > _ZIP_FILECOUNT_LIMIT:
+        directory += (struct.pack("<4sQ2H2L4Q", b"PK\x06\x06", 44, 45, 45, 0, 0, count, count,
+                                  size, offset),
+                      struct.pack("<4sLQL", b"PK\x06\x07", 0, offset + size, 1))
+    end = min(count, 0xFFFF)
+    directory.append(struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, end, end, size, offset, 0))
+    return pieces + directory
+
+
+def write_workbook(path: str | Path, sheets: Iterable[tuple[str, str]]) -> None:
+    """Write each (sheet name, sheet part XML) of ``sheets`` as a sheet of an
+    .xlsx file, deflated as it comes, or one blank sheet where there is none:
+    the container requires one."""
+    names, members = [], []
+    for i, (name, xml) in enumerate(sheets, start=1):
+        names.append(name)
+        members.append(_deflated(f"xl/worksheets/sheet{i}.xml", xml))
+    if not names:
+        names.append("Sheet1")
+        members.append(_deflated("xl/worksheets/sheet1.xml",
+                                 f"{SHEET_HEAD}</sheetData></worksheet>"))
+    parts = [_deflated(name, text) for name, text in _package_parts(names)]
     with open(path, "wb") as handle:
-        handle.write(buffer.getbuffer())
+        handle.writelines(_zip(parts + members))
 
 
 # ---------------------------------------------------------------------------

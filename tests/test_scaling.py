@@ -15,7 +15,15 @@ import pytest
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
 from lcpbridge.llm import MergeReport, merge_models
 from lcpbridge.mendix import mendix_to_pivot, parse_mendix_export
-from lcpbridge.model import Class, DomainModel, empty_model, validate_model
+from lcpbridge.model import (
+    Class,
+    DomainModel,
+    Generalization,
+    Property,
+    empty_model,
+    primitive_type,
+    validate_model,
+)
 from lcpbridge.plantuml import emit_plantuml, parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model, load_tabular
@@ -63,14 +71,42 @@ def half_known(model):
     return partial, model
 
 
-@pytest.mark.parametrize("layer, prepare", [
-    (plan_and_emit, lambda model: model),
-    (parse_pivot_text, print_pivot_text),
-    (plan_workbook, lambda model: model),
-    (lambda pair: merge_models(*pair), half_known),
-], ids=["plan_relational+emit_sql", "parse_pivot_text", "plan_workbook", "merge_models"])
-def test_layer_grows_at_most_linearly(layer, prepare):
-    ratio = growth(layer, prepare(scaling_model(SMALL)), prepare(scaling_model(LARGE)))
+def chain_model(n: int) -> DomainModel:
+    """``n`` classes in one inheritance chain, one property on the root."""
+    names = [f"Level{i}" for i in range(n)]
+    return DomainModel("Chain", classes=(
+        Class(names[0], (Property("label", primitive_type("str")),)),
+        *(Class(name) for name in names[1:])),
+        generalizations=tuple(Generalization(general=names[k], specific=names[k + 1])
+                              for k in range(n - 1)))
+
+
+def without_generalizations(model):
+    """(partial, inferred) for merge_models: the partial holds every class
+    and no generalization, so the merge adds each of them."""
+    return DomainModel(model.name, classes=model.classes), model
+
+
+@pytest.mark.parametrize("layer, make", [
+    (plan_and_emit, scaling_model),
+    (parse_pivot_text, lambda n: print_pivot_text(scaling_model(n))),
+    (plan_workbook, scaling_model),
+    (lambda pair: merge_models(*pair), lambda n: half_known(scaling_model(n))),
+    (emit_workbook, lambda n: plan_workbook(scaling_model(n))[0]),
+    (validate_model, chain_model),
+    (plan_relational, chain_model),
+    (plan_workbook, chain_model),
+    (lambda pair: merge_models(*pair), lambda n: without_generalizations(chain_model(n))),
+], ids=["plan_relational+emit_sql", "parse_pivot_text", "plan_workbook", "merge_models",
+        "emit_workbook", "validate_model(chain)", "plan_relational(chain)", "plan_workbook(chain)",
+        "merge_models(chain)"])
+def test_layer_grows_at_most_linearly(layer, make, tmp_path):
+    """``scaling_model``, or for (chain) one inheritance chain of as many
+    classes, whose walks up the parents cost quadratic time when each class
+    walks to the root."""
+    if layer is emit_workbook:  # the workbook and its manifest go to files
+        layer = lambda manifest: emit_workbook(manifest, tmp_path / "model.xlsx")
+    ratio = growth(layer, make(SMALL), make(LARGE))
     assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
 
 

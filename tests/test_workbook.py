@@ -15,10 +15,12 @@ from lcpbridge.model import (
     AssociationEnd,
     Class,
     DomainModel,
+    Enumeration,
     Generalization,
     Multiplicity,
     Property,
     empty_model,
+    enum_type,
     primitive_type,
 )
 from lcpbridge.tabular import infer_model, load_tabular
@@ -118,6 +120,33 @@ class TestPlanRules:
                       if c.header == "status")
         assert isinstance(status.validation, ListDropdown)
         assert status.validation.options == ("AVAILABLE", "LOANED", "RESERVED")
+
+    @pytest.mark.parametrize("length", [255, 256])
+    def test_list_past_255_characters_has_no_dropdown(self, length):
+        """A spreadsheet holds a list typed as literals up to 255 characters,
+        commas included. One past it, the column has no dropdown, the report
+        names the column and the length, and the column A it leaves without a
+        list can be linked to."""
+        literals = ("A" * (length - 2), "B")
+        model = DomainModel("M", classes=(
+            Class("Shelf", (Property("grade", enum_type("Grade")),)),
+            Class("Book", (Property("title", primitive_type("str")),))),
+            associations=(Association(
+                "Holds", AssociationEnd("book", "Book", Multiplicity(0, None)),
+                AssociationEnd("shelf", "Shelf", Multiplicity(0, 1))),),
+            enumerations=(Enumeration("Grade", literals),))
+        manifest, loss = plan_workbook(model)
+        grade = sheet_named(manifest, "Shelf").columns[0]
+        reasons = [(i.element_name, i.reason) for i in loss]
+        if length == 255:
+            assert grade.validation == ListDropdown(literals)
+            assert reasons == [("Holds", "DROPPED")]
+        else:
+            assert grade.validation is None
+            assert reasons == [("Shelf.grade", "DROPPED"), ("Holds", "ASSOCIATIONS_UNKNOWN")]
+            assert loss.items[0].detail == ("dropdown of column 'grade' on sheet Shelf: its list "
+                                            "is 256 characters, past the 255 a spreadsheet holds")
+        assert sheet_named(manifest, "Shelf").sample_row == ["A" * (length - 2)]
 
     def test_generalization_flattened_with_loss(self):
         model = DomainModel("M", classes=(

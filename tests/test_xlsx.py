@@ -1,10 +1,14 @@
-"""Round-trip checks for the minimal OOXML container layer, and the sheet
-scan held to the ElementTree reader."""
+"""Round-trip checks for the minimal OOXML container layer, the container
+held to ``zipfile``'s bytes, and the sheet scan held to the ElementTree
+reader."""
 
 import contextlib
+import errno
+import io
 import subprocess
 import sys
 import zipfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree as ET
@@ -19,14 +23,36 @@ from lcpbridge.xlsx import (
     NS_MAIN,
     NS_PKG_REL,
     NS_REL,
-    CellValue,
-    ListValidation,
-    SheetData,
+    SHEET_HEAD,
     column_letter,
     escape,
     read_workbook,
     write_workbook,
 )
+
+
+def _sheet_part(rows, validations=()) -> str:
+    """A sheet part with ``rows`` of cells, rendered as the workbook
+    generator renders its cells: a str is an inline string, a bool a boolean
+    and a Decimal a number in the "0" format. Each validation is a list
+    validation, (sqref, formula)."""
+    def cell(ref, value):
+        if isinstance(value, bool):
+            return f'<c r="{ref}" t="b"><v>{int(value)}</v></c>'
+        if isinstance(value, Decimal):
+            return f'<c r="{ref}" s="1"><v>{value}</v></c>'
+        return (f'<c r="{ref}" t="inlineStr"><is><t xml:space="preserve">{escape(value)}</t>'
+                "</is></c>")
+    body = "".join(
+        f'<row r="{r}">'
+        + "".join(cell(f"{column_letter(c)}{r}", value) for c, value in enumerate(row, start=1))
+        + "</row>" for r, row in enumerate(rows, start=1))
+    checks = "".join(f'<dataValidation type="list" allowBlank="1" showDropDown="0" '
+                     f'sqref="{sqref}"><formula1>{escape(formula)}</formula1></dataValidation>'
+                     for sqref, formula in validations)
+    if checks:
+        checks = f'<dataValidations count="{len(validations)}">{checks}</dataValidations>'
+    return f"{SHEET_HEAD}{body}</sheetData>{checks}</worksheet>"
 
 
 def test_column_letters():
@@ -36,12 +62,8 @@ def test_column_letters():
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "t.xlsx"
-    sheets = [SheetData(name="People", rows=[
-        [CellValue("name"), CellValue("age"), CellValue("member")],
-        [CellValue("Ada"), CellValue("36", kind="number", number_format="0"),
-         CellValue("TRUE", kind="bool")],
-    ])]
-    write_workbook(path, sheets)
+    write_workbook(path, [("People", _sheet_part([
+        ["name", "age", "member"], ["Ada", Decimal("36"), True]]))])
     back = read_workbook(path)
     assert back[0].name == "People"
     assert back[0].rows[0] == ["name", "age", "member"]
@@ -50,11 +72,8 @@ def test_write_read_round_trip(tmp_path):
 
 def test_validations_survive(tmp_path):
     path = tmp_path / "t.xlsx"
-    sheet = SheetData(name="S", rows=[[CellValue("col")]], validations=[
-        ListValidation(column=1, first_row=2, last_row=10,
-                       formula="'Other'!$A$2:$A$10"),
-    ])
-    write_workbook(path, [sheet, SheetData(name="Other", rows=[[CellValue("x")]])])
+    write_workbook(path, [("S", _sheet_part([["col"]], [("A2:A10", "'Other'!$A$2:$A$10")])),
+                          ("Other", _sheet_part([["x"]]))])
     with zipfile.ZipFile(path) as zf:
         xml = ET.fromstring(zf.read("xl/worksheets/sheet1.xml"))
     validation, = xml.iter(f"{{{NS_MAIN}}}dataValidation")
@@ -73,7 +92,7 @@ def test_empty_sheet_list_yields_placeholder(tmp_path):
 
 
 def test_bytes_deterministic(tmp_path):
-    sheets = [SheetData(name="S", rows=[[CellValue("a"), CellValue("b")]])]
+    sheets = [("S", _sheet_part([["a", "b"]]))]
     write_workbook(tmp_path / "a.xlsx", sheets)
     write_workbook(tmp_path / "b.xlsx", sheets)
     assert (tmp_path / "a.xlsx").read_bytes() == (tmp_path / "b.xlsx").read_bytes()
@@ -81,7 +100,7 @@ def test_bytes_deterministic(tmp_path):
 
 def test_is_a_real_zip_with_expected_parts(tmp_path):
     path = tmp_path / "t.xlsx"
-    write_workbook(path, [SheetData(name="S", rows=[[CellValue("x")]])])
+    write_workbook(path, [("S", _sheet_part([["x"]]))])
     with zipfile.ZipFile(path) as zf:
         names = set(zf.namelist())
     assert "[Content_Types].xml" in names
@@ -92,19 +111,91 @@ def test_is_a_real_zip_with_expected_parts(tmp_path):
 
 def test_escaped_characters(tmp_path):
     path = tmp_path / "t.xlsx"
-    write_workbook(path, [SheetData(name="S", rows=[
-        [CellValue("a < b & c > d"), CellValue('quote "x"')]])])
+    write_workbook(path, [("S", _sheet_part([["a < b & c > d", 'quote "x"']]))])
     back = read_workbook(path)
     assert back[0].rows[0] == ["a < b & c > d", 'quote "x"']
 
 
 def test_number_cells_read_without_trailing_zero(tmp_path):
     path = tmp_path / "t.xlsx"
-    write_workbook(path, [SheetData(name="S", rows=[
-        [CellValue("1", kind="number", number_format="0"),
-         CellValue("1.5", kind="number", number_format="0.00")]])])
+    write_workbook(path, [("S", _sheet_part([[Decimal("1"), Decimal("1.5")]]))])
     back = read_workbook(path)
     assert back[0].rows[0] == ["1", "1.5"]
+
+
+# ---------------------------------------------------------------------------
+# The container: the bytes zipfile writes
+
+def _zipfile_bytes(parts) -> bytes:
+    """``parts``, (name, bytes), written by ``zipfile`` as members dated
+    1980-01-01, deflated, with mode 0600."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, data in parts:
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, data)
+    return buffer.getvalue()
+
+
+# part names as zipfile keeps them: no NUL, not a directory
+_part_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                      min_size=1, max_size=12).filter(lambda name: not name.endswith("/"))
+_contents = st.one_of(st.text(max_size=300), st.sampled_from(["", "東京 &amp; ü" * 40]),
+                      st.binary(max_size=2000).map(lambda data: data.decode("latin-1")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_part_names, _contents), max_size=6,
+                unique_by=lambda part: part[0]))
+def test_container_bytes_equal_zipfiles(parts):
+    members = [xlsx._deflated(name, text) for name, text in parts]
+    assert b"".join(xlsx._zip(members)) == \
+        _zipfile_bytes([(name, text.encode("utf-8")) for name, text in parts])
+
+
+_cell_texts = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                                  min_size=1, max_size=31),
+                          st.lists(st.lists(_cell_texts, max_size=4), max_size=3)),
+                max_size=4))
+def test_workbook_bytes_equal_zipfiles(tmp_path_factory, sheets):
+    """A whole file, the blank placeholder sheet among them: its members
+    rewritten by zipfile in the same order give the same bytes."""
+    path = tmp_path_factory.mktemp("book") / "t.xlsx"
+    write_workbook(path, [(name, _sheet_part(rows)) for name, rows in sheets])
+    with zipfile.ZipFile(path) as zf:
+        parts = [(info.filename, zf.read(info)) for info in zf.infolist()]
+    assert len(parts) == 5 + max(len(sheets), 1)
+    assert path.read_bytes() == _zipfile_bytes(parts)
+
+
+def test_past_65535_members_the_end_record_is_zip64s():
+    """The member count that makes zipfile write ZIP64's end records, with
+    the limit lowered to three members on both sides."""
+    parts = [(f"p{i}", f"text {i}") for i in range(5)]
+    with mock.patch.object(xlsx, "_ZIP_FILECOUNT_LIMIT", 3), \
+            mock.patch.object(zipfile, "ZIP_FILECOUNT_LIMIT", 3):
+        data = b"".join(xlsx._zip([xlsx._deflated(name, text) for name, text in parts]))
+        assert data == _zipfile_bytes([(name, text.encode()) for name, text in parts])
+    assert b"PK\x06\x06" in data
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        assert [zf.read(name).decode() for name in zf.namelist()] == [t for _, t in parts]
+
+
+@pytest.mark.parametrize("parts", [[("big", "x" * 200)], [(f"p{i}", "small") for i in range(5)]],
+                         ids=["part", "offsets"])
+def test_past_2_gib_the_writer_refuses(parts):
+    """Where zipfile would write ZIP64 extra fields, for a part or for the
+    offsets, here past a limit lowered to 100 bytes, the writer raises
+    EFBIG, which a migration reports as OUTPUT_ERROR."""
+    with mock.patch.object(xlsx, "_ZIP64_LIMIT", 100), pytest.raises(OSError) as raised:
+        xlsx._zip([xlsx._deflated(name, text) for name, text in parts])
+    assert raised.value.errno == errno.EFBIG
 
 
 def test_escape_replaces_ampersand_first():
@@ -216,14 +307,10 @@ def test_scan_reads_the_writers_and_the_shared_strings_layout(tmp_path):
     ECMA-376 describes, in the order Excel documents them."""
     written = tmp_path / "written.xlsx"
     write_workbook(written, [
-        SheetData(name="People", rows=[
-            [CellValue("name"), CellValue("age"), CellValue("member")],
-            [CellValue("Ada & <Bob>"), CellValue("36", kind="number", number_format="0"),
-             CellValue("TRUE", kind="bool")],
-            [CellValue(" two\nlines "), CellValue("1.50", kind="number", number_format="0.00")]],
-            validations=[ListValidation(column=3, first_row=2, last_row=9,
-                                        formula='"TRUE,FALSE"')]),
-        SheetData(name="Empty")])
+        ("People", _sheet_part([
+            ["name", "age", "member"], ["Ada & <Bob>", Decimal("36"), True],
+            [" two\nlines ", Decimal("1.50")]], [("C2:C9", '"TRUE,FALSE"')])),
+        ("Empty", _sheet_part([]))])
     saved = tmp_path / "saved.xlsx"
     head = ('<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\r\n'
             f'<worksheet xmlns="{NS_MAIN}" xmlns:r="{NS_REL}" '
