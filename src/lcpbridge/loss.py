@@ -85,14 +85,13 @@ class LossReport:
         self.items.extend(other.items)
 
     def union(self, other: "LossReport") -> "LossReport":
-        """Predicted-plus-actual merge, deduplicating identical entries."""
-        merged = LossReport(list(self.items))
-        seen = set(self.items)
-        for item in other.items:
-            if item not in seen:
-                merged.items.append(item)
-                seen.add(item)
-        return merged
+        """Predicted-plus-actual merge: this report's items as they are, then
+        the first occurrence of each of ``other``'s that this one lacks. Each
+        item is hashed once: the frozen dataclass's ``__hash__`` runs in Python."""
+        fresh = dict.fromkeys(other.items)
+        for item in self.items:
+            fresh.pop(item, None)
+        return LossReport(self.items + list(fresh))
 
     def to_json(self) -> str:
         """``json.dumps({"items": [...]}, indent=2, sort_keys=True)`` plus a

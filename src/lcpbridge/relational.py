@@ -11,7 +11,15 @@ The pivot model read here stays frozen (see ``model``). The plan records are
 plain slotted dataclasses: ``plan_relational`` builds one per column and
 foreign key, tens of thousands on a large model, where a frozen dataclass's
 ``__init__`` costs about three times a plain one's; only it writes them,
-and ``emit_sql`` reads them once.
+and ``emit_sql`` reads them once, rendering each table in one pass.
+
+A constraint's name is ``sql_name`` of its prefix and plan names joined by
+``_``. The camelCase boundary (a capital after a lowercase letter or a
+digit) never touches a ``_``, so that fold distributes over the join:
+``emit_sql`` folds each distinct plan name once per call and upper-cases,
+merges ``__`` and fits only the joined name. The plan names are folded
+again because ``sql_name`` is not idempotent: the column ``X1Y``, which
+``sql_name("x1y")`` gives, folds to ``X1_Y``.
 """
 
 from __future__ import annotations
@@ -223,58 +231,6 @@ def plan_relational(model: DomainModel) -> tuple[RelationalSchemaPlan, LossRepor
 # Emission
 
 
-def _render_type(sql_type: str, dialect: str) -> str:
-    if dialect == "ansi":
-        return _ANSI_TYPES.get(sql_type, sql_type)
-    return sql_type
-
-
-def _constraint_name(prefix: str, *parts: str) -> str:
-    raw = "_".join((prefix,) + parts)
-    return sql_name(raw)
-
-
-def _emit_table(table: TablePlan, dialect: str) -> str:
-    body: list[tuple[str, str]] = []  # (definition, trailing comment)
-    for col in table.columns:
-        parts = [f'  "{col.name}" {_render_type(col.sql_type, dialect)}']
-        comment = ""
-        if col.name == "ID" and table.identity_pk:
-            if dialect == "oracle":
-                parts.append("GENERATED BY DEFAULT AS IDENTITY")
-            else:
-                parts.append("NOT NULL")
-                comment = "populate from a sequence or the application"
-        elif not col.nullable:
-            parts.append("NOT NULL")
-        body.append((" ".join(parts), comment))
-    if table.primary_key:
-        cols = ", ".join(f'"{c}"' for c in table.primary_key)
-        body.append((f'  CONSTRAINT "{_constraint_name("PK", table.name)}" '
-                     f"PRIMARY KEY ({cols})", ""))
-    for col in table.columns:
-        if col.unique:
-            body.append((f'  CONSTRAINT "{_constraint_name("UQ", table.name, col.name)}" '
-                         f'UNIQUE ("{col.name}")', ""))
-    for col in table.columns:
-        if col.check:
-            body.append((f'  CONSTRAINT "{_constraint_name("CK", table.name, col.name)}" '
-                         f"CHECK ({col.check})", ""))
-    if dialect == "ansi":  # foreign keys inline; oracle adds them by ALTER TABLE
-        for fk in table.foreign_keys:
-            name = _constraint_name("FK", table.name, fk.column)
-            body.append((f'  CONSTRAINT "{name}" FOREIGN KEY ("{fk.column}") '
-                         f'REFERENCES "{fk.ref_table}" ("ID")', ""))
-
-    lines = [f'CREATE TABLE "{table.name}" (']
-    for i, (definition, comment) in enumerate(body):
-        comma = "," if i < len(body) - 1 else ""
-        suffix = f" -- {comment}" if comment else ""
-        lines.append(definition + comma + suffix)
-    lines.append(");")
-    return "\n".join(lines)
-
-
 def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     """Deterministic DDL script for the plan.
 
@@ -284,18 +240,50 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     foreign keys are inlined in the CREATE statements because the embedded
     verification engine does not support adding constraints afterwards. The
     plan is trusted as built: ``plan_relational`` claims every name from a
-    ``Namespace``.
+    ``Namespace``. Constraint names are built as the module docstring says.
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    if not plan.tables:
-        return ""
-    statements = [_emit_table(t, dialect) for t in plan.tables]
-    if dialect == "oracle":
-        for table in plan.tables:
-            for fk in table.foreign_keys:
-                name = _constraint_name("FK", table.name, fk.column)
-                statements.append(
-                    f'ALTER TABLE "{table.name}" ADD CONSTRAINT "{name}" '
-                    f'FOREIGN KEY ("{fk.column}") REFERENCES "{fk.ref_table}" ("ID");')
-    return "\n\n".join(statements) + "\n"
+    ansi = dialect == "ansi"
+    folds = Folds(lambda name: _CAMEL_BOUNDARY.sub("_", name))
+
+    def constraint(name: str) -> str:
+        return fit_name(name.upper().replace("__", "_"), MAX_NAME)
+
+    creates: list[str] = []
+    alters: list[str] = []  # oracle adds the foreign keys once every table exists
+    for table in plan.tables:
+        quoted, folded = f'"{table.name}"', folds[table.name]
+        body: list[str] = []
+        noted = -1  # ansi's identity key, whose comment follows its comma
+        for col in table.columns:
+            sql_type = _ANSI_TYPES.get(col.sql_type, col.sql_type) if ansi else col.sql_type
+            if col.name == "ID" and table.identity_pk:
+                if ansi:
+                    noted = len(body)
+                body.append(f'  "ID" {sql_type} '
+                            + ("NOT NULL" if ansi else "GENERATED BY DEFAULT AS IDENTITY"))
+            else:
+                body.append(f'  "{col.name}" {sql_type}'
+                            + ("" if col.nullable else " NOT NULL"))
+        if table.primary_key:
+            cols = ", ".join(f'"{c}"' for c in table.primary_key)
+            body.append(f'  CONSTRAINT "{constraint("PK_" + folded)}" PRIMARY KEY ({cols})')
+        body += [f'  CONSTRAINT "{constraint(f"UQ_{folded}_{folds[col.name]}")}" '
+                 f'UNIQUE ("{col.name}")' for col in table.columns if col.unique]
+        body += [f'  CONSTRAINT "{constraint(f"CK_{folded}_{folds[col.name]}")}" '
+                 f"CHECK ({col.check})" for col in table.columns if col.check]
+        for fk in table.foreign_keys:
+            name = constraint(f"FK_{folded}_{folds[fk.column]}")
+            references = f'FOREIGN KEY ("{fk.column}") REFERENCES "{fk.ref_table}" ("ID")'
+            if ansi:
+                body.append(f'  CONSTRAINT "{name}" {references}')
+            else:
+                alters.append(f'ALTER TABLE {quoted} ADD CONSTRAINT "{name}" {references};')
+        if noted >= 0:
+            note = " -- populate from a sequence or the application"
+            body[noted:noted + 2] = [f"{body[noted]},{note}\n{body[noted + 1]}"
+                                     if noted + 1 < len(body) else body[noted] + note]
+        head = f"CREATE TABLE {quoted} ("
+        creates.append(f"{head}\n" + ",\n".join(body) + "\n);" if body else f"{head}\n);")
+    return "\n\n".join(creates + alters) + "\n" if creates else ""

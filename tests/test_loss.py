@@ -27,3 +27,30 @@ def test_to_json_is_the_standard_encoding(items):
     report = LossReport(items)
     assert report.to_json() == _standard(report)
     assert json.loads(report.to_json())["items"] == [i.as_dict() for i in items]
+
+
+def _reference_union(report: LossReport, other: LossReport) -> LossReport:
+    """The merge as one loop over ``other`` with a set of what is kept."""
+    merged = LossReport(list(report.items))
+    seen = set(report.items)
+    for item in other.items:
+        if item not in seen:
+            merged.items.append(item)
+            seen.add(item)
+    return merged
+
+
+# few distinct values, so that items repeat within and across the reports
+_ITEMS = st.lists(st.builds(LossItem, st.sampled_from("ab"), st.sampled_from("xy"),
+                            st.just("RENAMED"), st.sampled_from(("info", "warning"))),
+                  max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ITEMS, _ITEMS)
+def test_union_matches_the_loop(first, second):
+    report, other = LossReport(first), LossReport(second)
+    merged = report.union(other)
+    assert merged.items == _reference_union(report, other).items
+    assert report.items == first and other.items == second  # neither is changed
+    assert merged.items is not report.items

@@ -24,8 +24,12 @@ from lcpbridge.model import (
     primitive_type,
 )
 from lcpbridge.relational import (
+    _ANSI_TYPES,
+    DIALECTS,
     MAX_NAME,
+    SQL_TYPES,
     ColumnPlan,
+    ForeignKeyPlan,
     RelationalSchemaPlan,
     TablePlan,
     emit_sql,
@@ -490,3 +494,130 @@ class TestLongNames:
         assert len(set(fk_columns)) == 2
         conn = run_script(emit_sql(plan, dialect="ansi"))
         assert introspect_fk_count(conn) == expected_fk_count(model)
+
+
+# The emitter as it was before it rendered each table in one pass: each
+# constraint name went through sql_name whole. It is the reference the
+# one-pass emitter is held to, byte for byte.
+
+
+def _reference_render_type(sql_type: str, dialect: str) -> str:
+    if dialect == "ansi":
+        return _ANSI_TYPES.get(sql_type, sql_type)
+    return sql_type
+
+
+def _reference_constraint_name(prefix: str, *parts: str) -> str:
+    raw = "_".join((prefix,) + parts)
+    return sql_name(raw)
+
+
+def _reference_emit_table(table: TablePlan, dialect: str) -> str:
+    body: list[tuple[str, str]] = []  # (definition, trailing comment)
+    for col in table.columns:
+        parts = [f'  "{col.name}" {_reference_render_type(col.sql_type, dialect)}']
+        comment = ""
+        if col.name == "ID" and table.identity_pk:
+            if dialect == "oracle":
+                parts.append("GENERATED BY DEFAULT AS IDENTITY")
+            else:
+                parts.append("NOT NULL")
+                comment = "populate from a sequence or the application"
+        elif not col.nullable:
+            parts.append("NOT NULL")
+        body.append((" ".join(parts), comment))
+    if table.primary_key:
+        cols = ", ".join(f'"{c}"' for c in table.primary_key)
+        body.append((f'  CONSTRAINT "{_reference_constraint_name("PK", table.name)}" '
+                     f"PRIMARY KEY ({cols})", ""))
+    for col in table.columns:
+        if col.unique:
+            name = _reference_constraint_name("UQ", table.name, col.name)
+            body.append((f'  CONSTRAINT "{name}" UNIQUE ("{col.name}")', ""))
+    for col in table.columns:
+        if col.check:
+            name = _reference_constraint_name("CK", table.name, col.name)
+            body.append((f'  CONSTRAINT "{name}" CHECK ({col.check})', ""))
+    if dialect == "ansi":
+        for fk in table.foreign_keys:
+            name = _reference_constraint_name("FK", table.name, fk.column)
+            body.append((f'  CONSTRAINT "{name}" FOREIGN KEY ("{fk.column}") '
+                         f'REFERENCES "{fk.ref_table}" ("ID")', ""))
+
+    lines = [f'CREATE TABLE "{table.name}" (']
+    for i, (definition, comment) in enumerate(body):
+        comma = "," if i < len(body) - 1 else ""
+        suffix = f" -- {comment}" if comment else ""
+        lines.append(definition + comma + suffix)
+    lines.append(");")
+    return "\n".join(lines)
+
+
+def reference_emit_sql(plan: RelationalSchemaPlan, dialect: str) -> str:
+    if not plan.tables:
+        return ""
+    statements = [_reference_emit_table(t, dialect) for t in plan.tables]
+    if dialect == "oracle":
+        for table in plan.tables:
+            for fk in table.foreign_keys:
+                name = _reference_constraint_name("FK", table.name, fk.column)
+                statements.append(
+                    f'ALTER TABLE "{table.name}" ADD CONSTRAINT "{name}" '
+                    f'FOREIGN KEY ("{fk.column}") REFERENCES "{fk.ref_table}" ("ID");')
+    return "\n\n".join(statements) + "\n"
+
+
+# Plans built directly, past what plan_relational makes: names as drawn or
+# as sql_name folds them ("__" inside, "_" at the end), the surrogate key
+# anywhere or alone, any mix of flags. Column names stay unique in their
+# table, which emit_sql trusts.
+_PLAN_NAMES = st.one_of(PIVOT_IDENTIFIERS, PIVOT_IDENTIFIERS.map(sql_name), st.just("ID"))
+PLANS = st.builds(RelationalSchemaPlan, st.lists(st.builds(
+    TablePlan, _PLAN_NAMES,
+    st.lists(st.builds(ColumnPlan, _PLAN_NAMES, st.sampled_from(sorted(SQL_TYPES.values())),
+                       st.booleans(), st.booleans(), st.none() | st.just("1 = 1")),
+             max_size=4, unique_by=lambda column: column.name.lower()),
+    st.lists(_PLAN_NAMES, max_size=2),
+    st.lists(st.builds(ForeignKeyPlan, _PLAN_NAMES, _PLAN_NAMES), max_size=2),
+    st.booleans()), max_size=4))
+
+
+class TestEmitMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(DIALECTS))
+    def test_adversarial_models(self, seed, dialect):
+        model = random_model(random.Random(seed), names=adversarial_name)
+        plan, _ = plan_relational(model)
+        assert emit_sql(plan, dialect) == reference_emit_sql(plan, dialect)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PLANS, st.sampled_from(DIALECTS))
+    def test_any_plan(self, plan, dialect):
+        assert emit_sql(plan, dialect) == reference_emit_sql(plan, dialect)
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    @pytest.mark.parametrize("cls, prop, constraint", [
+        # the plan's column X1Y folds again, to X1_Y
+        ("T", "x1y", "CK_T_X1_Y"),
+        # the table CLASS_ and the join make "__", which merges
+        ("Class_", "flag", "CK_CLASS_FLAG"),
+        # past 30 characters: the first 24 and a sha1 suffix
+        (_long("Order"), _long("isShipped"),
+         sql_name(f"CK_{sql_name(_long('Order'))}_{sql_name(_long('isShipped'))}")),
+    ], ids=["digit-before-capital", "reserved-word-table", "long"])
+    def test_named_cases(self, cls, prop, constraint, dialect):
+        model = DomainModel("M", classes=(Class(cls, (Property(prop, primitive_type("bool")),)),))
+        plan, _ = plan_relational(model)
+        script = emit_sql(plan, dialect)
+        assert script == reference_emit_sql(plan, dialect)
+        assert f'CONSTRAINT "{constraint}" CHECK' in script
+        assert len(constraint) <= MAX_NAME
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    @pytest.mark.parametrize("columns, primary_key", [
+        ([ColumnPlan("ID", "NUMBER(10)", False)], []),
+        ([ColumnPlan("A", "DATE"), ColumnPlan("ID", "NUMBER(10)", False)], ["ID"]),
+    ], ids=["identity-key-alone", "identity-key-not-first"])
+    def test_hand_built_identity_tables(self, columns, primary_key, dialect):
+        plan = RelationalSchemaPlan([TablePlan("T", columns, primary_key)])
+        assert emit_sql(plan, dialect) == reference_emit_sql(plan, dialect)
