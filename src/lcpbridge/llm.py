@@ -408,7 +408,8 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                     element=f"{cls.name}.{mine.name}",
                     partial_value=mine.type.display() + (" id" if mine.is_id else ""),
                     inferred_value=prop.type.display() + (" id" if prop.is_id else "")))
-        classes[cls.name.lower()] = Class(name=cls.name, properties=tuple(props))
+        if len(props) > len(cls.properties):
+            classes[cls.name.lower()] = Class(cls.name, tuple(props))
     for cls in inferred.classes:
         low = cls.name.lower()
         if low in classes:
@@ -419,8 +420,8 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                 partial_value=f"enumeration {enums[low].name} already present",
                 inferred_value=f"{len(cls.properties)} properties"))
             continue
-        classes[low] = Class(name=cls.name,
-                             properties=tuple(adopt(cls.name, p) for p in cls.properties))
+        props = tuple(adopt(cls.name, p) for p in cls.properties)
+        classes[low] = cls if props == cls.properties else Class(cls.name, props)
         report.added_classes.append(cls.name)
 
     def lost_to_enum(*names: str) -> str | None:
@@ -462,13 +463,14 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                 partial_value="(acyclic hierarchy preserved)",
                 inferred_value=general))
             continue
-        generalizations.append(Generalization(general=general, specific=specific))
+        generalizations.append(Generalization(general, specific))
         parent_of[specific.lower()] = general
         above[specific.lower()] = root
         report.added_generalizations.append(f"{specific}->{general}")
 
-    def end(e: AssociationEnd) -> AssociationEnd:
-        return replace(e, class_name=classes[e.class_name.lower()].name)
+    def end(e: AssociationEnd) -> AssociationEnd:  # copied only if its class is respelled
+        name = classes[e.class_name.lower()].name
+        return e if name == e.class_name else replace(e, class_name=name)
 
     associations = list(partial.associations)
     fingerprints = {association_key(a) for a in associations}
@@ -481,7 +483,8 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
                 partial_value=clash,
                 inferred_value=_describe_assoc(assoc)))
             continue
-        normalized = replace(assoc, end1=end(assoc.end1), end2=end(assoc.end2))
+        end1, end2 = end(assoc.end1), end(assoc.end2)
+        normalized = assoc if (end1, end2) == assoc.ends else Association(assoc.name, end1, end2)
         if association_key(normalized) in fingerprints:
             continue
         clashing = partial_pairs.get(_assoc_pair(normalized))

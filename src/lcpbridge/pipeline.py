@@ -307,22 +307,11 @@ def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
 
 
 def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOptions):
-    from .plantuml import UNNAMED_MODEL, association_roles
+    from .plantuml import export_loss
 
     path = out_dir / "model.puml"
     path.write_text(_layers.emit_plantuml(model), encoding="utf-8")
-    loss = LossReport()
-    if model.name != UNNAMED_MODEL:
-        loss.add("model", model.name, "DROPPED", "warning",
-                 f"the text names no model; it parses back as {UNNAMED_MODEL}")
-    for assoc in model.associations:
-        roles = association_roles(assoc.end1.class_name, assoc.end2.class_name)
-        for end, role in zip((assoc.end1, assoc.end2), roles):
-            if end.role != role:
-                loss.add("association", assoc.name, "DROPPED", "warning",
-                         f"role {end.role} of {end.class_name}: the text names no role; "
-                         f"it parses back as {role}")
-    return [path], loss
+    return [path], export_loss(model)
 
 
 IMPORTERS = {a.id: a for a in (

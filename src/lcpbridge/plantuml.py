@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import PlantUmlError
 from .loss import LossReport
 from .model import (
+    MANY,
     PRIMITIVES,
     RESERVED_WORDS,
     Association,
@@ -24,6 +25,7 @@ from .model import (
     Class,
     DomainModel,
     Enumeration,
+    Folds,
     Generalization,
     Multiplicity,
     Namespace,
@@ -97,10 +99,8 @@ class PlantUmlImport:
 def parse_multiplicity(token: str) -> Multiplicity:
     """Map a quoted PlantUML multiplicity to explicit bounds."""
     token = token.strip()
-    if not token:
-        return Multiplicity(0, None)
-    if token == "*":
-        return Multiplicity(0, None)
+    if token in ("", "*"):
+        return MANY
     if ".." in token:
         low_text, _, high_text = token.partition("..")
         try:
@@ -124,11 +124,11 @@ def _clean(name: str) -> str:
     return sanitize_identifier(name)
 
 
-def association_roles(left: str, right: str) -> tuple[str, str]:
+def _roles(clean: Folds, left: str, right: str) -> tuple[str, str]:
     """The roles the parser gives the ends of an association between classes
     ``left`` and ``right``: PlantUML text carries none of its own."""
     roles = Namespace()
-    return roles.claim(_clean(left.lower())), roles.claim(_clean(right.lower()))
+    return roles.claim(clean[left.lower()]), roles.claim(clean[right.lower()])
 
 
 class _Builder:
@@ -140,13 +140,14 @@ class _Builder:
         self.associations: list[Association] = []
         self.parents: dict[str, str] = {}  # specific -> general
         self.assoc_names = Namespace()
+        self.clean = Folds(_clean)  # each raw name is folded once per parse
         self.skipped: list[SkippedLine] = []
         self.loss = LossReport()
         self.warnings: list[str] = []
 
     def declare(self, kind: str, name: str) -> str:
         """Declare a ``class`` or an ``enumeration`` under its sanitized name."""
-        clean = _clean(name)
+        clean = self.clean[name]
         if clean != name:
             self.loss.add(kind, name, "RENAMED", "info", f"sanitized to {clean}")
         table = self.class_props if kind == "class" else self.enum_literals
@@ -154,7 +155,7 @@ class _Builder:
         return clean
 
     def add_literal(self, enum: str, text: str):
-        self.enum_literals[enum].setdefault(_clean(text.strip(",")))
+        self.enum_literals[enum].setdefault(self.clean[text.strip(",")])
 
     def resolve_type(self, token: str, owner: str, prop: str):
         token = token.strip()
@@ -171,7 +172,7 @@ class _Builder:
         return primitive_type("str")
 
     def add_property(self, class_name: str, raw_name: str, type_token: str):
-        name = _clean(raw_name)
+        name = self.clean[raw_name]
         if name != raw_name:
             self.loss.add("property", f"{class_name}.{raw_name}", "RENAMED", "info",
                           f"sanitized to {name}")
@@ -182,13 +183,14 @@ class _Builder:
                           "attribute repeated in the class; the first one kept")
             return
         is_id = False
-        stereotype_re = _patterns()["stereotype"]
-        stereotype = stereotype_re.search(type_token)
-        if stereotype:
-            is_id = stereotype.group(1).lower() in ("id", "pk", "key", "unique")
-            type_token = stereotype_re.sub("", type_token).strip()
+        if "<<" in type_token:  # as every stereotype does
+            stereotype_re = _patterns()["stereotype"]
+            stereotype = stereotype_re.search(type_token)
+            if stereotype:
+                is_id = stereotype.group(1).lower() in ("id", "pk", "key", "unique")
+                type_token = stereotype_re.sub("", type_token).strip()
         props[name.lower()] = Property(
-            name=name, type=self.resolve_type(type_token, class_name, name), is_id=is_id)
+            name, self.resolve_type(type_token, class_name, name), is_id)
 
     def add_generalization(self, general: str, specific: str):
         general = self.declare("class", general)
@@ -206,35 +208,29 @@ class _Builder:
                         right: str, label: str | None):
         left = self.declare("class", left)
         right = self.declare("class", right)
-        if label:
-            base = _clean(label.strip().strip("<>").strip())
-        else:
-            base = f"{left}_{right}"
+        base = self.clean[label.strip().strip("<>").strip()] if label else f"{left}_{right}"
         name = self.assoc_names.claim(base)
-        role1, role2 = association_roles(left, right)
+        role1, role2 = _roles(self.clean, left, right)
         core = arrow.strip("o*")
         nav1 = core.startswith("<")
         nav2 = core.endswith(">")
         if not nav1 and not nav2:
             nav1 = nav2 = True
         self.associations.append(Association(
-            name=name,
-            end1=AssociationEnd(role=role1, class_name=left,
-                                multiplicity=parse_multiplicity(m_left or ""), navigable=nav1),
-            end2=AssociationEnd(role=role2, class_name=right,
-                                multiplicity=parse_multiplicity(m_right or ""), navigable=nav2),
-        ))
+            name,
+            AssociationEnd(role1, left, parse_multiplicity(m_left or ""), nav1),
+            AssociationEnd(role2, right, parse_multiplicity(m_right or ""), nav2)))
 
     def build(self, name: str) -> DomainModel:
         return DomainModel(
             name=name,
-            classes=tuple(Class(name=c, properties=tuple(props.values()))
+            classes=tuple(Class(c, tuple(props.values()))
                           for c, props in self.class_props.items()),
             associations=tuple(self.associations),
             # in class order, as the DSL lists them in its class heads
-            generalizations=tuple(Generalization(general=self.parents[c], specific=c)
+            generalizations=tuple(Generalization(self.parents[c], c)
                                   for c in self.class_props if c in self.parents),
-            enumerations=tuple(Enumeration(name=e, literals=tuple(literals))
+            enumerations=tuple(Enumeration(e, tuple(literals))
                                for e, literals in self.enum_literals.items()))
 
 
@@ -296,7 +292,8 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                 skip_until = "end note"  # multi-line note body
             continue
 
-        match = patterns["enum"].match(line)
+        # a pattern is tried only where a test it implies passes: the same first match
+        match = line.startswith("enum") and patterns["enum"].match(line)
         if match:
             name = builder.declare("enumeration", match.group(1) or match.group(2))
             rest = match.group(4).strip()
@@ -307,7 +304,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                 current_enum = name
             continue
 
-        match = patterns["class"].match(line)
+        match = line.startswith(("class", "abstract")) and patterns["class"].match(line)
         if match:
             name = match.group(2) or match.group(1) or match.group(3) or match.group(4)
             name = builder.declare("class", name)
@@ -320,7 +317,7 @@ def parse_plantuml(text: str) -> PlantUmlImport:
                 current_class = name
             continue
 
-        match = patterns["generalization"].match(line)
+        match = "|" in line and patterns["generalization"].match(line)
         if match:
             left, arrow, right = match.groups()
             left, right = left.strip('"'), right.strip('"')
@@ -352,6 +349,42 @@ def parse_plantuml(text: str) -> PlantUmlImport:
 def _leading(name: str) -> str:
     """``name`` as the first word of a line: quoted where it is a skip word."""
     return f'"{name}"' if _patterns()["skip"].match(name) else name
+
+
+def export_loss(model: DomainModel) -> LossReport:
+    """What ``parse_plantuml(emit_plantuml(model))`` reads back otherwise,
+    found with the parser's own folds and no parse: the model's name, each
+    name the parser spells otherwise, and each role it derives otherwise."""
+    loss = LossReport()
+    if model.name != UNNAMED_MODEL:
+        loss.add("model", model.name, "DROPPED", "warning",
+                 f"the text names no model; it parses back as {UNNAMED_MODEL}")
+    clean = Folds(_clean)
+
+    def spelled(kind: str, element: str, name: str) -> None:
+        if clean[name] != name:
+            loss.add(kind, element, "RENAMED", "info", f"parses back as {clean[name]}")
+
+    for enum in model.enumerations:
+        spelled("enumeration", enum.name, enum.name)
+        for literal in enum.literals:
+            spelled("literal", f"{enum.name}.{literal}", literal)
+    for cls in model.classes:
+        spelled("class", cls.name, cls.name)
+        for prop in cls.properties:
+            spelled("property", f"{cls.name}.{prop.name}", prop.name)
+    names = Namespace()
+    for assoc in model.associations:
+        name = names.claim(clean[assoc.name])
+        if name != assoc.name:
+            loss.add("association", assoc.name, "RENAMED", "info", f"parses back as {name}")
+        ends = (assoc.end1, assoc.end2)
+        for end, role in zip(ends, _roles(clean, *(clean[e.class_name] for e in ends))):
+            if end.role != role:
+                loss.add("association", assoc.name, "DROPPED", "warning",
+                         f"role {end.role} of {end.class_name}: the text names no role; "
+                         f"it parses back as {role}")
+    return loss
 
 
 def emit_plantuml(model: DomainModel) -> str:

@@ -26,6 +26,7 @@ from .loss import LossReport
 from .model import (
     Class,
     DomainModel,
+    Folds,
     Namespace,
     Property,
     primitive_type,
@@ -118,6 +119,8 @@ class TabularSource:
 
 
 def _check_headers(headers: list[str], where: str) -> None:
+    if len(set(map(str.lower, headers))) == len(headers):  # no repeat: one set, in C
+        return
     seen: dict[str, str] = {}
     for header in headers:
         low = header.strip().lower()
@@ -131,19 +134,18 @@ def _check_headers(headers: list[str], where: str) -> None:
 def _table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
     """The header row and the data rows after it; the readers stop at
     SAMPLE_LIMIT data rows."""
-    if not rows or not any(cell.strip() for cell in rows[0]):
+    if not rows or not "".join(rows[0]).strip():
         if rows and not any(cell.strip() for row in rows for cell in row):
-            return Table(name=name, columns=())  # the sheet of a class with no properties
+            return Table(name, ())  # the sheet of a class with no properties
         raise TabularError(f"{where} has no header row")
-    headers = [h.strip() for h in rows[0]]
+    headers = list(map(str.strip, rows[0]))
     _check_headers(headers, where)
     data = rows[1:]
     # transposed in C; short rows are padded with "", cells past the header
     # are dropped, and a column no row reaches is all ""
     values = list(islice(zip_longest(*data, fillvalue=""), len(headers)))
     values += [("",) * len(data)] * (len(headers) - len(values))
-    return Table(name=name, columns=tuple(
-        TableColumn(header=header, values=column) for header, column in zip(headers, values)))
+    return Table(name, tuple(map(TableColumn, headers, values)))
 
 
 def _load_csv(path: Path) -> Table:
@@ -180,7 +182,7 @@ def load_tabular(paths) -> TabularSource:
                 tables.append(_table_from_rows(sheet.name, sheet.rows, f"{path}:{sheet.name}"))
         else:
             raise TabularError(f"unsupported tabular input {path} (expected .csv or .xlsx)")
-    return TabularSource(tables=tuple(tables))
+    return TabularSource(tuple(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ def infer_column_type(values) -> tuple[str, bool]:
     Empty cells are ignored. A column with no usable values defaults to str.
     Each rung tests the whole column with one regex call.
     """
-    usable = [v for v in map(str.strip, values) if v]
+    usable = list(filter(None, map(str.strip, values)))
     if not usable:
         return "str", True
     joined = "\0".join(usable) + "\0"
@@ -250,20 +252,27 @@ def _infer_classes(source: Iterable[Table], loss: LossReport) -> tuple[Class, ..
     """The classes of ``infer_model``; its name sets are gone before the
     model is validated. Every table name of an import meets here, so this
     is where two that differ only in case are refused."""
-    table_names: set[str] = set()
     class_names = Namespace()
+    # a table name's lowercase is held once, in class_names, unless its class
+    # is spelled otherwise: then it is kept here, and the class name apart
+    renamed_tables: set[str] = set()
+    renamed_classes: set[str] = set()
+    fold = Folds(sanitize_identifier)  # headers repeat from table to table
     classes = []
     for table in source:
-        if table.name.lower() in table_names:
+        low = table.name.lower()
+        if low in renamed_tables or (table.name in class_names and low not in renamed_classes):
             raise TabularError(f"duplicate table name {table.name!r}")
-        table_names.add(table.name.lower())
         class_name = class_names.claim(sanitize_identifier(table.name))
         if class_name != table.name:
             loss.add("class", table.name, "RENAMED", "info", f"sanitized to {class_name}")
+            if class_name.lower() != low:
+                renamed_tables.add(low)
+                renamed_classes.add(class_name.lower())
         prop_names = Namespace()
         properties = []
         for column in table.columns:
-            prop_name = prop_names.claim(sanitize_identifier(column.header))
+            prop_name = prop_names.claim(fold[column.header])
             if prop_name != column.header:
                 loss.add("property", f"{table.name}.{column.header}", "RENAMED", "info",
                          f"sanitized to {prop_name}")
@@ -271,6 +280,6 @@ def _infer_classes(source: Iterable[Table], loss: LossReport) -> tuple[Class, ..
             if defaulted:
                 loss.add("property", f"{table.name}.{column.header}", "TYPE_DEFAULTED",
                          "warning", "no values to sample; str assumed")
-            properties.append(Property(name=prop_name, type=primitive_type(primitive)))
-        classes.append(Class(name=class_name, properties=tuple(properties)))
+            properties.append(Property(prop_name, primitive_type(primitive)))
+        classes.append(Class(class_name, tuple(properties)))
     return tuple(classes)

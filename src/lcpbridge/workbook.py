@@ -185,7 +185,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
         sheet_name = sheets.claim(cls.name)
         if sheet_name != cls.name:
             loss.add("class", cls.name, "RENAMED", "info", f"sheet {sheet_name}")
-        sheet = ManifestSheet(name=sheet_name, kind="class", sample_row=[])
+        sheet = ManifestSheet(sheet_name, "class", [], [])
         sheet_of_class[cls.name] = sheet
         for prop in effective_properties(cls.name):
             if prop.type.kind == "enumeration":
@@ -196,14 +196,12 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                     loss.add("property", f"{cls.name}.{prop.name}", "DROPPED", "warning",
                              f"dropdown of column {prop.name!r} on sheet {sheet_name}: its list "
                              f"is {listed} characters, past the {LIST_MAX} a spreadsheet holds")
-                column = ManifestColumn(header=prop.name, validation=validation)
+                column = ManifestColumn(prop.name, "General", validation)
                 sample = literals[0]
             else:
                 primitive = prop.type.primitive
                 validation = _BOOL_LIST if primitive == "bool" else None
-                column = ManifestColumn(header=prop.name,
-                                        cell_format=CELL_FORMATS[primitive],
-                                        validation=validation)
+                column = ManifestColumn(prop.name, CELL_FORMATS[primitive], validation)
                 sample = SAMPLE_VALUES[primitive]
             sheet.columns.append(column)
             sheet.sample_row.append(sample)
@@ -242,7 +240,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             base = f"{sheet_of_class[end1.class_name].name}_" \
                    f"{sheet_of_class[end2.class_name].name}".upper()
             name = sheets.claim(base, f"{base}_{assoc.name}".upper())
-            bridge = ManifestSheet(name=name, kind="bridge", sample_row=[])
+            bridge = ManifestSheet(name, "bridge", [], [])
             same_class = end1.class_name == end2.class_name
             headers = Namespace()
             for end in (end1, end2):
@@ -254,9 +252,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
                     loss.add("association", assoc.name, "RENAMED", "info",
                              f"role {end.role} stored as column {header!r} on sheet {name}")
                 source = sheet_of_class[end.class_name]
-                bridge.columns.append(ManifestColumn(
-                    header=header, cell_format="General",
-                    validation=SheetDropdown(source.name)))
+                bridge.columns.append(ManifestColumn(header, "General", SheetDropdown(source.name)))
                 dropdown_samples.append((bridge, source))
             bridge_sheets.append(bridge)
             link_loss(assoc, f"bridge sheet {name}",
@@ -270,8 +266,7 @@ def plan_workbook(model: DomainModel, include_sample_row: bool = True
             if header != ref_end.role:
                 loss.add("association", ref_end.role, "RENAMED", "info",
                          f"dropdown column stored as {header!r} on sheet {host.name}")
-            host.columns.append(ManifestColumn(
-                header=header, cell_format="General", validation=SheetDropdown(source.name)))
+            host.columns.append(ManifestColumn(header, "General", SheetDropdown(source.name)))
             dropdown_samples.append((host, source))
             if assoc.kind == "one-to-one":
                 loss.add("association", assoc.name, "ONE_TO_ONE_FLATTENED", "warning",

@@ -1,7 +1,8 @@
 """What the generators must produce for a pivot model, counted from the model
 alone, the checks their plans pass by construction, the DDL table order the
 emitter once derived, lookups by name into the models, reports and plans
-they build, the tabular type ladder a value at a time, the `.bml` token
+they build, the tabular type ladder a value at a time and the table builder a cell at a
+time, the `.bml` token
 parser that the declaration scanner and the error reporter are held to, and
 the Mendix export parser that checks one field at a time, which the inline
 checks of ``parse_mendix_export`` are held to."""
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import islice, zip_longest
 from typing import NamedTuple
 
 from lcpbridge.dsl import _TOKEN_RE, _syntax_error
 from lcpbridge.llm import MergeReport
-from lcpbridge.errors import MendixImportError
+from lcpbridge.errors import MendixImportError, TabularError
 from lcpbridge.loss import LossItem, LossReport
 from lcpbridge.mendix import (
     MendixAssociation,
@@ -38,7 +40,7 @@ from lcpbridge.model import (
     primitive_type,
 )
 from lcpbridge.relational import MAX_NAME, RelationalSchemaPlan, TablePlan
-from lcpbridge.tabular import _temporal_kind
+from lcpbridge.tabular import Table, TableColumn, _temporal_kind
 from lcpbridge.workbook import (
     SHEET_NAME_MAX,
     ListDropdown,
@@ -205,6 +207,36 @@ def reference_column_type(values) -> tuple[str, bool]:
     if all(_temporal_kind(v) == "datetime" for v in usable):
         return "datetime", False
     return "str", False
+
+
+def reference_check_headers(headers: list[str], where: str) -> None:
+    """``tabular._check_headers`` as one loop over the headers: the reference
+    for the version that tries one set first."""
+    seen: dict[str, str] = {}
+    for header in headers:
+        low = header.strip().lower()
+        if low in seen:
+            raise TabularError(
+                f"DUPLICATE_HEADER: {where} repeats column {header!r} "
+                f"(clashes with {seen[low]!r})")
+        seen[low] = header
+
+
+def reference_table_from_rows(name: str, rows: list[list[str]], where: str) -> Table:
+    """``tabular._table_from_rows`` with a test per cell and records built by
+    keyword: the reference for the version that joins the header row and
+    builds its columns positionally."""
+    if not rows or not any(cell.strip() for cell in rows[0]):
+        if rows and not any(cell.strip() for row in rows for cell in row):
+            return Table(name=name, columns=())
+        raise TabularError(f"{where} has no header row")
+    headers = [h.strip() for h in rows[0]]
+    reference_check_headers(headers, where)
+    data = rows[1:]
+    values = list(islice(zip_longest(*data, fillvalue=""), len(headers)))
+    values += [("",) * len(data)] * (len(headers) - len(values))
+    return Table(name=name, columns=tuple(
+        TableColumn(header=header, values=column) for header, column in zip(headers, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.errors import PlantUmlError
@@ -22,7 +22,7 @@ from lcpbridge.model import (
     primitive_type,
 )
 from lcpbridge.pipeline import ExecutionOptions, run_exporter
-from lcpbridge.plantuml import emit_plantuml, parse_multiplicity, parse_plantuml
+from lcpbridge.plantuml import _patterns, emit_plantuml, parse_multiplicity, parse_plantuml
 
 from expected import class_named, enum_named, property_names, with_reason
 from generators import adversarial_name, random_model
@@ -66,6 +66,13 @@ class TestParse:
         assert book is not None
         assert book.properties[0].name == "title"
         assert book.properties[0].type.primitive == "str"
+
+    def test_abstract_class_is_read(self):
+        result = parse_plantuml('@startuml\nabstract class "Shape" as Shape { sides : int }\n'
+                                "abstract   class Solid\nShape <|-- Solid\n@enduml")
+        assert result.skipped == []
+        assert [(c.name, property_names(c)) for c in result.model.classes] == \
+            [("Shape", ("sides",)), ("Solid", ())]
 
     def test_relationship_auto_declares_classes(self):
         result = parse_plantuml('@startuml\nBook "0..*" -- "1" Library\n@enduml')
@@ -207,6 +214,35 @@ A -- B
         assert sum(len(c.properties) for c in model.classes) == 2
 
 
+# The tests the parser makes before it tries a pattern: each must pass on
+# every line that the pattern matches, or gating would change the first match.
+GATES = {
+    "enum": lambda line: line.startswith("enum"),
+    "class": lambda line: line.startswith(("class", "abstract")),
+    "generalization": lambda line: "|" in line,
+}
+# Pieces of the lines in this file's models and texts, and of the ones the
+# emitter writes, with the spacing, quotes and markers the patterns read.
+LINE_PIECES = ("enum", "class", "abstract", "as", "Status", "Book", "notebook", "a.b", "_x",
+               " ", "  ", "\t", '"', '"0..*"', '"1"', "{", "}", ":", ",", ";", "<|--", "--|>",
+               "<|-", "-|>", "|", "--", "<--", "-->", "o--", "*--", "<", ">", "<<id>>",
+               "<< pk >>", "<<", ">>", "title", "note")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=9).map("".join))
+@example("enum Status { OPEN, CLOSED }")
+@example('abstract class "Long name" as Long {')
+@example("class Book { title : str }")
+@example("Person <|-- Author")
+@example('Author --|> "note"')
+def test_each_gate_passes_where_its_pattern_matches(text):
+    line = text.strip()
+    for key, gate in GATES.items():
+        assert not _patterns()[key].match(line) or gate(line), key
+    assert not _patterns()["stereotype"].search(text) or "<<" in text
+
+
 class TestMultiplicityTokens:
     @pytest.mark.parametrize("token,expected", [
         ("1", (1, 1)),
@@ -315,3 +351,30 @@ class TestExportLoss:
         reported = [(i.element_name, i.detail.split()[1], i.detail.rsplit(" ", 1)[1])
                     for i in loss if i.element_kind == "association"]
         assert reported == changed
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_each_name_the_parser_changes_is_reported(self, tmp_path, seed):
+        """Adversarial names hold reserved words in any case, which the parser
+        folds: each name it reads back otherwise has a RENAMED entry that
+        gives its new spelling, and no other name has one."""
+        model = random_model(random.Random(seed), names=adversarial_name)
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        pairs = [("enumeration", e.name, e.name, p.name)
+                 for e, p in zip(model.enumerations, back.enumerations, strict=True)]
+        pairs += [("literal", f"{e.name}.{lit}", lit, parsed)
+                  for e, p in zip(model.enumerations, back.enumerations)
+                  for lit, parsed in zip(e.literals, p.literals, strict=True)]
+        pairs += [("class", c.name, c.name, p.name)
+                  for c, p in zip(model.classes, back.classes, strict=True)]
+        pairs += [("property", f"{c.name}.{prop.name}", prop.name, parsed.name)
+                  for c, p in zip(model.classes, back.classes)
+                  for prop, parsed in zip(c.properties, p.properties, strict=True)]
+        pairs += [("association", a.name, a.name, p.name)
+                  for a, p in zip(model.associations, back.associations, strict=True)]
+        changed = {(kind, element): f"parses back as {parsed}"
+                   for kind, element, name, parsed in pairs if parsed != name}
+        reported = {(i.element_kind, i.element_name): i.detail
+                    for i in loss if i.reason == "RENAMED"}
+        assert reported == changed
+        assert len(reported) == len(with_reason(loss, "RENAMED"))

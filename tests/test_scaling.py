@@ -82,6 +82,12 @@ def chain_model(n: int) -> DomainModel:
                               for k in range(n - 1)))
 
 
+def import_tabular(paths):
+    """The tabular import as the pipeline runs it: one load per CSV file,
+    each table inferred before the next file is read."""
+    return infer_model(table for path in paths for table in load_tabular([path]))
+
+
 def without_generalizations(model):
     """(partial, inferred) for merge_models: the partial holds every class
     and no generalization, so the merge adds each of them."""
@@ -98,15 +104,18 @@ def without_generalizations(model):
     (plan_relational, chain_model),
     (plan_workbook, chain_model),
     (lambda pair: merge_models(*pair), lambda n: without_generalizations(chain_model(n))),
+    (import_tabular, scaling_csv),
 ], ids=["plan_relational+emit_sql", "parse_pivot_text", "plan_workbook", "merge_models",
         "emit_workbook", "validate_model(chain)", "plan_relational(chain)", "plan_workbook(chain)",
-        "merge_models(chain)"])
+        "merge_models(chain)", "load_tabular+infer_model(csv)"])
 def test_layer_grows_at_most_linearly(layer, make, tmp_path):
     """``scaling_model``, or for (chain) one inheritance chain of as many
     classes, whose walks up the parents cost quadratic time when each class
-    walks to the root."""
+    walks to the root, or for (csv) one CSV file per table."""
     if layer is emit_workbook:  # the workbook and its manifest go to files
         layer = lambda manifest: emit_workbook(manifest, tmp_path / "model.xlsx")
+    if make is scaling_csv:  # one CSV file per table
+        make = lambda n: scaling_csv(n, tmp_path / str(n))
     ratio = growth(layer, make(SMALL), make(LARGE))
     assert ratio <= MAX_GROWTH, f"{ratio:.1f}x from {SMALL} to {LARGE} classes"
 

@@ -20,6 +20,7 @@ from lcpbridge.tabular import (
     Table,
     TableColumn,
     TabularSource,
+    _table_from_rows,
     _temporal_kind,
     infer_column_type,
     infer_model,
@@ -27,7 +28,12 @@ from lcpbridge.tabular import (
 )
 from lcpbridge.xlsx import read_workbook
 
-from expected import class_named, reference_column_type, with_reason
+from expected import (
+    class_named,
+    reference_column_type,
+    reference_table_from_rows,
+    with_reason,
+)
 from generators import row_csv_files
 from test_scaling import python_calls
 
@@ -457,6 +463,30 @@ class TestInference:
         assert model.associations == ()
         assert with_reason(loss, "ASSOCIATIONS_UNKNOWN")
 
+    @pytest.mark.parametrize("names", [
+        ("Book", "book"),
+        ("\u212a", "k"),  # KELVIN SIGN lowercases to k, yet sanitizes to Unnamed
+        ("k", "\u212a"),
+        ("\u212a", "Unnamed", "K"),
+        ("a b", "a_b", "A_B"),
+    ])
+    def test_table_names_equal_under_lower_are_refused(self, names):
+        source = _source(**{name: {"x": ["1"]} for name in names})
+        with pytest.raises(TabularError) as err:
+            infer_model(source)
+        assert str(err.value) == f"duplicate table name {names[-1]!r}"
+
+    def test_sanitized_collisions_are_numbered(self):
+        source = _source(**{name: {"x": ["1"]} for name in ("a b", "a_b", "a-b!", "\u212a",
+                                                             "Unnamed")})
+        model, loss = infer_model(source)
+        assert [c.name for c in model.classes] == ["a_b", "a_b_2", "a_b_3", "Unnamed",
+                                                   "Unnamed_2"]
+        assert [(i.element_name, i.detail) for i in with_reason(loss, "RENAMED")] == [
+            ("a b", "sanitized to a_b"), ("a_b", "sanitized to a_b_2"),
+            ("a-b!", "sanitized to a_b_3"), ("\u212a", "sanitized to Unnamed"),
+            ("Unnamed", "sanitized to Unnamed_2")]
+
     def test_inferred_model_validates(self, csv_paths):
         model, _ = infer_model(load_tabular(csv_paths))
         assert validate_model(model).ok
@@ -589,3 +619,32 @@ def test_column_failing_at_last_value_costs_linear_time():
 
     # every value is read once by each rung, whether or not the last one fails
     assert best_time(failing) <= 4 * best_time(accepted)
+
+
+# Header cells that fold onto each other: case twins (one only under
+# Unicode lowercasing), padding, blanks and non-ASCII text.
+_HEADER_CELLS = st.one_of(
+    st.sampled_from(["id", "ID", " id ", "Id\t", "name", "NAME ", "", " ", "\u00a0",
+                     "\u212a", "k", "K", "stra\u00dfe", "STRASSE", "\u0130", "i\u0307",
+                     "\u01c5", "\u01c6", "\u00c9", "\u00e9"]),
+    st.text(max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_HEADER_CELLS, max_size=6), max_size=5))
+@example([[" ", ""], ["", " "]])
+@example([[" ", ""], ["", "x"]])
+@example([["id", " ID"], ["1"]])
+@example([["\u212a", "k"], ["1", "2", "3"], []])
+def test_table_from_rows_matches_reference(rows):
+    """The joined header test, the one-set header check and the positional
+    records give the same table, or the same error, as a test per cell.
+    The first row is the header; the data rows are ragged."""
+    try:
+        expected = reference_table_from_rows("T", rows, "t.csv")
+    except TabularError as exc:
+        with pytest.raises(TabularError) as err:
+            _table_from_rows("T", rows, "t.csv")
+        assert str(err.value) == str(exc)
+    else:
+        assert _table_from_rows("T", rows, "t.csv") == expected
