@@ -263,7 +263,9 @@ def print_pivot_text(model: DomainModel) -> str:
             continue
         out.append(head + " {")
         for prop in cls.properties:
-            line = f"  {prop.name}: {prop.type.display()}"
+            type_ref = prop.type  # TypeRef.display(), inline
+            shown = type_ref.primitive if type_ref.kind == "primitive" else type_ref.enum_name or "?"
+            line = f"  {prop.name}: {shown}"
             if prop.is_id:
                 line += " id"
             out.append(line)

@@ -3,18 +3,24 @@
 Every adapter step records what it dropped, coerced or renamed; the final
 report for a migration is the union of the planner's static prediction and
 the entries collected while executing.
+
+A loss entry is a named tuple, not a frozen dataclass like the model's
+records (see ``model``): a pass over a large model adds thousands, and a
+named tuple is built with one tuple and hashed in C, where a frozen
+dataclass sets each field through ``object.__setattr__`` and hashes in Python.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-SEVERITIES = ("info", "warning", "loss")
+SEVERITIES = frozenset(("info", "warning", "loss"))
 
 # Fixed reason-code enumeration. Adapters must pick from this list so that
 # reports are machine-matchable.
-REASON_CODES = (
+REASON_CODES = frozenset((
     "TYPE_COERCED",            # source type narrowed/widened to a pivot primitive
     "TYPE_DEFAULTED",          # no evidence for a type; str assumed
     "ASSOCIATIONS_UNKNOWN",    # associations absent from the source or at risk in the target
@@ -25,7 +31,7 @@ REASON_CODES = (
     "DROPPED",                 # element has no representation in the target
     "THIRD_PARTY_REQUIRED",    # capability exists but needs an external tool
     "LLM_INFERRED",            # element recovered from an image by a vision model
-)
+))
 
 
 def json_string_list(items, indent: int) -> str:
@@ -47,24 +53,14 @@ def close_json_list(out: list[str], items, indent: int) -> None:
         out.append("]")
 
 
-@dataclass(frozen=True)
-class LossItem:
+class LossItem(namedtuple("LossItem", "element_kind element_name reason severity detail",
+                          defaults=("warning", ""))):
     """One element that a step dropped, renamed or coerced, with its reason code."""
 
-    element_kind: str
-    element_name: str
-    reason: str
-    severity: str = "warning"
-    detail: str = ""
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {
-            "element_kind": self.element_kind,
-            "element_name": self.element_name,
-            "reason": self.reason,
-            "severity": self.severity,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 @dataclass
@@ -87,7 +83,7 @@ class LossReport:
     def union(self, other: "LossReport") -> "LossReport":
         """Predicted-plus-actual merge: this report's items as they are, then
         the first occurrence of each of ``other``'s that this one lacks. Each
-        item is hashed once: the frozen dataclass's ``__hash__`` runs in Python."""
+        item is hashed once."""
         fresh = dict.fromkeys(other.items)
         for item in self.items:
             fresh.pop(item, None)

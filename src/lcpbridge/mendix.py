@@ -45,6 +45,9 @@ ATTRIBUTE_TYPES = {
     "DateTime": ("datetime", None),
     "Binary": ("binary", None),
 }
+# the same, with the pivot type each maps to: (type, primitive, detail)
+_PIVOT_TYPES = {mendix: (primitive_type(primitive), primitive, detail)
+                for mendix, (primitive, detail) in ATTRIBUTE_TYPES.items()}
 
 # (association type, owner) -> (child-end multiplicity, parent-end multiplicity)
 CARDINALITY_TABLE = {
@@ -165,6 +168,8 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     Each field is read once and its type checked inline; only a field that
     fails that check goes through ``_require``/``_optional``/``_list_of``,
     which raise the error for it (or accept a ``str`` or ``list`` subclass).
+    An entity, attribute or association is walked for unknown fields only
+    when it has more keys than the known fields it holds.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -191,7 +196,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
         name = raw.get("name")
         if name.__class__ is not str or not name:
             name = _require(raw, "name", "entity")
-        if raw.keys() - ENTITY_FIELDS:
+        if len(raw) > 1 + ("attributes" in raw) + ("generalization" in raw):
             note_unknown(raw, ENTITY_FIELDS, f"entity {name}")
         attrs = raw.get("attributes")
         if attrs.__class__ is not list or not all(map(isinstance, attrs, repeat(dict))):
@@ -205,7 +210,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
                     or attr_type.__class__ is not str or not attr_type \
                     or (enum_ref is not None and enum_ref.__class__ is not str):
                 attr_name, attr_type, enum_ref = _attribute_fields(attr, name)
-            if attr.keys() - ATTRIBUTE_FIELDS:
+            if len(attr) > 2 + ("enum_ref" in attr):
                 note_unknown(attr, ATTRIBUTE_FIELDS, f"attribute {name}.{attr_name}")
             attributes.append(MendixAttribute(attr_name, attr_type, enum_ref))
         generalization = raw.get("generalization")
@@ -218,7 +223,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
         name = raw.get("name")
         if name.__class__ is not str or not name:
             name = _require(raw, "name", "association")
-        if raw.keys() - ASSOCIATION_FIELDS:
+        if len(raw) > 3 + ("type" in raw) + ("owner" in raw):
             note_unknown(raw, ASSOCIATION_FIELDS, f"association {name}")
         parent = raw.get("parent")
         child = raw.get("child")
@@ -336,14 +341,14 @@ def mendix_to_pivot(export: MendixExport) -> tuple[DomainModel, LossReport]:
                 loss.add("property", f"{entity.name}.{attr.name}", "RENAMED", "info",
                          f"sanitized to {prop_name}")
             attr_type = attr.type
-            if attr_type == "Enumeration":
-                type_ref = enum_type(pivot_name("enumeration", attr.enum_ref))
-            elif attr_type in ATTRIBUTE_TYPES:
-                primitive, detail = ATTRIBUTE_TYPES[attr_type]
-                type_ref = primitive_type(primitive)
+            known = _PIVOT_TYPES.get(attr_type)
+            if known is not None:
+                type_ref, primitive, detail = known
                 if detail:
                     loss.add("property", f"{entity.name}.{attr.name}", "TYPE_COERCED",
                              "warning", f"{attr_type} -> {primitive}: {detail}")
+            elif attr_type == "Enumeration":
+                type_ref = enum_type(pivot_name("enumeration", attr.enum_ref))
             else:
                 type_ref = primitive_type("str")
                 loss.add("property", f"{entity.name}.{attr.name}", "TYPE_COERCED",

@@ -21,7 +21,8 @@ checked. The records an adapter builds on its way to or from a model
 (``mendix.Mendix*``, ``relational.ColumnPlan``...) are plain slotted
 dataclasses instead: one step builds them and the next reads them once, and
 a pass over a large model builds tens of thousands, where a frozen
-dataclass's ``__init__`` costs about three times a plain one's.
+dataclass's ``__init__`` costs about three times a plain one's. The entries
+of a loss report are named tuples (see ``loss``).
 """
 
 from __future__ import annotations
@@ -55,8 +56,15 @@ def sanitize_identifier(name: str) -> str:
     prefix; reserved words get a trailing underscore. Deterministic, so
     repeated runs rename identically. Callers record a RENAMED loss entry
     when the result differs from the input.
+
+    An ASCII name of letters, digits and single inner underscores, which
+    the regex would return unchanged, skips it.
     """
-    cleaned = _NOT_ALNUM_RE.sub("_", name).strip("_") or "Unnamed"
+    if name.isascii() and name.replace("_", "").isalnum() and "__" not in name \
+            and name[0] != "_" and name[-1] != "_":
+        cleaned = name
+    else:
+        cleaned = _NOT_ALNUM_RE.sub("_", name).strip("_") or "Unnamed"
     if not cleaned[0].isalpha():
         cleaned = "X" + cleaned
     if cleaned.lower() in RESERVED_WORDS:
@@ -390,7 +398,7 @@ def validate_model(model: DomainModel) -> ValidationResult:
             other_enums.add(enum.name)
         else:
             enum_names[low] = enum.name
-        if enum.name in PRIMITIVES:
+        if enum.name in _PRIMITIVE_TYPES:
             # such an enum could never be referenced: the concrete syntax
             # resolves primitive names first
             out.append(Violation("RESERVED_ENUM_NAME", enum.name,
@@ -424,7 +432,7 @@ def validate_model(model: DomainModel) -> ValidationResult:
             prop_names.add(low)
             t = prop.type
             if t.kind == "primitive":
-                if t.primitive not in PRIMITIVES or t.enum_name is not None:
+                if t.primitive not in _PRIMITIVE_TYPES or t.enum_name is not None:
                     out.append(Violation("BAD_TYPE", f"{cls.name}.{prop.name}",
                                          f"malformed primitive type reference {t!r}"))
             elif t.kind == "enumeration":
@@ -441,12 +449,13 @@ def validate_model(model: DomainModel) -> ValidationResult:
     for assoc in model.associations:
         if bad_names:
             _check_name(assoc.name, "association", out)
-        for end in assoc.ends:
+        for end in (assoc.end1, assoc.end2):
             if bad_names:
                 _check_name(end.role, "role", out)
-            if not declared(end.class_name, class_names, other_classes):
+            name = end.class_name
+            if class_names.get(name.lower()) != name and name not in other_classes:
                 out.append(Violation("DANGLING_END", f"{assoc.name}.{end.role}",
-                                     f"references absent class {end.class_name!r}"))
+                                     f"references absent class {name!r}"))
             m = end.multiplicity
             if m.lower < 0 or (m.upper is not None and (m.upper < 1 or m.lower > m.upper)):
                 out.append(Violation("BAD_MULTIPLICITY", f"{assoc.name}.{end.role}",

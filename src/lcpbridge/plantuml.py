@@ -30,6 +30,7 @@ from .model import (
     Multiplicity,
     Namespace,
     Property,
+    TypeRef,
     enum_type,
     is_identifier,
     primitive_type,
@@ -131,6 +132,22 @@ def _roles(clean: Folds, left: str, right: str) -> tuple[str, str]:
     return roles.claim(clean[left.lower()]), roles.claim(clean[right.lower()])
 
 
+def _resolve_type(token: str, enum_names) -> TypeRef | None:
+    """The type an attribute typed ``token`` gets, given the (folded) names
+    of the enumerations declared so far, in order; None for an unknown type.
+    A declared name wins over a type-table token, and a token differing only
+    in case from a declared name comes last."""
+    if token in enum_names:
+        return enum_type(token)
+    mapped = _TYPE_TABLE.get(token.lower())
+    if mapped:
+        return primitive_type(mapped)
+    for name in enum_names:
+        if name.lower() == token.lower():
+            return enum_type(name)
+    return None
+
+
 class _Builder:
     def __init__(self):
         # class -> its properties, and enum -> its literals (as keys), in
@@ -159,17 +176,12 @@ class _Builder:
 
     def resolve_type(self, token: str, owner: str, prop: str):
         token = token.strip()
-        if token in self.enum_literals:
-            return enum_type(token)
-        mapped = _TYPE_TABLE.get(token.lower())
-        if mapped:
-            return primitive_type(mapped)
-        for name in self.enum_literals:
-            if name.lower() == token.lower():
-                return enum_type(name)
-        self.loss.add("property", f"{owner}.{prop}", "TYPE_COERCED", "warning",
-                      f"unknown type {token!r} stored as str")
-        return primitive_type("str")
+        type_ref = _resolve_type(token, self.enum_literals)
+        if type_ref is None:
+            self.loss.add("property", f"{owner}.{prop}", "TYPE_COERCED", "warning",
+                          f"unknown type {token!r} stored as str")
+            return primitive_type("str")
+        return type_ref
 
     def add_property(self, class_name: str, raw_name: str, type_token: str):
         name = self.clean[raw_name]
@@ -354,7 +366,9 @@ def _leading(name: str) -> str:
 def export_loss(model: DomainModel) -> LossReport:
     """What ``parse_plantuml(emit_plantuml(model))`` reads back otherwise,
     found with the parser's own folds and no parse: the model's name, each
-    name the parser spells otherwise, and each role it derives otherwise."""
+    name the parser spells otherwise, each property typed by an enumeration
+    whose name the parser reads as another type, and each role it derives
+    otherwise."""
     loss = LossReport()
     if model.name != UNNAMED_MODEL:
         loss.add("model", model.name, "DROPPED", "warning",
@@ -369,10 +383,19 @@ def export_loss(model: DomainModel) -> LossReport:
         spelled("enumeration", enum.name, enum.name)
         for literal in enum.literals:
             spelled("literal", f"{enum.name}.{literal}", literal)
+    # every enumeration is declared before the first class, under its folded name
+    enum_names = dict.fromkeys(clean[enum.name] for enum in model.enumerations)
     for cls in model.classes:
         spelled("class", cls.name, cls.name)
         for prop in cls.properties:
             spelled("property", f"{cls.name}.{prop.name}", prop.name)
+            enum_name = prop.type.enum_name
+            if prop.type.kind == "enumeration" and clean[enum_name] != enum_name:
+                parsed = _resolve_type(enum_name, enum_names) or primitive_type("str")
+                if parsed.enum_name != clean[enum_name]:
+                    loss.add("property", f"{cls.name}.{prop.name}", "TYPE_COERCED", "warning",
+                             f"typed by enumeration {enum_name}; "
+                             f"parses back typed {parsed.display()}")
     names = Namespace()
     for assoc in model.associations:
         name = names.claim(clean[assoc.name])

@@ -164,7 +164,7 @@ def load_tabular(paths) -> TabularSource:
     names are checked against each other by ``infer_model``."""
     tables: list[Table] = []
     for raw_path in paths:
-        path = Path(raw_path)
+        path = raw_path if isinstance(raw_path, Path) else Path(raw_path)
         suffix = path.suffix.lower()
         if suffix == ".csv":
             tables.append(_load_csv(path))

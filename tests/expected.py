@@ -5,12 +5,14 @@ they build, the tabular type ladder a value at a time and the table builder a ce
 time, the `.bml` token
 parser that the declaration scanner and the error reporter are held to, and
 the Mendix export parser that checks one field at a time, which the inline
-checks of ``parse_mendix_export`` are held to."""
+checks of ``parse_mendix_export`` are held to, the name folds as one regex
+substitution each, and the loss entry as the frozen dataclass it was."""
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from itertools import islice, zip_longest
 from typing import NamedTuple
 
@@ -28,6 +30,7 @@ from lcpbridge.mendix import (
 )
 from lcpbridge.model import (
     PRIMITIVES,
+    RESERVED_WORDS,
     Association,
     AssociationEnd,
     Class,
@@ -37,6 +40,7 @@ from lcpbridge.model import (
     Multiplicity,
     Property,
     enum_type,
+    fit_name,
     primitive_type,
 )
 from lcpbridge.relational import MAX_NAME, RelationalSchemaPlan, TablePlan
@@ -184,6 +188,48 @@ def table_named(plan: RelationalSchemaPlan, name: str) -> TablePlan | None:
 
 def sheet_named(manifest: WorkbookManifest, name: str) -> ManifestSheet | None:
     return next((s for s in manifest.sheets if s.name == name), None)
+
+
+# ---------------------------------------------------------------------------
+# The name folds with no test before their regex, and the loss entry as a
+# frozen dataclass
+
+
+def reference_sanitize_identifier(name: str) -> str:
+    """``model.sanitize_identifier`` with every name through its regex."""
+    cleaned = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_") or "Unnamed"
+    if not cleaned[0].isalpha():
+        cleaned = "X" + cleaned
+    if cleaned.lower() in RESERVED_WORDS:
+        cleaned += "_"
+    return cleaned
+
+
+def reference_sql_name(name: str) -> str:
+    """``relational.sql_name`` with every name through the camelCase
+    substitution: ``_`` before each capital after a lowercase letter or digit."""
+    camel = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", name)
+    return fit_name(camel.upper().replace("__", "_"), MAX_NAME)
+
+
+@dataclass(frozen=True)
+class ReferenceLossItem:
+    """``loss.LossItem`` as a frozen dataclass."""
+
+    element_kind: str
+    element_name: str
+    reason: str
+    severity: str = "warning"
+    detail: str = ""
+
+    def as_dict(self) -> dict:
+        return {
+            "element_kind": self.element_kind,
+            "element_name": self.element_name,
+            "reason": self.reason,
+            "severity": self.severity,
+            "detail": self.detail,
+        }
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")

@@ -186,6 +186,50 @@ def test_inline_checks_keep_the_first_error(defects):
         _outcome(reference_parse_mendix_export, document)
 
 
+_UNKNOWN_KEYS = ("zeta", "alpha", "documentation")
+
+
+@st.composite
+def _record(draw, mandatory: dict, optional: dict) -> dict:
+    """``mandatory`` with each optional field present, absent or null and
+    up to two unknown fields, in any key order."""
+    items = list(mandatory.items())
+    for key, value in optional.items():
+        state = draw(st.sampled_from(("present", "absent", "null")))
+        if state != "absent":
+            items.append((key, value if state == "present" else None))
+    items += [(key, 1) for key in draw(st.lists(st.sampled_from(_UNKNOWN_KEYS),
+                                                unique=True, max_size=2))]
+    return dict(draw(st.permutations(items)))
+
+
+@st.composite
+def _exports_with_unknown_fields(draw) -> dict:
+    def attributes():
+        return draw(st.lists(_record({"name": "title", "type": "String"}, {"enum_ref": "State"}),
+                             max_size=2))
+
+    entities = [draw(_record({"name": name}, {"attributes": attributes(), "generalization": parent}))
+                for name, parent in (("Item", "Book"), ("Book", "Item"))]
+    associations = draw(st.lists(_record(
+        {"name": "Book_Item", "parent": "Item", "child": "Book"},
+        {"type": "ReferenceSet", "owner": "Both"}), max_size=2))
+    return {"domainModel": {"name": "Shop", "entities": entities, "associations": associations,
+                            "enumerations": [{"name": "State", "values": ["OPEN"]}]}}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exports_with_unknown_fields())
+def test_unknown_fields_found_by_key_count(document):
+    """An entity, attribute or association is walked for unknown fields only
+    when it has more keys than its known ones: the same warnings, in the
+    same order, with each optional field present, absent or null."""
+    assert _outcome(parse_mendix_export, document) == \
+        _outcome(reference_parse_mendix_export, document)
+    text = json.dumps(document)
+    assert _outcome(parse_mendix_export, text) == _outcome(reference_parse_mendix_export, text)
+
+
 def test_string_and_list_subclasses_still_accepted():
     class Name(str):
         pass

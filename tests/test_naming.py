@@ -6,16 +6,23 @@ import random
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
-from lcpbridge.model import Namespace, model_equal
-from lcpbridge.relational import emit_sql, plan_relational
+from lcpbridge.model import RESERVED_WORDS, Namespace, model_equal, sanitize_identifier
+from lcpbridge.relational import emit_sql, plan_relational, sql_name
 from lcpbridge.tabular import infer_model, load_tabular
 from lcpbridge.workbook import emit_workbook, plan_workbook
 
-from expected import expected_fk_count, expected_table_count, manifest_problems, plan_problems
+from expected import (
+    expected_fk_count,
+    expected_table_count,
+    manifest_problems,
+    plan_problems,
+    reference_sanitize_identifier,
+    reference_sql_name,
+)
 from generators import adversarial_name, random_model
 
 
@@ -40,6 +47,48 @@ class TestNamespace:
 
     def test_no_limit_keeps_long_names(self):
         assert Namespace().claim("x" * 100) == "x" * 100
+
+
+# Names drawn to sit on each edge of the folds' tests: ``_`` runs, ``_`` at
+# either end, digits before capitals, non-ASCII letters and digits, the empty
+# string and the reserved words in any case.
+_RESERVED_ANY_CASE = st.sampled_from(sorted(RESERVED_WORDS)).flatmap(
+    lambda word: st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))))
+FOLD_NAMES = st.one_of(
+    st.lists(st.one_of(
+        st.sampled_from(["a", "Z", "q", "B", "0", "9", "_", "__", " ", "-", ".", "\u00e9",
+                         "\u00df", "\u0660", "\u2003", "Item", "x1Y", "HTTP", "Server"]),
+        _RESERVED_ANY_CASE), max_size=6).map("".join),
+    _RESERVED_ANY_CASE,
+    st.text(max_size=8),
+    st.just(""))
+
+
+class TestFoldsMatchTheirRegex:
+    """A name that a C-level test settles skips the fold's regex; the result
+    is what the regex alone gives."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(FOLD_NAMES)
+    @pytest.mark.parametrize("fold, reference", [
+        (sanitize_identifier, reference_sanitize_identifier),
+        (sql_name, reference_sql_name),
+    ], ids=["sanitize_identifier", "sql_name"])
+    @example("")
+    @example("_")
+    @example("a__b")
+    @example("_a")
+    @example("a_")
+    @example("\u00e9t\u00e9")
+    @example("\u0660")
+    @example("MODEL")
+    @example("9lives")
+    @example("x1Y")
+    @example("HTTPServer")
+    @example("CUSTOMER_ORDER")
+    def test_fold(self, fold, reference, name):
+        assert fold(name) == reference(name)
 
 
 @pytest.fixture(scope="module")

@@ -378,3 +378,33 @@ class TestExportLoss:
                     for i in loss if i.reason == "RENAMED"}
         assert reported == changed
         assert len(reported) == len(with_reason(loss, "RENAMED"))
+
+    def test_enumeration_read_as_a_primitive_reported(self, tmp_path):
+        model = DomainModel("Model", classes=(Class("Shop", (
+            Property("level", enum_type("Int")), Property("kind", enum_type("Kind")))),),
+            enumerations=(Enumeration("Int", ("LOW",)), Enumeration("Kind", ("A",))))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert [p.type for p in back.classes[0].properties] == \
+            [primitive_type("int"), enum_type("Kind")]
+        assert [(i.element_name, i.severity, i.detail) for i in with_reason(loss, "TYPE_COERCED")] \
+            == [("Shop.level", "warning", "typed by enumeration Int; parses back typed int")]
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_each_type_the_parser_changes_is_reported(self, tmp_path, seed):
+        """An enumeration whose name the parser folds leaves its name in the
+        properties' type tokens, which the parser may read as a primitive or
+        an unknown type: each property typed otherwise than by the folded
+        enumeration has one TYPE_COERCED entry, and no other property has one."""
+        model = random_model(random.Random(seed), names=adversarial_name)
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        folded = {e.name: p.name for e, p in zip(model.enumerations, back.enumerations, strict=True)}
+        changed = [(f"{c.name}.{prop.name}", f"typed by enumeration {prop.type.enum_name}; "
+                    f"parses back typed {parsed.type.display()}")
+                   for c, p in zip(model.classes, back.classes, strict=True)
+                   for prop, parsed in zip(c.properties, p.properties, strict=True)
+                   if prop.type.kind == "enumeration"
+                   and parsed.type != enum_type(folded[prop.type.enum_name])]
+        reported = [(i.element_name, i.detail) for i in with_reason(loss, "TYPE_COERCED")]
+        assert reported == changed
