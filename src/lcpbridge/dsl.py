@@ -263,9 +263,7 @@ def print_pivot_text(model: DomainModel) -> str:
             continue
         out.append(head + " {")
         for prop in cls.properties:
-            type_ref = prop.type  # TypeRef.display(), inline
-            shown = type_ref.primitive if type_ref.kind == "primitive" else type_ref.enum_name or "?"
-            line = f"  {prop.name}: {shown}"
+            line = f"  {prop.name}: {prop.type.display()}"
             if prop.is_id:
                 line += " id"
             out.append(line)

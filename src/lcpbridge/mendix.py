@@ -112,10 +112,18 @@ class MendixExport:
 
 
 DOMAIN_MODEL_FIELDS = frozenset(("name", "entities", "associations", "enumerations"))
-ENTITY_FIELDS = frozenset(("name", "attributes", "generalization"))
-ATTRIBUTE_FIELDS = frozenset(("name", "type", "enum_ref"))
-ASSOCIATION_FIELDS = frozenset(("name", "parent", "child", "type", "owner"))
-ENUMERATION_FIELDS = frozenset(("name", "values"))
+# Each record's mandatory fields, then all its fields. ``parse_mendix_export``
+# finds an unknown field by counting a record's keys against its mandatory
+# fields plus the optional ones it holds, each tested there by name: an
+# optional field added here or dropped is added to or dropped from that test.
+_ENTITY_MANDATORY = ("name",)
+ENTITY_FIELDS = frozenset((*_ENTITY_MANDATORY, "attributes", "generalization"))
+_ATTRIBUTE_MANDATORY = ("name", "type")
+ATTRIBUTE_FIELDS = frozenset((*_ATTRIBUTE_MANDATORY, "enum_ref"))
+_ASSOCIATION_MANDATORY = ("name", "parent", "child")
+ASSOCIATION_FIELDS = frozenset((*_ASSOCIATION_MANDATORY, "type", "owner"))
+_ENUMERATION_MANDATORY = ("name",)
+ENUMERATION_FIELDS = frozenset((*_ENUMERATION_MANDATORY, "values"))
 
 
 def _require(mapping: dict, key: str, where: str) -> str:
@@ -168,8 +176,8 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     Each field is read once and its type checked inline; only a field that
     fails that check goes through ``_require``/``_optional``/``_list_of``,
     which raise the error for it (or accept a ``str`` or ``list`` subclass).
-    An entity, attribute or association is walked for unknown fields only
-    when it has more keys than the known fields it holds.
+    An entity, attribute, association or enumeration is walked for unknown
+    fields only when it has more keys than the known fields it holds.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -196,7 +204,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
         name = raw.get("name")
         if name.__class__ is not str or not name:
             name = _require(raw, "name", "entity")
-        if len(raw) > 1 + ("attributes" in raw) + ("generalization" in raw):
+        if len(raw) > len(_ENTITY_MANDATORY) + ("attributes" in raw) + ("generalization" in raw):
             note_unknown(raw, ENTITY_FIELDS, f"entity {name}")
         attrs = raw.get("attributes")
         if attrs.__class__ is not list or not all(map(isinstance, attrs, repeat(dict))):
@@ -210,7 +218,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
                     or attr_type.__class__ is not str or not attr_type \
                     or (enum_ref is not None and enum_ref.__class__ is not str):
                 attr_name, attr_type, enum_ref = _attribute_fields(attr, name)
-            if len(attr) > 2 + ("enum_ref" in attr):
+            if len(attr) > len(_ATTRIBUTE_MANDATORY) + ("enum_ref" in attr):
                 note_unknown(attr, ATTRIBUTE_FIELDS, f"attribute {name}.{attr_name}")
             attributes.append(MendixAttribute(attr_name, attr_type, enum_ref))
         generalization = raw.get("generalization")
@@ -223,7 +231,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
         name = raw.get("name")
         if name.__class__ is not str or not name:
             name = _require(raw, "name", "association")
-        if len(raw) > 3 + ("type" in raw) + ("owner" in raw):
+        if len(raw) > len(_ASSOCIATION_MANDATORY) + ("type" in raw) + ("owner" in raw):
             note_unknown(raw, ASSOCIATION_FIELDS, f"association {name}")
         parent = raw.get("parent")
         child = raw.get("child")
@@ -239,7 +247,7 @@ def parse_mendix_export(document: str | bytes | dict) -> MendixExport:
         name = raw.get("name")
         if name.__class__ is not str or not name:
             name = _require(raw, "name", "enumeration")
-        if raw.keys() - ENUMERATION_FIELDS:
+        if len(raw) > len(_ENUMERATION_MANDATORY) + ("values" in raw):
             note_unknown(raw, ENUMERATION_FIELDS, f"enumeration {name}")
         values = raw.get("values")
         if values.__class__ is not list or not all(map(isinstance, values, repeat(str))):

@@ -452,10 +452,9 @@ def validate_model(model: DomainModel) -> ValidationResult:
         for end in (assoc.end1, assoc.end2):
             if bad_names:
                 _check_name(end.role, "role", out)
-            name = end.class_name
-            if class_names.get(name.lower()) != name and name not in other_classes:
+            if not declared(end.class_name, class_names, other_classes):
                 out.append(Violation("DANGLING_END", f"{assoc.name}.{end.role}",
-                                     f"references absent class {name!r}"))
+                                     f"references absent class {end.class_name!r}"))
             m = end.multiplicity
             if m.lower < 0 or (m.upper is not None and (m.upper < 1 or m.lower > m.upper)):
                 out.append(Violation("BAD_MULTIPLICITY", f"{assoc.name}.{end.role}",

@@ -56,12 +56,6 @@ DIALECTS = ("oracle", "ansi")
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
-# a name with no such boundary skips the substitution
-_HAS_CAMEL_BOUNDARY = re.compile(r"[a-z0-9][A-Z]").search
-
-
-def _camel_split(name: str) -> str:
-    return _CAMEL_BOUNDARY.sub("_", name) if _HAS_CAMEL_BOUNDARY(name) else name
 
 
 def sql_name(name: str) -> str:
@@ -71,7 +65,7 @@ def sql_name(name: str) -> str:
     a name built from such identifiers; the boundary rule (``_`` before a
     capital that follows a lowercase letter or digit) is an ASCII rule.
     """
-    return fit_name(_camel_split(name).upper().replace("__", "_"), MAX_NAME)
+    return fit_name(_CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_"), MAX_NAME)
 
 
 @dataclass(slots=True)
@@ -251,7 +245,7 @@ def emit_sql(plan: RelationalSchemaPlan, dialect: str = "oracle") -> str:
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
     ansi = dialect == "ansi"
-    folds = Folds(_camel_split)
+    folds = Folds(lambda name: _CAMEL_BOUNDARY.sub("_", name))
 
     def constraint(name: str) -> str:
         return fit_name(name.upper().replace("__", "_"), MAX_NAME)

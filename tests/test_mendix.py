@@ -214,16 +214,17 @@ def _exports_with_unknown_fields(draw) -> dict:
     associations = draw(st.lists(_record(
         {"name": "Book_Item", "parent": "Item", "child": "Book"},
         {"type": "ReferenceSet", "owner": "Both"}), max_size=2))
+    enumerations = [draw(_record({"name": "State"}, {"values": ["OPEN"]}))]
     return {"domainModel": {"name": "Shop", "entities": entities, "associations": associations,
-                            "enumerations": [{"name": "State", "values": ["OPEN"]}]}}
+                            "enumerations": enumerations}}
 
 
 @settings(max_examples=500, deadline=None)
 @given(_exports_with_unknown_fields())
 def test_unknown_fields_found_by_key_count(document):
-    """An entity, attribute or association is walked for unknown fields only
-    when it has more keys than its known ones: the same warnings, in the
-    same order, with each optional field present, absent or null."""
+    """An entity, attribute, association or enumeration is walked for unknown
+    fields only when it has more keys than its known ones: the same warnings,
+    in the same order, with each optional field present, absent or null."""
     assert _outcome(parse_mendix_export, document) == \
         _outcome(reference_parse_mendix_export, document)
     text = json.dumps(document)
