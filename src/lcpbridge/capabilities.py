@@ -7,7 +7,7 @@ a code change; ``--capabilities <file>`` swaps in a different registry.
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,17 +21,11 @@ DIRECTIONS = ("export", "import")
 _DEFAULT_PATH = Path(__file__).parent / "assets" / "capabilities.toml"
 
 
-@dataclass(frozen=True)
-class CapabilityRecord:
+class CapabilityRecord(namedtuple("CapabilityRecord", "platform_id direction data gui behavior "
+                                                     "third_party formats")):
     """What one platform supports in one direction: levels per model kind and formats."""
 
-    platform_id: str
-    direction: str
-    data: str
-    gui: str
-    behavior: str
-    third_party: bool
-    formats: tuple[str, ...]
+    __slots__ = ()
 
     def level(self, kind: str) -> str:
         return {"data": self.data, "gui": self.gui, "behavior": self.behavior}[kind]
@@ -43,12 +37,12 @@ class CapabilityRecord:
         return f"{self.direction}: {kinds}, format {formats}{star}"
 
 
-@dataclass(frozen=True)
-class CapabilityMatrix:
-    """The capability records of every platform, and each platform's display name."""
+class CapabilityMatrix(namedtuple("CapabilityMatrix", "records displays")):
+    """The capability records of every platform, and each platform's display
+    name: ``records`` maps (platform_id, direction) to a ``CapabilityRecord``,
+    ``displays`` maps platform_id to its display name."""
 
-    records: dict  # (platform_id, direction) -> CapabilityRecord
-    displays: dict  # platform_id -> display name
+    __slots__ = ()
 
     def platform_ids(self) -> tuple[str, ...]:
         return tuple(self.displays)

@@ -23,7 +23,7 @@ between the import and generation legs of a migration::
 other. A class head names the class's parent, so a parse lists generalizations
 in the order of their specific classes; every importer builds its model in
 that order too, and so the printed text of an imported model parses back to
-an equal model (dataclass ``==``). Any other model comes back equal up to the
+an equal model (record ``==``). Any other model comes back equal up to the
 order of its generalizations.
 
 Well-formed text is read one declaration at a time, each with one regex

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .model import (
     DomainModel,
     Generalization,
     Property,
+    Record,
     association_key,
     enum_type,
     primitive_type,
@@ -56,12 +57,10 @@ CHUNK_BYTES = 64 * 1024  # the most of a screenshot file a request reads at once
 _PROMPT_DIR = Path(__file__).parent / "assets" / "prompts"
 
 
-@dataclass(frozen=True)
-class PromptContext:
+class PromptContext(Record, namedtuple("PromptContext", "display_name syntax_description")):
     """How the prompt names a platform and describes its diagrams."""
 
-    display_name: str
-    syntax_description: str
+    __slots__ = ()
 
 
 def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
@@ -82,14 +81,13 @@ def load_prompt_context(platform_id: str, registry=None) -> PromptContext:
                          syntax_description=text.replace("{platform}", display))
 
 
-@dataclass(frozen=True)
-class ImagePayload:
+class ImagePayload(Record, namedtuple("ImagePayload", "data media_type",
+                                      defaults=("image/png",))):
     """One screenshot and its media type, as sent to the vision model:
     ``data`` is its bytes, or a file read a chunk at a time by each hash of
     the request (one chunk held at most; the live client joins it whole)."""
 
-    data: bytes | Path
-    media_type: str = "image/png"
+    __slots__ = ()
 
     def chunks(self) -> Iterator[bytes]:
         """``data`` as it is, or the file's bytes a chunk at a time."""
@@ -100,16 +98,15 @@ class ImagePayload:
                 yield from iter(lambda: handle.read(CHUNK_BYTES), b"")
 
 
-@dataclass(frozen=True)
-class VisionRequest:
+class VisionRequest(Record, namedtuple("VisionRequest", "prompt_text images")):
     """One vision-model request: the prompt text and at least one image."""
 
-    prompt_text: str
-    images: tuple[ImagePayload, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.images:
+    def __new__(cls, prompt_text: str, images: tuple[ImagePayload, ...]):
+        if not images:
             raise ValueError("a vision request needs at least one image")
+        return super().__new__(cls, prompt_text, images)
 
 
 def build_prompt(context: PromptContext, partial: DomainModel | None = None) -> str:
@@ -287,29 +284,43 @@ def extract_model(completion: str) -> PlantUmlImport:
 # Partial-model merge
 
 
-@dataclass(frozen=True)
-class MergeConflict:
+class MergeConflict(Record, namedtuple("MergeConflict",
+                                       "element partial_value inferred_value resolution",
+                                       defaults=("PARTIAL_WINS",))):
     """A value the partial model and the vision answer disagree on."""
 
-    element: str
-    partial_value: str
-    inferred_value: str
-    resolution: str = "PARTIAL_WINS"
+    __slots__ = ()
 
 
-@dataclass
 class MergeReport:
-    """What ``merge_models`` added to the partial model, and the conflicts it kept."""
+    """What ``merge_models`` added to the partial model, and the conflicts it
+    kept. ``added_properties`` lists ``Class.prop`` for classes the partial
+    model already had."""
 
-    added_classes: list[str] = field(default_factory=list)
-    added_properties: list[str] = field(default_factory=list)  # "Class.prop", existing classes only
-    added_associations: list[str] = field(default_factory=list)
-    added_enumerations: list[str] = field(default_factory=list)
-    added_generalizations: list[str] = field(default_factory=list)
-    conflicts: list[MergeConflict] = field(default_factory=list)
+    __slots__ = ("added_classes", "added_properties", "added_associations",
+                 "added_enumerations", "added_generalizations", "conflicts")
+
+    def __init__(self, added_classes: list[str] | None = None,
+                 added_properties: list[str] | None = None,
+                 added_associations: list[str] | None = None,
+                 added_enumerations: list[str] | None = None,
+                 added_generalizations: list[str] | None = None,
+                 conflicts: list[MergeConflict] | None = None):
+        self.added_classes = [] if added_classes is None else added_classes
+        self.added_properties = [] if added_properties is None else added_properties
+        self.added_associations = [] if added_associations is None else added_associations
+        self.added_enumerations = [] if added_enumerations is None else added_enumerations
+        self.added_generalizations = [] if added_generalizations is None \
+            else added_generalizations
+        self.conflicts = [] if conflicts is None else conflicts
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"added_classes": list(self.added_classes),
+                "added_properties": list(self.added_properties),
+                "added_associations": list(self.added_associations),
+                "added_enumerations": list(self.added_enumerations),
+                "added_generalizations": list(self.added_generalizations),
+                "conflicts": [c._asdict() for c in self.conflicts]}
 
     def to_json(self) -> str:
         """``json.dumps(self.as_dict(), indent=2, sort_keys=True)`` plus a
@@ -470,7 +481,7 @@ def merge_models(partial: DomainModel, inferred: DomainModel) -> tuple[DomainMod
 
     def end(e: AssociationEnd) -> AssociationEnd:  # copied only if its class is respelled
         name = classes[e.class_name.lower()].name
-        return e if name == e.class_name else replace(e, class_name=name)
+        return e if name == e.class_name else e._replace(class_name=name)
 
     associations = list(partial.associations)
     fingerprints = {association_key(a) for a in associations}

@@ -4,16 +4,15 @@ Every adapter step records what it dropped, coerced or renamed; the final
 report for a migration is the union of the planner's static prediction and
 the entries collected while executing.
 
-A loss entry is a named tuple, not a frozen dataclass like the model's
-records (see ``model``): a pass over a large model adds thousands, and a
-named tuple is built with one tuple and hashed in C, where a frozen
-dataclass sets each field through ``object.__setattr__`` and hashes in Python.
+A loss entry is a bare named tuple, without the model records' ``Record``
+equality (see ``model``), as are the records that importing and planning
+define (``capabilities``, ``pipeline.Adapter``): that keeps ``model`` out of
+start-up. Such a record equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 SEVERITIES = frozenset(("info", "warning", "loss"))
@@ -63,11 +62,19 @@ class LossItem(namedtuple("LossItem", "element_kind element_name reason severity
         return self._asdict()
 
 
-@dataclass
 class LossReport:
     """Loss items in the order they were added: a step's, a plan's or a migration's."""
 
-    items: list[LossItem] = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[LossItem] | None = None):
+        self.items = [] if items is None else items
+
+    def __eq__(self, other):
+        return self.items == other.items if type(other) is LossReport else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LossReport(items={self.items!r})"
 
     def add(self, element_kind: str, element_name: str, reason: str,
             severity: str = "warning", detail: str = "") -> None:

@@ -10,7 +10,6 @@ multiplicities follow the (type, owner) decision table below.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .model import (
     Multiplicity,
     Namespace,
     Property,
+    SlotRecord,
     enum_type,
     primitive_type,
     require_valid,
@@ -58,57 +58,72 @@ CARDINALITY_TABLE = {
 }
 
 
-# The records of one export: plain, not frozen like the pivot model's types
-# (see ``model``), since a large export makes tens of thousands of them and
-# nothing keeps them past ``mendix_to_pivot``.
+# The records of one export: plain classes with ``__slots__``, not named
+# tuples like the pivot model's types (see ``model``), since a large export
+# makes tens of thousands of them, ``mendix_to_pivot`` reads their fields in
+# its hottest loops, and nothing keeps them past it.
 
 
-@dataclass(slots=True)
-class MendixAttribute:
+class MendixAttribute(SlotRecord):
     """An entity attribute as exported: its Mendix type and enumeration, if any."""
 
-    name: str
-    type: str
-    enum_ref: str | None = None
+    __slots__ = ("name", "type", "enum_ref")
+
+    def __init__(self, name: str, type: str, enum_ref: str | None = None):
+        self.name = name
+        self.type = type
+        self.enum_ref = enum_ref
 
 
-@dataclass(slots=True)
-class MendixEntity:
+class MendixEntity(SlotRecord):
     """An exported entity: its attributes and the entity it generalizes, if any."""
 
-    name: str
-    attributes: tuple[MendixAttribute, ...] = ()
-    generalization: str | None = None
+    __slots__ = ("name", "attributes", "generalization")
+
+    def __init__(self, name: str, attributes: tuple[MendixAttribute, ...] = (),
+                 generalization: str | None = None):
+        self.name = name
+        self.attributes = attributes
+        self.generalization = generalization
 
 
-@dataclass(slots=True)
-class MendixAssociation:
+class MendixAssociation(SlotRecord):
     """An exported association from ``parent`` to ``child``, with its type and owner."""
 
-    name: str
-    parent: str
-    child: str
-    type: str = "Reference"
-    owner: str = "Default"
+    __slots__ = ("name", "parent", "child", "type", "owner")
+
+    def __init__(self, name: str, parent: str, child: str, type: str = "Reference",
+                 owner: str = "Default"):
+        self.name = name
+        self.parent = parent
+        self.child = child
+        self.type = type
+        self.owner = owner
 
 
-@dataclass(slots=True)
-class MendixEnumeration:
+class MendixEnumeration(SlotRecord):
     """An exported enumeration and its values."""
 
-    name: str
-    values: tuple[str, ...] = ()
+    __slots__ = ("name", "values")
+
+    def __init__(self, name: str, values: tuple[str, ...] = ()):
+        self.name = name
+        self.values = values
 
 
-@dataclass(slots=True)
-class MendixExport:
+class MendixExport(SlotRecord):
     """The export's domain model as read, plus the reader's warnings."""
 
-    name: str
-    entities: tuple[MendixEntity, ...] = ()
-    associations: tuple[MendixAssociation, ...] = ()
-    enumerations: tuple[MendixEnumeration, ...] = ()
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("name", "entities", "associations", "enumerations", "warnings")
+
+    def __init__(self, name: str, entities: tuple[MendixEntity, ...] = (),
+                 associations: tuple[MendixAssociation, ...] = (),
+                 enumerations: tuple[MendixEnumeration, ...] = (), warnings: tuple[str, ...] = ()):
+        self.name = name
+        self.entities = entities
+        self.associations = associations
+        self.enumerations = enumerations
+        self.warnings = warnings
 
 
 DOMAIN_MODEL_FIELDS = frozenset(("name", "entities", "associations", "enumerations"))

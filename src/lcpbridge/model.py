@@ -15,21 +15,22 @@ printed from.
 Both planners read an association's ``kind`` and ``link`` (the end that
 hosts a many-to-one or one-to-one), so they place each link alike.
 
-The model types stay frozen: a validated model is shared by every generator
-of a migration and by the merge, so no step may change what another has
-checked. The records an adapter builds on its way to or from a model
-(``mendix.Mendix*``, ``relational.ColumnPlan``...) are plain slotted
-dataclasses instead: one step builds them and the next reads them once, and
-a pass over a large model builds tens of thousands, where a frozen
-dataclass's ``__init__`` costs about three times a plain one's. The entries
-of a loss report are named tuples (see ``loss``).
+The model types stay immutable: a validated model is shared by every
+generator of a migration and by the merge, so no step may change what
+another has checked. Each is a named tuple on ``Record``, which makes it
+equal only to a record of its own class; a named tuple is built with one
+tuple and hashed in C. The records an adapter builds on its way to or from a
+model (``mendix.Mendix*``, ``relational.ColumnPlan``...) are plain classes
+with ``__slots__`` instead: one step builds them and the next reads them,
+and a slot reads faster than a tuple field. The entries of a loss report
+are bare named tuples (see ``loss``).
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 PRIMITIVES = ("str", "int", "float", "bool", "date", "datetime", "time", "binary")
 
@@ -142,13 +143,44 @@ class Folds(dict):
         return folded
 
 
-@dataclass(frozen=True, slots=True)
-class TypeRef:
-    """Reference to a primitive type or a declared enumeration."""
+class Record:
+    """The equality of a named-tuple record: equal only to a record of its own
+    class with equal fields, never to a plain tuple, and hashed as the tuple
+    of its fields. It comes first among a record's bases."""
 
-    kind: str  # "primitive" | "enumeration"
-    primitive: str | None = None
-    enum_name: str | None = None
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return type(other) is type(self) and tuple.__eq__(self, other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, tuple):
+            return type(other) is not type(self) or tuple.__ne__(self, other)
+        return NotImplemented
+
+    __hash__ = tuple.__hash__
+
+
+class SlotRecord:
+    """Value ``==`` for a record that is a plain class with ``__slots__``, for
+    the records that are compared: equal to a record of its own class with
+    equal slots. Such a record is mutable, so it has no hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class TypeRef(Record, namedtuple("TypeRef", "kind primitive enum_name", defaults=(None, None))):
+    """Reference to a primitive type or a declared enumeration: ``kind`` is
+    ``primitive`` or ``enumeration``."""
+
+    __slots__ = ()
 
     def key(self) -> tuple:
         return (self.kind, self.primitive, self.enum_name)
@@ -172,29 +204,22 @@ def enum_type(name: str) -> TypeRef:
     return TypeRef(kind="enumeration", enum_name=name)
 
 
-@dataclass(frozen=True, slots=True)
-class Property:
+class Property(Record, namedtuple("Property", "name type is_id", defaults=(False,))):
     """A class attribute: its name, its type and whether it is the class's id."""
 
-    name: str
-    type: TypeRef
-    is_id: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Class:
+class Class(Record, namedtuple("Class", "name properties", defaults=((),))):
     """A named class and its properties, in declaration order."""
 
-    name: str
-    properties: tuple[Property, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Multiplicity:
+class Multiplicity(Record, namedtuple("Multiplicity", "lower upper")):
     """The bounds of an association end; ``upper`` None is unbounded (``*``)."""
 
-    lower: int
-    upper: int | None  # None = unbounded (*)
+    __slots__ = ()
 
     @property
     def is_many(self) -> bool:
@@ -208,23 +233,17 @@ class Multiplicity:
 MANY = Multiplicity(0, None)
 
 
-@dataclass(frozen=True, slots=True)
-class AssociationEnd:
+class AssociationEnd(Record, namedtuple("AssociationEnd", "role class_name multiplicity navigable",
+                                          defaults=(MANY, True))):
     """One end of an association: its role, its class, multiplicity and navigability."""
 
-    role: str
-    class_name: str
-    multiplicity: Multiplicity = MANY
-    navigable: bool = True
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Association:
+class Association(Record, namedtuple("Association", "name end1 end2")):
     """A binary association between the classes of its two ends."""
 
-    name: str
-    end1: AssociationEnd
-    end2: AssociationEnd
+    __slots__ = ()
 
     @property
     def ends(self) -> tuple[AssociationEnd, AssociationEnd]:
@@ -255,31 +274,24 @@ class Association:
         return (end1, end2) if many1 else (end2, end1)
 
 
-@dataclass(frozen=True, slots=True)
-class Generalization:
+class Generalization(Record, namedtuple("Generalization", "general specific")):
     """``specific`` inherits from ``general``; both are class names."""
 
-    general: str  # parent class name
-    specific: str  # child class name
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Enumeration:
+class Enumeration(Record, namedtuple("Enumeration", "name literals", defaults=((),))):
     """A named enumeration and its literals, in declaration order."""
 
-    name: str
-    literals: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DomainModel:
+class DomainModel(Record, namedtuple("DomainModel",
+                                     "name classes associations generalizations enumerations",
+                                     defaults=((), (), (), ()))):
     """The pivot model: its name, classes, associations, generalizations and enumerations."""
 
-    name: str
-    classes: tuple[Class, ...] = ()
-    associations: tuple[Association, ...] = ()
-    generalizations: tuple[Generalization, ...] = ()
-    enumerations: tuple[Enumeration, ...] = ()
+    __slots__ = ()
 
 
 def empty_model(name: str = "Model") -> DomainModel:
@@ -290,23 +302,22 @@ def empty_model(name: str = "Model") -> DomainModel:
 # Validation
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(Record, namedtuple("Violation", "rule element message")):
     """One broken well-formedness rule: its code, the element and why."""
 
-    rule: str
-    element: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule} [{self.element}]: {self.message}"
 
 
-@dataclass
 class ValidationResult:
     """The violations ``validate_model`` found; true when there are none."""
 
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

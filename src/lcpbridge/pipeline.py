@@ -26,9 +26,9 @@ from __future__ import annotations
 import gc
 import sys
 import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,33 +54,43 @@ REPROMPT_LIMIT = 2  # re-asks after a malformed completion, then manual repair
 _MEDIA_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg"}
 
 
-@dataclass
 class MigrationInputs:
     """The files and screenshots a migration reads, and its vision-model client."""
 
-    files: list[Path] = field(default_factory=list)
-    images: list[Path] = field(default_factory=list)
-    llm_client: object | None = None
+    __slots__ = ("files", "images", "llm_client")
+
+    def __init__(self, files: list[Path] | None = None, images: list[Path] | None = None,
+                 llm_client: object | None = None):
+        self.files = [] if files is None else files
+        self.images = [] if images is None else images
+        self.llm_client = llm_client
 
 
-@dataclass
 class ExecutionOptions:
-    """Per-run settings: the SQL dialect, the workbook sample row and a review hook."""
+    """Per-run settings: the SQL dialect, the workbook sample row and a review
+    hook, ``callable(path) -> None``, that pauses for edits."""
 
-    dialect: str = "oracle"
-    include_sample_row: bool = True
-    review_hook: object | None = None  # callable(path) -> None, pauses for edits
+    __slots__ = ("dialect", "include_sample_row", "review_hook")
+
+    def __init__(self, dialect: str = "oracle", include_sample_row: bool = True,
+                 review_hook: object | None = None):
+        self.dialect = dialect
+        self.include_sample_row = include_sample_row
+        self.review_hook = review_hook
 
 
-@dataclass
 class ExecutionResult:
     """What a run produced: the model, its pivot file, the artifacts and the reports."""
 
-    model: DomainModel
-    pivot_path: Path
-    outputs: list[Path]
-    loss: LossReport
-    merge_report: MergeReport | None = None
+    __slots__ = ("model", "pivot_path", "outputs", "loss", "merge_report")
+
+    def __init__(self, model: DomainModel, pivot_path: Path, outputs: list[Path],
+                 loss: LossReport, merge_report: MergeReport | None = None):
+        self.model = model
+        self.pivot_path = pivot_path
+        self.outputs = outputs
+        self.loss = loss
+        self.merge_report = merge_report
 
 
 @contextmanager
@@ -168,13 +178,11 @@ def __getattr__(name: str):
     return value
 
 
-@dataclass(frozen=True)
-class Adapter:
-    """One import adapter or generator, as its table says."""
+class Adapter(namedtuple("Adapter", "id formats run")):
+    """One import adapter or generator, as its table says: its id, its format
+    tokens and the callable that runs it."""
 
-    id: str
-    formats: tuple[str, ...]
-    run: Callable
+    __slots__ = ()
 
 
 # format token -> the suffixes of the input files an importer of it reads

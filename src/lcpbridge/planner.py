@@ -10,8 +10,6 @@ incur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .capabilities import CapabilityMatrix, default_matrix
 from .errors import NoViablePathError
 from .loss import LossReport
@@ -22,17 +20,28 @@ from .pipeline import EXPORTERS, IMPORTERS
 FORMAL_IMPORT_FORMATS = ("SQL",)
 
 
-@dataclass
 class MigrationPlan:
-    """The chain of steps from a source to a target platform, and its expected losses."""
+    """The chain of steps from a source to a target platform, and its expected
+    losses. Each method is ``formal`` or ``alternative``; ``matrix`` is the
+    registry the plan was made from, which the repr leaves out."""
 
-    source: str
-    target: str
-    export_method: str  # "formal" | "alternative"
-    import_method: str
-    chain: tuple[str, ...]
-    expected_losses: LossReport
-    matrix: CapabilityMatrix = field(repr=False)  # the registry the plan was made from
+    __slots__ = ("source", "target", "export_method", "import_method", "chain",
+                 "expected_losses", "matrix")
+
+    def __init__(self, source: str, target: str, export_method: str, import_method: str,
+                 chain: tuple[str, ...], expected_losses: LossReport, matrix: CapabilityMatrix):
+        self.source = source
+        self.target = target
+        self.export_method = export_method
+        self.import_method = import_method
+        self.chain = chain
+        self.expected_losses = expected_losses
+        self.matrix = matrix
+
+    def __repr__(self) -> str:
+        return (f"MigrationPlan(source={self.source!r}, target={self.target!r}, "
+                f"export_method={self.export_method!r}, import_method={self.import_method!r}, "
+                f"chain={self.chain!r}, expected_losses={self.expected_losses!r})")
 
     def as_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 
 from .errors import PlantUmlError
 from .loss import LossReport
@@ -79,22 +78,27 @@ def _patterns() -> dict[str, re.Pattern]:
     return {key: re.compile(pattern) for key, pattern in patterns.items()}
 
 
-@dataclass
 class SkippedLine:
     """A line the parser set aside, with its 1-based line number in the block."""
 
-    line_no: int
-    text: str
+    __slots__ = ("line_no", "text")
+
+    def __init__(self, line_no: int, text: str):
+        self.line_no = line_no
+        self.text = text
 
 
-@dataclass
 class PlantUmlImport:
     """Parse outcome: the model plus everything the parser set aside."""
 
-    model: DomainModel
-    skipped: list[SkippedLine] = field(default_factory=list)
-    loss: LossReport = field(default_factory=LossReport)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("model", "skipped", "loss", "warnings")
+
+    def __init__(self, model: DomainModel, skipped: list[SkippedLine] | None = None,
+                 loss: LossReport | None = None, warnings: list[str] | None = None):
+        self.model = model
+        self.skipped = [] if skipped is None else skipped
+        self.loss = LossReport() if loss is None else loss
+        self.warnings = [] if warnings is None else warnings
 
 
 def parse_multiplicity(token: str) -> Multiplicity:
@@ -366,9 +370,11 @@ def _leading(name: str) -> str:
 def export_loss(model: DomainModel) -> LossReport:
     """What ``parse_plantuml(emit_plantuml(model))`` reads back otherwise,
     found with the parser's own folds and no parse: the model's name, each
-    name the parser spells otherwise, each property typed by an enumeration
-    whose name the parser reads as another type, and each role it derives
-    otherwise."""
+    name the parser spells otherwise, each class it merges into an earlier
+    one whose name folds alike (``Int`` and ``Int_``), each property it drops
+    as repeated in such a class or among the properties of one class, each
+    property typed by an enumeration whose name the parser reads as another
+    type, and each role it derives otherwise."""
     loss = LossReport()
     if model.name != UNNAMED_MODEL:
         loss.add("model", model.name, "DROPPED", "warning",
@@ -385,10 +391,24 @@ def export_loss(model: DomainModel) -> LossReport:
             spelled("literal", f"{enum.name}.{literal}", literal)
     # every enumeration is declared before the first class, under its folded name
     enum_names = dict.fromkeys(clean[enum.name] for enum in model.enumerations)
+    # folded class name -> (the first class of that fold, the lowercase
+    # folded names of the properties the parsed class holds -> their element)
+    folded_classes: dict[str, tuple[str, dict[str, str]]] = {}
     for cls in model.classes:
         spelled("class", cls.name, cls.name)
+        first, props = folded_classes.setdefault(clean[cls.name], (cls.name, {}))
+        if first != cls.name:
+            loss.add("class", cls.name, "DROPPED", "warning",
+                     f"parses back merged into class {clean[cls.name]} with class {first}")
         for prop in cls.properties:
-            spelled("property", f"{cls.name}.{prop.name}", prop.name)
+            element = f"{cls.name}.{prop.name}"
+            spelled("property", element, prop.name)
+            kept = props.setdefault(clean[prop.name].lower(), element)
+            if kept != element:
+                loss.add("property", element, "DROPPED", "warning",
+                         f"parses back as {clean[prop.name]}, a repeat of {kept}; "
+                         "the first one kept")
+                continue
             enum_name = prop.type.enum_name
             if prop.type.kind == "enumeration" and clean[enum_name] != enum_name:
                 parsed = _resolve_type(enum_name, enum_names) or primitive_type("str")

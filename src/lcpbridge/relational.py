@@ -7,11 +7,11 @@ child's primary key is also a foreign key to the parent. The ``ansi``
 dialect keeps the script runnable on an embedded engine (sqlite) for
 verification; ``oracle`` is what ships.
 
-The pivot model read here stays frozen (see ``model``). The plan records are
-plain slotted dataclasses: ``plan_relational`` builds one per column and
-foreign key, tens of thousands on a large model, where a frozen dataclass's
-``__init__`` costs about three times a plain one's; only it writes them,
-and ``emit_sql`` reads them once, rendering each table in one pass.
+The pivot model read here stays immutable (see ``model``). The plan records
+are plain classes with ``__slots__``: ``plan_relational`` builds one per
+column and foreign key, tens of thousands on a large model, and sets a
+child table's key after it is built; only it writes them, and ``emit_sql``
+reads them once, rendering each table in one pass.
 
 A constraint's name is ``sql_name`` of its prefix and plan names joined by
 ``_``. The camelCase boundary (a capital after a lowercase letter or a
@@ -25,7 +25,6 @@ again because ``sql_name`` is not idempotent: the column ``X1Y``, which
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .loss import LossReport
 from .model import AssociationEnd, Class, DomainModel, Folds, Namespace, fit_name
@@ -68,41 +67,54 @@ def sql_name(name: str) -> str:
     return fit_name(_CAMEL_BOUNDARY.sub("_", name).upper().replace("__", "_"), MAX_NAME)
 
 
-@dataclass(slots=True)
 class ColumnPlan:
-    """One column: its SQL name and type, nullability, uniqueness and check."""
+    """One column: its SQL name and type, nullability, uniqueness and check
+    (a column-scoped membership or range predicate)."""
 
-    name: str
-    sql_type: str
-    nullable: bool = True
-    unique: bool = False
-    check: str | None = None  # column-scoped membership/range predicate
+    __slots__ = ("name", "sql_type", "nullable", "unique", "check")
+
+    def __init__(self, name: str, sql_type: str, nullable: bool = True, unique: bool = False,
+                 check: str | None = None):
+        self.name = name
+        self.sql_type = sql_type
+        self.nullable = nullable
+        self.unique = unique
+        self.check = check
 
 
-@dataclass(slots=True)
 class ForeignKeyPlan:
-    """A column that references another table's ``ID`` key."""
+    """A column that references the ``ID`` key of ``ref_table``."""
 
-    column: str  # references the "ID" key of ref_table
-    ref_table: str
+    __slots__ = ("column", "ref_table")
+
+    def __init__(self, column: str, ref_table: str):
+        self.column = column
+        self.ref_table = ref_table
 
 
-@dataclass(slots=True)
 class TablePlan:
-    """One table: its columns, primary key and foreign keys."""
+    """One table: its columns, primary key and foreign keys, and whether the
+    database fills its surrogate key (``identity_pk``)."""
 
-    name: str
-    columns: list[ColumnPlan] = field(default_factory=list)
-    primary_key: list[str] = field(default_factory=lambda: ["ID"])
-    foreign_keys: list[ForeignKeyPlan] = field(default_factory=list)
-    identity_pk: bool = True  # surrogate key filled by the database
+    __slots__ = ("name", "columns", "primary_key", "foreign_keys", "identity_pk")
+
+    def __init__(self, name: str, columns: list[ColumnPlan] | None = None,
+                 primary_key: list[str] | None = None,
+                 foreign_keys: list[ForeignKeyPlan] | None = None, identity_pk: bool = True):
+        self.name = name
+        self.columns = [] if columns is None else columns
+        self.primary_key = ["ID"] if primary_key is None else primary_key
+        self.foreign_keys = [] if foreign_keys is None else foreign_keys
+        self.identity_pk = identity_pk
 
 
-@dataclass(slots=True)
 class RelationalSchemaPlan:
     """The tables of a schema, in the order ``emit_sql`` creates them."""
 
-    tables: list[TablePlan] = field(default_factory=list)
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: list[TablePlan] | None = None):
+        self.tables = [] if tables is None else tables
 
 
 def _quoted_literal(value: str) -> str:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .model import (
     Folds,
     Namespace,
     Property,
+    Record,
     primitive_type,
     require_valid,
     sanitize_identifier,
@@ -92,27 +93,25 @@ def _strptime_shapes() -> dict[str, re.Pattern]:
             "datetime": re.compile(f"(?:{date}{time}\0)++")}
 
 
-@dataclass(frozen=True)
-class TableColumn:
+class TableColumn(Record, namedtuple("TableColumn", "header values")):
     """One column of a table: its header and its sampled values."""
 
-    header: str
-    values: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record, namedtuple("Table", "name columns")):
     """One CSV file or XLSX sheet: its name and its columns."""
 
-    name: str
-    columns: tuple[TableColumn, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TabularSource:
     """The tables of one tabular export; iterating it yields them in order."""
 
-    tables: tuple[Table, ...]
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: tuple[Table, ...]):
+        self.tables = tables
 
     def __iter__(self) -> Iterator[Table]:
         return iter(self.tables)

@@ -12,12 +12,12 @@ parts to ``xlsx.write_workbook``, which deflates each as it comes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .loss import LossReport, close_json_list, json_string_list
-from .model import DomainModel, Namespace, Property
+from .model import DomainModel, Namespace, Property, Record, SlotRecord
 
 SHEET_NAME_MAX = 31  # hard container limit
 
@@ -48,21 +48,19 @@ LIST_MAX = 255  # characters of a list validation typed as literals, commas incl
 DATA_ROWS = 1000  # rows covered by each dropdown validation
 
 
-@dataclass(frozen=True, slots=True)
-class SheetDropdown:
+class SheetDropdown(Record, namedtuple("SheetDropdown", "source_sheet")):
     """A column whose cells pick from the first column of another sheet."""
 
-    source_sheet: str
+    __slots__ = ()
 
     def as_dict(self):
         return {"kind": "sheet", "source_sheet": self.source_sheet}
 
 
-@dataclass(frozen=True, slots=True)
-class ListDropdown:
+class ListDropdown(Record, namedtuple("ListDropdown", "options")):
     """A column whose cells pick from a fixed list of options."""
 
-    options: tuple[str, ...]
+    __slots__ = ()
 
     def as_dict(self):
         return {"kind": "list", "options": list(self.options)}
@@ -71,13 +69,11 @@ class ListDropdown:
 _BOOL_LIST = ListDropdown(BOOL_OPTIONS)
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestColumn:
+class ManifestColumn(Record, namedtuple("ManifestColumn", "header cell_format validation",
+                                          defaults=("General", None))):
     """One header of a sheet: its cell format and its dropdown, if any."""
 
-    header: str
-    cell_format: str = "General"
-    validation: SheetDropdown | ListDropdown | None = None
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -87,14 +83,18 @@ class ManifestColumn:
         }
 
 
-@dataclass(slots=True)
-class ManifestSheet:
-    """One sheet of the workbook: a class or a bridge, its columns, its sample row."""
+class ManifestSheet(SlotRecord):
+    """One sheet of the workbook: a class or a bridge (its ``kind``), its
+    columns, its sample row."""
 
-    name: str
-    kind: str  # "class" | "bridge"
-    columns: list[ManifestColumn] = field(default_factory=list)
-    sample_row: list[str] | None = None
+    __slots__ = ("name", "kind", "columns", "sample_row")
+
+    def __init__(self, name: str, kind: str, columns: list[ManifestColumn] | None = None,
+                 sample_row: list[str] | None = None):
+        self.name = name
+        self.kind = kind
+        self.columns = [] if columns is None else columns
+        self.sample_row = sample_row
 
     def as_dict(self):
         return {
@@ -105,12 +105,14 @@ class ManifestSheet:
         }
 
 
-@dataclass(slots=True)
-class WorkbookManifest:
+class WorkbookManifest(SlotRecord):
     """The layout of a generated workbook, written next to it as JSON."""
 
-    workbook_name: str
-    sheets: list[ManifestSheet] = field(default_factory=list)
+    __slots__ = ("workbook_name", "sheets")
+
+    def __init__(self, workbook_name: str, sheets: list[ManifestSheet] | None = None):
+        self.workbook_name = workbook_name
+        self.sheets = [] if sheets is None else sheets
 
     def as_dict(self):
         return {"workbook_name": self.workbook_name,

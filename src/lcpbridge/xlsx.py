@@ -38,7 +38,6 @@ import functools
 import io
 import itertools
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
@@ -215,12 +214,14 @@ _CONTROLS = bytes(range(0x20)).translate(None, b"\t\n\r")  # no XML character
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 
-@dataclass
 class SheetContent:
     """A sheet as read: its name and its cells as display strings."""
 
-    name: str
-    rows: list[list[str]]
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, rows: list[list[str]]):
+        self.name = name
+        self.rows = rows
 
 
 class _Unread(Exception):

@@ -179,7 +179,7 @@ def with_reason(report: LossReport, reason: str) -> list[LossItem]:
 
 
 def is_empty(report: MergeReport) -> bool:
-    return not any(vars(report).values())
+    return not any(report.as_dict().values())
 
 
 def table_named(plan: RelationalSchemaPlan, name: str) -> TablePlan | None:

@@ -164,6 +164,37 @@ MENDIX_TYPE_MENU = ("String", "HashedString", "Integer", "Long", "AutoNumber",
                     "Decimal", "Boolean", "DateTime", "Binary")
 
 
+def with_fold_twins(model: DomainModel, rng: random.Random) -> DomainModel:
+    """``model`` plus pairs of valid names that fold to one on the PlantUML
+    leg, a reserved word ``w`` and ``w_``: one to three pairs of classes,
+    each pair sharing a property half the time, one to three pairs of
+    properties in classes drawn at random, and up to four associations to
+    the new classes. ``model`` must hold no reserved word (``fresh_name``)
+    and no generalization, so that every twin folds only onto its own pair
+    and the emitted text still parses."""
+    words = rng.sample(sorted(RESERVED_WORDS), rng.randint(2, 6))
+    class_words, property_words = words[:len(words) // 2], words[len(words) // 2:]
+    classes = list(model.classes)
+    for word in class_words:
+        shared = Property(fresh_name(rng, set()), primitive_type(rng.choice(PRIMITIVE_MENU)))
+        for name in (word.capitalize(), word.capitalize() + "_"):
+            classes.append(Class(name, (shared,) if rng.random() < 0.5 else ()))
+    for word in property_words:
+        at = rng.randrange(len(classes))
+        twins = tuple(Property(name, primitive_type(rng.choice(PRIMITIVE_MENU)))
+                      for name in (word, word + "_"))
+        classes[at] = classes[at]._replace(properties=classes[at].properties + twins)
+    associations = list(model.associations)
+    names = {a.name.lower() for a in associations}
+    for _ in range(rng.randint(0, 4)):
+        ends = [AssociationEnd(fresh_name(rng, set()) + str(i), rng.choice(classes).name,
+                               rng.choice(MULTIPLICITY_MENU)) for i in (1, 2)]
+        associations.append(Association(fresh_name(rng, names, capitalize=True), *ends))
+    twinned = model._replace(classes=tuple(classes), associations=tuple(associations))
+    assert validate_model(twinned).ok
+    return twinned
+
+
 def random_mendix_export(rng: random.Random, max_entities: int = 8,
                          max_associations: int = 10, max_enums: int = 3) -> dict:
     """Random document in the simplified Mendix export schema."""

@@ -11,7 +11,6 @@ answer's.
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -77,17 +76,16 @@ def _full_model(partial: DomainModel) -> DomainModel:
         Association(name, AssociationEnd(left.lower(), left, m_left),
                     AssociationEnd(right.lower(), right, m_right))
         for name, left, m_left, right, m_right in LINKS)
-    return replace(partial, associations=associations)
+    return partial._replace(associations=associations)
 
 
 def _rename_class(model: DomainModel, old: str, new: str) -> DomainModel:
     def end(e):
-        return replace(e, class_name=new) if e.class_name == old else e
+        return e._replace(class_name=new) if e.class_name == old else e
 
-    return replace(
-        model,
-        classes=tuple(replace(c, name=new) if c.name == old else c for c in model.classes),
-        associations=tuple(replace(a, end1=end(a.end1), end2=end(a.end2))
+    return model._replace(
+        classes=tuple(c._replace(name=new) if c.name == old else c for c in model.classes),
+        associations=tuple(a._replace(end1=end(a.end1), end2=end(a.end2))
                            for a in model.associations))
 
 
@@ -96,7 +94,7 @@ def degrade(full: DomainModel, edit: str, rng: random.Random) -> tuple[DomainMod
     taken = {c.name.lower() for c in full.classes}
     if edit == "drop-association":
         victim = rng.choice(full.associations)
-        return replace(full, associations=tuple(
+        return full._replace(associations=tuple(
             a for a in full.associations if a is not victim)), victim.name
     if edit == "flip-multiplicity":
         index = rng.randrange(len(full.associations))
@@ -104,10 +102,10 @@ def degrade(full: DomainModel, edit: str, rng: random.Random) -> tuple[DomainMod
         side = rng.choice(("end1", "end2"))
         m = getattr(assoc, side).multiplicity
         flipped = Multiplicity(m.lower, 1 if m.upper is None else None)
-        changed = replace(assoc, **{side: replace(getattr(assoc, side), multiplicity=flipped)})
+        changed = assoc._replace(**{side: getattr(assoc, side)._replace(multiplicity=flipped)})
         associations = list(full.associations)
         associations[index] = changed
-        return replace(full, associations=tuple(associations)), assoc.name
+        return full._replace(associations=tuple(associations)), assoc.name
     if edit == "misspell-class":
         cls = rng.choice(full.classes)
         while True:
@@ -124,10 +122,10 @@ def degrade(full: DomainModel, edit: str, rng: random.Random) -> tuple[DomainMod
         other = rng.choice([p for p in ("str", "int", "float", "bool", "date")
                             if p != prop.type.primitive])
         props = list(cls.properties)
-        props[at] = replace(prop, type=primitive_type(other))
+        props[at] = prop._replace(type=primitive_type(other))
         classes = list(full.classes)
-        classes[index] = replace(cls, properties=tuple(props))
-        return replace(full, classes=tuple(classes)), f"{cls.name}.{prop.name}"
+        classes[index] = cls._replace(properties=tuple(props))
+        return full._replace(classes=tuple(classes)), f"{cls.name}.{prop.name}"
     assert edit == "invent-class"
     name = rng.choice([n for n in ("Coupon", "Shelf", "Courier", "Refund")
                        if n.lower() not in taken])
@@ -136,8 +134,8 @@ def degrade(full: DomainModel, edit: str, rng: random.Random) -> tuple[DomainMod
     link = Association(f"{name}_{anchor}",
                        AssociationEnd(name.lower(), name, Multiplicity(0, None)),
                        AssociationEnd(anchor.lower(), anchor, Multiplicity(0, 1)))
-    return replace(full, classes=full.classes + (invented,),
-                   associations=full.associations + (link,)), name
+    return full._replace(classes=full.classes + (invented,),
+                         associations=full.associations + (link,)), name
 
 
 @pytest.mark.parametrize("seed", SEEDS)

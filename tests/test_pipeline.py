@@ -1,6 +1,5 @@
 """End-to-end execution of both demonstrated migration scenarios."""
 
-import dataclasses
 import gc
 import json
 import re
@@ -628,8 +627,8 @@ class TestRunner:
         step runs; the error names each such input and the chain."""
         ran = []
         for adapter in IMPORTERS.values():
-            monkeypatch.setitem(IMPORTERS, adapter.id, dataclasses.replace(
-                adapter, run=lambda files, _id=adapter.id, **_: ran.append(_id)))
+            monkeypatch.setitem(IMPORTERS, adapter.id, adapter._replace(
+                run=lambda files, _id=adapter.id, **_: ran.append(_id)))
         formats = IMPORTERS[importer].formats
         inputs = MigrationInputs(files=[tmp_path / f"in{INPUT_SUFFIXES[t][0]}"
                                         for t in formats if t != "IMG"],

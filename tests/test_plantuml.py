@@ -25,7 +25,7 @@ from lcpbridge.pipeline import ExecutionOptions, run_exporter
 from lcpbridge.plantuml import _patterns, emit_plantuml, parse_multiplicity, parse_plantuml
 
 from expected import class_named, enum_named, property_names, with_reason
-from generators import adversarial_name, random_model
+from generators import adversarial_name, random_model, with_fold_twins
 
 
 def unreserved_name(rng, taken, capitalize=False):
@@ -389,6 +389,52 @@ class TestExportLoss:
             [primitive_type("int"), enum_type("Kind")]
         assert [(i.element_name, i.severity, i.detail) for i in with_reason(loss, "TYPE_COERCED")] \
             == [("Shop.level", "warning", "typed by enumeration Int; parses back typed int")]
+
+    def test_property_twins_reported(self, tmp_path):
+        """``Int`` folds to ``Int_``, so the parser keeps one of the two."""
+        model = DomainModel("Model", classes=(Class("Shop", (
+            Property("Int", primitive_type("str")), Property("Int_", primitive_type("int")))),))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert back.classes[0].properties == (Property("Int_", primitive_type("str")),)
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in loss] == [
+            ("property", "Shop.Int", "RENAMED", "parses back as Int_"),
+            ("property", "Shop.Int_", "DROPPED",
+             "parses back as Int_, a repeat of Shop.Int; the first one kept")]
+
+    def test_class_twins_reported(self, tmp_path):
+        model = DomainModel("Model", classes=(Class("Int", (Property("a", primitive_type("str")),)),
+                                              Class("Int_", (Property("b", primitive_type("int")),))))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert [(c.name, property_names(c)) for c in back.classes] == [("Int_", ("a", "b"))]
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in loss] == [
+            ("class", "Int", "RENAMED", "parses back as Int_"),
+            ("class", "Int_", "DROPPED", "parses back merged into class Int_ with class Int")]
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_each_fold_twin_the_parser_merges_is_reported(self, tmp_path, seed):
+        """The classes and properties the report predicts, from the model,
+        its RENAMED entries and its DROPPED ones, are those the text parses
+        back as, in order."""
+        rng = random.Random(seed)
+        model = with_fold_twins(random_model(rng, max_generalizations=0), rng)
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        dropped = {(i.element_kind, i.element_name) for i in with_reason(loss, "DROPPED")}
+        renamed = {(i.element_kind, i.element_name): i.detail.removeprefix("parses back as ")
+                   for i in with_reason(loss, "RENAMED")}
+        predicted: dict[str, list[str]] = {}
+        for cls in model.classes:
+            name = renamed.get(("class", cls.name), cls.name)
+            assert (("class", cls.name) in dropped) == (name in predicted), cls.name
+            elements = [(f"{cls.name}.{p.name}", p.name) for p in cls.properties]
+            predicted.setdefault(name, []).extend(
+                renamed.get(("property", element), prop) for element, prop in elements
+                if ("property", element) not in dropped)
+        assert [(name, tuple(props)) for name, props in predicted.items()] == \
+            [(c.name, property_names(c)) for c in back.classes]
+        assert {kind for kind, _ in dropped} >= {"class", "property"}
 
     @pytest.mark.parametrize("seed", range(300))
     def test_each_type_the_parser_changes_is_reported(self, tmp_path, seed):

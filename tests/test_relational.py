@@ -1,6 +1,5 @@
 """Relational planning and DDL emission, verified on an embedded engine."""
 
-import dataclasses
 import random
 import sqlite3
 
@@ -399,7 +398,7 @@ def models_with_generalizations(draw):
                          max_generalizations=draw(st.integers(0, 9)),
                          names=draw(st.sampled_from((fresh_name, adversarial_name))))
     order = draw(st.permutations(range(len(model.classes))))
-    return dataclasses.replace(model, classes=tuple(model.classes[i] for i in order))
+    return model._replace(classes=tuple(model.classes[i] for i in order))
 
 
 class TestTableOrder:
@@ -425,7 +424,7 @@ class TestTableOrder:
         # a plan without generalizations lists the same table names in model
         # order, the order the plan used to have before emit_sql sorted it
         model_order = [t.name for t in plan_relational(
-            dataclasses.replace(model, generalizations=()))[0].tables]
+            model._replace(generalizations=()))[0].tables]
         as_listed = sorted(plan.tables, key=lambda t: model_order.index(t.name))
         expected = reference_table_order(RelationalSchemaPlan(as_listed))
         assert [t.name for t in plan.tables] == [t.name for t in expected]

@@ -1,11 +1,6 @@
 """What a fresh process pays before its first migration: the modules that
-``import lcpbridge``, planning and a first migration load, and how each
-record class is defined."""
+``import lcpbridge``, planning and a first migration load."""
 
-import dataclasses
-import importlib
-import inspect
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,22 +119,46 @@ def test_every_public_name_resolves():
         lcpbridge.no_such_name
 
 
-def _record_classes() -> list[type]:
-    classes = []
-    for info in pkgutil.iter_modules(lcpbridge.__path__):
-        module = importlib.import_module(f"lcpbridge.{info.name}")
-        classes += [obj for obj in vars(module).values()
-                    if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
-                    and obj.__module__ == module.__name__]
-    return classes
+# argv: src, then the arguments of one ``lcpbridge`` command, if any
+FIRST_RUN = """\
+import contextlib, io, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import lcpbridge
+lcpbridge.plan_migration("powerapps", "outsystems")
+if sys.argv[2:]:
+    from lcpbridge.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[2:]) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+SCREENSHOT = "--image {image} --llm-mode replay --replay-dir {replay}"
+# a first migration of each benchmarked chain and of both README scenarios
+FIRST_MIGRATIONS = {
+    "formal-sql": "--from mendix --to apex --input {mendix}",
+    "screenshot-workbook": "--from powerapps --to outsystems --input {csvs} " + SCREENSHOT,
+    "bulk-rows": "--from outsystems --to apex --input {xlsx}",
+    "readme-mendix-powerapps": "--from mendix --to powerapps --input {mendix}",
+    "readme-powerapps-apex": "--from powerapps --to apex --input {csvs} " + SCREENSHOT,
+}
 
 
-def test_every_record_class_has_a_written_docstring():
-    """Without one, ``dataclasses`` builds ``Name(field: type, ...)`` from
-    ``inspect.signature`` each time the module is imported."""
-    classes = _record_classes()
-    assert len(classes) >= 40
-    generated = [cls.__qualname__ for cls in classes
-                 if cls.__doc__ in (None, cls.__name__ + str(inspect.signature(cls))
-                                    .replace(" -> None", ""))]
-    assert generated == []
+@pytest.mark.parametrize("run", [None, *FIRST_MIGRATIONS])
+def test_no_run_loads_dataclasses_or_inspect(run, tmp_path, csv_paths, screenshot_path,
+                                             replay_dir):
+    """No record is a dataclass, so neither importing and planning nor a
+    first migration loads ``dataclasses``, or ``inspect``, which it imports."""
+    argv = []
+    if run is not None:
+        from generators import scaling_workbook
+
+        xlsx = scaling_workbook(3, tmp_path / "export.xlsx") if run == "bulk-rows" else None
+        paths = {"{mendix}": [DATA / "mendix_library.json"], "{csvs}": csv_paths,
+                 "{image}": [screenshot_path], "{replay}": [replay_dir], "{xlsx}": [xlsx]}
+        argv = ["migrate", *(arg for token in FIRST_MIGRATIONS[run].split()
+                             for arg in paths.get(token, [token])),
+                "--out", tmp_path / "out"]
+    loaded = _fresh_process(FIRST_RUN, *argv)
+    assert {"lcpbridge", "lcpbridge.planner"} <= loaded
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []
