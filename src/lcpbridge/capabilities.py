@@ -2,11 +2,13 @@
 
 The data ships as a human-readable TOML file so vendor updates do not need
 a code change; ``--capabilities <file>`` swaps in a different registry.
+``load_toml`` reads a file in plain TOML, as the shipped registry is,
+itself (``_plain_toml``), and any other file with ``tomllib``, imported then.
 """
 
 from __future__ import annotations
 
-import tomllib
+import re
 from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
@@ -76,13 +78,65 @@ def _check_level(value, where: str) -> str:
     return value
 
 
+@lru_cache(maxsize=1)
+def _plain_line() -> re.Pattern:
+    """A line of plain TOML, compiled on first use: a table header of bare
+    keys or a bare key set to a value, or neither, then maybe a comment."""
+    string = r'"[ !#-\[\]-~]*"'  # printable ASCII but for the quote and the backslash
+    key = r"[A-Za-z0-9_-]+"
+    return re.compile(rf"[ \t]*(?:\[({key}(?:\.{key})*)\]|({key})[ \t]*=[ \t]*({string}|true|false"
+                      rf"|\[[ \t]*(?:{string}[ \t]*(?:,[ \t]*{string}[ \t]*)*,?[ \t]*)?\]))?"
+                      r"[ \t]*(?:#[ -~\t]*)?")
+
+
+def _plain_toml(text: str) -> dict | None:
+    """``text``'s tables as ``tomllib.loads`` reads them if it is plain TOML,
+    else None. Not plain: a non-ASCII character or a CR, a line of another
+    form, a key or table defined twice, a key that is also a table, and
+    ``[a]`` after ``[a.b]``."""
+    if not text.isascii() or "\r" in text:
+        return None
+    fullmatch = _plain_line().fullmatch
+    root = table = {}
+    for line in text.split("\n"):
+        match = fullmatch(line)
+        if match is None:
+            return None
+        header, key, value = match.groups()
+        if header:
+            table = root
+            *parents, name = header.split(".")
+            for part in parents:
+                table = table.setdefault(part, {})
+                if type(table) is not dict:
+                    return None
+            if name in table:
+                return None
+            table[name] = table = {}
+        elif key:
+            if key in table:
+                return None
+            if value[0] == "[":
+                table[key] = value.split('"')[1::2]  # no string holds a quote
+            else:
+                table[key] = value[1:-1] if value[0] == '"' else value == "true"
+    return root
+
+
 def load_toml(path: str | Path, what: str) -> dict:
     """The tables of a TOML file; a file that cannot be read or parsed is a
-    ConfigError that says it cannot load ``what``."""
+    ConfigError that says it cannot load ``what``. ``TOMLDecodeError`` is a
+    ``ValueError``."""
     try:
         with open(path, "rb") as handle:
-            return tomllib.load(handle)
-    except (tomllib.TOMLDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
+            text = handle.read().decode()
+        tables = _plain_toml(text)
+        if tables is None:
+            import tomllib
+
+            tables = tomllib.loads(text)
+        return tables
+    except (ValueError, OSError, RecursionError) as exc:
         raise ConfigError(f"cannot load {what}: {exc}") from exc
 
 

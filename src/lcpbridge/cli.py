@@ -8,7 +8,6 @@ to files under --out.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -189,6 +188,8 @@ def _cmd_capabilities(args, config: dict) -> int:
 
 
 def _cmd_plan(args, config: dict) -> int:
+    import json
+
     plan = plan_migration(args.source, args.target, matrix=_matrix_from(args))
     print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
     print(f"export: {plan.export_method} / import: {plan.import_method} "

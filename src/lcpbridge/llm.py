@@ -329,11 +329,11 @@ class MergeReport:
         pure-Python encoder before 3.13. The writer can go once 3.11 and
         3.12 are dropped."""
         q = encode_basestring_ascii
-        out = [f'{{\n  "added_associations": {json_string_list(self.added_associations, 2)},'
-               f'\n  "added_classes": {json_string_list(self.added_classes, 2)},'
-               f'\n  "added_enumerations": {json_string_list(self.added_enumerations, 2)},'
-               f'\n  "added_generalizations": {json_string_list(self.added_generalizations, 2)},'
-               f'\n  "added_properties": {json_string_list(self.added_properties, 2)},'
+        out = [f'{{\n  "added_associations": {json_string_list(self.added_associations, 2, q)},'
+               f'\n  "added_classes": {json_string_list(self.added_classes, 2, q)},'
+               f'\n  "added_enumerations": {json_string_list(self.added_enumerations, 2, q)},'
+               f'\n  "added_generalizations": {json_string_list(self.added_generalizations, 2, q)},'
+               f'\n  "added_properties": {json_string_list(self.added_properties, 2, q)},'
                '\n  "conflicts": [']
         for c in self.conflicts:
             out.append(f'\n    {{\n      "element": {q(c.element)},'

@@ -8,12 +8,13 @@ A loss entry is a bare named tuple, without the model records' ``Record``
 equality (see ``model``), as are the records that importing and planning
 define (``capabilities``, ``pipeline.Adapter``): that keeps ``model`` out of
 start-up. Such a record equals a plain tuple of the same values.
+``json``'s string encoder is imported where a report is written, so
+planning does not load ``json``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 
 SEVERITIES = frozenset(("info", "warning", "loss"))
 
@@ -33,13 +34,14 @@ REASON_CODES = frozenset((
 ))
 
 
-def json_string_list(items, indent: int) -> str:
+def json_string_list(items, indent: int, quote) -> str:
     """A list of strings laid out as ``json.dumps(indent=2)`` lays it out
-    when the list opens on a line indented by ``indent`` spaces."""
+    when the list opens on a line indented by ``indent`` spaces; ``quote``
+    is ``json.encoder.encode_basestring_ascii``."""
     if not items:
         return "[]"
     pad = "\n" + " " * (indent + 2)
-    return f"[{pad}{(',' + pad).join(map(encode_basestring_ascii, items))}\n{' ' * indent}]"
+    return f"[{pad}{(',' + pad).join(map(quote, items))}\n{' ' * indent}]"
 
 
 def close_json_list(out: list[str], items, indent: int) -> None:
@@ -103,7 +105,8 @@ class LossReport:
         3.13. The writer can go once 3.11 and 3.12 are dropped."""
         if not self.items:
             return '{\n  "items": []\n}\n'
-        q = encode_basestring_ascii
+        from json.encoder import encode_basestring_ascii as q
+
         body = ",\n".join(
             f'    {{\n      "detail": {q(i.detail)},\n'
             f'      "element_kind": {q(i.element_kind)},\n'

@@ -370,11 +370,11 @@ def _leading(name: str) -> str:
 def export_loss(model: DomainModel) -> LossReport:
     """What ``parse_plantuml(emit_plantuml(model))`` reads back otherwise,
     found with the parser's own folds and no parse: the model's name, each
-    name the parser spells otherwise, each class it merges into an earlier
-    one whose name folds alike (``Int`` and ``Int_``), each property it drops
-    as repeated in such a class or among the properties of one class, each
-    property typed by an enumeration whose name the parser reads as another
-    type, and each role it derives otherwise."""
+    name the parser spells otherwise, each class or enumeration it merges
+    into an earlier one whose name folds alike (``Int`` and ``Int_``), each
+    property or literal it drops as repeated in such a merge or within one
+    class or enumeration, each property typed by an enumeration whose name
+    the parser reads as another type, and each role it derives otherwise."""
     loss = LossReport()
     if model.name != UNNAMED_MODEL:
         loss.add("model", model.name, "DROPPED", "warning",
@@ -385,35 +385,46 @@ def export_loss(model: DomainModel) -> LossReport:
         if clean[name] != name:
             loss.add(kind, element, "RENAMED", "info", f"parses back as {clean[name]}")
 
+    def members(kind: str, name: str, folded: dict) -> dict:
+        """The members the parsed element of ``name``'s fold holds so far;
+        a DROPPED entry if an earlier element of that fold holds them."""
+        spelled(kind, name, name)
+        first, held = folded.setdefault(clean[name], (name, {}))
+        if first != name:
+            loss.add(kind, name, "DROPPED", "warning",
+                     f"parses back merged into {kind} {clean[name]} with {kind} {first}")
+        return held
+
+    def kept(kind: str, element: str, name: str, key: str, held: dict) -> bool:
+        """Whether the parser keeps member ``name``, which it holds under
+        ``key``; a DROPPED entry if an earlier member holds that key."""
+        spelled(kind, element, name)
+        first = held.setdefault(key, element)
+        if first != element:
+            loss.add(kind, element, "DROPPED", "warning",
+                     f"parses back as {clean[name]}, a repeat of {first}; the first one kept")
+        return first == element
+
+    # folded name -> (the first element of that fold, what the parsed element
+    # holds: its literals, or its properties under their lowercase names)
+    folded_enums: dict[str, tuple[str, dict[str, str]]] = {}
     for enum in model.enumerations:
-        spelled("enumeration", enum.name, enum.name)
+        literals = members("enumeration", enum.name, folded_enums)
         for literal in enum.literals:
-            spelled("literal", f"{enum.name}.{literal}", literal)
-    # every enumeration is declared before the first class, under its folded name
-    enum_names = dict.fromkeys(clean[enum.name] for enum in model.enumerations)
-    # folded class name -> (the first class of that fold, the lowercase
-    # folded names of the properties the parsed class holds -> their element)
+            kept("literal", f"{enum.name}.{literal}", literal, clean[literal], literals)
     folded_classes: dict[str, tuple[str, dict[str, str]]] = {}
     for cls in model.classes:
-        spelled("class", cls.name, cls.name)
-        first, props = folded_classes.setdefault(clean[cls.name], (cls.name, {}))
-        if first != cls.name:
-            loss.add("class", cls.name, "DROPPED", "warning",
-                     f"parses back merged into class {clean[cls.name]} with class {first}")
+        props = members("class", cls.name, folded_classes)
         for prop in cls.properties:
             element = f"{cls.name}.{prop.name}"
-            spelled("property", element, prop.name)
-            kept = props.setdefault(clean[prop.name].lower(), element)
-            if kept != element:
-                loss.add("property", element, "DROPPED", "warning",
-                         f"parses back as {clean[prop.name]}, a repeat of {kept}; "
-                         "the first one kept")
+            if not kept("property", element, prop.name, clean[prop.name].lower(), props):
                 continue
             enum_name = prop.type.enum_name
             if prop.type.kind == "enumeration" and clean[enum_name] != enum_name:
-                parsed = _resolve_type(enum_name, enum_names) or primitive_type("str")
+                # every enumeration is declared before the first class, under its folded name
+                parsed = _resolve_type(enum_name, folded_enums) or primitive_type("str")
                 if parsed.enum_name != clean[enum_name]:
-                    loss.add("property", f"{cls.name}.{prop.name}", "TYPE_COERCED", "warning",
+                    loss.add("property", element, "TYPE_COERCED", "warning",
                              f"typed by enumeration {enum_name}; "
                              f"parses back typed {parsed.display()}")
     names = Namespace()

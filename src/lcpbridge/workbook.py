@@ -136,14 +136,15 @@ class WorkbookManifest(SlotRecord):
                     validation_json = ('{\n            "kind": "sheet",\n            '
                                        f'"source_sheet": {q(validation.source_sheet)}\n          }}')
                 else:
+                    options = json_string_list(validation.options, 12, q)
                     validation_json = ('{\n            "kind": "list",\n            "options": '
-                                       f'{json_string_list(validation.options, 12)}\n          }}')
+                                       f'{options}\n          }}')
                 out.append(f'\n        {{\n          "cell_format": {q(column.cell_format)},'
                            f'\n          "header": {q(column.header)},'
                            f'\n          "validation": {validation_json}\n        }},')
             close_json_list(out, sheet.columns, 6)
             sample_row = ("null" if sheet.sample_row is None
-                          else json_string_list(sheet.sample_row, 6))
+                          else json_string_list(sheet.sample_row, 6, q))
             out.append(f',\n      "kind": {q(sheet.kind)},\n      "name": {q(sheet.name)},'
                        f'\n      "sample_row": {sample_row}\n    }},')
         close_json_list(out, self.sheets, 2)

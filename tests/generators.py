@@ -168,17 +168,27 @@ def with_fold_twins(model: DomainModel, rng: random.Random) -> DomainModel:
     """``model`` plus pairs of valid names that fold to one on the PlantUML
     leg, a reserved word ``w`` and ``w_``: one to three pairs of classes,
     each pair sharing a property half the time, one to three pairs of
-    properties in classes drawn at random, and up to four associations to
-    the new classes. ``model`` must hold no reserved word (``fresh_name``)
-    and no generalization, so that every twin folds only onto its own pair
-    and the emitted text still parses."""
-    words = rng.sample(sorted(RESERVED_WORDS), rng.randint(2, 6))
-    class_words, property_words = words[:len(words) // 2], words[len(words) // 2:]
+    enumerations, each pair sharing a literal half the time, one to three
+    pairs of properties in classes drawn at random, and up to four
+    associations to the new classes. ``model`` must hold no reserved word
+    (``fresh_name``) and no generalization, so that every twin folds only
+    onto its own pair and the emitted text still parses."""
+    words = rng.sample(sorted(RESERVED_WORDS), rng.randint(3, 9))
+    third = len(words) // 3
+    class_words, enum_words = words[:third], words[third:2 * third]
+    property_words = words[2 * third:]
     classes = list(model.classes)
     for word in class_words:
         shared = Property(fresh_name(rng, set()), primitive_type(rng.choice(PRIMITIVE_MENU)))
         for name in (word.capitalize(), word.capitalize() + "_"):
             classes.append(Class(name, (shared,) if rng.random() < 0.5 else ()))
+    enumerations = list(model.enumerations)
+    for word in enum_words:
+        shared = (fresh_name(rng, set()).upper(),) if rng.random() < 0.5 else ()
+        for name in (word.capitalize(), word.capitalize() + "_"):
+            taken = {literal.lower() for literal in shared}
+            literals = tuple(fresh_name(rng, taken).upper() for _ in range(rng.randint(1, 3)))
+            enumerations.append(Enumeration(name, literals + shared))
     for word in property_words:
         at = rng.randrange(len(classes))
         twins = tuple(Property(name, primitive_type(rng.choice(PRIMITIVE_MENU)))
@@ -190,7 +200,8 @@ def with_fold_twins(model: DomainModel, rng: random.Random) -> DomainModel:
         ends = [AssociationEnd(fresh_name(rng, set()) + str(i), rng.choice(classes).name,
                                rng.choice(MULTIPLICITY_MENU)) for i in (1, 2)]
         associations.append(Association(fresh_name(rng, names, capitalize=True), *ends))
-    twinned = model._replace(classes=tuple(classes), associations=tuple(associations))
+    twinned = model._replace(classes=tuple(classes), associations=tuple(associations),
+                             enumerations=tuple(enumerations))
     assert validate_model(twinned).ok
     return twinned
 

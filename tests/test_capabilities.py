@@ -1,8 +1,13 @@
 """Capability registry: golden data and file loading."""
 
+import tomllib
+from pathlib import Path
+
 import pytest
 
 from lcpbridge.capabilities import (
+    _DEFAULT_PATH,
+    _plain_toml,
     default_matrix,
     load_capabilities,
     query_capabilities,
@@ -117,6 +122,18 @@ data = "none"
 """, encoding="utf-8")
     with pytest.raises(ConfigError):
         load_capabilities(path)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_plain_reader_reads_shipped_registry_and_readme_config():
+    """Both are plain TOML: the reader, not tomllib, loads them, to the
+    dict tomllib loads."""
+    config = README.read_text(encoding="utf-8").split("```toml\n", 1)[1].split("```", 1)[0]
+    assert config.startswith("[llm]\n")
+    for text in (_DEFAULT_PATH.read_text(encoding="utf-8"), config):
+        assert repr(_plain_toml(text)) == repr(tomllib.loads(text))
 
 
 def test_toml_syntax_error_rejected(tmp_path):

@@ -8,12 +8,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import tomllib
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcpbridge.capabilities import FORMAT_TOKENS, LEVELS, load_capabilities
+from lcpbridge.capabilities import FORMAT_TOKENS, LEVELS, _plain_toml, load_capabilities
 from lcpbridge.cli import main
 from lcpbridge.errors import LcpBridgeError
 from lcpbridge.mendix import (
@@ -177,12 +179,31 @@ def toml_document(tables: dict) -> str:
                    for key, value in tables.items())
 
 
+def toml_key(key: str) -> str:
+    return key if re.fullmatch(r"[A-Za-z0-9_-]+", key) else toml_string(key)
+
+
+def toml_tables(tables: dict, path: str = "") -> str:
+    """``tables`` with a header line, under a blank line and a comment, for
+    each table below the top; every other value is written as
+    ``toml_value`` writes it, before the table's subtables."""
+    lines = [f"{toml_key(key)} = {toml_value(value)}  # a value\n"
+             for key, value in tables.items() if not isinstance(value, dict)]
+    for key, value in tables.items():
+        if isinstance(value, dict):
+            header = f"{path}.{toml_key(key)}" if path else toml_key(key)
+            lines.append(f"\n# a table\n[{header}]\n{toml_tables(value, header)}")
+    return "".join(lines)
+
+
 toml_values = st.recursive(
     st.text(max_size=6) | st.booleans() | st.integers(-2**63, 2**63 - 1) | st.floats(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                   max_size=3),
     max_leaves=8)
 NESTED_TOO_DEEP = b"a = " + b"[" * DEEP + b"]" * DEEP + b"\n"
+# past the interpreter's limit on the digits of an int read from text
+TOO_MANY_DIGITS = b"a = " + b"1" * 5000 + b"\n"
 
 llm_sections = st.fixed_dictionaries({}, optional={
     "mode": st.sampled_from(("replay", "live", "other")) | toml_values,
@@ -217,11 +238,17 @@ registry_sections = st.fixed_dictionaries({}, optional={
     "behavior": st.sampled_from(LEVELS), "third_party": st.booleans(),
     "formats": st.lists(st.sampled_from(FORMAT_TOKENS), max_size=3, unique=True),
 })
-valid_registries = st.dictionaries(
-    st.sampled_from(PLATFORMS),
-    st.fixed_dictionaries({"export": registry_sections, "import": registry_sections},
-                          optional={"display": st.text(max_size=6)}),
-    max_size=3)
+
+
+def registries_named(display_names) -> st.SearchStrategy:
+    return st.dictionaries(
+        st.sampled_from(PLATFORMS),
+        st.fixed_dictionaries({"export": registry_sections, "import": registry_sections},
+                              optional={"display": display_names}),
+        max_size=3)
+
+
+valid_registries = registries_named(st.text(max_size=6))
 
 
 @st.composite
@@ -240,6 +267,7 @@ def registries(draw):
 @example(b'[p.export]\ndata = "full"\nformats = "SQL"\n[p.import]\n', "p", "p")
 @example(b'[p.export]\nthird_party = "no"\n[p.import]\n', "p", "p")
 @example(NESTED_TOO_DEEP, "p", "p")
+@example(TOO_MANY_DIGITS, "p", "p")
 def test_capability_registry(tmp_path_factory, data, source, target):
     registry = scratch(tmp_path_factory, "caps.toml")
     registry.write_bytes(data)
@@ -249,3 +277,59 @@ def test_capability_registry(tmp_path_factory, data, source, target):
         pass
     for argv in (("capabilities",), ("plan", "--from", source, "--to", target)):
         assert_exit_0_or_coded(*cli(*argv, "--capabilities", registry))
+
+
+# Files that are plain TOML but for one thing each, so tomllib reads them
+NOT_PLAIN = {
+    "repeated table": '[a]\nb = "x"\n[a]\n',
+    "repeated key": 'a = "x"\na = "y"\n',
+    "key and table": 'a = "x"\n[a]\n',
+    "table after its subtable": '[a.b]\nc = true\n[a]\n',
+    "escaped string": 'a = "\\u0041"\n',
+    "multi-line array": 'a = [\n  "x",\n]\n',
+}
+# Lines of plain TOML, drawn three times as often as near misses, for
+# documents that define keys and tables again and in every order
+PLAIN_LINES = ("", "# c", "[a]", "[a.b]", "[b]", "[a.b.c]", " [a] # c", 'a = "x"', 'b = "y z"',
+               "c = true", "a = false", 'b = ["x", "y",]', "c = [ ]", 'b = "x" # c',
+               "\tc\t=\t[\t]\t")
+NEAR_MISSES = ("[ a ]", "[[a]]", "a = [,]", 'c = "\\"', "a = 1", "b = truex", '"a" = "x"',
+               "a.b = true", 'a = "\t"', 'a = "\u00e9"', "c = 'x'", "[a]\r")
+toml_soup = st.lists(st.sampled_from(PLAIN_LINES) | st.sampled_from(PLAIN_LINES)
+                     | st.sampled_from(PLAIN_LINES) | st.sampled_from(NEAR_MISSES),
+                     max_size=12).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(configs | registries(), st.sampled_from((toml_document, toml_tables)))
+                 .map(lambda drawn: drawn[1](drawn[0])), toml_soup))
+@example(NOT_PLAIN["repeated table"])
+@example(NOT_PLAIN["repeated key"])
+@example(NOT_PLAIN["key and table"])
+@example(NOT_PLAIN["table after its subtable"])
+@example(NOT_PLAIN["escaped string"])
+@example(NOT_PLAIN["multi-line array"])
+def test_plain_reader_agrees_with_tomllib(text):
+    """The plain-TOML reader reads a file as tomllib does, or leaves it to
+    tomllib; it reads no file that tomllib refuses."""
+    plain = _plain_toml(text)
+    try:
+        parsed = tomllib.loads(text)
+    except tomllib.TOMLDecodeError:
+        assert plain is None
+    else:
+        assert plain is None or repr(plain) == repr(parsed)
+    if text in NOT_PLAIN.values():
+        assert plain is None
+
+
+# display names that a TOML basic string holds without an escape
+PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                   blacklist_characters='"\\'), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(registries_named(PLAIN_TEXT))
+def test_plain_reader_reads_every_registry_in_tables(registry):
+    text = toml_tables(registry)
+    assert _plain_toml(text) == registry == tomllib.loads(text)

@@ -412,11 +412,25 @@ class TestExportLoss:
             ("class", "Int", "RENAMED", "parses back as Int_"),
             ("class", "Int_", "DROPPED", "parses back merged into class Int_ with class Int")]
 
+    def test_enumeration_twins_reported(self, tmp_path):
+        model = DomainModel("Model", enumerations=(Enumeration("Int", ("A", "B")),
+                                                   Enumeration("Int_", ("C", "A"))))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert back.enumerations == (Enumeration("Int_", ("A", "B", "C")),)
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in loss] == [
+            ("enumeration", "Int", "RENAMED", "parses back as Int_"),
+            ("enumeration", "Int_", "DROPPED",
+             "parses back merged into enumeration Int_ with enumeration Int"),
+            ("literal", "Int_.A", "DROPPED",
+             "parses back as A, a repeat of Int.A; the first one kept")]
+
     @pytest.mark.parametrize("seed", range(100))
     def test_each_fold_twin_the_parser_merges_is_reported(self, tmp_path, seed):
-        """The classes and properties the report predicts, from the model,
-        its RENAMED entries and its DROPPED ones, are those the text parses
-        back as, in order."""
+        """The classes with their properties and the enumerations with their
+        literals that the report predicts, from the model, its RENAMED
+        entries and its DROPPED ones, are those the text parses back as, in
+        order."""
         rng = random.Random(seed)
         model = with_fold_twins(random_model(rng, max_generalizations=0), rng)
         (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
@@ -424,17 +438,23 @@ class TestExportLoss:
         dropped = {(i.element_kind, i.element_name) for i in with_reason(loss, "DROPPED")}
         renamed = {(i.element_kind, i.element_name): i.detail.removeprefix("parses back as ")
                    for i in with_reason(loss, "RENAMED")}
-        predicted: dict[str, list[str]] = {}
-        for cls in model.classes:
-            name = renamed.get(("class", cls.name), cls.name)
-            assert (("class", cls.name) in dropped) == (name in predicted), cls.name
-            elements = [(f"{cls.name}.{p.name}", p.name) for p in cls.properties]
-            predicted.setdefault(name, []).extend(
-                renamed.get(("property", element), prop) for element, prop in elements
-                if ("property", element) not in dropped)
-        assert [(name, tuple(props)) for name, props in predicted.items()] == \
-            [(c.name, property_names(c)) for c in back.classes]
-        assert {kind for kind, _ in dropped} >= {"class", "property"}
+
+        def predicted(kind: str, member_kind: str, elements) -> list[tuple[str, tuple]]:
+            merged: dict[str, list[str]] = {}
+            for name, members in elements:
+                folded = renamed.get((kind, name), name)
+                assert ((kind, name) in dropped) == (folded in merged), name
+                merged.setdefault(folded, []).extend(
+                    renamed.get((member_kind, f"{name}.{member}"), member) for member in members
+                    if (member_kind, f"{name}.{member}") not in dropped)
+            return [(name, tuple(members)) for name, members in merged.items()]
+
+        assert predicted("class", "property", [(c.name, property_names(c)) for c in model.classes]) \
+            == [(c.name, property_names(c)) for c in back.classes]
+        assert predicted("enumeration", "literal",
+                         [(e.name, e.literals) for e in model.enumerations]) \
+            == [(e.name, e.literals) for e in back.enumerations]
+        assert {kind for kind, _ in dropped} >= {"class", "property", "enumeration"}
 
     @pytest.mark.parametrize("seed", range(300))
     def test_each_type_the_parser_changes_is_reported(self, tmp_path, seed):

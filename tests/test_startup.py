@@ -12,8 +12,10 @@ import lcpbridge
 SRC = Path(lcpbridge.__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 
-# stdlib modules that one path alone uses: that path imports them
-DEFERRED = ("xml.etree.ElementTree", "zipfile", "hashlib", "base64", "csv")
+# stdlib modules that one path alone uses: that path imports them (``json``
+# a report writer or ``lcpbridge plan``, ``tomllib`` a TOML file that is not
+# plain)
+DEFERRED = ("xml.etree.ElementTree", "zipfile", "hashlib", "base64", "csv", "json", "tomllib")
 
 # the package modules that importing and planning load; every layer waits
 # for the first adapter that calls into it
@@ -106,8 +108,11 @@ print(" ".join(sorted(sys.modules)))
 @pytest.mark.parametrize("argv", [("plan", "--from", "powerapps", "--to", "outsystems"),
                                   ("capabilities",)])
 def test_cli_plan_and_capabilities_load_no_layer(argv):
+    """``lcpbridge capabilities`` loads no ``json`` either: only ``plan``
+    prints JSON."""
     loaded = _fresh_process(CLI, *argv)
     assert {m for m in loaded if m.split(".")[0] == "lcpbridge"} == PLAN_MODULES | {"lcpbridge.cli"}
+    assert sorted(loaded & {"json", "tomllib"}) == ([] if argv[0] == "capabilities" else ["json"])
 
 
 def test_every_public_name_resolves():
@@ -148,7 +153,8 @@ FIRST_MIGRATIONS = {
 def test_no_run_loads_dataclasses_or_inspect(run, tmp_path, csv_paths, screenshot_path,
                                              replay_dir):
     """No record is a dataclass, so neither importing and planning nor a
-    first migration loads ``dataclasses``, or ``inspect``, which it imports."""
+    first migration loads ``dataclasses``, or ``inspect``, which it imports;
+    nor ``tomllib``, as the shipped registry is plain TOML."""
     argv = []
     if run is not None:
         from generators import scaling_workbook
@@ -161,4 +167,4 @@ def test_no_run_loads_dataclasses_or_inspect(run, tmp_path, csv_paths, screensho
                 "--out", tmp_path / "out"]
     loaded = _fresh_process(FIRST_RUN, *argv)
     assert {"lcpbridge", "lcpbridge.planner"} <= loaded
-    assert sorted(loaded & {"dataclasses", "inspect"}) == []
+    assert sorted(loaded & {"dataclasses", "inspect", "tomllib"}) == []
