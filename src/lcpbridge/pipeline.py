@@ -317,9 +317,11 @@ def _export_csv(model: DomainModel, out_dir: Path, options: ExecutionOptions):
 def _export_plantuml(model: DomainModel, out_dir: Path, options: ExecutionOptions):
     from .plantuml import export_loss
 
+    text = _layers.emit_plantuml(model)
+    loss = export_loss(model, text)  # raises where the importer would refuse the text
     path = out_dir / "model.puml"
-    path.write_text(_layers.emit_plantuml(model), encoding="utf-8")
-    return [path], export_loss(model)
+    path.write_text(text, encoding="utf-8")
+    return [path], loss
 
 
 IMPORTERS = {a.id: a for a in (

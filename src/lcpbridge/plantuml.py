@@ -5,7 +5,8 @@ parser is deliberately forgiving: unsupported lines are skipped and reported
 rather than rejected, classes mentioned only in relationship lines are
 auto-declared, and unknown attribute types degrade to ``str`` with a loss
 entry. The emitter produces a deterministic subset that the parser maps back
-to an equal model.
+to an equal model, up to the names it folds; the generator's loss report is
+the diff of the model against the parse of that text.
 """
 
 from __future__ import annotations
@@ -129,29 +130,6 @@ def _clean(name: str) -> str:
     return sanitize_identifier(name)
 
 
-def _roles(clean: Folds, left: str, right: str) -> tuple[str, str]:
-    """The roles the parser gives the ends of an association between classes
-    ``left`` and ``right``: PlantUML text carries none of its own."""
-    roles = Namespace()
-    return roles.claim(clean[left.lower()]), roles.claim(clean[right.lower()])
-
-
-def _resolve_type(token: str, enum_names) -> TypeRef | None:
-    """The type an attribute typed ``token`` gets, given the (folded) names
-    of the enumerations declared so far, in order; None for an unknown type.
-    A declared name wins over a type-table token, and a token differing only
-    in case from a declared name comes last."""
-    if token in enum_names:
-        return enum_type(token)
-    mapped = _TYPE_TABLE.get(token.lower())
-    if mapped:
-        return primitive_type(mapped)
-    for name in enum_names:
-        if name.lower() == token.lower():
-            return enum_type(name)
-    return None
-
-
 class _Builder:
     def __init__(self):
         # class -> its properties, and enum -> its literals (as keys), in
@@ -162,6 +140,7 @@ class _Builder:
         self.parents: dict[str, str] = {}  # specific -> general
         self.assoc_names = Namespace()
         self.clean = Folds(_clean)  # each raw name is folded once per parse
+        self.renamed: set[tuple[str, str]] = set()  # (kind, raw name) reported RENAMED
         self.skipped: list[SkippedLine] = []
         self.loss = LossReport()
         self.warnings: list[str] = []
@@ -169,23 +148,38 @@ class _Builder:
     def declare(self, kind: str, name: str) -> str:
         """Declare a ``class`` or an ``enumeration`` under its sanitized name."""
         clean = self.clean[name]
-        if clean != name:
+        if clean != name and (kind, name) not in self.renamed:  # once, not per mention
+            self.renamed.add((kind, name))
             self.loss.add(kind, name, "RENAMED", "info", f"sanitized to {clean}")
         table = self.class_props if kind == "class" else self.enum_literals
         table.setdefault(clean, {})
         return clean
 
     def add_literal(self, enum: str, text: str):
-        self.enum_literals[enum].setdefault(self.clean[text.strip(",")])
+        literal = self.clean[text.strip(",")]
+        literals = self.enum_literals[enum]
+        if literal in literals:
+            self.loss.add("literal", f"{enum}.{literal}", "DROPPED", "warning",
+                          "literal repeated in the enumeration; the first one kept")
+            return
+        literals[literal] = None
 
-    def resolve_type(self, token: str, owner: str, prop: str):
+    def resolve_type(self, token: str, owner: str, prop: str) -> TypeRef:
+        """The type an attribute typed ``token`` gets. A declared enumeration's
+        name wins over a type-table token, and a token differing only in case
+        from a declared name comes last; an unknown type becomes str."""
         token = token.strip()
-        type_ref = _resolve_type(token, self.enum_literals)
-        if type_ref is None:
-            self.loss.add("property", f"{owner}.{prop}", "TYPE_COERCED", "warning",
-                          f"unknown type {token!r} stored as str")
-            return primitive_type("str")
-        return type_ref
+        if token in self.enum_literals:
+            return enum_type(token)
+        mapped = _TYPE_TABLE.get(token.lower())
+        if mapped:
+            return primitive_type(mapped)
+        for name in self.enum_literals:
+            if name.lower() == token.lower():
+                return enum_type(name)
+        self.loss.add("property", f"{owner}.{prop}", "TYPE_COERCED", "warning",
+                      f"unknown type {token!r} stored as str")
+        return primitive_type("str")
 
     def add_property(self, class_name: str, raw_name: str, type_token: str):
         name = self.clean[raw_name]
@@ -226,7 +220,9 @@ class _Builder:
         right = self.declare("class", right)
         base = self.clean[label.strip().strip("<>").strip()] if label else f"{left}_{right}"
         name = self.assoc_names.claim(base)
-        role1, role2 = _roles(self.clean, left, right)
+        roles = Namespace()  # PlantUML text carries no role of its own
+        role1 = roles.claim(self.clean[left.lower()])
+        role2 = roles.claim(self.clean[right.lower()])
         core = arrow.strip("o*")
         nav1 = core.startswith("<")
         nav2 = core.endswith(">")
@@ -367,77 +363,67 @@ def _leading(name: str) -> str:
     return f'"{name}"' if _patterns()["skip"].match(name) else name
 
 
-def export_loss(model: DomainModel) -> LossReport:
-    """What ``parse_plantuml(emit_plantuml(model))`` reads back otherwise,
-    found with the parser's own folds and no parse: the model's name, each
-    name the parser spells otherwise, each class or enumeration it merges
-    into an earlier one whose name folds alike (``Int`` and ``Int_``), each
-    property or literal it drops as repeated in such a merge or within one
-    class or enumeration, each property typed by an enumeration whose name
-    the parser reads as another type, and each role it derives otherwise."""
+def export_loss(model: DomainModel, text: str) -> LossReport:
+    """What ``text``, the ``emit_plantuml(model)`` the generator writes,
+    parses back as otherwise: a diff of ``model`` against the parse, its
+    elements paired through the parser's own fold and its associations in
+    order. It names the model's name, each name spelled otherwise, each
+    class or enumeration merged into an earlier one whose name folds alike
+    (``Int`` and ``Int_``), each property or literal dropped as a repeat in
+    such a merge or within one element, each kept property typed otherwise
+    than by its enumeration's folded name, and each role the parser derives.
+    A text that the parser refuses raises its coded error."""
+    back = parse_plantuml(text).model
     loss = LossReport()
-    if model.name != UNNAMED_MODEL:
+    if back.name != model.name:
         loss.add("model", model.name, "DROPPED", "warning",
-                 f"the text names no model; it parses back as {UNNAMED_MODEL}")
+                 f"the text names no model; it parses back as {back.name}")
     clean = Folds(_clean)
 
     def spelled(kind: str, element: str, name: str) -> None:
         if clean[name] != name:
             loss.add(kind, element, "RENAMED", "info", f"parses back as {clean[name]}")
 
-    def members(kind: str, name: str, folded: dict) -> dict:
-        """The members the parsed element of ``name``'s fold holds so far;
-        a DROPPED entry if an earlier element of that fold holds them."""
-        spelled(kind, name, name)
-        first, held = folded.setdefault(clean[name], (name, {}))
-        if first != name:
-            loss.add(kind, name, "DROPPED", "warning",
-                     f"parses back merged into {kind} {clean[name]} with {kind} {first}")
-        return held
-
-    def kept(kind: str, element: str, name: str, key: str, held: dict) -> bool:
-        """Whether the parser keeps member ``name``, which it holds under
-        ``key``; a DROPPED entry if an earlier member holds that key."""
-        spelled(kind, element, name)
-        first = held.setdefault(key, element)
-        if first != element:
-            loss.add(kind, element, "DROPPED", "warning",
-                     f"parses back as {clean[name]}, a repeat of {first}; the first one kept")
-        return first == element
-
-    # folded name -> (the first element of that fold, what the parsed element
-    # holds: its literals, or its properties under their lowercase names)
-    folded_enums: dict[str, tuple[str, dict[str, str]]] = {}
-    for enum in model.enumerations:
-        literals = members("enumeration", enum.name, folded_enums)
-        for literal in enum.literals:
-            kept("literal", f"{enum.name}.{literal}", literal, clean[literal], literals)
-    folded_classes: dict[str, tuple[str, dict[str, str]]] = {}
-    for cls in model.classes:
-        props = members("class", cls.name, folded_classes)
-        for prop in cls.properties:
-            element = f"{cls.name}.{prop.name}"
-            if not kept("property", element, prop.name, clean[prop.name].lower(), props):
-                continue
-            enum_name = prop.type.enum_name
-            if prop.type.kind == "enumeration" and clean[enum_name] != enum_name:
-                # every enumeration is declared before the first class, under its folded name
-                parsed = _resolve_type(enum_name, folded_enums) or primitive_type("str")
-                if parsed.enum_name != clean[enum_name]:
-                    loss.add("property", element, "TYPE_COERCED", "warning",
-                             f"typed by enumeration {enum_name}; "
-                             f"parses back typed {parsed.display()}")
-    names = Namespace()
-    for assoc in model.associations:
-        name = names.claim(clean[assoc.name])
-        if name != assoc.name:
-            loss.add("association", assoc.name, "RENAMED", "info", f"parses back as {name}")
-        ends = (assoc.end1, assoc.end2)
-        for end, role in zip(ends, _roles(clean, *(clean[e.class_name] for e in ends))):
-            if end.role != role:
+    types = {(c.name, p.name.lower()): p.type for c in back.classes for p in c.properties}
+    # each kind's elements, and each element's members as (name, the key the
+    # parser holds it under, its type): literals by name, properties by lowercase name
+    for kind, member_kind, elements, members in (
+            ("enumeration", "literal", model.enumerations,
+             lambda enum: [(literal, clean[literal], None) for literal in enum.literals]),
+            ("class", "property", model.classes,
+             lambda cls: [(p.name, clean[p.name].lower(), p.type) for p in cls.properties])):
+        # folded name -> (the first element of that fold, the keys of its parsed members)
+        folded: dict[str, tuple[str, dict[str, str]]] = {}
+        for element in elements:
+            spelled(kind, element.name, element.name)
+            first, held = folded.setdefault(clean[element.name], (element.name, {}))
+            if first != element.name:
+                loss.add(kind, element.name, "DROPPED", "warning",
+                         f"parses back merged into {kind} {clean[element.name]} "
+                         f"with {kind} {first}")
+            for name, key, typed in members(element):
+                path = f"{element.name}.{name}"
+                spelled(member_kind, path, name)
+                first = held.setdefault(key, path)
+                if first != path:
+                    loss.add(member_kind, path, "DROPPED", "warning",
+                             f"parses back as {clean[name]}, a repeat of {first}; "
+                             "the first one kept")
+                elif typed is not None and typed.kind == "enumeration":
+                    parsed = types[clean[element.name], key]
+                    if parsed != enum_type(clean[typed.enum_name]):
+                        loss.add("property", path, "TYPE_COERCED", "warning",
+                                 f"typed by enumeration {typed.enum_name}; "
+                                 f"parses back typed {parsed.display()}")
+    for assoc, parsed in zip(model.associations, back.associations, strict=True):
+        if parsed.name != assoc.name:
+            loss.add("association", assoc.name, "RENAMED", "info",
+                     f"parses back as {parsed.name}")
+        for end, parsed_end in zip((assoc.end1, assoc.end2), (parsed.end1, parsed.end2)):
+            if end.role != parsed_end.role:
                 loss.add("association", assoc.name, "DROPPED", "warning",
                          f"role {end.role} of {end.class_name}: the text names no role; "
-                         f"it parses back as {role}")
+                         f"it parses back as {parsed_end.role}")
     return loss
 
 

@@ -6,7 +6,8 @@ time, the `.bml` token
 parser that the declaration scanner and the error reporter are held to, and
 the Mendix export parser that checks one field at a time, which the inline
 checks of ``parse_mendix_export`` are held to, the name folds as one regex
-substitution each, and the loss entry as the frozen dataclass it was."""
+substitution each, the loss entry as the frozen dataclass it was, and the
+PlantUML generator's loss report as it was found without a parse."""
 
 from __future__ import annotations
 
@@ -36,13 +37,17 @@ from lcpbridge.model import (
     Class,
     DomainModel,
     Enumeration,
+    Folds,
     Generalization,
     Multiplicity,
+    Namespace,
     Property,
+    TypeRef,
     enum_type,
     fit_name,
     primitive_type,
 )
+from lcpbridge.plantuml import _TYPE_TABLE, UNNAMED_MODEL, _clean
 from lcpbridge.relational import MAX_NAME, RelationalSchemaPlan, TablePlan
 from lcpbridge.tabular import Table, TableColumn, _temporal_kind
 from lcpbridge.workbook import (
@@ -557,3 +562,95 @@ def reference_parse_mendix_export(document: str | bytes | dict) -> MendixExport:
     )
     _check_references(export)
     return export
+
+
+# ---------------------------------------------------------------------------
+# The PlantUML generator's loss report found with no parse, by re-deriving
+# the parser's folds, role claims and type lookup
+
+
+def _reference_roles(clean: Folds, left: str, right: str) -> tuple[str, str]:
+    """The roles the parser gives the ends of an association between classes
+    ``left`` and ``right``: PlantUML text carries none of its own."""
+    roles = Namespace()
+    return roles.claim(clean[left.lower()]), roles.claim(clean[right.lower()])
+
+
+def _reference_resolve_type(token: str, enum_names) -> TypeRef | None:
+    """The type an attribute typed ``token`` gets, given the (folded) names
+    of the enumerations declared so far, in order; None for an unknown type.
+    A declared name wins over a type-table token, and a token differing only
+    in case from a declared name comes last."""
+    if token in enum_names:
+        return enum_type(token)
+    mapped = _TYPE_TABLE.get(token.lower())
+    if mapped:
+        return primitive_type(mapped)
+    for name in enum_names:
+        if name.lower() == token.lower():
+            return enum_type(name)
+    return None
+
+
+def reference_export_loss(model: DomainModel) -> LossReport:
+    """``plantuml.export_loss`` as it was before it read a parse: what
+    ``parse_plantuml(emit_plantuml(model))`` reads back otherwise, found with
+    the parser's own folds. It holds no answer for a text the parser refuses."""
+    loss = LossReport()
+    if model.name != UNNAMED_MODEL:
+        loss.add("model", model.name, "DROPPED", "warning",
+                 f"the text names no model; it parses back as {UNNAMED_MODEL}")
+    clean = Folds(_clean)
+
+    def spelled(kind: str, element: str, name: str) -> None:
+        if clean[name] != name:
+            loss.add(kind, element, "RENAMED", "info", f"parses back as {clean[name]}")
+
+    def members(kind: str, name: str, folded: dict) -> dict:
+        spelled(kind, name, name)
+        first, held = folded.setdefault(clean[name], (name, {}))
+        if first != name:
+            loss.add(kind, name, "DROPPED", "warning",
+                     f"parses back merged into {kind} {clean[name]} with {kind} {first}")
+        return held
+
+    def kept(kind: str, element: str, name: str, key: str, held: dict) -> bool:
+        spelled(kind, element, name)
+        first = held.setdefault(key, element)
+        if first != element:
+            loss.add(kind, element, "DROPPED", "warning",
+                     f"parses back as {clean[name]}, a repeat of {first}; the first one kept")
+        return first == element
+
+    folded_enums: dict[str, tuple[str, dict[str, str]]] = {}
+    for enum in model.enumerations:
+        literals = members("enumeration", enum.name, folded_enums)
+        for literal in enum.literals:
+            kept("literal", f"{enum.name}.{literal}", literal, clean[literal], literals)
+    folded_classes: dict[str, tuple[str, dict[str, str]]] = {}
+    for cls in model.classes:
+        props = members("class", cls.name, folded_classes)
+        for prop in cls.properties:
+            element = f"{cls.name}.{prop.name}"
+            if not kept("property", element, prop.name, clean[prop.name].lower(), props):
+                continue
+            enum_name = prop.type.enum_name
+            if prop.type.kind == "enumeration" and clean[enum_name] != enum_name:
+                parsed = _reference_resolve_type(enum_name, folded_enums) \
+                    or primitive_type("str")
+                if parsed.enum_name != clean[enum_name]:
+                    loss.add("property", element, "TYPE_COERCED", "warning",
+                             f"typed by enumeration {enum_name}; "
+                             f"parses back typed {parsed.display()}")
+    names = Namespace()
+    for assoc in model.associations:
+        name = names.claim(clean[assoc.name])
+        if name != assoc.name:
+            loss.add("association", assoc.name, "RENAMED", "info", f"parses back as {name}")
+        ends = (assoc.end1, assoc.end2)
+        for end, role in zip(ends, _reference_roles(clean, *(clean[e.class_name] for e in ends))):
+            if end.role != role:
+                loss.add("association", assoc.name, "DROPPED", "warning",
+                         f"role {end.role} of {end.class_name}: the text names no role; "
+                         f"it parses back as {role}")
+    return loss

@@ -114,6 +114,22 @@ def test_export_subcommand_reads_what_import_wrote(tmp_path, capsys,
     assert "CREATE TABLE" in script
 
 
+@pytest.mark.parametrize("bml", [
+    "model Model\n\nenum Int { A }\n\nclass Int_ {}\n",
+    "model Model\n\nclass Int {}\n\nclass Int_ extends Int {}\n",
+], ids=["enumeration", "generalization"])
+def test_export_plantuml_of_text_the_importer_refuses(tmp_path, capsys, bml):
+    """``Int`` and ``Int_`` fold to one name in the text, which its parser
+    then refuses: the generator ends in the parser's coded error."""
+    model_path = tmp_path / "model.bml"
+    model_path.write_text(bml, encoding="utf-8")
+    code, _, err = run_cli(capsys, "export", "plantuml", "--model", str(model_path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error [INVALID_MODEL]")
+    assert not (tmp_path / "out" / "model.puml").exists()
+
+
 def test_export_determinism_through_cli(tmp_path, capsys, mendix_library_path):
     work = tmp_path / "work"
     run_cli(capsys, "import", "mendix-json", "--input", str(mendix_library_path),

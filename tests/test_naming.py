@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpbridge.dsl import parse_pivot_text, print_pivot_text
+from lcpbridge.errors import LcpBridgeError
 from lcpbridge.model import RESERVED_WORDS, Namespace, model_equal, sanitize_identifier
+from lcpbridge.pipeline import ExecutionOptions, run_exporter
+from lcpbridge.plantuml import parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_model, load_tabular
 from lcpbridge.workbook import emit_workbook, plan_workbook
@@ -100,12 +103,11 @@ def test_every_valid_model_generates(workbook_path, seed):
     ANSI DDL on sqlite with one table per class and per many-to-many
     association, and reload from their workbook with one class per sheet.
 
-    The PlantUML round trip is not a leg here: only reserved words still
-    block it. A class named like a reserved word (``Class``) comes back with
-    the ``_`` suffix that ``parse_plantuml`` gives foreign names; every other
-    valid name keeps its spelling, which
-    ``test_plantuml.py::TestEmit::test_round_trip_on_adversarial_models``
-    checks on these models without the reserved words.
+    The PlantUML generator writes a ``model.puml`` that ``parse_plantuml``
+    accepts, or raises a coded error and writes none. The text need not
+    parse back to an equal model: a name like a reserved word (``Class``)
+    comes back with the ``_`` suffix that the parser gives foreign names,
+    with a loss entry (``test_plantuml.py::TestExportLoss``).
     """
     model = random_model(random.Random(seed), names=adversarial_name)
 
@@ -135,3 +137,13 @@ def test_every_valid_model_generates(workbook_path, seed):
     assert len(inferred.classes) == len(manifest.sheets)
     for sheet, cls in zip(manifest.sheets, inferred.classes):
         assert len(cls.properties) == len(sheet.columns), sheet.name
+
+    puml_path = workbook_path.with_name("model.puml")
+    puml_path.unlink(missing_ok=True)
+    try:
+        run_exporter("plantuml", model, puml_path.parent, ExecutionOptions())
+    except LcpBridgeError as exc:
+        assert type(exc).code != LcpBridgeError.code, exc
+        assert not puml_path.exists()
+    else:
+        parse_plantuml(puml_path.read_text(encoding="utf-8"))

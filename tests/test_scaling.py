@@ -25,7 +25,7 @@ from lcpbridge.model import (
     primitive_type,
     validate_model,
 )
-from lcpbridge.plantuml import emit_plantuml, parse_plantuml
+from lcpbridge.plantuml import emit_plantuml, export_loss, parse_plantuml
 from lcpbridge.relational import emit_sql, plan_relational
 from lcpbridge.tabular import infer_column_type, infer_model, load_tabular
 from lcpbridge.workbook import emit_workbook, plan_workbook
@@ -105,9 +105,11 @@ def without_generalizations(model):
     (plan_workbook, chain_model),
     (lambda pair: merge_models(*pair), lambda n: without_generalizations(chain_model(n))),
     (import_tabular, scaling_csv),
+    (lambda pair: export_loss(*pair),
+     lambda n: (counted_model(n), emit_plantuml(counted_model(n)))),
 ], ids=["plan_relational+emit_sql", "parse_pivot_text", "plan_workbook", "merge_models",
         "emit_workbook", "validate_model(chain)", "plan_relational(chain)", "plan_workbook(chain)",
-        "merge_models(chain)", "load_tabular+infer_model(csv)"])
+        "merge_models(chain)", "load_tabular+infer_model(csv)", "export_loss"])
 def test_layer_grows_at_most_linearly(layer, make, tmp_path):
     """``scaling_model``, or for (chain) one inheritance chain of as many
     classes, whose walks up the parents cost quadratic time when each class
