@@ -3,13 +3,13 @@
 The data ships as a human-readable TOML file so vendor updates do not need
 a code change; ``--capabilities <file>`` swaps in a different registry.
 ``load_toml`` reads a file in plain TOML, as the shipped registry is,
-itself (``_plain_toml``), and any other file with ``tomllib``, imported then.
+itself (``_plain_toml``, with ``str`` methods only), and any other file with
+``tomllib``, imported then. Its records are plain classes with ``__slots__``
+(see ``loss``).
 """
 
 from __future__ import annotations
 
-import re
-from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,11 +23,20 @@ DIRECTIONS = ("export", "import")
 _DEFAULT_PATH = Path(__file__).parent / "assets" / "capabilities.toml"
 
 
-class CapabilityRecord(namedtuple("CapabilityRecord", "platform_id direction data gui behavior "
-                                                     "third_party formats")):
+class CapabilityRecord:
     """What one platform supports in one direction: levels per model kind and formats."""
 
-    __slots__ = ()
+    __slots__ = ("platform_id", "direction", "data", "gui", "behavior", "third_party", "formats")
+
+    def __init__(self, platform_id: str, direction: str, data: str, gui: str, behavior: str,
+                 third_party: bool, formats: tuple[str, ...]):
+        self.platform_id = platform_id
+        self.direction = direction
+        self.data = data
+        self.gui = gui
+        self.behavior = behavior
+        self.third_party = third_party
+        self.formats = formats
 
     def level(self, kind: str) -> str:
         return {"data": self.data, "gui": self.gui, "behavior": self.behavior}[kind]
@@ -39,12 +48,17 @@ class CapabilityRecord(namedtuple("CapabilityRecord", "platform_id direction dat
         return f"{self.direction}: {kinds}, format {formats}{star}"
 
 
-class CapabilityMatrix(namedtuple("CapabilityMatrix", "records displays")):
+class CapabilityMatrix:
     """The capability records of every platform, and each platform's display
     name: ``records`` maps (platform_id, direction) to a ``CapabilityRecord``,
     ``displays`` maps platform_id to its display name."""
 
-    __slots__ = ()
+    __slots__ = ("records", "displays")
+
+    def __init__(self, records: dict[tuple[str, str], CapabilityRecord],
+                 displays: dict[str, str]):
+        self.records = records
+        self.displays = displays
 
     def platform_ids(self) -> tuple[str, ...]:
         return tuple(self.displays)
@@ -78,34 +92,26 @@ def _check_level(value, where: str) -> str:
     return value
 
 
-@lru_cache(maxsize=1)
-def _plain_line() -> re.Pattern:
-    """A line of plain TOML, compiled on first use: a table header of bare
-    keys or a bare key set to a value, or neither, then maybe a comment."""
-    string = r'"[ !#-\[\]-~]*"'  # printable ASCII but for the quote and the backslash
-    key = r"[A-Za-z0-9_-]+"
-    return re.compile(rf"[ \t]*(?:\[({key}(?:\.{key})*)\]|({key})[ \t]*=[ \t]*({string}|true|false"
-                      rf"|\[[ \t]*(?:{string}[ \t]*(?:,[ \t]*{string}[ \t]*)*,?[ \t]*)?\]))?"
-                      r"[ \t]*(?:#[ -~\t]*)?")
+_BARE_KEY_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
 
 
 def _plain_toml(text: str) -> dict | None:
     """``text``'s tables as ``tomllib.loads`` reads them if it is plain TOML,
-    else None. Not plain: a non-ASCII character or a CR, a line of another
-    form, a key or table defined twice, a key that is also a table, and
-    ``[a]`` after ``[a.b]``."""
+    else None. Plain: ASCII without a CR; each line blank, a header of dotted
+    bare keys, or a bare key set to true, false, a string without a backslash
+    or a control character, or a one-line array of such strings; then maybe a
+    comment; no key or table defined twice, and no ``[a]`` after ``[a.b]``."""
     if not text.isascii() or "\r" in text:
         return None
-    fullmatch = _plain_line().fullmatch
     root = table = {}
     for line in text.split("\n"):
-        match = fullmatch(line)
-        if match is None:
-            return None
-        header, key, value = match.groups()
-        if header:
+        rest = line.lstrip(" \t")
+        if rest[:1] == "[":
+            header, close, rest = rest[1:].partition("]")
+            *parents, name = keys = header.split(".")
+            if not close or not all(key and _BARE_KEY_CHARS.issuperset(key) for key in keys):
+                return None
             table = root
-            *parents, name = header.split(".")
             for part in parents:
                 table = table.setdefault(part, {})
                 if type(table) is not dict:
@@ -113,13 +119,35 @@ def _plain_toml(text: str) -> dict | None:
             if name in table:
                 return None
             table[name] = table = {}
-        elif key:
-            if key in table:
+        elif rest[:1] not in ("", "#"):
+            key, equals, rest = rest.partition("=")
+            key = key.rstrip(" \t")
+            if not (equals and key and _BARE_KEY_CHARS.issuperset(key)) or key in table:
                 return None
-            if value[0] == "[":
-                table[key] = value.split('"')[1::2]  # no string holds a quote
+            rest = rest.lstrip(" \t")
+            if rest.startswith(("true", "false")):
+                value = rest[0] == "t"
+                rest = rest[4:] if value else rest[5:]
             else:
-                table[key] = value[1:-1] if value[0] == '"' else value == "true"
+                array = rest[:1] == "["
+                rest = rest.removeprefix("[").lstrip(" \t")
+                value = []
+                while rest[:1] == '"':
+                    string, quote, rest = rest[1:].partition('"')
+                    if not quote or "\\" in string or not string.isprintable():
+                        return None
+                    value.append(string)
+                    rest = rest.lstrip(" \t")
+                    if not array or rest[:1] != ",":
+                        break
+                    rest = rest[1:].lstrip(" \t")
+                if (rest[:1] == "]") != array or not (array or value):
+                    return None
+                value, rest = (value, rest[1:]) if array else (value[0], rest)
+            table[key] = value
+        rest = rest.lstrip(" \t")
+        if rest and (rest[0] != "#" or not rest.replace("\t", "").isprintable()):
+            return None
     return root
 
 

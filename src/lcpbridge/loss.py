@@ -5,9 +5,12 @@ report for a migration is the union of the planner's static prediction and
 the entries collected while executing.
 
 A loss entry is a bare named tuple, without the model records' ``Record``
-equality (see ``model``), as are the records that importing and planning
-define (``capabilities``, ``pipeline.Adapter``): that keeps ``model`` out of
-start-up. Such a record equals a plain tuple of the same values.
+equality (see ``model``): that keeps ``model`` out of start-up. It equals a
+plain tuple of the same values, and it stays a tuple because
+``LossReport.union`` hashes every entry, which a tuple does in C. The other
+records that importing and planning define (``capabilities``,
+``pipeline.Adapter``) are plain classes with ``__slots__``, equal only to
+themselves: a class statement costs less at import than ``namedtuple()``.
 ``json``'s string encoder is imported where a report is written, so
 planning does not load ``json``.
 """

@@ -23,7 +23,8 @@ tuple and hashed in C. The records an adapter builds on its way to or from a
 model (``mendix.Mendix*``, ``relational.ColumnPlan``...) are plain classes
 with ``__slots__`` instead: one step builds them and the next reads them,
 and a slot reads faster than a tuple field. The entries of a loss report
-are bare named tuples (see ``loss``).
+are bare named tuples, and the records that importing and planning define
+are plain slotted classes (see ``loss``).
 """
 
 from __future__ import annotations

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import gc
 import sys
-import threading
-from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from _thread import allocate_lock
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import _PUBLIC
 from .errors import (
@@ -43,6 +41,7 @@ from .errors import (
 )
 from .loss import LossReport
 
+TYPE_CHECKING = False  # importing typing for it would cost start-up
 if TYPE_CHECKING:
     from .capabilities import CapabilityMatrix
     from .llm import MergeReport
@@ -109,7 +108,7 @@ def _writing_to(out_dir: Path) -> Iterator[None]:
                           f"{exc.strerror or exc}") from exc
 
 
-_pause_lock = threading.Lock()
+_pause_lock = allocate_lock()
 _pause_depth = 0  # runs under way, in any thread
 _pause_restore = False  # whether the first of them found the collector on
 
@@ -178,11 +177,16 @@ def __getattr__(name: str):
     return value
 
 
-class Adapter(namedtuple("Adapter", "id formats run")):
+class Adapter:
     """One import adapter or generator, as its table says: its id, its format
     tokens and the callable that runs it."""
 
-    __slots__ = ()
+    __slots__ = ("id", "formats", "run")
+
+    def __init__(self, id: str, formats: tuple[str, ...], run: Callable):
+        self.id = id
+        self.formats = formats
+        self.run = run
 
 
 # format token -> the suffixes of the input files an importer of it reads

@@ -156,7 +156,10 @@ class _Builder:
         return clean
 
     def add_literal(self, enum: str, text: str):
-        literal = self.clean[text.strip(",")]
+        raw = text.strip(",")
+        literal = self.clean[raw]
+        if literal != raw:
+            self.loss.add("literal", f"{enum}.{raw}", "RENAMED", "info", f"sanitized to {literal}")
         literals = self.enum_literals[enum]
         if literal in literals:
             self.loss.add("literal", f"{enum}.{literal}", "DROPPED", "warning",
@@ -371,8 +374,9 @@ def export_loss(model: DomainModel, text: str) -> LossReport:
     class or enumeration merged into an earlier one whose name folds alike
     (``Int`` and ``Int_``), each property or literal dropped as a repeat in
     such a merge or within one element, each kept property typed otherwise
-    than by its enumeration's folded name, and each role the parser derives.
-    A text that the parser refuses raises its coded error."""
+    than by its enumeration's folded name, each generalization whose folded
+    pair the parse lacks (a second parent of a merged class), and each role
+    the parser derives. A text that the parser refuses raises its coded error."""
     back = parse_plantuml(text).model
     loss = LossReport()
     if back.name != model.name:
@@ -415,6 +419,12 @@ def export_loss(model: DomainModel, text: str) -> LossReport:
                         loss.add("property", path, "TYPE_COERCED", "warning",
                                  f"typed by enumeration {typed.enum_name}; "
                                  f"parses back typed {parsed.display()}")
+    parents = {gen.specific: gen.general for gen in back.generalizations}
+    for gen in model.generalizations:
+        specific, kept = clean[gen.specific], parents[clean[gen.specific]]
+        if kept != clean[gen.general]:
+            loss.add("generalization", f"{gen.specific}->{gen.general}", "DROPPED", "warning",
+                     f"parses back as a second parent of {specific}; the parser keeps {kept}")
     for assoc, parsed in zip(model.associations, back.associations, strict=True):
         if parsed.name != assoc.name:
             loss.add("association", assoc.name, "RENAMED", "info",

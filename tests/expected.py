@@ -593,9 +593,10 @@ def _reference_resolve_type(token: str, enum_names) -> TypeRef | None:
 
 
 def reference_export_loss(model: DomainModel) -> LossReport:
-    """``plantuml.export_loss`` as it was before it read a parse: what
-    ``parse_plantuml(emit_plantuml(model))`` reads back otherwise, found with
-    the parser's own folds. It holds no answer for a text the parser refuses."""
+    """``plantuml.export_loss`` as it was before it read a parse, and a
+    second parent dropped: what ``parse_plantuml(emit_plantuml(model))`` reads
+    back otherwise, found with the parser's own folds. It holds no answer for
+    a text the parser refuses."""
     loss = LossReport()
     if model.name != UNNAMED_MODEL:
         loss.add("model", model.name, "DROPPED", "warning",
@@ -642,6 +643,14 @@ def reference_export_loss(model: DomainModel) -> LossReport:
                     loss.add("property", element, "TYPE_COERCED", "warning",
                              f"typed by enumeration {enum_name}; "
                              f"parses back typed {parsed.display()}")
+    # the parser keeps the first parent it reads for each folded class
+    first_parents: dict[str, str] = {}
+    for gen in model.generalizations:
+        specific, general = clean[gen.specific], clean[gen.general]
+        kept = first_parents.setdefault(specific, general)
+        if kept != general:
+            loss.add("generalization", f"{gen.specific}->{gen.general}", "DROPPED", "warning",
+                     f"parses back as a second parent of {specific}; the parser keeps {kept}")
     names = Namespace()
     for assoc in model.associations:
         name = names.claim(clean[assoc.name])

@@ -169,10 +169,11 @@ def with_fold_twins(model: DomainModel, rng: random.Random) -> DomainModel:
     leg, a reserved word ``w`` and ``w_``: one to three pairs of classes,
     each pair sharing a property half the time, one to three pairs of
     enumerations, each pair sharing a literal half the time, one to three
-    pairs of properties in classes drawn at random, and up to four
-    associations to the new classes. ``model`` must hold no reserved word
-    (``fresh_name``) and no generalization, so that every twin folds only
-    onto its own pair and the emitted text still parses."""
+    pairs of properties in classes drawn at random, up to four associations
+    to the new classes, and, half the time, a parent from ``model`` for each
+    twin class, so a pair may parse back with two parents. ``model`` must
+    hold no reserved word (``fresh_name``) and no generalization, so that
+    every twin folds only onto its own pair and the emitted text still parses."""
     words = rng.sample(sorted(RESERVED_WORDS), rng.randint(3, 9))
     third = len(words) // 3
     class_words, enum_words = words[:third], words[third:2 * third]
@@ -200,7 +201,12 @@ def with_fold_twins(model: DomainModel, rng: random.Random) -> DomainModel:
         ends = [AssociationEnd(fresh_name(rng, set()) + str(i), rng.choice(classes).name,
                                rng.choice(MULTIPLICITY_MENU)) for i in (1, 2)]
         associations.append(Association(fresh_name(rng, names, capitalize=True), *ends))
+    generalizations = [Generalization(rng.choice(model.classes).name, name)
+                       for word in class_words if model.classes
+                       for name in (word.capitalize(), word.capitalize() + "_")
+                       if rng.random() < 0.5]
     twinned = model._replace(classes=tuple(classes), associations=tuple(associations),
+                             generalizations=tuple(generalizations),
                              enumerations=tuple(enumerations))
     assert validate_model(twinned).ok
     return twinned

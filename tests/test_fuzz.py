@@ -309,6 +309,22 @@ toml_soup = st.lists(st.sampled_from(PLAIN_LINES) | st.sampled_from(PLAIN_LINES)
 @example(NOT_PLAIN["table after its subtable"])
 @example(NOT_PLAIN["escaped string"])
 @example(NOT_PLAIN["multi-line array"])
+@example('a = "x # y"\n')
+@example('a = "x"# c\nb = ["y"]#"c"\nc = true#')
+@example("b = truex")
+@example('a\t=\t"x"\nb \t= \t["y"]')
+@example("[ a ]")
+@example("[]")
+@example("a = [ , ]")
+@example('a = ["a" "b"]')
+@example('a = ["a",,]')
+@example("a.b = true")
+@example('"a" = "x"')
+@example("=")
+@example('a =\f"x"')
+@example("\x00a = true")
+@example('a = "x" # \f')
+@example("# \x00")
 def test_plain_reader_agrees_with_tomllib(text):
     """The plain-TOML reader reads a file as tomllib does, or leaves it to
     tomllib; it reads no file that tomllib refuses."""

@@ -218,6 +218,12 @@ end note
             ("literal", "Kind.A", "DROPPED",
              "literal repeated in the enumeration; the first one kept")]
 
+    def test_each_renamed_literal_reported(self):
+        result = parse_plantuml("@startuml\nenum Kind {\n  int\n  A\n}\n@enduml")
+        assert result.model.enumerations == (Enumeration("Kind", ("int_", "A")),)
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in result.loss] == [
+            ("literal", "Kind.int", "RENAMED", "sanitized to int_")]
+
     def test_aggregation_markers_treated_as_association(self):
         result = parse_plantuml('@startuml\nLibrary o-- Book\n@enduml')
         assert len(result.model.associations) == 1
@@ -458,6 +464,21 @@ class TestExportLoss:
              "parses back merged into enumeration Int_ with enumeration Int"),
             ("literal", "Int_.A", "DROPPED",
              "parses back as A, a repeat of Int.A; the first one kept")]
+
+    def test_second_parent_of_merged_twins_reported(self, tmp_path):
+        """``Int`` and ``Int_`` parse back as one class, which keeps the first
+        parent the text gives it."""
+        model = DomainModel("Model", classes=(Class("A"), Class("B"), Class("Int"), Class("Int_")),
+                            generalizations=(Generalization("A", "Int"),
+                                             Generalization("B", "Int_")))
+        (path,), loss = run_exporter("plantuml", model, tmp_path, ExecutionOptions())
+        back = parse_plantuml(path.read_text(encoding="utf-8")).model
+        assert back.generalizations == (Generalization("A", "Int_"),)
+        assert [(i.element_kind, i.element_name, i.reason, i.detail) for i in loss] == [
+            ("class", "Int", "RENAMED", "parses back as Int_"),
+            ("class", "Int_", "DROPPED", "parses back merged into class Int_ with class Int"),
+            ("generalization", "Int_->B", "DROPPED",
+             "parses back as a second parent of Int_; the parser keeps A")]
 
     @pytest.mark.parametrize("seed", range(100))
     def test_each_fold_twin_the_parser_merges_is_reported(self, tmp_path, seed):

@@ -87,11 +87,10 @@ RECORDS = {
     "xlsx.SheetContent": ("name rows", {}),
 }
 
-# The named tuples that importing and planning define, without ``Record``'s
-# equality so that start-up loads no ``model``: each equals a plain tuple of
-# its values.
-BARE_TUPLES = {"capabilities.CapabilityRecord", "capabilities.CapabilityMatrix",
-               "loss.LossItem", "pipeline.Adapter"}
+# The named tuple that planning defines, without ``Record``'s equality so
+# that start-up loads no ``model``: it equals a plain tuple of its values. The
+# other records that importing and planning define are plain slotted classes.
+BARE_TUPLES = {"loss.LossItem"}
 
 # classes with slots that hold no record: name scopes, a memo, compiled patterns
 NOT_RECORDS = {"model.Namespace", "model.Folds", "xlsx._Patterns"}
@@ -191,6 +190,15 @@ def test_a_record_equals_no_tuple_and_no_record_of_another_class(key):
 def test_bare_tuples_are_the_start_up_records():
     assert {key for key in _named_tuple_records()
             if not issubclass(_class(key), Record)} == BARE_TUPLES
+
+
+def test_an_adapter_equals_no_association_of_the_same_values():
+    from lcpbridge.model import Association
+    from lcpbridge.pipeline import Adapter
+
+    adapter, association = Adapter("a", "b", "c"), Association("a", "b", "c")
+    assert adapter != association and association != adapter
+    assert not adapter == association and not association == adapter
 
 
 @pytest.mark.parametrize("key", [key for key in RECORDS

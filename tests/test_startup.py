@@ -14,15 +14,17 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # stdlib modules that one path alone uses: that path imports them (``json``
 # a report writer or ``lcpbridge plan``, ``tomllib`` a TOML file that is not
-# plain)
-DEFERRED = ("xml.etree.ElementTree", "zipfile", "hashlib", "base64", "csv", "json", "tomllib")
+# plain); and ``typing`` and ``threading``, which no path needs
+DEFERRED = ("xml.etree.ElementTree", "zipfile", "hashlib", "base64", "csv", "json", "tomllib",
+            "typing", "threading")
 
 # the package modules that importing and planning load; every layer waits
 # for the first adapter that calls into it
 PLAN_MODULES = {"lcpbridge", "lcpbridge.capabilities", "lcpbridge.errors", "lcpbridge.loss",
                 "lcpbridge.pipeline", "lcpbridge.planner"}
 
-# Modules that ``site`` preloads are in ``before`` and so never count.
+# Each probe runs without ``site`` (``python -S``), so no ``.pth`` file
+# preloads a module that the package would otherwise load itself.
 PROBE = """\
 import sys
 before = set(sys.modules)
@@ -47,8 +49,9 @@ print(" ".join(sorted(sys.modules)))
 
 
 def _fresh_process(code: str, *args) -> set[str]:
-    """The modules a new interpreter holds after running ``code``."""
-    done = subprocess.run([sys.executable, "-c", code, str(SRC), *map(str, args)],
+    """The modules a new interpreter, started without ``site``, holds after
+    running ``code``."""
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *map(str, args)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
